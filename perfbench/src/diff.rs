@@ -15,7 +15,7 @@
 //!   medians differ by more than the parent's interquartile distance;
 //! * `same` otherwise.
 
-use crate::spec::{Better, Metric, END_TO_END};
+use crate::spec::{spec, Better, Metric};
 use crate::stats;
 use se_service::json::{self, Json};
 use std::collections::BTreeMap;
@@ -175,8 +175,8 @@ pub fn main(args: &[String]) -> Result<bool, String> {
             steal(&before),
             steal(&after)
         );
-        for metric in &END_TO_END {
-            let (b, a) = (side(&before, metric.name), side(&after, metric.name));
+        for metric in &spec().end_to_end {
+            let (b, a) = (side(&before, &metric.name), side(&after, &metric.name));
             let Some(row) = compare(metric, &b, &a) else {
                 println!("{wl:<14} {:<18} needs two runs on each side", metric.name);
                 continue;

@@ -6,6 +6,7 @@
 //! `(n, nnz)` multiset, in the same number of requests per pass. Request
 //! lines are encoded here, once, before any clock starts.
 
+use crate::run::Kind;
 use se_order::Algorithm;
 use se_prng::SmallRng;
 use se_service::cache::pattern_key;
@@ -62,31 +63,30 @@ pub struct Plan {
     /// is requested as often as its weight says. `None` for streams
     /// without passes.
     pub pass_len: Option<usize>,
-    /// The shortest run of requests carrying the workload's full mix of
-    /// bases; the window's slices end on its boundaries.
-    pub mix_len: Option<usize>,
 }
 
 /// Stand-ins of `cold_spectral`, with how often each is requested per
-/// pass: 14 requests, of which the middle-cost SSTMODEL takes positions 7
-/// to 11 in cost order (so the median falls inside its samples) and SKIRT,
-/// the costliest, is 1 in 14 (so the p95 falls inside its samples, not on
-/// the boundary to the next input).
+/// pass of 32. Each percentile is placed inside the samples of an input
+/// whose solve time barely moves with the labelling: in cost order
+/// BCSSTK13 and DWT2680 take positions 1–14, so the median falls among
+/// SSTMODEL's (15–24); SKIRT and BARTH4, whose times move by up to 2×
+/// between labellings, are 1 in 32 each, so the p95 falls among the
+/// slowest SHUTTLE samples, not in theirs.
 pub const COLD_BASES: [(&str, usize); 6] = [
-    ("BCSSTK13", 3),
-    ("DWT2680", 3),
-    ("SSTMODEL", 5),
+    ("BCSSTK13", 7),
+    ("DWT2680", 7),
+    ("SSTMODEL", 10),
     ("BARTH4", 1),
-    ("SHUTTLE", 1),
+    ("SHUTTLE", 6),
     ("SKIRT", 1),
 ];
 /// Relabellings of each `cold_spectral` base; pass `k` sends copy
 /// `k mod COLD_COPIES` of every base, and a run measures whole cycles of
 /// `COLD_COPIES` passes. The multilevel solver's work varies with the
-/// labelling (BARTH4 takes 110–240 ms, SKIRT 300–570 ms across
+/// labelling (BARTH4 takes 95–240 ms, SKIRT 190–570 ms across
 /// relabellings on a 2-core host), so a run averages over several
 /// relabellings rather than letting one seed's draw set its numbers.
-pub const COLD_COPIES: usize = 6;
+pub const COLD_COPIES: usize = 4;
 /// Stand-ins of `hit_replay` (n from 1 072 to 12 598).
 pub const HIT_BASES: [&str; 8] = [
     "CAN1072", "POW9", "BCSSTK13", "DWT2680", "SSTMODEL", "BARTH4", "SHUTTLE", "SKIRT",
@@ -274,25 +274,25 @@ pub fn cold_plan(
             to_owner: true,
         }));
     }
-    let mix = weights.iter().sum::<usize>();
     Plan {
         alg,
-        pass_len: Some(mix * copies),
-        mix_len: Some(mix),
+        pass_len: Some(weights.iter().sum::<usize>() * copies),
         stream,
         inputs,
     }
 }
 
-/// The `hit_replay` plan over the given bases.
+/// The `hit_replay` plan over the given bases. Its requests ask for RCM:
+/// after warm-up every answer is a cache hit, whose cost does not depend
+/// on the algorithm that filled the entry, and an RCM warm-up keeps the
+/// multilevel solver's labelling-dependent cost out of `setup_s`.
 pub fn hit_plan(seed: u64, bases: &[(&'static str, SymmetricPattern)]) -> Plan {
-    let inputs = build_inputs(seed, bases, MatrixFormat::MatrixMarket, Algorithm::Spectral);
+    let inputs = build_inputs(seed, bases, MatrixFormat::MatrixMarket, Algorithm::Rcm);
     let pass: Vec<usize> = (0..inputs.len()).collect();
     Plan {
-        alg: Algorithm::Spectral,
+        alg: Algorithm::Rcm,
         stream: shuffled_passes(seed, &pass, HIT_PASSES),
         pass_len: Some(pass.len()),
-        mix_len: Some(pass.len()),
         inputs,
     }
 }
@@ -337,25 +337,24 @@ pub fn mesh_plan(
         alg,
         stream: skewed_stream(seed, &ranked, MESH_STREAM_LEN),
         pass_len: None,
-        mix_len: None,
         inputs,
     }
 }
 
-/// The plan a workload name stands for, over the real stand-ins
-/// (`mesh` names the two mesh members for `mesh_churn`).
-pub fn plan(workload: &str, seed: u64, mesh: Option<&[String; 2]>) -> Option<Plan> {
-    match (workload, mesh) {
-        ("cold_spectral", _) => {
+/// The plan of a workload over the real stand-ins (`mesh` names the two
+/// mesh members of `mesh_churn`).
+pub fn plan(kind: Kind, seed: u64, mesh: Option<&[String; 2]>) -> Plan {
+    match (kind, mesh) {
+        (Kind::ColdSpectral, _) => {
             let names: Vec<&'static str> = COLD_BASES.iter().map(|b| b.0).collect();
             let weights: Vec<usize> = COLD_BASES.iter().map(|b| b.1).collect();
-            Some(cold_plan(seed, &named(&names), &weights, COLD_COPIES))
+            cold_plan(seed, &named(&names), &weights, COLD_COPIES)
         }
-        ("hit_replay", _) => Some(hit_plan(seed, &named(&HIT_BASES))),
-        ("mesh_churn", Some(names)) => {
-            Some(mesh_plan(seed, &named(&MESH_BASES), MESH_COPIES / 2, names))
+        (Kind::HitReplay, _) => hit_plan(seed, &named(&HIT_BASES)),
+        (Kind::MeshChurn, Some(names)) => {
+            mesh_plan(seed, &named(&MESH_BASES), MESH_COPIES / 2, names)
         }
-        _ => None,
+        (Kind::MeshChurn, None) => panic!("mesh_churn needs the mesh member names"),
     }
 }
 

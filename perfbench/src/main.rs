@@ -36,7 +36,7 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
     let mut opts = Opts {
         workload: String::new(),
         seed: 1,
-        seconds: spec::RUN_SECONDS as f64,
+        seconds: spec::spec().run_seconds as f64,
         trace: false,
     };
     let mut it = args.iter();
@@ -52,8 +52,8 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         }
     }
     if Kind::from_name(&opts.workload).is_none() {
-        let names: Vec<&str> = spec::WORKLOADS.iter().map(|w| w.0).collect();
-        return Err(format!("--workload must be one of {}", names.join(", ")));
+        let names = spec::spec().workloads.join(", ");
+        return Err(format!("--workload must be one of {names}"));
     }
     Ok(opts)
 }
@@ -123,9 +123,9 @@ fn execute(opts: &Opts) -> std::io::Result<bool> {
         _ => None,
     };
     // Inputs are generated and encoded before any clock starts.
-    let plan = inputs::plan(&opts.workload, opts.seed, mesh.as_ref()).expect("validated workload");
+    let plan = inputs::plan(kind, opts.seed, mesh.as_ref());
     let (cfg, changed) = run::config(kind, &plan);
-    let setups = if opts.trace { 1 } else { run::SETUPS };
+    let setups = if opts.trace { 1 } else { run::setups(kind) };
     let mut setup_s = Vec::with_capacity(setups);
     let mut failures: Vec<String> = Vec::new();
     let mut previous: Option<Vec<wire::Answer>> = None;
@@ -145,10 +145,7 @@ fn execute(opts: &Opts) -> std::io::Result<bool> {
     }
     let mut s = session.expect("at least one set-up");
     let before = s.cluster.stats();
-    let steal0 = procfs::host_steal()?;
     let w = run::timed_window(kind, &plan, &mut s, opts.seconds)?;
-    let steal1 = procfs::host_steal()?;
-    let steal_share = (steal1.0 - steal0.0) as f64 / (steal1.1 - steal0.1).max(1) as f64;
     let after = s.cluster.stats();
     let checked = run::check(&plan, &s, &w);
     failures.extend(checked.failures);
@@ -179,7 +176,7 @@ fn execute(opts: &Opts) -> std::io::Result<bool> {
         stats::highest_supported(attempted).map_or("none".to_string(), |p| format!("p{p}")),
     );
     for (name, value) in &e2e {
-        let unit = spec::end_to_end(name).map_or("", |m| m.unit);
+        let unit = spec::end_to_end(name).map_or("", |m| m.unit.as_str());
         println!("  {name:<28} {value:>14.6} {unit}");
     }
     println!(
@@ -188,14 +185,9 @@ fn execute(opts: &Opts) -> std::io::Result<bool> {
         1.0 - e2e[7].1,
         1.0 - e2e[8].1
     );
-    let slices: Vec<String> = w
-        .slice_rates()
-        .iter()
-        .map(|(r, c, st)| format!("{r:.1}/s {c:.2}ms st{:.1}%", st * 100.0))
-        .collect();
     println!(
-        "  slices (orders/s, cpu ms/order, host steal): {}",
-        slices.join(", ")
+        "  host CPU steal during the window: {:.1}%",
+        w.host_steal * 100.0
     );
     if let Some(t) = &traced {
         for (name, value) in &t.metrics {
@@ -207,6 +199,9 @@ fn execute(opts: &Opts) -> std::io::Result<bool> {
             get("engine.server_us"),
             get("engine.server_untraced_us")
         );
+        for note in &t.notes {
+            println!("  {note}");
+        }
     }
     for f in checked.defects.iter().chain(&failures) {
         println!("  CHECK FAILED: {f}");
@@ -226,7 +221,7 @@ fn execute(opts: &Opts) -> std::io::Result<bool> {
         ("trace", Json::Bool(opts.trace)),
         ("orders", Json::Num(attempted as f64)),
         ("window_s", num(w.wall_s)),
-        ("host_steal_share", num(steal_share)),
+        ("host_steal_share", num(w.host_steal)),
         ("setups", Json::Num(setup_s.len() as f64)),
         ("nproc", Json::Num(run::solver_threads() as f64)),
         (
@@ -246,18 +241,17 @@ fn execute(opts: &Opts) -> std::io::Result<bool> {
         ("git_commit", str_json(git_commit())),
     ]);
     println!("{}", Json::obj(vec![("stamp", stamp)]).to_string_compact());
-    let metrics: Vec<(&str, f64, &str)> = match &traced {
-        Some(t) => spec::PER_LAYER
-            .iter()
-            .zip(&t.metrics)
-            .map(|(m, (_, v))| (m.name, *v, m.unit))
-            .collect(),
-        None => spec::END_TO_END
-            .iter()
-            .zip(&e2e)
-            .map(|(m, (_, v))| (m.name, *v, m.unit))
-            .collect(),
+    let (list, values) = match &traced {
+        Some(t) => (&spec::spec().per_layer, &t.metrics),
+        None => (&spec::spec().end_to_end, &e2e),
     };
+    let metrics: Vec<(&str, f64, &str)> = list
+        .iter()
+        .filter_map(|m| {
+            let v = values.iter().find(|v| v.0 == m.name)?.1;
+            Some((m.name.as_str(), v, m.unit.as_str()))
+        })
+        .collect();
     println!("{}", result_line(correct, attempted, failed, &metrics));
     Ok(correct)
 }

@@ -6,6 +6,7 @@ use crate::inputs::{line_tail, Input, Plan, Step};
 use crate::wire::{permutation, Answer, Conn};
 use crate::{procfs, stats};
 use se_order::Algorithm;
+use se_reactor::poll::{poll_sources, Interest, PollSource};
 use se_service::cache::{OrderingMeta, ShardedOrderingCache};
 use se_service::proto::{decode_response, Response};
 use se_service::Config;
@@ -14,15 +15,23 @@ use sparsemat::Permutation;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-/// Set-ups per run; `setup_s` is their median and the last one serves
-/// the timed window.
-pub const SETUPS: usize = 3;
-/// Slices of the timed window; throughput and CPU per order are the
-/// medians of their per-slice values, so a burst of interference from
-/// outside the process moves one slice, not the result.
-pub const SLICES: usize = 8;
+/// Set-ups per run: `setup_s` is their median and the last one serves
+/// the timed window. `cold_spectral`'s set-up solves every input once
+/// (seconds); the others take a fraction of a second, so more of them
+/// cost little.
+pub fn setups(kind: Kind) -> usize {
+    match kind {
+        Kind::ColdSpectral => 3,
+        _ => 5,
+    }
+}
+
 /// In-flight requests on `hit_replay`'s pipelined connection.
 pub const HIT_WINDOW: usize = 4;
+/// In-flight requests on each of `mesh_churn`'s two connections. Two
+/// stall the mesh: every worker of both nodes can end up blocked
+/// forwarding to the other node until the peer I/O timeout fires.
+pub const MESH_WINDOW: usize = 1;
 /// Divergent answers kept for the post-window checks and the report.
 const KEEP_DIVERGENT: usize = 16;
 
@@ -35,13 +44,15 @@ pub enum Kind {
 }
 
 impl Kind {
+    /// Every workload's name: the only place names map to drivers.
+    pub const ALL: [(&'static str, Kind); 3] = [
+        ("cold_spectral", Kind::ColdSpectral),
+        ("hit_replay", Kind::HitReplay),
+        ("mesh_churn", Kind::MeshChurn),
+    ];
+
     pub fn from_name(name: &str) -> Option<Kind> {
-        match name {
-            "cold_spectral" => Some(Kind::ColdSpectral),
-            "hit_replay" => Some(Kind::HitReplay),
-            "mesh_churn" => Some(Kind::MeshChurn),
-            _ => None,
-        }
+        Self::ALL.iter().find(|(n, _)| *n == name).map(|&(_, k)| k)
     }
 
     /// Binary permutation frames + protocol v2 (everything but the v1
@@ -53,8 +64,9 @@ impl Kind {
     /// Requests in flight per connection.
     pub fn window(self) -> usize {
         match self {
+            Kind::ColdSpectral => 1,
             Kind::HitReplay => HIT_WINDOW,
-            _ => 1,
+            Kind::MeshChurn => MESH_WINDOW,
         }
     }
 }
@@ -93,6 +105,7 @@ pub fn config(kind: Kind, plan: &Plan) -> (Config, Vec<(&'static str, String)>) 
             if kind == Kind::MeshChurn { "2" } else { "0" }.to_string(),
         ),
         ("replicas", cfg.replicas.to_string()),
+        ("window", kind.window().to_string()),
     ];
     (cfg, changed)
 }
@@ -125,8 +138,8 @@ pub struct Session {
 }
 
 /// Starts the node(s), connects, and sends one untimed ORDER per
-/// distinct input (to its owner). Returns the session and its duration —
-/// one `setup_s` sample.
+/// distinct input (to its owner, as many in flight as the timed window
+/// keeps). Returns the session and its duration — one `setup_s` sample.
 pub fn set_up(
     kind: Kind,
     cfg: &Config,
@@ -142,10 +155,21 @@ pub fn set_up(
         .map(|i| Conn::open(cluster.addr(i), kind.binary()))
         .collect::<std::io::Result<Vec<_>>>()?;
     let owner: Vec<usize> = plan.inputs.iter().map(|i| cluster.owner(i.key)).collect();
-    let mut warm = Vec::with_capacity(plan.inputs.len());
-    for (input, &node) in plan.inputs.iter().zip(&owner) {
-        warm.push(conns[node].roundtrip(&input.line(None))?);
-    }
+    let mut warm = vec![Answer::default(); plan.inputs.len()];
+    let mut steps = (0..plan.inputs.len()).map(|input| {
+        let step = Step {
+            input,
+            to_owner: true,
+        };
+        (owner[input], step)
+    });
+    drive(
+        &mut conns,
+        kind.window(),
+        plan,
+        |_| steps.next(),
+        |step, _, a| warm[step.input] = a.clone(),
+    )?;
     let secs = t0.elapsed().as_secs_f64();
     let canon = warm.iter().map(Answer::canonical).collect();
     Ok((
@@ -166,6 +190,97 @@ pub fn tear_down(s: Session) -> std::io::Result<()> {
     s.cluster.stop()
 }
 
+/// Sends the steps `next` yields (given the count sent so far; `None`
+/// ends the stream), each to its node, keeping at most `window` requests
+/// in flight per connection, and hands every answer to `done` with its
+/// roundtrip time. With a window above 1 requests carry ids and answers
+/// may come back in any order; a step whose connection is full waits
+/// until that connection answers one.
+fn drive(
+    conns: &mut [Conn],
+    window: usize,
+    plan: &Plan,
+    mut next: impl FnMut(usize) -> Option<(usize, Step)>,
+    mut done: impl FnMut(Step, Duration, &Answer),
+) -> std::io::Result<usize> {
+    let mut inflight: Vec<HashMap<u64, (Instant, Step)>> = vec![HashMap::new(); conns.len()];
+    let mut waiting: Option<(usize, Step)> = None;
+    let mut answer = Answer::default();
+    let mut sent = 0usize;
+    loop {
+        loop {
+            if waiting.is_none() {
+                waiting = next(sent);
+            }
+            let Some((node, step)) = waiting else { break };
+            if inflight[node].len() >= window {
+                break;
+            }
+            let id = sent as u64;
+            let tail = line_tail((window > 1).then_some(id));
+            inflight[node].insert(id, (Instant::now(), step));
+            conns[node].send_parts(&plan.inputs[step.input].body, &tail)?;
+            sent += 1;
+            waiting = None;
+        }
+        let busy: Vec<usize> = (0..conns.len())
+            .filter(|&c| !inflight[c].is_empty())
+            .collect();
+        if busy.is_empty() {
+            return Ok(sent);
+        }
+        let node = ready(conns, &busy)?;
+        conns[node].recv(&mut answer)?;
+        let id = match window {
+            1 => inflight[node].keys().next().copied(),
+            _ => answer.id(),
+        };
+        let (t, step) = id
+            .and_then(|id| inflight[node].remove(&id))
+            .ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "untagged response: {}",
+                        String::from_utf8_lossy(&answer.line)
+                    ),
+                )
+            })?;
+        done(step, t.elapsed(), &answer);
+    }
+}
+
+/// One of the `busy` connections with an answer to read: one whose
+/// buffer already holds bytes, else the first one `poll(2)` reports
+/// readable.
+fn ready(conns: &[Conn], busy: &[usize]) -> std::io::Result<usize> {
+    if let [only] = busy {
+        return Ok(*only);
+    }
+    if let Some(&c) = busy.iter().find(|&&c| conns[c].has_buffered()) {
+        return Ok(c);
+    }
+    let sources: Vec<(PollSource<'_>, Interest)> = busy
+        .iter()
+        .map(|&c| {
+            (
+                PollSource::Tcp(conns[c].stream()),
+                Interest {
+                    read: true,
+                    write: false,
+                },
+            )
+        })
+        .collect();
+    let mut readiness = Vec::new();
+    loop {
+        poll_sources(&sources, &mut readiness, None)?;
+        if let Some(i) = readiness.iter().position(|r| r.read || r.closed) {
+            return Ok(busy[i]);
+        }
+    }
+}
+
 /// One timed request.
 #[derive(Debug, Clone, Copy)]
 pub struct Sample {
@@ -183,6 +298,11 @@ pub struct Sample {
 pub struct Window {
     pub samples: Vec<Sample>,
     pub wall_s: f64,
+    /// Process CPU seconds spent during the window.
+    pub cpu_s: f64,
+    /// Share of the host's CPU time its hypervisor withheld during the
+    /// window (interference from outside the guest).
+    pub host_steal: f64,
     pub errors: usize,
     pub first_error: Option<String>,
     pub degraded: usize,
@@ -190,22 +310,12 @@ pub struct Window {
     /// answer, and a few of them kept for the report.
     pub mismatches: usize,
     pub divergent: Vec<(usize, Answer)>,
-    /// Slice boundaries: (seconds since start, process CPU seconds,
-    /// completed answers, host (steal, total) CPU ticks).
-    pub slices: Vec<(f64, f64, usize, (u64, u64))>,
     /// The process's peak resident set when the window closed, MiB.
     pub peak_rss_mib: f64,
 }
 
 impl Window {
-    fn record(
-        &mut self,
-        session: &Session,
-        input: usize,
-        to_owner: bool,
-        latency: Duration,
-        a: &Answer,
-    ) {
+    fn record(&mut self, canon: &[Answer], step: Step, latency: Duration, a: &Answer) {
         let ok = a.ok();
         if !ok {
             self.errors += 1;
@@ -215,16 +325,16 @@ impl Window {
             if a.degraded() {
                 self.degraded += 1;
             }
-            if !a.same_answer(&session.canon[input]) {
+            if !a.same_answer(&canon[step.input]) {
                 self.mismatches += 1;
                 if self.divergent.len() < KEEP_DIVERGENT {
-                    self.divergent.push((input, a.clone()));
+                    self.divergent.push((step.input, a.clone()));
                 }
             }
         }
         self.samples.push(Sample {
-            input,
-            to_owner,
+            input: step.input,
+            to_owner: step.to_owner,
             latency_s: latency.as_secs_f64(),
             micros: a.micros().unwrap_or(0),
             cache_hit: a.cache_hit(),
@@ -236,43 +346,8 @@ impl Window {
         self.samples.iter().filter(|s| s.ok).count()
     }
 
-    /// Closes a slice at `t` seconds into the window.
-    fn cut(&mut self, t: f64) -> std::io::Result<()> {
-        let done = self.completed();
-        if self.slices.last().is_none_or(|l| l.2 < done) {
-            self.slices
-                .push((t, procfs::cpu_seconds()?, done, procfs::host_steal()?));
-        }
-        Ok(())
-    }
-
-    /// Per-slice `(orders per second, CPU ms per order, host steal share)`.
-    pub fn slice_rates(&self) -> Vec<(f64, f64, f64)> {
-        self.slices
-            .windows(2)
-            .map(|p| {
-                let done = (p[1].2 - p[0].2) as f64;
-                let (steal, total) = (p[1].3 .0 - p[0].3 .0, p[1].3 .1 - p[0].3 .1);
-                (
-                    done / (p[1].0 - p[0].0),
-                    (p[1].1 - p[0].1) * 1e3 / done,
-                    steal as f64 / total.max(1) as f64,
-                )
-            })
-            .collect()
-    }
-
     pub fn failed(&self) -> usize {
         self.errors + self.mismatches
-    }
-}
-
-/// The node a stream step goes to: its key's owner, or on the mesh the
-/// other node when the step's coin says so.
-fn route(s: &Session, step: Step) -> usize {
-    match step.to_owner {
-        true => s.owner[step.input],
-        false => 1 - s.owner[step.input],
     }
 }
 
@@ -295,78 +370,34 @@ pub fn timed_window(
         ..Window::default()
     };
     let len = plan.stream.len();
-    let on_pass = |sent: usize| plan.pass_len.is_none_or(|p| sent.is_multiple_of(p));
-    let on_mix = |sent: usize| plan.mix_len.is_none_or(|p| sent.is_multiple_of(p));
-    let slice = seconds / SLICES as f64;
-    let mut next_cut = slice;
+    let owner = &s.owner;
+    let (cpu0, steal0) = (procfs::cpu_seconds()?, procfs::host_steal()?);
     let start = Instant::now();
-    w.slices
-        .push((0.0, procfs::cpu_seconds()?, 0, procfs::host_steal()?));
-    let mut answer = Answer::default();
-    let mut sent = 0usize;
-    if kind.window() == 1 {
-        let tail = line_tail(None);
-        loop {
-            let step = plan.stream[sent % len];
-            let node = route(s, step);
-            let input: &Input = &plan.inputs[step.input];
-            let t = Instant::now();
-            s.conns[node].send_parts(&input.body, &tail)?;
-            s.conns[node].recv(&mut answer)?;
-            let latency = t.elapsed();
-            w.record(s, step.input, step.to_owner, latency, &answer);
-            sent += 1;
-            let now = start.elapsed().as_secs_f64();
-            if on_mix(sent) && now >= next_cut {
-                w.cut(now)?;
-                next_cut = now.max(next_cut) + slice;
-            }
-            if on_pass(sent) && now >= seconds && sent >= min_samples() {
-                break;
-            }
+    let next = |sent: usize| {
+        let whole = plan.pass_len.is_none_or(|p| sent.is_multiple_of(p));
+        if whole && sent >= min_samples() && start.elapsed().as_secs_f64() >= seconds {
+            return None;
         }
-    } else {
-        // Pipelined on one connection: ids tag the responses, which may
-        // complete out of order.
-        let mut inflight: HashMap<u64, (Instant, usize)> = HashMap::new();
-        let mut stop = false;
-        loop {
-            while !stop && inflight.len() < kind.window() {
-                let step = plan.stream[sent % len];
-                let id = sent as u64;
-                inflight.insert(id, (Instant::now(), step.input));
-                s.conns[0].send_parts(&plan.inputs[step.input].body, &line_tail(Some(id)))?;
-                sent += 1;
-                stop = on_pass(sent)
-                    && start.elapsed().as_secs_f64() >= seconds
-                    && sent >= min_samples();
-            }
-            if inflight.is_empty() {
-                break;
-            }
-            s.conns[0].recv(&mut answer)?;
-            let (t, input) = answer
-                .id()
-                .and_then(|id| inflight.remove(&id))
-                .ok_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!(
-                            "untagged response: {}",
-                            String::from_utf8_lossy(&answer.line)
-                        ),
-                    )
-                })?;
-            w.record(s, input, true, t.elapsed(), &answer);
-            let now = start.elapsed().as_secs_f64();
-            if now >= next_cut {
-                w.cut(now)?;
-                next_cut += slice;
-            }
-        }
-    }
+        // On the mesh the step's coin sends it to its key's owner or to
+        // the other node.
+        let step = plan.stream[sent % len];
+        let node = match step.to_owner {
+            true => owner[step.input],
+            false => 1 - owner[step.input],
+        };
+        Some((node, step))
+    };
+    drive(
+        &mut s.conns,
+        kind.window(),
+        plan,
+        next,
+        |step, latency, a| w.record(&s.canon, step, latency, a),
+    )?;
     w.wall_s = start.elapsed().as_secs_f64();
-    w.cut(w.wall_s)?;
+    let (cpu1, steal1) = (procfs::cpu_seconds()?, procfs::host_steal()?);
+    w.cpu_s = cpu1 - cpu0;
+    w.host_steal = (steal1.0 - steal0.0) as f64 / (steal1.1 - steal0.1).max(1) as f64;
     w.peak_rss_mib = procfs::peak_rss_mib()?;
     Ok(w)
 }
@@ -494,8 +525,8 @@ pub fn check(plan: &Plan, s: &Session, w: &Window) -> Checked {
     }
 }
 
-/// A run's end-to-end metric values, in `spec::END_TO_END` order;
-/// `failed` counts every failed attempt or check of the run.
+/// A run's end-to-end metric values by name; `failed` counts every failed
+/// attempt or check of the run.
 pub fn end_to_end(
     setup_s: &[f64],
     w: &Window,
@@ -515,22 +546,16 @@ pub fn end_to_end(
         .collect();
     lat.sort_by(f64::total_cmp);
     let attempted = w.samples.len().max(1) as f64;
-    let completed = w.completed();
-    let slices = w.slice_rates();
-    let rate: Vec<f64> = slices.iter().map(|r| r.0).collect();
-    let cpu: Vec<f64> = slices.iter().map(|r| r.1).collect();
+    let completed = w.completed().max(1) as f64;
     vec![
         ("setup_s", stats::median(setup_s).unwrap_or(0.0)),
-        ("orders_per_s", stats::median(&rate).unwrap_or(0.0)),
+        ("orders_per_s", completed / w.wall_s),
         ("order_p50_ms", stats::percentile(&lat, 50.0).unwrap_or(0.0)),
         ("order_p95_ms", stats::percentile(&lat, 95.0).unwrap_or(0.0)),
-        ("cpu_ms_per_order", stats::median(&cpu).unwrap_or(0.0)),
+        ("cpu_ms_per_order", w.cpu_s * 1e3 / completed),
         ("peak_rss_mb", w.peak_rss_mib),
         ("envelope_ratio", envelope_ratio),
         ("ok_share", 1.0 - failed as f64 / attempted),
-        (
-            "undegraded_share",
-            1.0 - w.degraded as f64 / completed.max(1) as f64,
-        ),
+        ("undegraded_share", 1.0 - w.degraded as f64 / completed),
     ]
 }

@@ -1,7 +1,10 @@
-//! The benchmark's contract in one place: workloads, the end-to-end
-//! metrics with their regression bounds, and the per-layer metrics of the
-//! traced run. `BENCHMARK.json` at the repository root mirrors these
-//! tables; a unit test keeps the two in step.
+//! The benchmark's contract, read from `BENCHMARK.json` at the repository
+//! root (compiled in, so there is one copy of it): the workloads, the
+//! end-to-end metrics with their regression bounds, and the per-layer
+//! metrics of the traced run.
+
+use se_service::json::{self, Json};
+use std::sync::OnceLock;
 
 /// Which direction of change is an improvement.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -10,21 +13,11 @@ pub enum Better {
     Higher,
 }
 
-impl Better {
-    #[cfg(test)]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Better::Lower => "lower",
-            Better::Higher => "higher",
-        }
-    }
-}
-
 /// One reported metric.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct Metric {
-    pub name: &'static str,
-    pub unit: &'static str,
+    pub name: String,
+    pub unit: String,
     pub better: Better,
     /// Share of the parent's median by which an end-to-end metric may
     /// worsen before a change counts as a regression (`None` for the
@@ -32,163 +25,100 @@ pub struct Metric {
     pub bound: Option<f64>,
 }
 
-const fn e2e(name: &'static str, unit: &'static str, better: Better, bound: f64) -> Metric {
-    Metric {
-        name,
-        unit,
-        better,
-        bound: Some(bound),
-    }
+/// The parsed `BENCHMARK.json`.
+#[derive(Debug)]
+pub struct Spec {
+    /// Seconds one run measures, passed to every run as `--seconds`.
+    pub run_seconds: u64,
+    pub workloads: Vec<String>,
+    /// Reported by every untraced run (`--trace 0`).
+    pub end_to_end: Vec<Metric>,
+    /// Reported by every traced run (`--trace 1`); a layer that a
+    /// workload's requests never reach reports 0.
+    pub per_layer: Vec<Metric>,
 }
 
-const fn layer(name: &'static str, unit: &'static str, better: Better) -> Metric {
-    Metric {
-        name,
-        unit,
-        better,
-        bound: None,
-    }
+const BENCHMARK_JSON: &str = include_str!("../../BENCHMARK.json");
+
+/// The benchmark's contract, parsed once.
+pub fn spec() -> &'static Spec {
+    static SPEC: OnceLock<Spec> = OnceLock::new();
+    SPEC.get_or_init(|| parse(BENCHMARK_JSON).expect("BENCHMARK.json is well-formed"))
 }
-
-use Better::{Higher, Lower};
-
-/// Seconds one run measures: `run_seconds` in `BENCHMARK.json`, passed to
-/// every run as `--seconds`.
-pub const RUN_SECONDS: u64 = 20;
-
-/// Workload names and the one-line reason each exists.
-pub const WORKLOADS: [(&str, &str); 3] = [
-    (
-        "cold_spectral",
-        "cache budget 0: every SPECTRAL request runs the solver, so graph, eigen, order and par layers dominate",
-    ),
-    (
-        "hit_replay",
-        "warmed cache, pipelined MatrixMarket payloads: only decode, parse, pattern build, key, cache get and encode run",
-    ),
-    (
-        "mesh_churn",
-        "two mesh nodes, skewed RCM stream, half-size caches: inserts, evictions, forwarded hits and misses",
-    ),
-];
-
-/// End-to-end metrics, reported by every untraced run (`--trace 0`).
-pub const END_TO_END: [Metric; 9] = [
-    e2e("setup_s", "s", Lower, 0.25),
-    e2e("orders_per_s", "1/s", Higher, 0.25),
-    e2e("order_p50_ms", "ms", Lower, 0.25),
-    e2e("order_p95_ms", "ms", Lower, 0.25),
-    e2e("cpu_ms_per_order", "ms", Lower, 0.25),
-    e2e("peak_rss_mb", "MiB", Lower, 0.2),
-    e2e("envelope_ratio", "ratio", Lower, 0.1),
-    e2e("ok_share", "share", Higher, 0.01),
-    e2e("undegraded_share", "share", Higher, 0.01),
-];
-
-/// Per-layer metrics, reported by every traced run (`--trace 1`). A layer
-/// that a workload's requests never reach reports 0.
-pub const PER_LAYER: [Metric; 31] = [
-    layer("proto.decode_request_us", "us", Lower),
-    layer("proto.encode_response_us", "us", Lower),
-    layer("sparsemat.io.parse_us", "us", Lower),
-    layer("sparsemat.pattern.build_us", "us", Lower),
-    layer("cache.key_us", "us", Lower),
-    layer("cache.get_us", "us", Lower),
-    layer("cache.insert_us", "us", Lower),
-    layer("cache.hit_ratio", "share", Higher),
-    layer("cache.evictions", "count", Lower),
-    layer("engine.server_us", "us", Lower),
-    layer("engine.server_untraced_us", "us", Lower),
-    layer("transport.overhead_us", "us", Lower),
-    layer("pool.queue_rejections", "count", Lower),
-    layer("mesh.forward_hop_us", "us", Lower),
-    layer("mesh.forwards", "count", Lower),
-    layer("mesh.forward_failures", "count", Lower),
-    layer("order.total_us", "us", Lower),
-    layer("graph.components_us", "us", Lower),
-    layer("eigen.fiedler_us", "us", Lower),
-    layer("graph.coarsen_us", "us", Lower),
-    layer("eigen.coarsest_solve_us", "us", Lower),
-    layer("eigen.interpolate_us", "us", Lower),
-    layer("eigen.smooth_us", "us", Lower),
-    layer("eigen.rqi_us", "us", Lower),
-    layer("order.sort_us", "us", Lower),
-    layer("sparsemat.envelope.stats_us", "us", Lower),
-    layer("sparsemat.par.regions", "count", Lower),
-    layer("sparsemat.par.chunks", "count", Lower),
-    layer("sparsemat.par.steals", "count", Lower),
-    layer("sparsemat.par.parks", "count", Lower),
-    layer("unattributed_share", "share", Lower),
-];
 
 /// Looks up an end-to-end metric by name.
 pub fn end_to_end(name: &str) -> Option<&'static Metric> {
-    END_TO_END.iter().find(|m| m.name == name)
+    spec().end_to_end.iter().find(|m| m.name == name)
+}
+
+fn metrics(doc: &Json, key: &str) -> Result<Vec<Metric>, String> {
+    let list = doc
+        .get(key)
+        .and_then(Json::as_arr)
+        .ok_or(format!("no {key} list"))?;
+    list.iter()
+        .map(|m| {
+            let field = |f: &str| {
+                m.get(f)
+                    .and_then(Json::as_str)
+                    .map(str::to_string)
+                    .ok_or(format!("{key} entry without {f}"))
+            };
+            let better = match field("better")?.as_str() {
+                "lower" => Better::Lower,
+                "higher" => Better::Higher,
+                other => return Err(format!("better must be lower or higher, not {other}")),
+            };
+            Ok(Metric {
+                name: field("name")?,
+                unit: field("unit")?,
+                better,
+                bound: m.get("bound").and_then(Json::as_f64),
+            })
+        })
+        .collect()
+}
+
+fn parse(text: &str) -> Result<Spec, String> {
+    let doc = json::parse(text).map_err(|e| format!("{e:?}"))?;
+    let workloads = doc
+        .get("workloads")
+        .and_then(Json::as_arr)
+        .ok_or("no workloads list")?
+        .iter()
+        .map(|w| {
+            w.get("name")
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| "workload without name".to_string())
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(Spec {
+        run_seconds: doc
+            .get("run_seconds")
+            .and_then(Json::as_u64)
+            .ok_or("no run_seconds")?,
+        workloads,
+        end_to_end: metrics(&doc, "end_to_end")?,
+        per_layer: metrics(&doc, "per_layer")?,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use se_service::json::{self, Json};
 
-    fn benchmark_json() -> Json {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
-        let text = std::fs::read_to_string(path).expect("BENCHMARK.json beside the benchmark");
-        json::parse(&text).expect("BENCHMARK.json parses")
-    }
-
-    fn check(list: &Json, want: &[Metric]) {
-        let got = list.as_arr().expect("metric list");
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(want) {
-            assert_eq!(g.get("name").and_then(Json::as_str), Some(w.name));
-            assert_eq!(g.get("unit").and_then(Json::as_str), Some(w.unit));
-            assert_eq!(
-                g.get("better").and_then(Json::as_str),
-                Some(w.better.as_str())
+    #[test]
+    fn benchmark_json_parses_and_every_workload_runs() {
+        let s = spec();
+        assert!(s.run_seconds > 0);
+        assert!(s.end_to_end.iter().all(|m| m.bound.is_some()));
+        assert!(s.per_layer.iter().all(|m| m.bound.is_none()));
+        for w in &s.workloads {
+            assert!(
+                crate::run::Kind::from_name(w).is_some(),
+                "{w} has no driver"
             );
-            assert_eq!(g.get("bound").and_then(Json::as_f64), w.bound, "{}", w.name);
         }
-    }
-
-    #[test]
-    fn benchmark_json_mirrors_the_tables() {
-        let b = benchmark_json();
-        check(b.get("end_to_end").unwrap(), &END_TO_END);
-        check(b.get("per_layer").unwrap(), &PER_LAYER);
-        let workloads = b.get("workloads").and_then(Json::as_arr).unwrap();
-        assert_eq!(workloads.len(), WORKLOADS.len());
-        for (g, (name, why)) in workloads.iter().zip(WORKLOADS) {
-            assert_eq!(g.get("name").and_then(Json::as_str), Some(name));
-            assert_eq!(g.get("why").and_then(Json::as_str), Some(why));
-        }
-        assert_eq!(
-            b.get("run_seconds").and_then(Json::as_u64),
-            Some(RUN_SECONDS)
-        );
-    }
-
-    #[test]
-    fn names_are_unique_and_well_formed() {
-        let mut names: Vec<&str> = END_TO_END
-            .iter()
-            .chain(&PER_LAYER)
-            .map(|m| m.name)
-            .collect();
-        names.extend(WORKLOADS.iter().map(|w| w.0));
-        for n in &names {
-            assert!(n.len() <= 64 && n.chars().next().unwrap().is_ascii_alphanumeric());
-            assert!(n
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || "_.-".contains(c)));
-        }
-        let total = names.len();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), total);
-        assert!(END_TO_END
-            .iter()
-            .all(|m| m.bound.is_some_and(|b| b > 0.0 && b <= 0.25)));
-        assert!(WORKLOADS.iter().all(|w| w.1.len() <= 200));
     }
 }

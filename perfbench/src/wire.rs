@@ -164,6 +164,17 @@ impl Conn {
         Ok(())
     }
 
+    /// Whether a response (or part of one) is already buffered here, so
+    /// reading will not wait for the socket.
+    pub fn has_buffered(&self) -> bool {
+        !self.reader.buffer().is_empty()
+    }
+
+    /// The connection's socket, for readiness polling.
+    pub fn stream(&self) -> &TcpStream {
+        &self.writer
+    }
+
     /// One request/response exchange.
     pub fn roundtrip(&mut self, line: &[u8]) -> std::io::Result<Answer> {
         self.send(line)?;
