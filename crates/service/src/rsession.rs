@@ -209,13 +209,13 @@ impl Session {
 
     /// Submits one ORDER to the pool; errors are answered inline.
     fn submit(&mut self, ctx: &mut ConnCtx<'_>, seq: u64, req: OrderRequest) {
+        let wire_id = if self.proto >= 2 { req.id } else { None };
         if !self.allow(1) {
             self.metrics().inc(&self.metrics().rate_limited);
             let resp = Response::Error(ErrorResponse::fatal("rate limited"));
-            let bytes = render(&resp, self.mode, None);
+            let bytes = render(&resp, self.mode, wire_id);
             return self.ready(ctx, seq, bytes);
         }
-        let wire_id = if self.proto >= 2 { req.id } else { None };
         let wants_progress = self.proto >= 2 && req.progress && req.id.is_some();
         let progress: Option<ProgressSink> = wants_progress.then(|| {
             let handle = self.handle.clone();

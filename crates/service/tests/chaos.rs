@@ -297,6 +297,46 @@ fn rate_limited_client_gets_fatal_error_then_recovers() {
     handle.join();
 }
 
+/// On a protocol-v2 connection the `rate limited` answer carries the
+/// request's id, so a pipelined client fails that one slot and keeps every
+/// other answer instead of losing the whole pipeline.
+#[test]
+fn rate_limited_pipelined_order_fails_only_its_own_slot() {
+    let handle = serve(Config {
+        rate_limit: Some((1, 1)), // 1 token/s, burst 1
+        ..Config::default()
+    })
+    .expect("bind ephemeral port");
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let g = meshgen::grid2d(8, 8);
+
+    let reqs = (0..4)
+        .map(|_| chaco_request(&g, se_order::Algorithm::Rcm))
+        .collect();
+    let results = client
+        .order_many(reqs, 4, None)
+        .expect("a rate-limited slot must not fail the pipeline");
+    assert_eq!(results.len(), 4);
+    let mut limited = 0;
+    for slot in &results {
+        match slot {
+            Ok(r) => assert_valid_perm(r.perm.as_ref().unwrap().order(), g.n()),
+            Err(e) => {
+                assert!(!e.retriable, "rate limiting is fatal, not retriable");
+                assert!(e.error.contains("rate limited"), "got: {}", e.error);
+                limited += 1;
+            }
+        }
+    }
+    assert!(
+        limited >= 1,
+        "the burst of 1 cannot cover 4 pipelined orders"
+    );
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
 /// A slow-loris client — half a request line, then silence — is
 /// disconnected by the socket I/O deadline instead of pinning its session
 /// thread forever, and the server keeps serving everyone else.
