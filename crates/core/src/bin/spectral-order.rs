@@ -24,7 +24,7 @@
 //!                      [--cache-dir-budget BYTES] [--max-conns N]
 //!                      [--timeout-ms N] [--threads N] [--log-requests]
 //!                      [--rate-limit RPS[:BURST]] [--io-timeout MS]
-//!                      [--reactor-threads N] [--legacy-transport]
+//!                      [--reactor-threads N]
 //!   run the spectral-orderd ordering daemon in the foreground.
 //!   `--cache-dir-budget` bounds the spill directory (oldest entries are
 //!   deleted first); `--log-requests` prints one line per request to stderr;
@@ -33,8 +33,7 @@
 //!   every socket read/write so a stalling (slow-loris) client is
 //!   disconnected instead of pinning a connection slot. Connections are
 //!   served by a poll-based reactor: `--reactor-threads` sets its
-//!   event-loop count (default 1), `--legacy-transport` restores the old
-//!   thread-per-connection loop (protocol v1 only).
+//!   event-loop count (default 1).
 //!
 //! spectral-order client --addr HOST:PORT <matrix>... [--alg NAME] [--no-perm]
 //!                      [--threads N] [--compressed] [--binary] [--trace]
@@ -95,7 +94,7 @@ fn usage() -> ExitCode {
          [--cache-mb N] [--shards N] [--cache-dir PATH] [--cache-dir-budget BYTES] \
          [--max-conns N] [--timeout-ms N] [--threads N] [--log-requests] \
          [--rate-limit RPS[:BURST]] [--io-timeout MS] [--reactor-threads N] \
-         [--legacy-transport] [--peers HOST:PORT,...] [--replicas N]\n\
+         [--peers HOST:PORT,...] [--replicas N]\n\
          \x20      spectral-order client --addr HOST:PORT (<matrix>... [--alg NAME] [--no-perm] \
          [--threads N] [--compressed] [--binary] [--trace] [--id N] [--retry N] \
          [--pipeline N] [--progress] | --stats | --metrics-text | --cancel ID | --shutdown)\n\
@@ -409,7 +408,6 @@ fn serve_main(args: &[String]) -> ExitCode {
                 Some(v) if v > 0 => cfg.reactor_threads = v,
                 _ => return usage(),
             },
-            "--legacy-transport" => cfg.legacy_transport = true,
             "--peers" => match it.next() {
                 Some(v) if !v.is_empty() => {
                     cfg.peers = v.split(',').map(str::to_string).collect();

@@ -19,8 +19,6 @@
 //!                       slow-loris clients (default: off)
 //!   --reactor-threads N event-loop threads for the poll-based reactor
 //!                       transport (default 1)
-//!   --legacy-transport  serve with the old thread-per-connection loop
-//!                       (protocol v1 only; kept for A/B comparison)
 //!   --peers HOST:PORT,...
 //!                       join a consistent-hash mesh with these peers: a
 //!                       local cache miss for a key another node owns is
@@ -60,8 +58,8 @@ fn usage() -> ExitCode {
         "usage: spectral-orderd [--addr HOST:PORT] [--workers N] [--queue N] \
          [--cache-mb N] [--shards N] [--cache-dir PATH] [--max-conns N] \
          [--timeout-ms N] [--rate-limit RPS[:BURST]] [--io-timeout MS] \
-         [--reactor-threads N] [--legacy-transport] [--peers HOST:PORT,...] \
-         [--replicas N] [--peer-dial-timeout-ms N] [--peer-io-timeout-ms N] \
+         [--reactor-threads N] [--peers HOST:PORT,...] [--replicas N] \
+         [--peer-dial-timeout-ms N] [--peer-io-timeout-ms N] \
          [--peer-heartbeat-ms N] [--peer-suspect-after-ms N] \
          [--peer-dead-after-ms N] [--antientropy-every N] [--hint-cap N]"
     );
@@ -135,7 +133,6 @@ fn main() -> ExitCode {
                 Some(v) if v > 0 => cfg.reactor_threads = v,
                 _ => return usage(),
             },
-            "--legacy-transport" => cfg.legacy_transport = true,
             "--peers" => match it.next() {
                 Some(v) if !v.is_empty() => {
                     cfg.peers = v.split(',').map(str::to_string).collect();

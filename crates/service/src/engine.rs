@@ -1,11 +1,11 @@
 //! The engine layer: everything below the wire.
 //!
 //! Owns the [`WorkerPool`], the [`ShardedOrderingCache`], the [`Metrics`]
-//! and the shutdown state. Sessions call [`Engine::run_order`] /
-//! [`Engine::run_batch`] / [`Engine::stats_snapshot`] /
-//! [`Engine::begin_shutdown`] and never touch sockets; the transport layer
-//! never touches orderings. Connection handlers block on an `mpsc` channel
-//! with the request's wall-clock timeout while a pool worker computes.
+//! and the shutdown state. Sessions call [`Engine::submit_order_with`] /
+//! [`Engine::stats_snapshot`] / [`Engine::begin_shutdown`] and never touch
+//! sockets; the reactor never touches orderings. A submitted order never
+//! blocks its session: the outcome arrives through a completion callback
+//! on the worker thread, and the session enforces the wall-clock timeout.
 
 use crate::cache::ShardedOrderingCache;
 use crate::membership::Transition;
@@ -20,9 +20,9 @@ use se_faults::{lock_unpoisoned, sites, Budget, FaultPlane};
 use se_trace::{SpanEvent, Tracer};
 use sparsemat::pattern::SymmetricPattern;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering as AtOrd};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// The result of one ORDER execution, as sessions see it.
@@ -60,9 +60,9 @@ pub struct Engine {
     pool: Mutex<Option<WorkerPool>>,
     cache: ShardedOrderingCache,
     metrics: Metrics,
-    shutting_down: AtomicBool,
-    /// Set once the drain finished and the SHUTDOWN ack went out; the
-    /// accept thread waits on it so the process outlives the ack.
+    /// Set once the drain finished and the SHUTDOWN ack went out;
+    /// [`crate::ServerHandle::join`] waits on it so the process outlives
+    /// the ack.
     shutdown_complete: (Mutex<bool>, Condvar),
     default_timeout: Duration,
     solver_threads: usize,
@@ -71,8 +71,7 @@ pub struct Engine {
     /// Deterministic fault-injection plane shared by every worker
     /// ([`FaultPlane::disabled`] in production).
     faults: FaultPlane,
-    /// The listener's bound address — poked by [`Engine::begin_shutdown`]
-    /// to wake the blocking accept loop.
+    /// The listener's bound address — a plain node's name in PING answers.
     addr: SocketAddr,
     /// The consistent-hash peer mesh, present when `Config::peers` is
     /// non-empty. Owns the live ring, the member table, the hint log and
@@ -130,13 +129,6 @@ struct CancelState {
     budgets: HashMap<u64, Budget>,
 }
 
-/// A submitted job: the channel its result will arrive on, plus the
-/// wall-clock deadline the session enforces.
-struct Pending {
-    rx: mpsc::Receiver<OrderOutcome>,
-    timeout: Duration,
-}
-
 impl Engine {
     /// Builds the engine from the server configuration and the already-bound
     /// listener address. Fails only when a cache directory is configured and
@@ -175,7 +167,6 @@ impl Engine {
             pool: Mutex::new(Some(WorkerPool::new(cfg.workers, cfg.queue_capacity))),
             cache,
             metrics: Metrics::new(),
-            shutting_down: AtomicBool::new(false),
             shutdown_complete: (Mutex::new(false), Condvar::new()),
             default_timeout: Duration::from_millis(cfg.default_timeout_ms),
             solver_threads: cfg.solver_threads,
@@ -249,11 +240,6 @@ impl Engine {
         &self.cache
     }
 
-    /// Whether a SHUTDOWN has been initiated.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutting_down.load(AtOrd::SeqCst)
-    }
-
     /// Marks the drain as finished so [`Engine::wait_shutdown_complete`]
     /// returns.
     pub fn mark_shutdown_complete(&self) {
@@ -272,7 +258,6 @@ impl Engine {
     /// Stops accepting work, drains the pool, and returns how many jobs the
     /// pool completed over its lifetime. Idempotent: later calls return 0.
     pub fn begin_shutdown(self: &Arc<Self>) -> u64 {
-        self.shutting_down.store(true, AtOrd::SeqCst);
         // Stop the mesh heartbeat thread before tearing anything down so a
         // half-shut node never PINGs peers or replays hints mid-drain.
         {
@@ -280,8 +265,6 @@ impl Engine {
             *lock_unpoisoned(stop) = true;
             cvar.notify_all();
         }
-        // Wake the accept loop so it observes the flag.
-        let _ = TcpStream::connect(self.addr);
         let pool = lock_unpoisoned(&self.pool).take();
         let Some(pool) = pool else {
             return 0;
@@ -400,54 +383,14 @@ impl Engine {
         hit
     }
 
-    /// Submits one ordering job and waits for its result under the timeout.
-    pub fn run_order(self: &Arc<Self>, req: OrderRequest) -> OrderOutcome {
-        let pending = self.submit_order(req)?;
-        self.await_order(pending)
-    }
-
     /// Submits one ordering job without blocking: `done` runs on the worker
     /// thread when the outcome is ready, and `progress` (when given)
     /// receives [`ProgressUpdate`]s while the solve runs. Returns the
     /// request's effective wall-clock timeout so the caller can arm its own
-    /// deadline — unlike [`Engine::run_order`], *nothing* here enforces it;
-    /// a reactor session answers the timeout itself and drops the late
-    /// completion when it eventually arrives.
-    pub fn submit_order_async(
-        self: &Arc<Self>,
-        req: OrderRequest,
-        progress: Option<ProgressSink>,
-        done: Box<dyn FnOnce(OrderOutcome) + Send>,
-    ) -> Result<Duration, ErrorResponse> {
-        self.submit_order_with(req, progress, done)
-    }
-
-    /// Pipelined batch: submit everything first, then collect in order, so
-    /// the pool overlaps the work across its workers.
-    pub fn run_batch(self: &Arc<Self>, reqs: Vec<OrderRequest>) -> Vec<OrderOutcome> {
-        let submitted: Vec<Result<Pending, ErrorResponse>> =
-            reqs.into_iter().map(|r| self.submit_order(r)).collect();
-        submitted
-            .into_iter()
-            .map(|slot| slot.and_then(|pending| self.await_order(pending)))
-            .collect()
-    }
-
-    fn submit_order(self: &Arc<Self>, req: OrderRequest) -> Result<Pending, ErrorResponse> {
-        let (tx, rx) = mpsc::channel::<OrderOutcome>();
-        let timeout = self.submit_order_with(
-            req,
-            None,
-            Box::new(move |outcome| {
-                // The receiver may have timed out and gone; ignore send
-                // errors.
-                let _ = tx.send(outcome);
-            }),
-        )?;
-        Ok(Pending { rx, timeout })
-    }
-
-    fn submit_order_with(
+    /// deadline — *nothing* here enforces it; the session answers the
+    /// timeout itself and drops the late completion when it eventually
+    /// arrives.
+    pub fn submit_order_with(
         self: &Arc<Self>,
         req: OrderRequest,
         progress: Option<ProgressSink>,
@@ -514,20 +457,6 @@ impl Engine {
                 self.unregister_pending(req_id);
                 self.metrics.inc(&self.metrics.errors);
                 Err(ErrorResponse::fatal("server is shutting down"))
-            }
-        }
-    }
-
-    fn await_order(&self, pending: Pending) -> OrderOutcome {
-        match pending.rx.recv_timeout(pending.timeout) {
-            Ok(outcome) => outcome,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                self.metrics.inc(&self.metrics.timeouts);
-                Err(ErrorResponse::retriable("request timed out"))
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                self.metrics.inc(&self.metrics.errors);
-                Err(ErrorResponse::fatal("worker dropped the request"))
             }
         }
     }
@@ -1208,10 +1137,9 @@ fn jitter_ms(seed: u64, round: u64, span: u64) -> u64 {
 /// Disarmed while the job is merely queued (a synchronous rejection answers
 /// through [`Engine::submit_order_with`]'s error return instead); armed the
 /// moment the job starts executing. A panic mid-execution unwinds through
-/// the never-invoked callback, and the guard's drop turns that into the
-/// same `worker dropped the request` error the legacy channel path
-/// reported as a disconnect — a reactor session would otherwise wait out
-/// the full request timeout.
+/// the never-invoked callback, and the guard's drop turns that into a
+/// `worker dropped the request` error — the session would otherwise wait
+/// out the full request timeout.
 struct DoneGuard {
     done: Option<Box<dyn FnOnce(OrderOutcome) + Send>>,
     armed: bool,
@@ -1242,8 +1170,8 @@ impl Drop for DoneGuard {
 /// The solver-budget deadline carved out of a request's wall-clock
 /// timeout: an eighth of the timeout (clamped to 50–500 ms, and never more
 /// than half the timeout) is reserved for queueing and response encoding.
-/// [`Engine::await_order`] still enforces the full timeout on the session
-/// side, so sub-reserve timeouts behave exactly as before.
+/// The session still enforces the full timeout, so sub-reserve timeouts
+/// answer `request timed out` when it expires.
 fn solver_deadline(timeout: Duration) -> Duration {
     let reserve = (timeout / 8)
         .clamp(Duration::from_millis(50), Duration::from_millis(500))

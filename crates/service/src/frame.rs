@@ -25,7 +25,7 @@
 //! element is in `0..n`, so a corrupt frame is an error, never a bogus
 //! permutation.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Frame magic: "Spectral Order PerM".
 pub const PERM_FRAME_MAGIC: [u8; 4] = *b"SOPM";
@@ -134,12 +134,6 @@ pub fn read_perm_frame(r: &mut impl Read) -> io::Result<Vec<usize>> {
         }
     }
     Ok(perm)
-}
-
-/// Writes a pre-encoded frame (from [`encode_perm_frame`] or the cache's
-/// stored copy) to `w`.
-pub fn write_frame_bytes(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
-    w.write_all(frame)
 }
 
 /// Renders a permutation as the NDJSON array text `[p0,p1,…]` — the exact

@@ -6,18 +6,16 @@
 //! This crate turns the ordering pipeline into a small daemon, layered as
 //! **transport / session / engine**:
 //!
-//! * **transport** — by default the `se-reactor` `poll(2)` event loop:
-//!   a handful of threads multiplex every connection, enforce the
-//!   connection limit (excess connections get one retriable `server
-//!   busy` line), and move line/frame bytes with backpressure-aware
-//!   write queues. The legacy thread-per-connection loop ([`transport`])
-//!   remains behind `Config::legacy_transport`;
+//! * **transport** — the `se-reactor` `poll(2)` event loop: a handful of
+//!   threads multiplex every connection, enforce the connection limit
+//!   (excess connections get one retriable `server busy` line), and move
+//!   line/frame bytes with backpressure-aware write queues;
 //! * **session** — the per-connection protocol state machine
-//!   ([`rsession`] on the reactor, [`session`] on the legacy loop):
-//!   decode a request line, dispatch, encode the response under the
-//!   connection's negotiated frame mode (`HELLO` opts into binary
-//!   permutation frames, [`frame`]) and protocol level (v2 pipelines
-//!   id-tagged out-of-order responses and streams PROGRESS frames);
+//!   ([`rsession`]): decode a request line, dispatch, encode the response
+//!   under the connection's negotiated frame mode (`HELLO` opts into
+//!   binary permutation frames, [`frame`]) and protocol level (v2
+//!   pipelines id-tagged out-of-order responses and streams PROGRESS
+//!   frames);
 //! * **engine** ([`engine`]) — the compute core: a bounded worker pool
 //!   ([`pool`]) with explicit backpressure and graceful drain, live metrics
 //!   ([`metrics`]), and the sharded content-addressed ordering cache
@@ -58,7 +56,7 @@
 //!   default and bit-transparent when disabled) drives the chaos test
 //!   suite through the full stack, including spill-file corruption and
 //!   torn writes;
-//! * per-client-IP token-bucket rate limiting ([`transport::RateLimiter`],
+//! * per-client-IP token-bucket rate limiting ([`RateLimiter`],
 //!   `Config::rate_limit`), socket I/O timeouts against slow-loris clients
 //!   (`Config::io_timeout_ms`), and a decorrelated-jitter client retry
 //!   helper ([`client::order_with_retry`]) round out the edges.
@@ -107,13 +105,10 @@ pub mod proto;
 pub mod ring;
 pub mod rsession;
 pub mod server;
-pub mod session;
-pub mod transport;
 
 pub use client::{order_with_retry, Client, ClientError, ClientPool, RetryPolicy};
 pub use frame::FrameMode;
 pub use ring::HashRing;
-pub use rsession::PROTO_VERSION;
+pub use rsession::{RateLimiter, PROTO_VERSION};
 pub use se_faults::{sites, Budget, FaultPlane};
 pub use server::{serve, Config, ServerHandle};
-pub use transport::RateLimiter;

@@ -1,18 +1,19 @@
-//! The reactor session layer: the pipelined, multiplexed protocol loop.
+//! The session layer: the pipelined, multiplexed protocol loop.
 //!
 //! One [`Session`] per connection, driven by `se-reactor` callbacks on the
 //! owning event-loop thread — decode and dispatch happen on the reactor,
 //! compute on the engine's worker pool, and completions come back through
-//! [`se_reactor::Handle::post`] as [`SessionMsg`]s. Unlike the legacy
-//! [`crate::session`] loop, reading never blocks on a running solve, so a
-//! client may pipeline requests back-to-back on one connection.
+//! [`se_reactor::Handle::post`] as [`SessionMsg`]s. Reading never blocks
+//! on a running solve, so a client may pipeline requests back-to-back on
+//! one connection. The per-client-IP [`RateLimiter`] charged for ORDER and
+//! BATCH lives here too.
 //!
 //! # Response ordering
 //!
 //! Protocol v1 promises responses *in request order*, so every response is
 //! staged under its request sequence number and released strictly in
-//! sequence — a pipelined v1 client observes exactly the bytes the
-//! thread-per-connection loop would have produced. A `HELLO` negotiating
+//! sequence — a pipelined v1 client observes exactly the bytes a strict
+//! request→response loop would have produced. A `HELLO` negotiating
 //! protocol v2 ends the ordered prefix: responses from the ack onward are
 //! released the moment they are ready, tagged with the client-assigned
 //! `"id"` when the request carried one, and unsolicited `PROGRESS` frames
@@ -21,10 +22,10 @@
 //!
 //! # Timeouts
 //!
-//! The engine no longer enforces wall-clock timeouts on this path (it
-//! cannot block the loop); the session arms the connection's reactor
-//! deadline with the nearest in-flight expiry, answers `request timed out`
-//! itself, and drops the late completion when it eventually arrives.
+//! The engine does not enforce wall-clock timeouts (it cannot block the
+//! loop); the session arms the connection's reactor deadline with the
+//! nearest in-flight expiry, answers `request timed out` itself, and drops
+//! the late completion when it eventually arrives.
 
 use crate::engine::{Engine, OrderOutcome, ProgressSink, ProgressUpdate};
 use crate::frame::FrameMode;
@@ -33,15 +34,77 @@ use crate::proto::{
     decode_request, encode_response_tagged, ErrorResponse, OrderRequest, ProgressFrame, Request,
     Response,
 };
-use crate::transport::RateLimiter;
+use se_faults::lock_unpoisoned;
 use se_reactor::{ConnCtx, Handle, Handler, Token};
 use std::collections::{BTreeMap, HashMap};
 use std::net::IpAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Highest protocol level this session negotiates.
 pub const PROTO_VERSION: u32 = 2;
+
+/// A token bucket per client IP: `rate` tokens replenish per second up to
+/// `burst`, and the session layer charges one token per ORDER (one per
+/// BATCH member). A client that runs dry gets a fatal `rate limited` error
+/// line instead of service.
+///
+/// Buckets are keyed by peer IP so reconnecting does not reset the meter.
+/// The table is bounded: when it grows past `RateLimiter::MAX_CLIENTS`,
+/// buckets that have fully replenished (i.e. idle clients) are dropped.
+pub struct RateLimiter {
+    rate: f64,
+    burst: f64,
+    buckets: Mutex<HashMap<IpAddr, TokenBucket>>,
+}
+
+struct TokenBucket {
+    tokens: f64,
+    last: Instant,
+}
+
+impl RateLimiter {
+    /// Idle-bucket eviction threshold for the per-IP table.
+    const MAX_CLIENTS: usize = 4096;
+
+    /// A limiter replenishing `rate` tokens per second per client IP, with
+    /// bucket capacity `burst`. Both are clamped to at least 1.
+    pub fn new(rate: u64, burst: u64) -> Self {
+        RateLimiter {
+            rate: rate.max(1) as f64,
+            burst: burst.max(1) as f64,
+            buckets: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Charges `cost` tokens against `peer`'s bucket, replenishing it
+    /// first. Returns whether the request is allowed.
+    pub fn allow(&self, peer: IpAddr, cost: u64) -> bool {
+        let now = Instant::now();
+        let mut buckets = lock_unpoisoned(&self.buckets);
+        if buckets.len() >= Self::MAX_CLIENTS && !buckets.contains_key(&peer) {
+            // Drop replenished (idle) buckets; a full bucket carries no
+            // information beyond its default state.
+            let (rate, burst) = (self.rate, self.burst);
+            buckets.retain(|_, b| {
+                (b.tokens + now.duration_since(b.last).as_secs_f64() * rate) < burst
+            });
+        }
+        let b = buckets.entry(peer).or_insert(TokenBucket {
+            tokens: self.burst,
+            last: now,
+        });
+        b.tokens =
+            (b.tokens + now.duration_since(b.last).as_secs_f64() * self.rate).min(self.burst);
+        b.last = now;
+        if b.tokens >= cost as f64 {
+            b.tokens -= cost as f64;
+            true
+        } else {
+            false
+        }
+    }
+}
 
 /// Events posted to a session from outside its event loop: worker-pool
 /// completions, progress updates, and the shutdown drain.
@@ -231,7 +294,7 @@ impl Session {
                 handle.post(token, SessionMsg::Order { seq, outcome });
             })
         };
-        match self.engine.submit_order_async(req, progress, done) {
+        match self.engine.submit_order_with(req, progress, done) {
             Ok(timeout) => {
                 self.metrics().inc(&self.metrics().inflight_requests);
                 self.inflight.insert(
@@ -279,7 +342,7 @@ impl Session {
                     },
                 );
             });
-            match self.engine.submit_order_async(req, None, done) {
+            match self.engine.submit_order_with(req, None, done) {
                 Ok(timeout) => {
                     self.metrics().inc(&self.metrics().inflight_requests);
                     max_timeout = max_timeout.max(timeout);

@@ -1,15 +1,17 @@
 //! Composition root of the `spectral-orderd` TCP server.
 //!
-//! Wires the three layers together: [`crate::transport`] accepts sockets
-//! and enforces the connection limit, [`crate::session`] speaks the
-//! protocol per connection, and [`crate::engine`] computes orderings on a
-//! bounded worker pool behind the sharded (optionally persistent) cache.
-//! This module only holds the configuration and the thread that ties their
-//! lifetimes together.
+//! Wires the three layers together: the `se-reactor` event loops accept
+//! sockets and enforce the connection limit, [`crate::rsession`] speaks
+//! the protocol per connection, and [`crate::engine`] computes orderings
+//! on a bounded worker pool behind the sharded (optionally persistent)
+//! cache. This module only holds the configuration and the handle that
+//! ties their lifetimes together.
 
 use crate::engine::Engine;
 use crate::metrics::Metrics;
+use crate::rsession::{RateLimiter, Session, SessionMsg};
 use se_faults::FaultPlane;
+use se_reactor::ReactorGroup;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -70,11 +72,6 @@ pub struct Config {
     /// loop multiplexes its share of the connections with `poll(2)`, so
     /// even one thread serves thousands of idle keep-alive connections.
     pub reactor_threads: usize,
-    /// Serve with the legacy thread-per-connection transport instead of
-    /// the reactor. That path speaks protocol v1 only — kept for A/B
-    /// comparison (responses must stay bit-identical) and as an escape
-    /// hatch.
-    pub legacy_transport: bool,
     /// Mesh peers as `host:port` strings (`--peers`). Empty (the default)
     /// runs a plain single node. When non-empty, this node joins a
     /// consistent-hash ring ([`crate::ring`]) together with the peers and
@@ -140,7 +137,6 @@ impl Default for Config {
             rate_limit: None,
             io_timeout_ms: None,
             reactor_threads: 1,
-            legacy_transport: false,
             peers: Vec::new(),
             replicas: 1,
             peer_dial_timeout_ms: 250,
@@ -158,7 +154,7 @@ impl Default for Config {
 pub struct ServerHandle {
     engine: Arc<Engine>,
     addr: SocketAddr,
-    accept_thread: std::thread::JoinHandle<()>,
+    group: ReactorGroup<SessionMsg>,
 }
 
 impl ServerHandle {
@@ -177,19 +173,16 @@ impl ServerHandle {
         &self.engine
     }
 
-    /// Blocks until the accept loop exits (i.e. after SHUTDOWN).
+    /// Blocks until the server has stopped: the event loops exited after
+    /// SHUTDOWN and the drain finished with its ack sent.
     pub fn join(self) {
-        let _ = self.accept_thread.join();
+        self.group.join();
+        self.engine.wait_shutdown_complete();
     }
 }
 
 /// Binds `cfg.addr`, builds the engine (loading any persisted cache), and
-/// starts serving in background threads.
-///
-/// The default transport is the `se-reactor` event loop
-/// ([`crate::rsession`]); `cfg.legacy_transport` selects the original
-/// thread-per-connection loop ([`crate::session`]) instead. Both answer
-/// protocol v1 requests with bit-identical bytes.
+/// starts serving on the `se-reactor` event loops.
 pub fn serve(cfg: Config) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
@@ -211,58 +204,37 @@ pub fn serve(cfg: Config) -> std::io::Result<ServerHandle> {
     // With a mesh configured, announce/warm/heartbeat in the background;
     // a plain single node spawns nothing.
     engine.start_mesh_tasks(&cfg);
-    let accept_engine = Arc::clone(&engine);
-    let max_conns = cfg.max_conns.max(1);
     let rate = cfg
         .rate_limit
-        .map(|(rps, burst)| Arc::new(crate::transport::RateLimiter::new(rps, burst)));
-    let io_timeout = cfg.io_timeout_ms.map(Duration::from_millis);
-    let accept_thread = if cfg.legacy_transport {
-        std::thread::Builder::new()
-            .name("orderd-accept".to_string())
-            .spawn(move || {
-                crate::transport::accept_loop(listener, accept_engine, max_conns, rate, io_timeout)
-            })
-            .expect("spawn accept thread")
-    } else {
-        let rcfg = se_reactor::ReactorConfig {
-            threads: cfg.reactor_threads.max(1),
-            max_conns,
-            io_timeout,
-            busy_line: busy_line(),
-            wakeups: Some(Arc::clone(&engine.metrics().reactor_wakeups)),
-            rejects: Some(Arc::clone(&engine.metrics().busy_rejections)),
-            ..se_reactor::ReactorConfig::default()
-        };
-        let factory_engine = Arc::clone(&engine);
-        let group = se_reactor::start(listener, rcfg, move |token, peer, handle| {
-            crate::rsession::Session::new(
-                Arc::clone(&factory_engine),
-                rate.clone(),
-                token,
-                peer,
-                handle,
-            )
-        })?;
-        // The supervisor preserves the legacy contract: this thread exits
-        // only after the SHUTDOWN drain finished and the ack went out.
-        std::thread::Builder::new()
-            .name("orderd-accept".to_string())
-            .spawn(move || {
-                group.join();
-                accept_engine.wait_shutdown_complete();
-            })
-            .expect("spawn reactor supervisor thread")
+        .map(|(rps, burst)| Arc::new(RateLimiter::new(rps, burst)));
+    let rcfg = se_reactor::ReactorConfig {
+        threads: cfg.reactor_threads.max(1),
+        max_conns: cfg.max_conns.max(1),
+        io_timeout: cfg.io_timeout_ms.map(Duration::from_millis),
+        busy_line: busy_line(),
+        wakeups: Some(Arc::clone(&engine.metrics().reactor_wakeups)),
+        rejects: Some(Arc::clone(&engine.metrics().busy_rejections)),
+        ..se_reactor::ReactorConfig::default()
     };
+    let factory_engine = Arc::clone(&engine);
+    let group = se_reactor::start(listener, rcfg, move |token, peer, handle| {
+        Session::new(
+            Arc::clone(&factory_engine),
+            rate.clone(),
+            token,
+            peer,
+            handle,
+        )
+    })?;
     Ok(ServerHandle {
         engine,
         addr,
-        accept_thread,
+        group,
     })
 }
 
-/// The wire bytes an over-cap connection receives before being dropped —
-/// the same retriable busy line the legacy transport writes.
+/// The wire bytes an over-cap connection receives before being dropped: one
+/// retriable `server busy` error line.
 fn busy_line() -> Vec<u8> {
     use crate::proto::{encode_response, ErrorResponse, Response};
     let resp = Response::Error(ErrorResponse::retriable(

@@ -432,71 +432,64 @@ impl Raw {
 /// and SHUTDOWN, each answered with pinned bytes.
 #[test]
 fn live_v1_conversation_is_pinned() {
-    for legacy_transport in [false, true] {
-        let handle = serve(Config {
-            legacy_transport,
-            workers: 1,
-            ..Config::default()
-        })
-        .expect("bind ephemeral port");
-        let mut c = Raw::connect(handle.local_addr());
-        let rcm = order_fields("rcm");
-        let gps = order_fields("gps");
-        let conversation: Vec<(String, &str)> = vec![
-            (
-                r#"{"cmd":"HELLO","frames":"ndjson"}"#.to_string(),
-                r#"{"ok":true,"hello":true,"frames":"ndjson","proto":1}"#,
+    let handle = serve(Config {
+        workers: 1,
+        ..Config::default()
+    })
+    .expect("bind ephemeral port");
+    let mut c = Raw::connect(handle.local_addr());
+    let rcm = order_fields("rcm");
+    let gps = order_fields("gps");
+    let conversation: Vec<(String, &str)> = vec![
+        (
+            r#"{"cmd":"HELLO","frames":"ndjson"}"#.to_string(),
+            r#"{"ok":true,"hello":true,"frames":"ndjson","proto":1}"#,
+        ),
+        (
+            format!("{{{rcm}}}"),
+            r#"{"ok":true,"alg":"RCM","n":9,"nnz":21,"stats":{"envelope":19,"bandwidth":3,"envelope_work":49,"one_sum":26,"two_sum_sq":62},"cache_hit":false,"micros":0,"perm":[8,7,5,6,4,2,3,1,0]}"#,
+        ),
+        (
+            format!("{{{rcm}}}"),
+            r#"{"ok":true,"alg":"RCM","n":9,"nnz":21,"stats":{"envelope":19,"bandwidth":3,"envelope_work":49,"one_sum":26,"two_sum_sq":62},"cache_hit":true,"micros":0,"perm":[8,7,5,6,4,2,3,1,0]}"#,
+        ),
+        (
+            format!(r#"{{"cmd":"BATCH","requests":[{{{rcm}}},{{{gps}}}]}}"#),
+            r#"{"ok":true,"responses":[{"ok":true,"alg":"RCM","n":9,"nnz":21,"stats":{"envelope":19,"bandwidth":3,"envelope_work":49,"one_sum":26,"two_sum_sq":62},"cache_hit":true,"micros":0,"perm":[8,7,5,6,4,2,3,1,0]},{"ok":true,"alg":"GPS","n":9,"nnz":21,"stats":{"envelope":19,"bandwidth":3,"envelope_work":49,"one_sum":26,"two_sum_sq":62},"cache_hit":false,"micros":0,"perm":[0,1,3,2,4,6,5,7,8]}]}"#,
+        ),
+        (
+            r#"{"cmd":"CANCEL","id":7}"#.to_string(),
+            r#"{"ok":true,"cancelled":true,"pending":false}"#,
+        ),
+        (
+            "this is not json".to_string(),
+            r#"{"ok":false,"error":"json error at byte 0: expected 'true'","retriable":false}"#,
+        ),
+        (
+            r#"{"cmd":"FROB"}"#.to_string(),
+            r#"{"ok":false,"error":"bad request: unknown cmd 'FROB'","retriable":false}"#,
+        ),
+        (
+            r#"{"cmd":"HELLO","frames":"binary"}"#.to_string(),
+            r#"{"ok":true,"hello":true,"frames":"binary","proto":1}"#,
+        ),
+        (
+            format!("{{{rcm}}}"),
+            concat!(
+                r#"{"ok":true,"alg":"RCM","n":9,"nnz":21,"stats":{"envelope":19,"bandwidth":3,"envelope_work":49,"one_sum":26,"two_sum_sq":62},"cache_hit":true,"micros":0,"perm_frame":true}"#,
+                "\n#frame 534f504d010400000900000000000000",
+                "080000000700000005000000060000000400000002000000030000000100000000000000",
             ),
-            (
-                format!("{{{rcm}}}"),
-                r#"{"ok":true,"alg":"RCM","n":9,"nnz":21,"stats":{"envelope":19,"bandwidth":3,"envelope_work":49,"one_sum":26,"two_sum_sq":62},"cache_hit":false,"micros":0,"perm":[8,7,5,6,4,2,3,1,0]}"#,
-            ),
-            (
-                format!("{{{rcm}}}"),
-                r#"{"ok":true,"alg":"RCM","n":9,"nnz":21,"stats":{"envelope":19,"bandwidth":3,"envelope_work":49,"one_sum":26,"two_sum_sq":62},"cache_hit":true,"micros":0,"perm":[8,7,5,6,4,2,3,1,0]}"#,
-            ),
-            (
-                format!(r#"{{"cmd":"BATCH","requests":[{{{rcm}}},{{{gps}}}]}}"#),
-                r#"{"ok":true,"responses":[{"ok":true,"alg":"RCM","n":9,"nnz":21,"stats":{"envelope":19,"bandwidth":3,"envelope_work":49,"one_sum":26,"two_sum_sq":62},"cache_hit":true,"micros":0,"perm":[8,7,5,6,4,2,3,1,0]},{"ok":true,"alg":"GPS","n":9,"nnz":21,"stats":{"envelope":19,"bandwidth":3,"envelope_work":49,"one_sum":26,"two_sum_sq":62},"cache_hit":false,"micros":0,"perm":[0,1,3,2,4,6,5,7,8]}]}"#,
-            ),
-            (
-                r#"{"cmd":"CANCEL","id":7}"#.to_string(),
-                r#"{"ok":true,"cancelled":true,"pending":false}"#,
-            ),
-            (
-                "this is not json".to_string(),
-                r#"{"ok":false,"error":"json error at byte 0: expected 'true'","retriable":false}"#,
-            ),
-            (
-                r#"{"cmd":"FROB"}"#.to_string(),
-                r#"{"ok":false,"error":"bad request: unknown cmd 'FROB'","retriable":false}"#,
-            ),
-            (
-                r#"{"cmd":"HELLO","frames":"binary"}"#.to_string(),
-                r#"{"ok":true,"hello":true,"frames":"binary","proto":1}"#,
-            ),
-            (
-                format!("{{{rcm}}}"),
-                concat!(
-                    r#"{"ok":true,"alg":"RCM","n":9,"nnz":21,"stats":{"envelope":19,"bandwidth":3,"envelope_work":49,"one_sum":26,"two_sum_sq":62},"cache_hit":true,"micros":0,"perm_frame":true}"#,
-                    "\n#frame 534f504d010400000900000000000000",
-                    "080000000700000005000000060000000400000002000000030000000100000000000000",
-                ),
-            ),
-            (
-                r#"{"cmd":"SHUTDOWN"}"#.to_string(),
-                r#"{"ok":true,"shutdown":true,"drained":5}"#,
-            ),
-        ];
-        for (request, expected) in &conversation {
-            assert_eq!(
-                c.ask(request),
-                *expected,
-                "legacy_transport={legacy_transport} {request}"
-            );
-        }
-        handle.join();
+        ),
+        (
+            r#"{"cmd":"SHUTDOWN"}"#.to_string(),
+            r#"{"ok":true,"shutdown":true,"drained":5}"#,
+        ),
+    ];
+    for (request, expected) in &conversation {
+        assert_eq!(c.ask(request), *expected, "{request}");
     }
+    handle.join();
 }
 
 const FRESH_PROMETHEUS: &str = r#"# HELP se_requests_total Request lines received (any command).

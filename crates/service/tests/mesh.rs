@@ -319,21 +319,11 @@ fn replicate_is_refused_from_non_peer_sources() {
         "nothing stored"
     );
 
-    // A node outside any mesh accepts no pushes at all — same refusal
-    // through the legacy transport for good measure.
-    for legacy in [false, true] {
-        let solo = serve(Config {
-            legacy_transport: legacy,
-            ..Config::default()
-        })
-        .expect("bind ephemeral port");
-        let mut c = Client::connect(solo.local_addr()).unwrap();
-        let err = c.replicate(b"SOCF-whatever").unwrap_err();
-        assert!(
-            err.to_string().contains("REPLICATE refused"),
-            "legacy={legacy}"
-        );
-    }
+    // A node outside any mesh accepts no pushes at all.
+    let solo = serve(Config::default()).expect("bind ephemeral port");
+    let mut c = Client::connect(solo.local_addr()).unwrap();
+    let err = c.replicate(b"SOCF-whatever").unwrap_err();
+    assert!(err.to_string().contains("REPLICATE refused"), "got: {err}");
 }
 
 /// A mesh member's ring identity is its textual bound address, which its
@@ -352,31 +342,4 @@ fn mesh_refuses_unspecified_bind_address() {
     };
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     assert!(err.to_string().contains("routable"), "got: {err}");
-}
-
-/// The same ORDER through the legacy thread-per-connection transport:
-/// REPLICATE and forwarding are session-layer-agnostic, so a mesh of
-/// legacy-transport nodes behaves identically.
-#[test]
-fn mesh_works_over_the_legacy_transport_too() {
-    let addrs = reserve_addrs(2);
-    let handles = start_mesh(&addrs, 1, |_, cfg| {
-        cfg.legacy_transport = true;
-    });
-    let (g, _) = graph_owned_by(&handles[0], &addrs[1]);
-
-    let mut c0 = Client::connect(handles[0].local_addr()).unwrap();
-    let forwarded = c0
-        .order(chaco_request(&g, se_order::Algorithm::Rcm))
-        .unwrap();
-    assert!(!forwarded.cache_hit);
-    assert_valid_perm(forwarded.perm.as_ref().unwrap().order(), g.n());
-    assert_eq!(counter(&c0.stats().unwrap(), "peer_forwards"), 1);
-
-    // Asking again relays the owner's cache hit through a second forward.
-    let hit = c0
-        .order(chaco_request(&g, se_order::Algorithm::Rcm))
-        .unwrap();
-    assert!(hit.cache_hit);
-    assert_eq!(hit.perm, forwarded.perm);
 }

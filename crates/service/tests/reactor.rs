@@ -1,16 +1,14 @@
 //! Reactor-transport acceptance tests: protocol v2 pipelining on the
 //! poll-based event loop.
 //!
-//! Covers the properties the thread-per-connection transport never had to
-//! provide: out-of-order completion of id-tagged responses on one
-//! connection, unsolicited PROGRESS frames interleaved with pending
+//! Covers what pipelining on one connection must provide: out-of-order
+//! completion of id-tagged responses on one connection, unsolicited PROGRESS frames interleaved with pending
 //! ORDERs, CANCEL of a pipelined in-flight id on the same connection,
-//! many idle keep-alive connections served by a bounded thread count, and
-//! bit-identical responses against the legacy transport.
+//! and many idle keep-alive connections served by a bounded thread count.
 
 use se_service::proto::{
     decode_tagged_response, encode_request, MatrixFormat, MatrixSource, OrderRequest,
-    OrderResponse, ProgressFrame, Request, Response,
+    ProgressFrame, Request, Response,
 };
 use se_service::{serve, Client, Config, FrameMode};
 use sparsemat::io::write_chaco_string;
@@ -307,56 +305,4 @@ fn thousand_idle_connections_bounded_threads() {
     drop(conns);
     client.shutdown().unwrap();
     handle.join();
-}
-
-/// Everything except the wall-clock measurement, for bit-identity checks
-/// across transports.
-fn identity_view(r: &OrderResponse) -> impl PartialEq + std::fmt::Debug + '_ {
-    (
-        &r.alg,
-        r.n,
-        r.nnz,
-        &r.stats,
-        &r.perm,
-        r.cache_hit,
-        r.compression_ratio,
-        &r.degraded,
-    )
-}
-
-/// The reactor transport answers protocol-v1 clients with responses
-/// bit-identical (modulo timing) to the legacy thread-per-connection
-/// transport, in both frame modes.
-#[test]
-fn reactor_matches_legacy_transport_bit_for_bit() {
-    let (legacy, legacy_addr) = start(Config {
-        legacy_transport: true,
-        ..Config::default()
-    });
-    let (reactor, reactor_addr) = start(Config::default());
-
-    let graphs = [meshgen::grid2d(11, 7), meshgen::annulus_tri(8, 30, 0xF00)];
-    for mode in [FrameMode::Ndjson, FrameMode::Binary] {
-        let mut lc = Client::connect(legacy_addr).unwrap();
-        let mut rc = Client::connect(reactor_addr).unwrap();
-        if mode == FrameMode::Binary {
-            lc.hello(mode).unwrap();
-            rc.hello(mode).unwrap();
-        }
-        for g in &graphs {
-            for alg in [se_order::Algorithm::Spectral, se_order::Algorithm::Rcm] {
-                // Twice per server: a computed response and a cache hit.
-                for _ in 0..2 {
-                    let a = lc.order(chaco_request(g, alg, None)).unwrap();
-                    let b = rc.order(chaco_request(g, alg, None)).unwrap();
-                    assert_eq!(identity_view(&a), identity_view(&b), "{alg:?} {mode:?}");
-                }
-            }
-        }
-    }
-
-    Client::connect(legacy_addr).unwrap().shutdown().unwrap();
-    Client::connect(reactor_addr).unwrap().shutdown().unwrap();
-    legacy.join();
-    reactor.join();
 }
