@@ -369,6 +369,35 @@ impl Session {
         );
         self.arm_deadline(ctx);
     }
+
+    /// Starts the SHUTDOWN drain. Draining the pool blocks, so it runs on
+    /// its own thread and the ack comes back as a
+    /// [`SessionMsg::ShutdownReady`]. Completions of this connection's own
+    /// in-flight orders post before the drain finishes, so their responses
+    /// precede the ack.
+    fn shutdown(&mut self, ctx: &mut ConnCtx<'_>, seq: u64) {
+        self.shutdown_pending = true;
+        let engine = Arc::clone(&self.engine);
+        let handle = self.handle.clone();
+        let token = self.token;
+        let spawned = std::thread::Builder::new()
+            .name("orderd-drain".to_string())
+            .spawn(move || {
+                let drained = engine.begin_shutdown();
+                engine.mark_shutdown_complete();
+                handle.post(token, SessionMsg::ShutdownReady { seq, drained });
+            });
+        if spawned.is_err() {
+            // No thread to drain on; answer and stop directly.
+            let drained = self.engine.begin_shutdown();
+            self.engine.mark_shutdown_complete();
+            let resp = Response::ShutdownOk { drained };
+            let bytes = render(&resp, self.mode, None);
+            self.ready(ctx, seq, bytes);
+            ctx.close_after_flush();
+            self.handle.stop();
+        }
+    }
 }
 
 impl Handler<SessionMsg> for Session {
@@ -379,13 +408,15 @@ impl Handler<SessionMsg> for Session {
         self.metrics().inc(&self.metrics().requests);
         let seq = self.next_seq;
         self.next_seq += 1;
-        match decode_request(&line) {
-            Err(e) => {
-                self.metrics().inc(&self.metrics().errors);
-                let resp = Response::Error(ErrorResponse::fatal(e.to_string()));
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
+        // ORDER, BATCH and SHUTDOWN answer later, from the worker pool or
+        // the drain thread. Everything else is cheap and answered inline:
+        // in-memory work plus at most one spill write (REPLICATE); WARM
+        // reads the cache but never computes.
+        let answer = match decode_request(&line) {
+            Err(e) => Err(ErrorResponse::fatal(e.to_string())),
+            Ok(Request::Order(req)) => return self.submit(ctx, seq, req),
+            Ok(Request::Batch(reqs)) => return self.submit_batch(ctx, seq, reqs),
+            Ok(Request::Shutdown) => return self.shutdown(ctx, seq),
             Ok(Request::Hello { frames, proto }) => {
                 self.mode = frames;
                 // The level never decreases: a later HELLO asking for less
@@ -397,138 +428,47 @@ impl Handler<SessionMsg> for Session {
                     self.strict_until = seq;
                 }
                 self.proto = negotiated;
-                let resp = Response::Hello {
+                Ok(Response::Hello {
                     frames,
                     proto: negotiated,
-                };
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
+                })
             }
-            Ok(Request::Order(req)) => self.submit(ctx, seq, req),
-            Ok(Request::Batch(reqs)) => self.submit_batch(ctx, seq, reqs),
-            Ok(Request::Stats) => {
-                let resp = Response::Stats(self.engine.stats_snapshot());
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            Ok(Request::Cancel { id }) => {
-                let resp = Response::CancelOk {
-                    pending: self.engine.cancel(id),
-                };
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            Ok(Request::Metrics) => {
-                let resp = Response::Metrics(self.engine.metrics_text());
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
+            Ok(Request::Stats) => Ok(Response::Stats(self.engine.stats_snapshot())),
+            Ok(Request::Cancel { id }) => Ok(Response::CancelOk {
+                pending: self.engine.cancel(id),
+            }),
+            Ok(Request::Metrics) => Ok(Response::Metrics(self.engine.metrics_text())),
+            // A peer pushing a cache entry (mesh replication or drain
+            // handoff). Accepted only from configured mesh peers — entries
+            // are served as authoritative answers, so an open REPLICATE
+            // would be a silent cache-poisoning vector.
             Ok(Request::Replicate { entry }) => {
-                // A peer pushing a cache entry (mesh replication or drain
-                // handoff). Accepted only from configured mesh peers —
-                // entries are served as authoritative answers, so an open
-                // REPLICATE would be a silent cache-poisoning vector.
-                // Validation + insert are a cheap in-memory operation plus
-                // at most one spill write, so it answers inline like STATS
-                // rather than on the worker pool.
-                let resp = if !self.engine.replicate_allowed(self.peer) {
-                    self.metrics().inc(&self.metrics().errors);
-                    Response::Error(ErrorResponse::fatal(
+                if self.engine.replicate_allowed(self.peer) {
+                    self.engine
+                        .apply_replicate(&entry)
+                        .map(|stored| Response::ReplicateOk { stored })
+                } else {
+                    Err(ErrorResponse::fatal(
                         "REPLICATE refused: sender is not a configured mesh peer",
                     ))
-                } else {
-                    match self.engine.apply_replicate(&entry) {
-                        Ok(stored) => Response::ReplicateOk { stored },
-                        Err(e) => {
-                            self.metrics().inc(&self.metrics().errors);
-                            Response::Error(e)
-                        }
-                    }
-                };
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            // Membership traffic answers inline like STATS: every handler
-            // is a cheap in-memory operation (WARM reads the cache but
-            // never computes). PING and JOIN are open; LEAVE / SYNC /
-            // WARM are member-gated inside the engine handlers.
-            Ok(Request::Ping { from }) => {
-                let resp = self.engine.handle_ping(&from);
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            Ok(Request::Join { from }) => {
-                let resp = match self.engine.handle_join(&from, self.peer) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.metrics().inc(&self.metrics().errors);
-                        Response::Error(e)
-                    }
-                };
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            Ok(Request::Leave { from }) => {
-                let resp = match self.engine.handle_leave(&from, self.peer) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.metrics().inc(&self.metrics().errors);
-                        Response::Error(e)
-                    }
-                };
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            Ok(Request::Sync { from, digests }) => {
-                let resp = match self.engine.handle_sync(&from, &digests, self.peer) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.metrics().inc(&self.metrics().errors);
-                        Response::Error(e)
-                    }
-                };
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            Ok(Request::Warm { from }) => {
-                let resp = match self.engine.handle_warm(&from, self.peer) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        self.metrics().inc(&self.metrics().errors);
-                        Response::Error(e)
-                    }
-                };
-                let bytes = render(&resp, self.mode, None);
-                self.ready(ctx, seq, bytes);
-            }
-            Ok(Request::Shutdown) => {
-                // Draining the pool blocks, so it runs on its own thread;
-                // the ack comes back as a ShutdownReady message. Completions
-                // of this connection's own in-flight orders post before the
-                // drain finishes, so their responses precede the ack.
-                self.shutdown_pending = true;
-                let engine = Arc::clone(&self.engine);
-                let handle = self.handle.clone();
-                let token = self.token;
-                let spawned = std::thread::Builder::new()
-                    .name("orderd-drain".to_string())
-                    .spawn(move || {
-                        let drained = engine.begin_shutdown();
-                        engine.mark_shutdown_complete();
-                        handle.post(token, SessionMsg::ShutdownReady { seq, drained });
-                    });
-                if spawned.is_err() {
-                    // No thread to drain on; answer and stop directly.
-                    let drained = self.engine.begin_shutdown();
-                    self.engine.mark_shutdown_complete();
-                    let resp = Response::ShutdownOk { drained };
-                    let bytes = render(&resp, self.mode, None);
-                    self.ready(ctx, seq, bytes);
-                    ctx.close_after_flush();
-                    self.handle.stop();
                 }
             }
-        }
+            // Membership traffic: PING and JOIN are open; LEAVE / SYNC /
+            // WARM are member-gated inside the engine handlers.
+            Ok(Request::Ping { from }) => Ok(self.engine.handle_ping(&from)),
+            Ok(Request::Join { from }) => self.engine.handle_join(&from, self.peer),
+            Ok(Request::Leave { from }) => self.engine.handle_leave(&from, self.peer),
+            Ok(Request::Sync { from, digests }) => {
+                self.engine.handle_sync(&from, &digests, self.peer)
+            }
+            Ok(Request::Warm { from }) => self.engine.handle_warm(&from, self.peer),
+        };
+        let resp = answer.unwrap_or_else(|e| {
+            self.metrics().inc(&self.metrics().errors);
+            Response::Error(e)
+        });
+        let bytes = render(&resp, self.mode, None);
+        self.ready(ctx, seq, bytes);
     }
 
     fn on_message(&mut self, ctx: &mut ConnCtx<'_>, msg: SessionMsg) {
