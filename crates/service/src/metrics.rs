@@ -1,5 +1,7 @@
 //! Live service metrics: atomic counters plus per-algorithm latency
-//! histograms, snapshotted as JSON by the STATS command.
+//! histograms, snapshotted as JSON by the STATS command and rendered as
+//! Prometheus text by METRICS. Every scalar series is declared once in
+//! [`SERIES`], which both surfaces read.
 
 use crate::json::Json;
 use se_faults::lock_unpoisoned;
@@ -80,7 +82,9 @@ impl Histogram {
     }
 }
 
-/// All counters the service exposes through STATS.
+/// All counters the service exposes through STATS and METRICS. The scalar
+/// fields are declared as series in [`SERIES`]; the keyed tables and
+/// histograms are rendered by hand.
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Request lines received (any command).
@@ -157,6 +161,94 @@ pub struct Metrics {
     /// stage (summed over the span subtree), harvested from the tracer on
     /// every computed (cache-miss) ordering.
     stage_latency: Mutex<Vec<(String, Histogram)>>,
+}
+
+/// How a scalar series moves, which fixes its Prometheus name and type.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SeriesKind {
+    /// Only grows; exposed as `se_<key>_total`.
+    Counter,
+    /// A point-in-time value; exposed as `se_<key>`.
+    Gauge,
+}
+
+impl SeriesKind {
+    /// The Prometheus `# TYPE` name.
+    pub fn prometheus_type(self) -> &'static str {
+        match self {
+            SeriesKind::Counter => "counter",
+            SeriesKind::Gauge => "gauge",
+        }
+    }
+}
+
+/// One scalar series of [`Metrics`]: its STATS key (the field's name),
+/// kind, Prometheus help text, and the field holding its value.
+pub struct Series {
+    /// The STATS key, identical to the [`Metrics`] field name.
+    pub key: &'static str,
+    /// Counter or gauge.
+    pub kind: SeriesKind,
+    /// The Prometheus `# HELP` text.
+    pub help: &'static str,
+    field: fn(&Metrics) -> &AtomicU64,
+}
+
+impl Series {
+    /// The Prometheus series name: `se_<key>_total` for a counter,
+    /// `se_<key>` for a gauge.
+    pub fn prometheus_name(&self) -> String {
+        match self.kind {
+            SeriesKind::Counter => format!("se_{}_total", self.key),
+            SeriesKind::Gauge => format!("se_{}", self.key),
+        }
+    }
+
+    /// The series' current value in `m`.
+    pub fn value(&self, m: &Metrics) -> u64 {
+        (self.field)(m).load(Ordering::Relaxed)
+    }
+}
+
+macro_rules! scalar_series {
+    ($($kind:ident $field:ident $help:literal,)*) => {
+        /// Every scalar series, declared once, in STATS key order: both
+        /// [`Metrics::snapshot`] and [`Metrics::render_prometheus`] read
+        /// this list, so the two surfaces cannot drift apart.
+        pub const SERIES: &[Series] = &[$(Series {
+            key: stringify!($field),
+            kind: SeriesKind::$kind,
+            help: $help,
+            field: |m| &m.$field,
+        },)*];
+    };
+}
+
+scalar_series! {
+    Counter requests "Request lines received (any command).",
+    Counter orders "Individual ORDER executions (batch members count individually).",
+    Counter batches "BATCH commands received.",
+    Counter cache_hits "Orderings served from the cache.",
+    Counter cache_misses "Orderings computed because the cache missed.",
+    Counter queue_rejections "Submissions rejected with queue-full backpressure.",
+    Counter timeouts "Requests that exceeded their wall-clock timeout.",
+    Counter errors "Requests that failed (parse errors, bad input, I/O).",
+    Counter connections "Connections accepted.",
+    Counter busy_rejections "Connections turned away at the connection limit.",
+    Counter cancelled "ORDER requests whose response was suppressed by a CANCEL.",
+    Counter rate_limited "Requests rejected by per-client rate limiting.",
+    Counter progress_frames "PROGRESS frames put on the wire.",
+    Counter reactor_wakeups "Reactor event-loop wakeups (poll returns).",
+    Gauge open_connections "Currently open client connections.",
+    Gauge inflight_requests "Requests submitted to the engine but not yet answered.",
+    Counter peer_forwards "ORDER requests forwarded to the owning mesh peer.",
+    Counter peer_forward_failures "Forwards that exhausted every candidate peer and fell back to local compute.",
+    Counter peer_replications "Cache entries pushed to successor peers.",
+    Counter peer_replication_failures "Best-effort replication pushes that failed.",
+    Counter peer_entries_received "Cache entries received from peers via REPLICATE.",
+    Counter hints_replayed "Queued handoff hints delivered to their returned target peer.",
+    Counter hints_dropped "Hints dropped by queue overflow or replay-time corruption.",
+    Counter antientropy_repairs "Entries re-pushed to a diverged replica by anti-entropy.",
 }
 
 impl Metrics {
@@ -276,7 +368,6 @@ impl Metrics {
         cache: &[crate::cache::ShardStats],
         persistent: bool,
     ) -> Json {
-        let load = |c: &AtomicU64| Json::Num(c.load(Ordering::Relaxed) as f64);
         let keyed_json = |table: &Mutex<Vec<(String, u64)>>| {
             let mut rows: Vec<(String, Json)> = lock_unpoisoned(table)
                 .iter()
@@ -309,34 +400,11 @@ impl Metrics {
             ("persistent", Json::Bool(persistent)),
             ("shards", Json::Arr(cache.iter().map(shard_json).collect())),
         ]);
-        Json::obj(vec![
-            ("requests", load(&self.requests)),
-            ("orders", load(&self.orders)),
-            ("batches", load(&self.batches)),
-            ("cache_hits", load(&self.cache_hits)),
-            ("cache_misses", load(&self.cache_misses)),
-            ("queue_rejections", load(&self.queue_rejections)),
-            ("timeouts", load(&self.timeouts)),
-            ("errors", load(&self.errors)),
-            ("connections", load(&self.connections)),
-            ("busy_rejections", load(&self.busy_rejections)),
-            ("cancelled", load(&self.cancelled)),
-            ("rate_limited", load(&self.rate_limited)),
-            ("progress_frames", load(&self.progress_frames)),
-            ("reactor_wakeups", load(&self.reactor_wakeups)),
-            ("open_connections", load(&self.open_connections)),
-            ("inflight_requests", load(&self.inflight_requests)),
-            ("peer_forwards", load(&self.peer_forwards)),
-            ("peer_forward_failures", load(&self.peer_forward_failures)),
-            ("peer_replications", load(&self.peer_replications)),
-            (
-                "peer_replication_failures",
-                load(&self.peer_replication_failures),
-            ),
-            ("peer_entries_received", load(&self.peer_entries_received)),
-            ("hints_replayed", load(&self.hints_replayed)),
-            ("hints_dropped", load(&self.hints_dropped)),
-            ("antientropy_repairs", load(&self.antientropy_repairs)),
+        let mut pairs: Vec<(&str, Json)> = SERIES
+            .iter()
+            .map(|s| (s.key, Json::Num(s.value(self) as f64)))
+            .collect();
+        pairs.extend([
             ("peer_transitions", keyed_json(&self.peer_transitions)),
             ("degraded_orders", keyed_json(&self.degraded_orders)),
             ("budget_aborts", keyed_json(&self.budget_aborts)),
@@ -345,7 +413,8 @@ impl Metrics {
             ("cached_orderings", Json::Num(cached_entries as f64)),
             ("cache", cache_obj),
             ("latency_us_by_algorithm", Json::Obj(latency)),
-        ])
+        ]);
+        Json::obj(pairs)
     }
 
     /// Renders the metrics in the Prometheus text exposition format
@@ -363,122 +432,17 @@ impl Metrics {
     ) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        let mut counter = |name: &str, help: &str, v: u64| {
+        let scalar = |out: &mut String, name: &str, help: &str, kind: SeriesKind, v: u64| {
             let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} counter");
+            let _ = writeln!(out, "# TYPE {name} {}", kind.prometheus_type());
             let _ = writeln!(out, "{name} {v}");
         };
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        counter(
-            "se_requests_total",
-            "Request lines received (any command).",
-            load(&self.requests),
-        );
-        counter(
-            "se_orders_total",
-            "Individual ORDER executions (batch members count individually).",
-            load(&self.orders),
-        );
-        counter(
-            "se_batches_total",
-            "BATCH commands received.",
-            load(&self.batches),
-        );
-        counter(
-            "se_cache_hits_total",
-            "Orderings served from the cache.",
-            load(&self.cache_hits),
-        );
-        counter(
-            "se_cache_misses_total",
-            "Orderings computed because the cache missed.",
-            load(&self.cache_misses),
-        );
-        counter(
-            "se_queue_rejections_total",
-            "Submissions rejected with queue-full backpressure.",
-            load(&self.queue_rejections),
-        );
-        counter(
-            "se_timeouts_total",
-            "Requests that exceeded their wall-clock timeout.",
-            load(&self.timeouts),
-        );
-        counter(
-            "se_errors_total",
-            "Requests that failed (parse errors, bad input, I/O).",
-            load(&self.errors),
-        );
-        counter(
-            "se_connections_total",
-            "Connections accepted.",
-            load(&self.connections),
-        );
-        counter(
-            "se_busy_rejections_total",
-            "Connections turned away at the connection limit.",
-            load(&self.busy_rejections),
-        );
-        counter(
-            "se_cancelled_total",
-            "ORDER requests whose response was suppressed by a CANCEL.",
-            load(&self.cancelled),
-        );
-        counter(
-            "se_rate_limited_total",
-            "Requests rejected by per-client rate limiting.",
-            load(&self.rate_limited),
-        );
-        counter(
-            "se_progress_frames_total",
-            "PROGRESS frames put on the wire.",
-            load(&self.progress_frames),
-        );
-        counter(
-            "se_reactor_wakeups_total",
-            "Reactor event-loop wakeups (poll returns).",
-            load(&self.reactor_wakeups),
-        );
-        counter(
-            "se_peer_forwards_total",
-            "ORDER requests forwarded to the owning mesh peer.",
-            load(&self.peer_forwards),
-        );
-        counter(
-            "se_peer_forward_failures_total",
-            "Forwards that exhausted every candidate peer and fell back to local compute.",
-            load(&self.peer_forward_failures),
-        );
-        counter(
-            "se_peer_replications_total",
-            "Cache entries pushed to successor peers.",
-            load(&self.peer_replications),
-        );
-        counter(
-            "se_peer_replication_failures_total",
-            "Best-effort replication pushes that failed.",
-            load(&self.peer_replication_failures),
-        );
-        counter(
-            "se_peer_entries_received_total",
-            "Cache entries received from peers via REPLICATE.",
-            load(&self.peer_entries_received),
-        );
-        counter(
-            "se_hints_replayed_total",
-            "Queued handoff hints delivered to their returned target peer.",
-            load(&self.hints_replayed),
-        );
-        counter(
-            "se_hints_dropped_total",
-            "Hints dropped by queue overflow or replay-time corruption.",
-            load(&self.hints_dropped),
-        );
-        counter(
-            "se_antientropy_repairs_total",
-            "Entries re-pushed to a diverged replica by anti-entropy.",
-            load(&self.antientropy_repairs),
-        );
+        let declared = |out: &mut String, kind: SeriesKind| {
+            for s in SERIES.iter().filter(|s| s.kind == kind) {
+                scalar(out, &s.prometheus_name(), s.help, kind, s.value(self));
+            }
+        };
+        declared(&mut out, SeriesKind::Counter);
 
         // Transition rows are keyed "from:to"; split into the two labels.
         {
@@ -519,35 +483,27 @@ impl Metrics {
             &self.budget_aborts,
         );
 
-        let mut gauge = |name: &str, help: &str, v: f64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            let _ = writeln!(out, "{name} {v}");
-        };
-        gauge(
+        scalar(
+            &mut out,
             "se_queue_depth",
             "Jobs waiting in the worker pool queue.",
-            queue_depth as f64,
+            SeriesKind::Gauge,
+            queue_depth as u64,
         );
-        gauge(
+        scalar(
+            &mut out,
             "se_active_jobs",
             "Jobs currently executing on pool workers.",
-            active as f64,
+            SeriesKind::Gauge,
+            active as u64,
         );
-        gauge(
-            "se_open_connections",
-            "Currently open client connections.",
-            load(&self.open_connections) as f64,
-        );
-        gauge(
-            "se_inflight_requests",
-            "Requests submitted to the engine but not yet answered.",
-            load(&self.inflight_requests) as f64,
-        );
-        gauge(
+        declared(&mut out, SeriesKind::Gauge);
+        scalar(
+            &mut out,
             "se_cache_persistent",
             "Whether the ordering cache spills to disk (1) or not (0).",
-            u8::from(persistent) as f64,
+            SeriesKind::Gauge,
+            u64::from(persistent),
         );
 
         type ShardField = fn(&crate::cache::ShardStats) -> f64;

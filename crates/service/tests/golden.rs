@@ -8,13 +8,15 @@
 //! a fixed graph, with the timing field `micros` masked. Any change to
 //! these bytes is a wire-protocol change and must show up here as a diff.
 
-use se_service::metrics::Metrics;
+use se_service::json::Json;
+use se_service::metrics::{Metrics, SERIES};
 use se_service::proto::{
-    encode_response_tagged, EncodedPerm, ErrorResponse, OrderResponse, PermPayload, ProgressFrame,
-    Response,
+    encode_response_tagged, EncodedPerm, ErrorResponse, OrderRequest, OrderResponse, PermPayload,
+    ProgressFrame, Response,
 };
-use se_service::{serve, Config, FrameMode};
+use se_service::{serve, Client, Config, FrameMode};
 use sparsemat::envelope::EnvelopeStats;
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -364,6 +366,81 @@ se_open_connections 15
 se_inflight_requests 16
 se_cache_persistent 0"
     );
+}
+
+/// The STATS value a METRICS counter stands for: `se_<k>_total` reads the
+/// top-level key `<k>`; the solver pool's `se_pool_<f>_total` counters read
+/// `solver_pool.<f>`.
+fn stats_value<'a>(stats: &'a Json, key: &str) -> Option<&'a Json> {
+    stats.get(key).or_else(|| {
+        let field = key.strip_prefix("pool_")?;
+        stats.get("solver_pool")?.get(field)
+    })
+}
+
+/// STATS and METRICS expose the same scalar series. On a live server that
+/// has served one ORDER, every declared series appears on both surfaces,
+/// every unlabelled `se_<k>_total` sample in METRICS has a STATS value, and
+/// every top-level number in STATS has a METRICS sample — so a counter
+/// added to only one surface fails here.
+#[test]
+fn stats_and_metrics_expose_the_same_scalar_series() {
+    let handle = serve(Config::default()).expect("bind ephemeral port");
+    let mut c = Client::connect(handle.local_addr()).unwrap();
+    let mtx = "%%MatrixMarket matrix coordinate real symmetric\n3 3 5\n1 1 2\n2 1 -1\n2 2 2\n3 2 -1\n3 3 2\n";
+    c.order(OrderRequest::inline_mtx(se_order::Algorithm::Rcm, mtx))
+        .expect("one ORDER");
+    let stats = c.stats().unwrap();
+    let text = c.metrics().unwrap();
+    let samples: HashSet<&str> = text
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| l.split(' ').next())
+        .collect();
+
+    for s in SERIES {
+        let name = s.prometheus_name();
+        assert!(
+            stats.get(s.key).and_then(Json::as_u64).is_some(),
+            "declared series {} missing from STATS",
+            s.key
+        );
+        assert!(
+            samples.contains(name.as_str()),
+            "declared series {name} missing from METRICS"
+        );
+        let type_line = format!("# TYPE {name} {}\n", s.kind.prometheus_type());
+        assert!(text.contains(&type_line), "missing `{type_line}`");
+    }
+    for name in samples.iter().filter(|n| !n.contains('{')) {
+        if let Some(key) = name
+            .strip_prefix("se_")
+            .and_then(|n| n.strip_suffix("_total"))
+        {
+            assert!(
+                stats_value(&stats, key).and_then(Json::as_u64).is_some(),
+                "METRICS counter {name} has no STATS key {key}"
+            );
+        }
+    }
+    let Json::Obj(pairs) = &stats else {
+        panic!("STATS must be an object: {stats:?}");
+    };
+    for (key, _) in pairs.iter().filter(|(_, v)| v.as_u64().is_some()) {
+        // METRICS reports the cached-ordering total per shard instead
+        // (`se_cache_shard_entries{shard=...}`).
+        if key == "cached_orderings" {
+            continue;
+        }
+        assert!(
+            samples.contains(format!("se_{key}_total").as_str())
+                || samples.contains(format!("se_{key}").as_str()),
+            "STATS key {key} has no METRICS sample"
+        );
+    }
+
+    c.shutdown().unwrap();
+    handle.join();
 }
 
 /// A fixed 3×3 grid graph in Chaco format (1-based adjacency lists),
