@@ -205,7 +205,7 @@ impl Series {
     }
 
     /// The series' current value in `m`.
-    pub fn value(&self, m: &Metrics) -> u64 {
+    pub(crate) fn value(&self, m: &Metrics) -> u64 {
         (self.field)(m).load(Ordering::Relaxed)
     }
 }

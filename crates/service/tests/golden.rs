@@ -7,6 +7,8 @@
 //! fresh [`Metrics`]; and a protocol-v1 conversation with a live server on
 //! a fixed graph, with the timing field `micros` masked. Any change to
 //! these bytes is a wire-protocol change and must show up here as a diff.
+//! A live parity check also keeps STATS and METRICS listing the same
+//! scalar series.
 
 use se_service::json::Json;
 use se_service::metrics::{Metrics, SERIES};
