@@ -452,10 +452,6 @@ where
                 self.drain_inbox();
             }
 
-            if self.listener.is_some() && ready[1].read {
-                self.accept_some();
-            }
-
             let mut to_close: Vec<u64> = Vec::new();
             let now = Instant::now();
             for (i, tok) in tokens.iter().enumerate() {
@@ -520,6 +516,13 @@ where
 
             for tok in to_close {
                 self.close_conn(tok);
+            }
+
+            // Accept only after this round's closes are reaped, so a peer
+            // that re-dials right after hanging up is counted against
+            // `max_conns` without its own dead connection.
+            if self.listener.is_some() && ready[1].read {
+                self.accept_some();
             }
         }
 
@@ -858,6 +861,56 @@ mod tests {
         assert_eq!(r2.read_line(&mut got).unwrap(), 0, "rejected conn closes");
         drop(r);
         drop(first);
+        group.handle().stop();
+        group.join();
+    }
+
+    #[test]
+    fn redial_after_close_is_accepted_at_the_connection_cap() {
+        /// Echoes lines; `park` blocks the loop thread on the test's
+        /// barrier twice (once to say "parked", once to be released).
+        struct Parker(Arc<std::sync::Barrier>);
+        impl Handler<()> for Parker {
+            fn on_line(&mut self, ctx: &mut ConnCtx<'_>, line: String) {
+                if line == "park" {
+                    self.0.wait();
+                    self.0.wait();
+                } else {
+                    ctx.send(format!("{line}\n").into_bytes());
+                }
+            }
+            fn on_message(&mut self, _ctx: &mut ConnCtx<'_>, _msg: ()) {}
+        }
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let cfg = ReactorConfig {
+            max_conns: 1,
+            busy_line: b"busy\n".to_vec(),
+            ..ReactorConfig::default()
+        };
+        let parker = Arc::clone(&barrier);
+        let group = start(listener, cfg, move |_t, _p, _h| Parker(Arc::clone(&parker))).unwrap();
+
+        let mut a = TcpStream::connect(addr).unwrap();
+        a.write_all(b"ping\n").unwrap();
+        let mut line = String::new();
+        BufReader::new(a.try_clone().unwrap())
+            .read_line(&mut line)
+            .unwrap();
+        assert_eq!(line.trim_end(), "ping");
+        // While the loop is parked, A hangs up and B dials: the loop's next
+        // poll sees A's close and B's pending accept in the same round.
+        a.write_all(b"park\n").unwrap();
+        barrier.wait();
+        drop(a);
+        let mut b = TcpStream::connect(addr).unwrap();
+        barrier.wait();
+
+        b.write_all(b"ping\n").unwrap();
+        line.clear();
+        BufReader::new(b).read_line(&mut line).unwrap();
+        assert_eq!(line.trim_end(), "ping", "the re-dial was refused as busy");
         group.handle().stop();
         group.join();
     }

@@ -1249,35 +1249,27 @@ fn progress_observer(sink: ProgressSink, t0: Instant) -> se_trace::SpanObserver 
     })
 }
 
-/// Loads the matrix pattern from an ORDER request's source.
+/// Loads the matrix pattern from an ORDER request's source: the structure
+/// of `A + Aᵀ` without its diagonal, whatever the format.
 fn load_pattern(source: &MatrixSource) -> Result<SymmetricPattern, ErrorResponse> {
-    let fatal =
-        |e: &dyn std::fmt::Display| ErrorResponse::fatal(format!("cannot read matrix: {e}"));
-    let from_csr = |m: sparsemat::csr::CsrMatrix| {
-        m.symmetrize()
-            .and_then(|s| s.pattern())
-            .map_err(|e| fatal(&e))
-    };
-    match source {
+    use sparsemat::io;
+    let loaded = match source {
         MatrixSource::Inline { format, payload } => match format {
-            MatrixFormat::MatrixMarket => sparsemat::io::read_matrix_market_str(payload)
-                .map_err(|e| fatal(&e))
-                .and_then(from_csr),
-            MatrixFormat::Chaco => sparsemat::io::read_chaco_str(payload).map_err(|e| fatal(&e)),
-            MatrixFormat::HarwellBoeing => sparsemat::io::read_harwell_boeing_str(payload)
-                .map_err(|e| fatal(&e))
-                .and_then(from_csr),
+            MatrixFormat::MatrixMarket => io::read_matrix_market_pattern_str(payload),
+            MatrixFormat::Chaco => io::read_chaco_str(payload),
+            MatrixFormat::HarwellBoeing => {
+                io::read_harwell_boeing_str(payload).and_then(|m| m.symmetrized_pattern())
+            }
         },
         MatrixSource::Path(path) => match MatrixFormat::from_path(path) {
-            MatrixFormat::MatrixMarket => sparsemat::io::read_matrix_market(path)
-                .map_err(|e| fatal(&e))
-                .and_then(from_csr),
-            MatrixFormat::Chaco => sparsemat::io::read_chaco(path).map_err(|e| fatal(&e)),
-            MatrixFormat::HarwellBoeing => sparsemat::io::read_harwell_boeing(path)
-                .map_err(|e| fatal(&e))
-                .and_then(from_csr),
+            MatrixFormat::MatrixMarket => io::read_matrix_market_pattern(path),
+            MatrixFormat::Chaco => io::read_chaco(path),
+            MatrixFormat::HarwellBoeing => {
+                io::read_harwell_boeing(path).and_then(|m| m.symmetrized_pattern())
+            }
         },
-    }
+    };
+    loaded.map_err(|e| ErrorResponse::fatal(format!("cannot read matrix: {e}")))
 }
 
 #[cfg(test)]

@@ -15,12 +15,13 @@ use sparsemat::pattern::SymmetricPattern;
 use std::io::{BufRead, BufReader, Write};
 
 fn chaco_request(g: &SymmetricPattern, alg: se_order::Algorithm) -> OrderRequest {
+    inline_request(MatrixFormat::Chaco, write_chaco_string(g), alg)
+}
+
+fn inline_request(format: MatrixFormat, payload: String, alg: se_order::Algorithm) -> OrderRequest {
     OrderRequest {
         alg,
-        source: MatrixSource::Inline {
-            format: MatrixFormat::Chaco,
-            payload: write_chaco_string(g),
-        },
+        source: MatrixSource::Inline { format, payload },
         timeout_ms: None,
         include_perm: true,
         threads: None,
@@ -363,6 +364,101 @@ fn malformed_lines_get_errors_but_the_connection_survives() {
     }
 
     let mut client = Client::connect(addr).unwrap();
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn hostile_declared_sizes_get_errors_and_the_server_survives() {
+    let (handle, addr) = start(Config::default());
+    let mut client = Client::connect(addr).unwrap();
+    client
+        .set_io_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    // Each payload is a few bytes but declares a count whose allocation
+    // overflows the address space, so it fails whatever the host's
+    // overcommit policy. The first used to abort the whole daemon.
+    for (format, payload) in [
+        (MatrixFormat::Chaco, "2 10000000000\n2\n1\n"),
+        (MatrixFormat::Chaco, "2 576460752303423488\n2\n1\n"),
+        (
+            MatrixFormat::MatrixMarket,
+            "%%MatrixMarket matrix coordinate real general\n2 2 9000000000000000000\n1 2 1.0\n",
+        ),
+        (
+            MatrixFormat::MatrixMarket,
+            "%%MatrixMarket matrix coordinate real general\n\
+             18446744073709551615 18446744073709551615 1\n1 2 1.0\n",
+        ),
+        (
+            MatrixFormat::MatrixMarket,
+            "%%MatrixMarket matrix coordinate real general\n\
+             2305843009213693952 2305843009213693952 1\n1 2 1.0\n",
+        ),
+    ] {
+        let req = inline_request(format, payload.into(), se_order::Algorithm::Rcm);
+        match client.order(req) {
+            Err(se_service::ClientError::Server(e)) => {
+                assert!(
+                    e.error.starts_with("cannot read matrix: "),
+                    "{payload:?}: {}",
+                    e.error
+                );
+                assert!(!e.retriable, "{payload:?}");
+            }
+            other => panic!("{payload:?}: expected a matrix error, got {other:?}"),
+        }
+        // The same server still answers a valid ORDER.
+        let g = meshgen::grid2d(5, 5);
+        let ok = client
+            .order(chaco_request(&g, se_order::Algorithm::Rcm))
+            .unwrap();
+        assert_eq!(ok.n, g.n());
+    }
+    client.shutdown().unwrap();
+    handle.join();
+}
+
+#[test]
+fn one_graph_in_three_formats_shares_one_cache_entry() {
+    use sparsemat::io::harwell_boeing::write_harwell_boeing_string;
+    use sparsemat::io::write_matrix_market_string;
+    let g = meshgen::grid2d(7, 9);
+    let a = g.spd_matrix(1.0);
+    let payloads = [
+        (MatrixFormat::Chaco, write_chaco_string(&g)),
+        (MatrixFormat::MatrixMarket, write_matrix_market_string(&a)),
+        (
+            MatrixFormat::HarwellBoeing,
+            write_harwell_boeing_string(&a, "GRID"),
+        ),
+    ];
+    // The three readers build one pattern, hence one cache key.
+    let key =
+        |g: &SymmetricPattern| se_service::cache::pattern_key(g, se_order::Algorithm::Rcm, false);
+    let patterns = [
+        sparsemat::io::read_chaco_str(&payloads[0].1).unwrap(),
+        sparsemat::io::read_matrix_market_pattern_str(&payloads[1].1).unwrap(),
+        sparsemat::io::read_harwell_boeing_str(&payloads[2].1)
+            .and_then(|m| m.symmetrized_pattern())
+            .unwrap(),
+    ];
+    for p in &patterns {
+        assert_eq!(p, &g);
+        assert_eq!(key(p), key(&g));
+    }
+
+    // Over the wire: the first format computes, the other two hit.
+    let (handle, addr) = start(Config::default());
+    let mut client = Client::connect(addr).unwrap();
+    let mut perms = Vec::new();
+    for (i, (format, payload)) in payloads.iter().enumerate() {
+        let req = inline_request(*format, payload.clone(), se_order::Algorithm::Rcm);
+        let r = client.order(req).unwrap();
+        assert_eq!(r.cache_hit, i > 0, "{format:?}");
+        perms.push(format!("{:?}", r.perm));
+    }
+    assert!(perms.iter().all(|p| p == &perms[0]));
     client.shutdown().unwrap();
     handle.join();
 }

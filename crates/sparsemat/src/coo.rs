@@ -87,9 +87,20 @@ impl CooMatrix {
     /// Converts to CSR, summing duplicate entries and sorting each row by
     /// column index. Entries that sum to exactly zero are *kept* (structural
     /// nonzeros matter for envelope analysis).
+    ///
+    /// # Panics
+    ///
+    /// If the row pointer array (`nrows + 1` entries) cannot be allocated;
+    /// the file readers use the fallible form instead.
     pub fn to_csr(&self) -> CsrMatrix {
+        self.try_to_csr().expect("COO row count fits in memory")
+    }
+
+    /// [`CooMatrix::to_csr`] for a row count read from an untrusted file
+    /// header: an unallocatable row pointer array is an error.
+    pub(crate) fn try_to_csr(&self) -> Result<CsrMatrix> {
         // Counting sort by row, then sort each row slice by column.
-        let mut row_counts = vec![0usize; self.nrows + 1];
+        let mut row_counts = crate::zeroed_ptr_array(self.nrows)?;
         for &(r, _, _) in &self.entries {
             row_counts[r + 1] += 1;
         }
@@ -98,7 +109,8 @@ impl CooMatrix {
         }
         let mut col_idx = vec![0usize; self.entries.len()];
         let mut values = vec![0f64; self.entries.len()];
-        let mut next = row_counts.clone();
+        let mut next = crate::zeroed_ptr_array(self.nrows)?;
+        next.copy_from_slice(&row_counts);
         for &(r, c, v) in &self.entries {
             let slot = next[r];
             col_idx[slot] = c;
@@ -106,10 +118,9 @@ impl CooMatrix {
             next[r] += 1;
         }
         // Sort within each row and merge duplicates.
-        let mut out_ptr = Vec::with_capacity(self.nrows + 1);
+        let mut out_ptr = crate::zeroed_ptr_array(self.nrows)?;
         let mut out_cols: Vec<usize> = Vec::with_capacity(self.entries.len());
         let mut out_vals: Vec<f64> = Vec::with_capacity(self.entries.len());
-        out_ptr.push(0);
         let mut scratch: Vec<(usize, f64)> = Vec::new();
         for r in 0..self.nrows {
             scratch.clear();
@@ -130,10 +141,12 @@ impl CooMatrix {
                 out_vals.push(v);
                 i = j;
             }
-            out_ptr.push(out_cols.len());
+            out_ptr[r + 1] = out_cols.len();
         }
-        CsrMatrix::from_raw_parts(self.nrows, self.ncols, out_ptr, out_cols, out_vals)
-            .expect("COO conversion produced valid CSR")
+        Ok(
+            CsrMatrix::from_raw_parts(self.nrows, self.ncols, out_ptr, out_cols, out_vals)
+                .expect("COO conversion produced valid CSR"),
+        )
     }
 }
 

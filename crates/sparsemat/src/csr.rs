@@ -343,6 +343,20 @@ impl CsrMatrix {
         SymmetricPattern::from_csr(self)
     }
 
+    /// The structure of `A + Aᵀ` without its diagonal: equal to
+    /// `self.symmetrize()?.pattern()`, without forming the symmetrized
+    /// matrix.
+    pub fn symmetrized_pattern(&self) -> Result<SymmetricPattern> {
+        if self.nrows != self.ncols {
+            return Err(SparseError::NotSquare {
+                nrows: self.nrows,
+                ncols: self.ncols,
+            });
+        }
+        let edges: Vec<(usize, usize)> = self.iter().map(|(r, c, _)| (r, c)).collect();
+        SymmetricPattern::from_edges(self.nrows, &edges)
+    }
+
     /// Extracts the strict lower triangle (row > col).
     pub fn lower_triangle(&self) -> CsrMatrix {
         let mut coo = CooMatrix::with_capacity(self.nrows, self.ncols, self.nnz() / 2 + 1);

@@ -8,32 +8,23 @@
 //! structure matters for envelope reduction).
 
 use crate::{Result, SparseError, SymmetricPattern};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// Reads a Chaco/METIS graph file from a path.
 pub fn read_chaco(path: impl AsRef<Path>) -> Result<SymmetricPattern> {
-    let file = std::fs::File::open(path)?;
-    read_chaco_reader(BufReader::new(file))
+    read_chaco_str(&std::fs::read_to_string(path)?)
 }
 
 /// Reads a Chaco/METIS graph from an in-memory string.
 pub fn read_chaco_str(s: &str) -> Result<SymmetricPattern> {
-    read_chaco_reader(BufReader::new(s.as_bytes()))
-}
-
-fn read_chaco_reader<R: Read>(reader: BufReader<R>) -> Result<SymmetricPattern> {
-    let mut lines = reader.lines();
+    let mut lines = s.lines();
     // Header, skipping % comments.
-    let header = loop {
-        let line = lines
-            .next()
-            .ok_or_else(|| SparseError::Parse("empty chaco file".into()))??;
-        let t = line.trim();
-        if !t.is_empty() && !t.starts_with('%') {
-            break t.to_string();
-        }
-    };
+    let header = lines
+        .by_ref()
+        .map(str::trim)
+        .find(|t| !t.is_empty() && !t.starts_with('%'))
+        .ok_or_else(|| SparseError::Parse("empty chaco file".into()))?;
     let head: Vec<&str> = header.split_whitespace().collect();
     if head.len() < 2 {
         return Err(SparseError::Parse(
@@ -56,10 +47,10 @@ fn read_chaco_reader<R: Read>(reader: BufReader<R>) -> Result<SymmetricPattern> 
         0
     };
 
-    let mut edges = Vec::with_capacity(2 * m);
+    // At most one neighbor per input byte, whatever the header claims.
+    let mut edges = Vec::with_capacity(m.saturating_mul(2).min(s.len()));
     let mut v = 0usize;
     for line in lines {
-        let line = line?;
         let t = line.trim();
         if t.starts_with('%') {
             continue;

@@ -8,7 +8,7 @@
 //! are expanded to full storage.
 
 use crate::{CooMatrix, CsrMatrix, Result, SparseError};
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// A parsed Fortran edit descriptor like `(16I5)` or `(1P3E25.16)`.
@@ -62,17 +62,20 @@ impl FortranFormat {
 }
 
 /// Reads fixed-width fields from `lines`, producing `count` parsed tokens.
-fn read_fixed<R: BufRead, T: std::str::FromStr>(
-    lines: &mut std::io::Lines<R>,
+/// `max_fields` bounds the preallocation (no input holds more fields than
+/// bytes), so a hostile header count cannot force a huge allocation.
+fn read_fixed<T: std::str::FromStr>(
+    lines: &mut std::str::Lines<'_>,
     fmt: FortranFormat,
     count: usize,
+    max_fields: usize,
     what: &str,
 ) -> Result<Vec<T>> {
-    let mut out = Vec::with_capacity(count);
+    let mut out = Vec::with_capacity(count.min(max_fields));
     while out.len() < count {
         let line = lines
             .next()
-            .ok_or_else(|| SparseError::Parse(format!("unexpected EOF reading {what}")))??;
+            .ok_or_else(|| SparseError::Parse(format!("unexpected EOF reading {what}")))?;
         let bytes = line.as_bytes();
         for k in 0..fmt.per_line {
             if out.len() >= count {
@@ -101,23 +104,18 @@ fn read_fixed<R: BufRead, T: std::str::FromStr>(
 
 /// Reads a Harwell–Boeing file from a path.
 pub fn read_harwell_boeing(path: impl AsRef<Path>) -> Result<CsrMatrix> {
-    let file = std::fs::File::open(path)?;
-    read_harwell_boeing_reader(BufReader::new(file))
+    read_harwell_boeing_str(&std::fs::read_to_string(path)?)
 }
 
 /// Reads a Harwell–Boeing matrix from an in-memory string.
 pub fn read_harwell_boeing_str(s: &str) -> Result<CsrMatrix> {
-    read_harwell_boeing_reader(BufReader::new(s.as_bytes()))
-}
-
-fn read_harwell_boeing_reader<R: Read>(reader: BufReader<R>) -> Result<CsrMatrix> {
-    let mut lines = reader.lines();
+    let mut lines = s.lines();
     let _title = lines
         .next()
-        .ok_or_else(|| SparseError::Parse("empty HB file".into()))??;
+        .ok_or_else(|| SparseError::Parse("empty HB file".into()))?;
     let counts_line = lines
         .next()
-        .ok_or_else(|| SparseError::Parse("missing HB line 2".into()))??;
+        .ok_or_else(|| SparseError::Parse("missing HB line 2".into()))?;
     let counts: Vec<i64> = counts_line
         .split_whitespace()
         .map(|t| {
@@ -134,7 +132,7 @@ fn read_harwell_boeing_reader<R: Read>(reader: BufReader<R>) -> Result<CsrMatrix
 
     let type_line = lines
         .next()
-        .ok_or_else(|| SparseError::Parse("missing HB line 3".into()))??;
+        .ok_or_else(|| SparseError::Parse("missing HB line 3".into()))?;
     if type_line.len() < 3 {
         return Err(SparseError::Parse("HB line 3 too short".into()));
     }
@@ -169,7 +167,7 @@ fn read_harwell_boeing_reader<R: Read>(reader: BufReader<R>) -> Result<CsrMatrix
 
     let fmt_line = lines
         .next()
-        .ok_or_else(|| SparseError::Parse("missing HB line 4".into()))??;
+        .ok_or_else(|| SparseError::Parse("missing HB line 4".into()))?;
     // PTRFMT: cols 1-16, INDFMT: 17-32, VALFMT: 33-52 (fixed columns), but we
     // tolerate whitespace-separated format specs as well.
     let (ptrfmt_s, indfmt_s, valfmt_s) = if fmt_line.len() >= 33 {
@@ -198,16 +196,21 @@ fn read_harwell_boeing_reader<R: Read>(reader: BufReader<R>) -> Result<CsrMatrix
         // Skip the RHS descriptor line; we don't read right-hand sides.
         lines
             .next()
-            .ok_or_else(|| SparseError::Parse("missing HB line 5".into()))??;
+            .ok_or_else(|| SparseError::Parse("missing HB line 5".into()))?;
     }
 
-    let colptr: Vec<usize> = read_fixed(&mut lines, ptrfmt, ncol + 1, "column pointers")?;
-    let rowind: Vec<usize> = read_fixed(&mut lines, indfmt, nnzero, "row indices")?;
+    let ncol_ptrs = ncol
+        .checked_add(1)
+        .ok_or_else(|| SparseError::Parse(format!("dimension {ncol} is too large")))?;
+    let max_fields = s.len();
+    let colptr: Vec<usize> =
+        read_fixed(&mut lines, ptrfmt, ncol_ptrs, max_fields, "column pointers")?;
+    let rowind: Vec<usize> = read_fixed(&mut lines, indfmt, nnzero, max_fields, "row indices")?;
     let values: Vec<f64> = if value_kind == b'P' {
         vec![1.0; nnzero]
     } else {
         let valfmt = FortranFormat::parse(&valfmt_s)?;
-        read_fixed(&mut lines, valfmt, nnzero, "values")?
+        read_fixed(&mut lines, valfmt, nnzero, max_fields, "values")?
     };
 
     if colptr[0] != 1 || colptr[ncol] != nnzero + 1 {
@@ -241,7 +244,7 @@ fn read_harwell_boeing_reader<R: Read>(reader: BufReader<R>) -> Result<CsrMatrix
             }
         }
     }
-    Ok(coo.to_csr())
+    coo.try_to_csr()
 }
 
 /// Writes `a` as an assembled Harwell–Boeing file (`RSA` when numerically

@@ -4,9 +4,14 @@
 //! skew-symmetric}`. Pattern entries get value 1.0; symmetric files are
 //! expanded to full storage on read (the representation used everywhere in
 //! this workspace).
+//!
+//! One line scanner validates a file and feeds either of two sinks: the
+//! [`CsrMatrix`] reader ([`read_matrix_market`]) and the structure-only
+//! [`SymmetricPattern`] reader ([`read_matrix_market_pattern`]), which
+//! skips the values, the intermediate COO and the symmetrize round trip.
 
-use crate::{CooMatrix, CsrMatrix, Result, SparseError};
-use std::io::{BufRead, BufReader, Read, Write};
+use crate::{CooMatrix, CsrMatrix, Result, SparseError, SymmetricPattern};
+use std::io::Write;
 use std::path::Path;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,136 +30,332 @@ enum Symmetry {
 
 /// Reads a MatrixMarket file from a path.
 pub fn read_matrix_market(path: impl AsRef<Path>) -> Result<CsrMatrix> {
-    let file = std::fs::File::open(path)?;
-    read_matrix_market_reader(BufReader::new(file))
+    read_matrix_market_str(&std::fs::read_to_string(path)?)
 }
 
 /// Reads a MatrixMarket matrix from an in-memory string.
 pub fn read_matrix_market_str(s: &str) -> Result<CsrMatrix> {
-    read_matrix_market_reader(BufReader::new(s.as_bytes()))
+    let scan = Scanner::new(s)?;
+    let (symmetry, nrows, ncols) = (scan.symmetry, scan.nrows, scan.ncols);
+    let mirrored = usize::from(symmetry != Symmetry::General) + 1;
+    let mut coo = CooMatrix::with_capacity(nrows, ncols, mirrored * scan.capacity());
+    scan.for_each_entry(true, |r, c, v| {
+        coo.push(r, c, v)?;
+        if r != c {
+            match symmetry {
+                Symmetry::General => {}
+                Symmetry::Symmetric => coo.push(c, r, v)?,
+                Symmetry::SkewSymmetric => coo.push(c, r, -v)?,
+            }
+        }
+        Ok(())
+    })?;
+    coo.try_to_csr()
 }
 
-fn read_matrix_market_reader<R: Read>(reader: BufReader<R>) -> Result<CsrMatrix> {
-    let mut lines = reader.lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| SparseError::Parse("empty file".into()))??;
-    let header_lc = header.to_ascii_lowercase();
-    let tokens: Vec<&str> = header_lc.split_whitespace().collect();
-    if tokens.len() < 5 || !tokens[0].starts_with("%%matrixmarket") {
-        return Err(SparseError::Parse(format!(
-            "not a MatrixMarket header: {header}"
-        )));
-    }
-    if tokens[1] != "matrix" || tokens[2] != "coordinate" {
-        return Err(SparseError::Parse(format!(
-            "only 'matrix coordinate' supported, got '{} {}'",
-            tokens[1], tokens[2]
-        )));
-    }
-    let field = match tokens[3] {
-        "real" => Field::Real,
-        "integer" => Field::Integer,
-        "pattern" => Field::Pattern,
-        other => {
-            return Err(SparseError::Parse(format!(
-                "unsupported field type '{other}' (complex not supported)"
-            )))
-        }
-    };
-    let symmetry = match tokens[4] {
-        "general" => Symmetry::General,
-        "symmetric" => Symmetry::Symmetric,
-        "skew-symmetric" => Symmetry::SkewSymmetric,
-        other => {
-            return Err(SparseError::Parse(format!(
-                "unsupported symmetry '{other}' (hermitian not supported)"
-            )))
-        }
-    };
+/// Reads the structure of a MatrixMarket file from a path (see
+/// [`read_matrix_market_pattern_str`]).
+pub fn read_matrix_market_pattern(path: impl AsRef<Path>) -> Result<SymmetricPattern> {
+    read_matrix_market_pattern_str(&std::fs::read_to_string(path)?)
+}
 
-    // Skip comments, find size line.
-    let mut size_line = None;
-    for line in lines.by_ref() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
-            continue;
-        }
-        size_line = Some(line);
-        break;
+/// Reads the structure of a MatrixMarket matrix straight into a
+/// [`SymmetricPattern`]: the pattern of `A + Aᵀ` without its diagonal.
+///
+/// Equal, pattern and error alike, to
+/// `read_matrix_market_str(s)?.symmetrize()?.pattern()`; values are still
+/// checked to parse, but never stored.
+pub fn read_matrix_market_pattern_str(s: &str) -> Result<SymmetricPattern> {
+    let scan = Scanner::new(s)?;
+    let (nrows, ncols) = (scan.nrows, scan.ncols);
+    let mut edges = Vec::with_capacity(scan.capacity());
+    scan.for_each_entry(false, |r, c, _| {
+        edges.push((r, c));
+        Ok(())
+    })?;
+    if nrows != ncols {
+        return Err(SparseError::NotSquare { nrows, ncols });
     }
-    let size_line = size_line.ok_or_else(|| SparseError::Parse("missing size line".into()))?;
-    let dims: Vec<usize> = size_line
-        .split_whitespace()
-        .map(|t| {
-            t.parse::<usize>()
-                .map_err(|e| SparseError::Parse(format!("bad size token '{t}': {e}")))
-        })
-        .collect::<Result<_>>()?;
-    if dims.len() != 3 {
-        return Err(SparseError::Parse(format!(
-            "size line must have 3 fields, got {}",
-            dims.len()
-        )));
-    }
-    let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    SymmetricPattern::from_edges(nrows, &edges)
+}
 
-    let mut coo = CooMatrix::with_capacity(nrows, ncols, 2 * nnz);
-    let mut seen = 0usize;
-    for line in lines {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut it = trimmed.split_whitespace();
-        let r: usize = it
-            .next()
-            .ok_or_else(|| SparseError::Parse("missing row index".into()))?
-            .parse()
-            .map_err(|e| SparseError::Parse(format!("bad row index: {e}")))?;
-        let c: usize = it
-            .next()
-            .ok_or_else(|| SparseError::Parse("missing column index".into()))?
-            .parse()
-            .map_err(|e| SparseError::Parse(format!("bad column index: {e}")))?;
-        if r == 0 || c == 0 || r > nrows || c > ncols {
+/// The validated header and size line of a MatrixMarket file, positioned
+/// at its first entry line.
+struct Scanner<'a> {
+    field: Field,
+    symmetry: Symmetry,
+    nrows: usize,
+    ncols: usize,
+    nnz: usize,
+    /// Length of the whole input: no file holds more entries than bytes.
+    len: usize,
+    tokens: Tokens<'a>,
+}
+
+impl<'a> Scanner<'a> {
+    fn new(s: &'a str) -> Result<Scanner<'a>> {
+        // The first line as `str::lines` yields it.
+        let (header, body) = match s.split_once('\n') {
+            Some((line, rest)) => (line.strip_suffix('\r').unwrap_or(line), rest),
+            None if s.is_empty() => return Err(SparseError::Parse("empty file".into())),
+            None => (s, ""),
+        };
+        let header_lc = header.to_ascii_lowercase();
+        let tokens: Vec<&str> = header_lc.split_whitespace().collect();
+        if tokens.len() < 5 || !tokens[0].starts_with("%%matrixmarket") {
             return Err(SparseError::Parse(format!(
-                "entry ({r},{c}) outside 1..{nrows} x 1..{ncols}"
+                "not a MatrixMarket header: {header}"
             )));
         }
-        let v = match field {
-            Field::Pattern => 1.0,
-            Field::Real | Field::Integer => it
-                .next()
-                .ok_or_else(|| SparseError::Parse("missing value".into()))?
-                .parse::<f64>()
-                .map_err(|e| SparseError::Parse(format!("bad value: {e}")))?,
+        if tokens[1] != "matrix" || tokens[2] != "coordinate" {
+            return Err(SparseError::Parse(format!(
+                "only 'matrix coordinate' supported, got '{} {}'",
+                tokens[1], tokens[2]
+            )));
+        }
+        let field = match tokens[3] {
+            "real" => Field::Real,
+            "integer" => Field::Integer,
+            "pattern" => Field::Pattern,
+            other => {
+                return Err(SparseError::Parse(format!(
+                    "unsupported field type '{other}' (complex not supported)"
+                )))
+            }
         };
-        let (r0, c0) = (r - 1, c - 1);
-        coo.push(r0, c0, v)?;
-        match symmetry {
-            Symmetry::General => {}
-            Symmetry::Symmetric => {
-                if r0 != c0 {
-                    coo.push(c0, r0, v)?;
+        let symmetry = match tokens[4] {
+            "general" => Symmetry::General,
+            "symmetric" => Symmetry::Symmetric,
+            "skew-symmetric" => Symmetry::SkewSymmetric,
+            other => {
+                return Err(SparseError::Parse(format!(
+                    "unsupported symmetry '{other}' (hermitian not supported)"
+                )))
+            }
+        };
+
+        // Skip comments, find size line.
+        let mut tokens = Tokens::new(body);
+        let mut token = tokens.first_of_content_line();
+        if token.is_none() {
+            return Err(SparseError::Parse("missing size line".into()));
+        }
+        let mut dims = Vec::with_capacity(3);
+        while let Some(t) = token {
+            dims.push(
+                t.parse::<usize>()
+                    .map_err(|e| SparseError::Parse(format!("bad size token '{t}': {e}")))?,
+            );
+            token = tokens.next_on_line();
+        }
+        tokens.skip_line();
+        if dims.len() != 3 {
+            return Err(SparseError::Parse(format!(
+                "size line must have 3 fields, got {}",
+                dims.len()
+            )));
+        }
+        Ok(Scanner {
+            field,
+            symmetry,
+            nrows: dims[0],
+            ncols: dims[1],
+            nnz: dims[2],
+            len: s.len(),
+            tokens,
+        })
+    }
+
+    /// Entry capacity to reserve: the declared count, but never more than
+    /// the input could hold, so a hostile header cannot force a huge
+    /// allocation.
+    fn capacity(&self) -> usize {
+        self.nnz.min(self.len)
+    }
+
+    /// Validates every entry line and hands each stored entry to `sink` as
+    /// 0-based `(row, col, value)`, in file order. For (skew-)symmetric
+    /// files the mirrored position is bounds-checked here too, so a sink
+    /// may mirror without failing. Without `parse_values`, values are only
+    /// checked to be valid `f64`s (same errors) and the sink's `value` is
+    /// unspecified.
+    fn for_each_entry(
+        self,
+        parse_values: bool,
+        mut sink: impl FnMut(usize, usize, f64) -> Result<()>,
+    ) -> Result<()> {
+        let (nrows, ncols, nnz) = (self.nrows, self.ncols, self.nnz);
+        let mut tokens = self.tokens;
+        let mut seen = 0usize;
+        while let Some(first) = tokens.first_of_content_line() {
+            let r: usize = first
+                .parse()
+                .map_err(|e| SparseError::Parse(format!("bad row index: {e}")))?;
+            let c: usize = tokens
+                .next_on_line()
+                .ok_or_else(|| SparseError::Parse("missing column index".into()))?
+                .parse()
+                .map_err(|e| SparseError::Parse(format!("bad column index: {e}")))?;
+            if r == 0 || c == 0 || r > nrows || c > ncols {
+                return Err(SparseError::Parse(format!(
+                    "entry ({r},{c}) outside 1..{nrows} x 1..{ncols}"
+                )));
+            }
+            let v = match self.field {
+                Field::Pattern => 1.0,
+                Field::Real | Field::Integer => {
+                    let token = tokens
+                        .next_on_line()
+                        .ok_or_else(|| SparseError::Parse("missing value".into()))?;
+                    if !parse_values && is_plain_decimal(token) {
+                        1.0
+                    } else {
+                        token
+                            .parse::<f64>()
+                            .map_err(|e| SparseError::Parse(format!("bad value: {e}")))?
+                    }
+                }
+            };
+            let (r0, c0) = (r - 1, c - 1);
+            if self.symmetry != Symmetry::General && r0 != c0 {
+                // The mirror of an in-range entry leaves a non-square matrix.
+                if c0 >= nrows {
+                    return Err(SparseError::IndexOutOfBounds {
+                        index: c0,
+                        bound: nrows,
+                    });
+                }
+                if r0 >= ncols {
+                    return Err(SparseError::IndexOutOfBounds {
+                        index: r0,
+                        bound: ncols,
+                    });
                 }
             }
-            Symmetry::SkewSymmetric => {
-                if r0 != c0 {
-                    coo.push(c0, r0, -v)?;
+            sink(r0, c0, v)?;
+            seen += 1;
+            tokens.skip_line();
+        }
+        if seen != nnz {
+            return Err(SparseError::Parse(format!(
+                "header declares {nnz} entries, file has {seen}"
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Whether `token` is a plain decimal number, `[+-]digits[.digits]` with
+/// an optional `e[+-]digits` exponent (at least one mantissa digit):
+/// strings `f64::from_str` always accepts, so checking a value needs no
+/// conversion.
+fn is_plain_decimal(token: &str) -> bool {
+    let t = token.as_bytes();
+    let digits = |from: usize| {
+        t.get(from..).map_or(0, |rest| {
+            rest.iter().take_while(|b| b.is_ascii_digit()).count()
+        })
+    };
+    let mut i = usize::from(matches!(t.first(), Some(b'+' | b'-')));
+    let int = digits(i);
+    i += int;
+    let mut frac = 0;
+    if t.get(i) == Some(&b'.') {
+        frac = digits(i + 1);
+        i += 1 + frac;
+    }
+    if int + frac == 0 {
+        return false;
+    }
+    if matches!(t.get(i), Some(b'e' | b'E')) {
+        i += 1 + usize::from(matches!(t.get(i + 1), Some(b'+' | b'-')));
+        let exp = digits(i);
+        if exp == 0 {
+            return false;
+        }
+        i += exp;
+    }
+    i == t.len()
+}
+
+/// A cursor yielding the tokens of each line exactly as `str::lines`
+/// followed by `str::split_whitespace` would: lines end at `\n`, and every
+/// Unicode whitespace character, `\r` included, separates tokens. ASCII
+/// input, the common case, is scanned byte by byte.
+struct Tokens<'a> {
+    s: &'a str,
+    pos: usize,
+    ascii: bool,
+}
+
+impl<'a> Tokens<'a> {
+    fn new(s: &'a str) -> Tokens<'a> {
+        Tokens {
+            s,
+            pos: 0,
+            ascii: s.is_ascii(),
+        }
+    }
+
+    /// The next token on the current line, or `None` at its end (the
+    /// cursor then rests on the line's `\n`, if any).
+    fn next_on_line(&mut self) -> Option<&'a str> {
+        let rest = &self.s[self.pos..];
+        let (start, end) = if self.ascii {
+            // `char::is_whitespace` on ASCII: space and `\t` ..= `\r`.
+            let space = |b: &u8| *b == b' ' || (b'\t'..=b'\r').contains(b);
+            let bytes = rest.as_bytes();
+            let start = bytes.iter().position(|b| !space(b) || *b == b'\n');
+            match start {
+                Some(start) if bytes[start] != b'\n' => {
+                    let len = bytes[start..].iter().position(space);
+                    (start, len.map_or(rest.len(), |len| start + len))
                 }
+                _ => {
+                    self.pos += start.unwrap_or(rest.len());
+                    return None;
+                }
+            }
+        } else {
+            let mut chars = rest.char_indices();
+            let start = chars.find(|&(_, c)| c == '\n' || !c.is_whitespace());
+            match start {
+                Some((start, c)) if c != '\n' => {
+                    let end = chars.find(|&(_, c)| c.is_whitespace());
+                    (start, end.map_or(rest.len(), |(end, _)| end))
+                }
+                _ => {
+                    self.pos += start.map_or(rest.len(), |(at, _)| at);
+                    return None;
+                }
+            }
+        };
+        self.pos += end;
+        Some(&rest[start..end])
+    }
+
+    /// Moves past the current line's `\n`, skipping any tokens left on it.
+    fn skip_line(&mut self) {
+        self.pos = match self.s.as_bytes()[self.pos..]
+            .iter()
+            .position(|&b| b == b'\n')
+        {
+            Some(at) => self.pos + at + 1,
+            None => self.s.len(),
+        };
+    }
+
+    /// From the start of a line, skips blank and `%` comment lines and
+    /// returns the first token of the next line with content.
+    fn first_of_content_line(&mut self) -> Option<&'a str> {
+        while self.pos < self.s.len() {
+            match self.next_on_line() {
+                Some(token) if !token.starts_with('%') => return Some(token),
+                _ => self.skip_line(),
             }
         }
-        seen += 1;
+        None
     }
-    if seen != nnz {
-        return Err(SparseError::Parse(format!(
-            "header declares {nnz} entries, file has {seen}"
-        )));
-    }
-    Ok(coo.to_csr())
 }
 
 /// Writes `a` in MatrixMarket coordinate format. If `a` is numerically
@@ -292,6 +493,93 @@ mod tests {
         assert!(s.contains("general"));
         let b = read_matrix_market_str(&s).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// The content lines of `s` as `Tokens` walks them.
+    fn walk(s: &str) -> Vec<Vec<&str>> {
+        let mut tokens = Tokens::new(s);
+        let mut lines = Vec::new();
+        while let Some(first) = tokens.first_of_content_line() {
+            let mut line = vec![first];
+            line.extend(std::iter::from_fn(|| tokens.next_on_line()));
+            lines.push(line);
+            tokens.skip_line();
+        }
+        lines
+    }
+
+    #[test]
+    fn tokens_match_lines_then_split_whitespace() {
+        // Separators, line ends, comment marks and token bytes; then
+        // Unicode spaces (NEL, NBSP, line separator, ideographic space)
+        // and non-space multi-byte characters.
+        const ASCII: [&str; 10] = [
+            " ", "\t", "\n", "\r", "\u{0B}", "\u{0C}", "%", "1", "e", "+",
+        ];
+        const UNICODE: [&str; 6] = [
+            "\u{85}",
+            "\u{A0}",
+            "\u{2028}",
+            "\u{3000}",
+            "\u{E9}",
+            "\u{1F600}",
+        ];
+        let mut rng = se_prng::SmallRng::seed_from_u64(0x70C5);
+        for round in 0..2000 {
+            // Every other input stays ASCII, exercising the byte path.
+            let kinds = ASCII.len() + if round % 2 == 1 { UNICODE.len() } else { 0 };
+            let s: String = (0..rng.gen_range(0..40usize))
+                .map(|_| match rng.gen_range(0..kinds) {
+                    k if k < ASCII.len() => ASCII[k],
+                    k => UNICODE[k - ASCII.len()],
+                })
+                .collect();
+            let reference: Vec<Vec<&str>> = s
+                .lines()
+                .map(|line| line.split_whitespace().collect::<Vec<_>>())
+                .filter(|line| line.first().is_some_and(|t| !t.starts_with('%')))
+                .collect();
+            assert_eq!(walk(&s), reference, "for {s:?}");
+        }
+    }
+
+    #[test]
+    fn plain_decimals_are_exactly_what_parse_accepts() {
+        for t in [
+            "0",
+            "-0",
+            "+1",
+            "1.",
+            ".5",
+            "-.5e-3",
+            "1.40000000000000000e1",
+            "7E+300",
+        ] {
+            assert!(is_plain_decimal(t), "{t}");
+            assert!(t.parse::<f64>().is_ok(), "{t}");
+        }
+        for t in [
+            "", ".", "+", "-.", "e5", "1e", "1e+", "1.2.3", "1e5.0", "inf", "NaN", "0x1",
+        ] {
+            assert!(!is_plain_decimal(t), "{t}");
+        }
+        // Over every short string on the number alphabet: a plain decimal
+        // always parses.
+        let alphabet = b"01.e+-E";
+        for len in 1..=5u32 {
+            for mut code in 0..(alphabet.len() as u32).pow(len) {
+                let t: String = (0..len)
+                    .map(|_| {
+                        let c = alphabet[(code % alphabet.len() as u32) as usize];
+                        code /= alphabet.len() as u32;
+                        char::from(c)
+                    })
+                    .collect();
+                if is_plain_decimal(&t) {
+                    assert!(t.parse::<f64>().is_ok(), "{t}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -103,3 +103,16 @@ impl From<std::io::Error> for SparseError {
 
 /// Convenience result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, SparseError>;
+
+/// A zeroed pointer array of length `n + 1` (CSR `row_ptr` / `xadj`) for a
+/// dimension `n` that may come from an untrusted file header: a size that
+/// overflows, or that the allocator refuses, is an error rather than a
+/// process abort.
+pub(crate) fn zeroed_ptr_array(n: usize) -> Result<Vec<usize>> {
+    let too_large = || SparseError::Parse(format!("dimension {n} is too large"));
+    let len = n.checked_add(1).ok_or_else(too_large)?;
+    let mut ptr = Vec::new();
+    ptr.try_reserve_exact(len).map_err(|_| too_large())?;
+    ptr.resize(len, 0);
+    Ok(ptr)
+}

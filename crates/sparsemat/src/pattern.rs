@@ -50,8 +50,12 @@ impl SymmetricPattern {
 
     /// Builds the pattern from an undirected edge list. Self-loops are
     /// ignored, duplicate edges are merged.
+    ///
+    /// A counting sort straight into CSR: count degrees, prefix-sum them
+    /// into row starts, scatter both directions of every edge, then sort
+    /// and deduplicate each row in place.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Result<Self> {
-        let mut lists: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut xadj = crate::zeroed_ptr_array(n)?;
         for &(u, v) in edges {
             if u >= n {
                 return Err(SparseError::IndexOutOfBounds { index: u, bound: n });
@@ -59,21 +63,45 @@ impl SymmetricPattern {
             if v >= n {
                 return Err(SparseError::IndexOutOfBounds { index: v, bound: n });
             }
-            if u == v {
-                continue;
+            if u != v {
+                xadj[u + 1] += 1;
+                xadj[v + 1] += 1;
             }
-            lists[u].push(v);
-            lists[v].push(u);
         }
-        let mut xadj = Vec::with_capacity(n + 1);
-        let mut adjncy = Vec::new();
-        xadj.push(0);
-        for list in &mut lists {
-            list.sort_unstable();
-            list.dedup();
-            adjncy.extend_from_slice(list);
-            xadj.push(adjncy.len());
+        for v in 0..n {
+            xadj[v + 1] += xadj[v];
         }
+        // Scatter with `xadj[v]` as row v's cursor; afterwards each cursor
+        // sits on the next row's start, so shifting right restores starts.
+        let mut adjncy = vec![0usize; xadj[n]];
+        for &(u, v) in edges {
+            if u != v {
+                adjncy[xadj[u]] = v;
+                xadj[u] += 1;
+                adjncy[xadj[v]] = u;
+                xadj[v] += 1;
+            }
+        }
+        xadj.copy_within(0..n, 1);
+        xadj[0] = 0;
+        // Sort and dedup each row, compacting towards the front.
+        let mut len = 0;
+        for v in 0..n {
+            let (lo, hi) = (xadj[v], xadj[v + 1]);
+            xadj[v] = len;
+            adjncy[lo..hi].sort_unstable();
+            for k in lo..hi {
+                let u = adjncy[k];
+                if len == xadj[v] || adjncy[len - 1] != u {
+                    adjncy[len] = u;
+                    len += 1;
+                }
+            }
+        }
+        xadj[n] = len;
+        // Duplicates (an edge listed from both ends) leave slack; drop it.
+        adjncy.truncate(len);
+        adjncy.shrink_to_fit();
         Ok(SymmetricPattern { n, xadj, adjncy })
     }
 
