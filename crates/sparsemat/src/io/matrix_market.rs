@@ -13,6 +13,7 @@
 use crate::{CooMatrix, CsrMatrix, Result, SparseError, SymmetricPattern};
 use std::io::Write;
 use std::path::Path;
+use std::str::{Lines, SplitWhitespace};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Field {
@@ -39,7 +40,7 @@ pub fn read_matrix_market_str(s: &str) -> Result<CsrMatrix> {
     let (symmetry, nrows, ncols) = (scan.symmetry, scan.nrows, scan.ncols);
     let mirrored = usize::from(symmetry != Symmetry::General) + 1;
     let mut coo = CooMatrix::with_capacity(nrows, ncols, mirrored * scan.capacity());
-    scan.for_each_entry(true, |r, c, v| {
+    scan.for_each_entry(|r, c, v| {
         coo.push(r, c, v)?;
         if r != c {
             match symmetry {
@@ -63,13 +64,17 @@ pub fn read_matrix_market_pattern(path: impl AsRef<Path>) -> Result<SymmetricPat
 /// [`SymmetricPattern`]: the pattern of `A + Aᵀ` without its diagonal.
 ///
 /// Equal, pattern and error alike, to
-/// `read_matrix_market_str(s)?.symmetrize()?.pattern()`; values are still
-/// checked to parse, but never stored.
+/// `read_matrix_market_str(s)?.symmetrize()?.pattern()`, with one
+/// exception: a non-square file whose row count is too large for a row
+/// pointer array (`nrows + 1` overflows or cannot be allocated) is
+/// [`SparseError::NotSquare`] here, where the CSR route fails first with
+/// "dimension … is too large". Values are still checked to parse, but
+/// never stored.
 pub fn read_matrix_market_pattern_str(s: &str) -> Result<SymmetricPattern> {
     let scan = Scanner::new(s)?;
     let (nrows, ncols) = (scan.nrows, scan.ncols);
     let mut edges = Vec::with_capacity(scan.capacity());
-    scan.for_each_entry(false, |r, c, _| {
+    scan.for_each_entry(|r, c, _| {
         edges.push((r, c));
         Ok(())
     })?;
@@ -80,7 +85,7 @@ pub fn read_matrix_market_pattern_str(s: &str) -> Result<SymmetricPattern> {
 }
 
 /// The validated header and size line of a MatrixMarket file, positioned
-/// at its first entry line.
+/// at the line after the size line.
 struct Scanner<'a> {
     field: Field,
     symmetry: Symmetry,
@@ -89,17 +94,15 @@ struct Scanner<'a> {
     nnz: usize,
     /// Length of the whole input: no file holds more entries than bytes.
     len: usize,
-    tokens: Tokens<'a>,
+    lines: Lines<'a>,
 }
 
 impl<'a> Scanner<'a> {
     fn new(s: &'a str) -> Result<Scanner<'a>> {
-        // The first line as `str::lines` yields it.
-        let (header, body) = match s.split_once('\n') {
-            Some((line, rest)) => (line.strip_suffix('\r').unwrap_or(line), rest),
-            None if s.is_empty() => return Err(SparseError::Parse("empty file".into())),
-            None => (s, ""),
-        };
+        let mut lines = s.lines();
+        let header = lines
+            .next()
+            .ok_or_else(|| SparseError::Parse("empty file".into()))?;
         let header_lc = header.to_ascii_lowercase();
         let tokens: Vec<&str> = header_lc.split_whitespace().collect();
         if tokens.len() < 5 || !tokens[0].starts_with("%%matrixmarket") {
@@ -135,20 +138,15 @@ impl<'a> Scanner<'a> {
         };
 
         // Skip comments, find size line.
-        let mut tokens = Tokens::new(body);
-        let mut token = tokens.first_of_content_line();
-        if token.is_none() {
-            return Err(SparseError::Parse("missing size line".into()));
-        }
-        let mut dims = Vec::with_capacity(3);
-        while let Some(t) = token {
-            dims.push(
+        let dims: Vec<usize> = lines
+            .by_ref()
+            .find_map(content_tokens)
+            .ok_or_else(|| SparseError::Parse("missing size line".into()))?
+            .map(|t| {
                 t.parse::<usize>()
-                    .map_err(|e| SparseError::Parse(format!("bad size token '{t}': {e}")))?,
-            );
-            token = tokens.next_on_line();
-        }
-        tokens.skip_line();
+                    .map_err(|e| SparseError::Parse(format!("bad size token '{t}': {e}")))
+            })
+            .collect::<Result<_>>()?;
         if dims.len() != 3 {
             return Err(SparseError::Parse(format!(
                 "size line must have 3 fields, got {}",
@@ -162,7 +160,7 @@ impl<'a> Scanner<'a> {
             ncols: dims[1],
             nnz: dims[2],
             len: s.len(),
-            tokens,
+            lines,
         })
     }
 
@@ -176,23 +174,18 @@ impl<'a> Scanner<'a> {
     /// Validates every entry line and hands each stored entry to `sink` as
     /// 0-based `(row, col, value)`, in file order. For (skew-)symmetric
     /// files the mirrored position is bounds-checked here too, so a sink
-    /// may mirror without failing. Without `parse_values`, values are only
-    /// checked to be valid `f64`s (same errors) and the sink's `value` is
-    /// unspecified.
-    fn for_each_entry(
-        self,
-        parse_values: bool,
-        mut sink: impl FnMut(usize, usize, f64) -> Result<()>,
-    ) -> Result<()> {
+    /// may mirror without failing.
+    fn for_each_entry(self, mut sink: impl FnMut(usize, usize, f64) -> Result<()>) -> Result<()> {
         let (nrows, ncols, nnz) = (self.nrows, self.ncols, self.nnz);
-        let mut tokens = self.tokens;
         let mut seen = 0usize;
-        while let Some(first) = tokens.first_of_content_line() {
-            let r: usize = first
+        for mut it in self.lines.filter_map(content_tokens) {
+            let r: usize = it
+                .next()
+                .ok_or_else(|| SparseError::Parse("missing row index".into()))?
                 .parse()
                 .map_err(|e| SparseError::Parse(format!("bad row index: {e}")))?;
-            let c: usize = tokens
-                .next_on_line()
+            let c: usize = it
+                .next()
                 .ok_or_else(|| SparseError::Parse("missing column index".into()))?
                 .parse()
                 .map_err(|e| SparseError::Parse(format!("bad column index: {e}")))?;
@@ -203,18 +196,11 @@ impl<'a> Scanner<'a> {
             }
             let v = match self.field {
                 Field::Pattern => 1.0,
-                Field::Real | Field::Integer => {
-                    let token = tokens
-                        .next_on_line()
-                        .ok_or_else(|| SparseError::Parse("missing value".into()))?;
-                    if !parse_values && is_plain_decimal(token) {
-                        1.0
-                    } else {
-                        token
-                            .parse::<f64>()
-                            .map_err(|e| SparseError::Parse(format!("bad value: {e}")))?
-                    }
-                }
+                Field::Real | Field::Integer => it
+                    .next()
+                    .ok_or_else(|| SparseError::Parse("missing value".into()))?
+                    .parse::<f64>()
+                    .map_err(|e| SparseError::Parse(format!("bad value: {e}")))?,
             };
             let (r0, c0) = (r - 1, c - 1);
             if self.symmetry != Symmetry::General && r0 != c0 {
@@ -234,7 +220,6 @@ impl<'a> Scanner<'a> {
             }
             sink(r0, c0, v)?;
             seen += 1;
-            tokens.skip_line();
         }
         if seen != nnz {
             return Err(SparseError::Parse(format!(
@@ -245,117 +230,10 @@ impl<'a> Scanner<'a> {
     }
 }
 
-/// Whether `token` is a plain decimal number, `[+-]digits[.digits]` with
-/// an optional `e[+-]digits` exponent (at least one mantissa digit):
-/// strings `f64::from_str` always accepts, so checking a value needs no
-/// conversion.
-fn is_plain_decimal(token: &str) -> bool {
-    let t = token.as_bytes();
-    let digits = |from: usize| {
-        t.get(from..).map_or(0, |rest| {
-            rest.iter().take_while(|b| b.is_ascii_digit()).count()
-        })
-    };
-    let mut i = usize::from(matches!(t.first(), Some(b'+' | b'-')));
-    let int = digits(i);
-    i += int;
-    let mut frac = 0;
-    if t.get(i) == Some(&b'.') {
-        frac = digits(i + 1);
-        i += 1 + frac;
-    }
-    if int + frac == 0 {
-        return false;
-    }
-    if matches!(t.get(i), Some(b'e' | b'E')) {
-        i += 1 + usize::from(matches!(t.get(i + 1), Some(b'+' | b'-')));
-        let exp = digits(i);
-        if exp == 0 {
-            return false;
-        }
-        i += exp;
-    }
-    i == t.len()
-}
-
-/// A cursor yielding the tokens of each line exactly as `str::lines`
-/// followed by `str::split_whitespace` would: lines end at `\n`, and every
-/// Unicode whitespace character, `\r` included, separates tokens. ASCII
-/// input, the common case, is scanned byte by byte.
-struct Tokens<'a> {
-    s: &'a str,
-    pos: usize,
-    ascii: bool,
-}
-
-impl<'a> Tokens<'a> {
-    fn new(s: &'a str) -> Tokens<'a> {
-        Tokens {
-            s,
-            pos: 0,
-            ascii: s.is_ascii(),
-        }
-    }
-
-    /// The next token on the current line, or `None` at its end (the
-    /// cursor then rests on the line's `\n`, if any).
-    fn next_on_line(&mut self) -> Option<&'a str> {
-        let rest = &self.s[self.pos..];
-        let (start, end) = if self.ascii {
-            // `char::is_whitespace` on ASCII: space and `\t` ..= `\r`.
-            let space = |b: &u8| *b == b' ' || (b'\t'..=b'\r').contains(b);
-            let bytes = rest.as_bytes();
-            let start = bytes.iter().position(|b| !space(b) || *b == b'\n');
-            match start {
-                Some(start) if bytes[start] != b'\n' => {
-                    let len = bytes[start..].iter().position(space);
-                    (start, len.map_or(rest.len(), |len| start + len))
-                }
-                _ => {
-                    self.pos += start.unwrap_or(rest.len());
-                    return None;
-                }
-            }
-        } else {
-            let mut chars = rest.char_indices();
-            let start = chars.find(|&(_, c)| c == '\n' || !c.is_whitespace());
-            match start {
-                Some((start, c)) if c != '\n' => {
-                    let end = chars.find(|&(_, c)| c.is_whitespace());
-                    (start, end.map_or(rest.len(), |(end, _)| end))
-                }
-                _ => {
-                    self.pos += start.map_or(rest.len(), |(at, _)| at);
-                    return None;
-                }
-            }
-        };
-        self.pos += end;
-        Some(&rest[start..end])
-    }
-
-    /// Moves past the current line's `\n`, skipping any tokens left on it.
-    fn skip_line(&mut self) {
-        self.pos = match self.s.as_bytes()[self.pos..]
-            .iter()
-            .position(|&b| b == b'\n')
-        {
-            Some(at) => self.pos + at + 1,
-            None => self.s.len(),
-        };
-    }
-
-    /// From the start of a line, skips blank and `%` comment lines and
-    /// returns the first token of the next line with content.
-    fn first_of_content_line(&mut self) -> Option<&'a str> {
-        while self.pos < self.s.len() {
-            match self.next_on_line() {
-                Some(token) if !token.starts_with('%') => return Some(token),
-                _ => self.skip_line(),
-            }
-        }
-        None
-    }
+/// The tokens of `line`, or `None` for a blank or `%` comment line.
+fn content_tokens(line: &str) -> Option<SplitWhitespace<'_>> {
+    let line = line.trim_start();
+    (!line.is_empty() && !line.starts_with('%')).then(|| line.split_whitespace())
 }
 
 /// Writes `a` in MatrixMarket coordinate format. If `a` is numerically
@@ -493,93 +371,6 @@ mod tests {
         assert!(s.contains("general"));
         let b = read_matrix_market_str(&s).unwrap();
         assert_eq!(a, b);
-    }
-
-    /// The content lines of `s` as `Tokens` walks them.
-    fn walk(s: &str) -> Vec<Vec<&str>> {
-        let mut tokens = Tokens::new(s);
-        let mut lines = Vec::new();
-        while let Some(first) = tokens.first_of_content_line() {
-            let mut line = vec![first];
-            line.extend(std::iter::from_fn(|| tokens.next_on_line()));
-            lines.push(line);
-            tokens.skip_line();
-        }
-        lines
-    }
-
-    #[test]
-    fn tokens_match_lines_then_split_whitespace() {
-        // Separators, line ends, comment marks and token bytes; then
-        // Unicode spaces (NEL, NBSP, line separator, ideographic space)
-        // and non-space multi-byte characters.
-        const ASCII: [&str; 10] = [
-            " ", "\t", "\n", "\r", "\u{0B}", "\u{0C}", "%", "1", "e", "+",
-        ];
-        const UNICODE: [&str; 6] = [
-            "\u{85}",
-            "\u{A0}",
-            "\u{2028}",
-            "\u{3000}",
-            "\u{E9}",
-            "\u{1F600}",
-        ];
-        let mut rng = se_prng::SmallRng::seed_from_u64(0x70C5);
-        for round in 0..2000 {
-            // Every other input stays ASCII, exercising the byte path.
-            let kinds = ASCII.len() + if round % 2 == 1 { UNICODE.len() } else { 0 };
-            let s: String = (0..rng.gen_range(0..40usize))
-                .map(|_| match rng.gen_range(0..kinds) {
-                    k if k < ASCII.len() => ASCII[k],
-                    k => UNICODE[k - ASCII.len()],
-                })
-                .collect();
-            let reference: Vec<Vec<&str>> = s
-                .lines()
-                .map(|line| line.split_whitespace().collect::<Vec<_>>())
-                .filter(|line| line.first().is_some_and(|t| !t.starts_with('%')))
-                .collect();
-            assert_eq!(walk(&s), reference, "for {s:?}");
-        }
-    }
-
-    #[test]
-    fn plain_decimals_are_exactly_what_parse_accepts() {
-        for t in [
-            "0",
-            "-0",
-            "+1",
-            "1.",
-            ".5",
-            "-.5e-3",
-            "1.40000000000000000e1",
-            "7E+300",
-        ] {
-            assert!(is_plain_decimal(t), "{t}");
-            assert!(t.parse::<f64>().is_ok(), "{t}");
-        }
-        for t in [
-            "", ".", "+", "-.", "e5", "1e", "1e+", "1.2.3", "1e5.0", "inf", "NaN", "0x1",
-        ] {
-            assert!(!is_plain_decimal(t), "{t}");
-        }
-        // Over every short string on the number alphabet: a plain decimal
-        // always parses.
-        let alphabet = b"01.e+-E";
-        for len in 1..=5u32 {
-            for mut code in 0..(alphabet.len() as u32).pow(len) {
-                let t: String = (0..len)
-                    .map(|_| {
-                        let c = alphabet[(code % alphabet.len() as u32) as usize];
-                        code /= alphabet.len() as u32;
-                        char::from(c)
-                    })
-                    .collect();
-                if is_plain_decimal(&t) {
-                    assert!(t.parse::<f64>().is_ok(), "{t}");
-                }
-            }
-        }
     }
 
     #[test]

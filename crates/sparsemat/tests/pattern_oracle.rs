@@ -137,6 +137,22 @@ fn fixed_edge_cases_agree() {
     }
 }
 
+/// The one documented divergence: a non-square file too large for a row
+/// pointer array is `NotSquare` on the direct route, while the CSR route
+/// fails first building its row pointers.
+#[test]
+fn huge_non_square_is_not_square_on_the_direct_route() {
+    let s = "%%MatrixMarket matrix coordinate real general\n18446744073709551615 1 0\n";
+    assert_eq!(
+        read_matrix_market_pattern_str(s).unwrap_err().to_string(),
+        "matrix is not square (18446744073709551615x1)"
+    );
+    assert_eq!(
+        via_csr(s).unwrap_err().to_string(),
+        "parse error: dimension 18446744073709551615 is too large"
+    );
+}
+
 #[test]
 fn one_byte_corruptions_agree() {
     let mut rng = SmallRng::seed_from_u64(0x0AC2);
