@@ -68,7 +68,8 @@ pub struct FiedlerOptions {
     /// Deterministic fault plane; like `pool`, inside [`fiedler`] it
     /// overrides the planes on `lanczos` and `rqi`. The
     /// [`sites::ALLOC_BUDGET`] site simulates an allocation-budget breach
-    /// before the hierarchy is built.
+    /// before the hierarchy is built, and [`sites::BUDGET_DEADLINE`] a
+    /// deadline passing after it is built.
     pub faults: FaultPlane,
 }
 
@@ -200,6 +201,9 @@ pub fn fiedler(g: &SymmetricPattern, opts: &FiedlerOptions) -> Result<FiedlerRes
     // `PᵀLP x = λ PᵀP x` with `PᵀP = diag(domain sizes)`; we solve the
     // symmetrically scaled standard form `D^{-1/2} PᵀLP D^{-1/2} y = λ y`
     // and map back `x = D^{-1/2} y` (null vector `D^{1/2}·1`).
+    if opts.faults.should_fail(sites::BUDGET_DEADLINE) {
+        opts.budget.expire();
+    }
     if let Err(cause) = opts.budget.check() {
         sp.attr("budget_abort", 1.0);
         return Err(EigenError::Budget {

@@ -123,27 +123,6 @@ impl<'a> LaplacianOp<'a> {
     }
 }
 
-impl LaplacianOp<'_> {
-    /// Row-parallel `y = Qx` over scoped std threads. This kernel
-    /// demonstrates §1's claim that the spectral method is built from
-    /// trivially parallel operations.
-    #[cfg(feature = "parallel")]
-    pub fn apply_par(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.g.n());
-        assert_eq!(y.len(), self.g.n());
-        sparsemat::par::for_each_row_block(y, |v0, yb| {
-            for (i, yv) in yb.iter_mut().enumerate() {
-                let v = v0 + i;
-                let mut acc = self.degree[v] * x[v];
-                for &u in self.g.neighbors(v) {
-                    acc -= x[u];
-                }
-                *yv = acc;
-            }
-        });
-    }
-}
-
 impl SymOp for LaplacianOp<'_> {
     fn n(&self) -> usize {
         self.g.n()
@@ -494,19 +473,6 @@ mod tests {
         for v in y {
             assert!(v.abs() < 1e-14);
         }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn laplacian_apply_par_matches_serial() {
-        let g = path(40);
-        let lop = LaplacianOp::new(&g);
-        let x: Vec<f64> = (0..40).map(|i| (i as f64 * 0.3).sin()).collect();
-        let mut y1 = vec![0.0; 40];
-        let mut y2 = vec![0.0; 40];
-        lop.apply(&x, &mut y1);
-        lop.apply_par(&x, &mut y2);
-        assert_eq!(y1, y2);
     }
 
     #[test]

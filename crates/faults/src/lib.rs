@@ -55,6 +55,11 @@ pub mod sites {
     /// Simulates a solver workspace allocation-budget breach before the
     /// multilevel hierarchy is built.
     pub const ALLOC_BUDGET: &str = "eigen.alloc.budget";
+    /// Makes the request deadline pass mid-solve: after building its
+    /// hierarchy the multilevel solver expires its budget
+    /// ([`crate::Budget::expire`]), so every later check reports
+    /// [`crate::Exceeded::Deadline`] without racing the wall clock.
+    pub const BUDGET_DEADLINE: &str = "eigen.budget.deadline";
     /// Forces MIS coarsening to stagnate (no further level is built).
     pub const COARSEN_STAGNATE: &str = "graph.coarsen.stagnate";
     /// Flips bits in spill-file bytes before they reach disk.
@@ -304,6 +309,8 @@ struct BudgetInner {
     max_matvecs: u64,
     matvecs: AtomicU64,
     cancelled: AtomicBool,
+    /// Set by [`Budget::expire`]: the deadline counts as passed.
+    expired: AtomicBool,
 }
 
 /// A cooperative deadline/cancellation/work-cap token.
@@ -335,6 +342,7 @@ impl Budget {
                 max_matvecs: max_matvecs.unwrap_or(u64::MAX),
                 matvecs: AtomicU64::new(0),
                 cancelled: AtomicBool::new(false),
+                expired: AtomicBool::new(false),
             })),
         }
     }
@@ -354,6 +362,15 @@ impl Budget {
     pub fn cancel(&self) {
         if let Some(inner) = &self.inner {
             inner.cancelled.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Makes the deadline pass now: every clone reports
+    /// [`Exceeded::Deadline`] at its next [`Budget::check`] (unless
+    /// cancelled). No-op on an unlimited budget.
+    pub fn expire(&self) {
+        if let Some(inner) = &self.inner {
+            inner.expired.store(true, Ordering::SeqCst);
         }
     }
 
@@ -387,7 +404,9 @@ impl Budget {
         if inner.cancelled.load(Ordering::SeqCst) {
             return Err(Exceeded::Cancelled);
         }
-        if inner.deadline.is_some_and(|d| Instant::now() >= d) {
+        if inner.expired.load(Ordering::SeqCst)
+            || inner.deadline.is_some_and(|d| Instant::now() >= d)
+        {
             return Err(Exceeded::Deadline);
         }
         if inner.matvecs.load(Ordering::Relaxed) >= inner.max_matvecs {
@@ -531,6 +550,17 @@ mod tests {
         let later = Budget::new(Some(Duration::from_secs(3600)), None);
         assert!(later.check().is_ok());
         assert!(later.remaining_time().unwrap() > Duration::from_secs(3000));
+    }
+
+    #[test]
+    fn expire_passes_the_deadline_for_every_clone() {
+        let b = Budget::new(Some(Duration::from_secs(3600)), None);
+        let c = b.clone();
+        b.expire();
+        assert_eq!(c.check(), Err(Exceeded::Deadline));
+        let unlimited = Budget::unlimited();
+        unlimited.expire();
+        assert!(unlimited.check().is_ok());
     }
 
     #[test]

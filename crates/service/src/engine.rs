@@ -10,7 +10,7 @@
 use crate::cache::ShardedOrderingCache;
 use crate::membership::Transition;
 use crate::mesh::{Mesh, MeshTuning};
-use crate::metrics::Metrics;
+use crate::metrics::{Gauges, MeshGauges, Metrics, PoolHealth};
 use crate::pool::{SubmitError, WorkerPool};
 use crate::proto::{
     ErrorResponse, MatrixFormat, MatrixSource, OrderRequest, OrderResponse, PermPayload,
@@ -205,19 +205,20 @@ impl Engine {
         p
     }
 
-    /// Aggregated scheduler health over every cached solver pool:
-    /// `(cached pools, cumulative steals, cumulative parks, currently
-    /// parked workers)`. Feeds STATS and METRICS.
-    fn solver_pool_health(&self) -> (usize, u64, u64, usize) {
+    /// Scheduler health summed over every cached solver pool.
+    fn solver_pool_health(&self) -> PoolHealth {
         let pools = lock_unpoisoned(&self.solver_pools);
-        let (mut steals, mut parks, mut parked) = (0u64, 0u64, 0usize);
+        let mut health = PoolHealth {
+            cached: pools.len(),
+            ..PoolHealth::default()
+        };
         for (_, p) in pools.iter() {
             let s = p.stats();
-            steals += s.steals;
-            parks += s.parks;
-            parked += p.parked_workers();
+            health.steals += s.steals;
+            health.parks += s.parks;
+            health.parked_workers += p.parked_workers();
         }
-        (pools.len(), steals, parks, parked)
+        health
     }
 
     /// The peer mesh, when this node was configured with `Config::peers`.
@@ -299,32 +300,31 @@ impl Engine {
         completed
     }
 
-    /// The STATS snapshot: metrics counters + pool depth + per-shard cache
-    /// counters.
-    pub fn stats_snapshot(&self) -> crate::json::Json {
-        let (depth, active) = match lock_unpoisoned(&self.pool).as_ref() {
+    /// The engine state STATS and METRICS report next to the counters.
+    fn gauges(&self) -> Gauges {
+        let (queue_depth, active_jobs) = match lock_unpoisoned(&self.pool).as_ref() {
             Some(p) => (p.queue_depth(), p.active()),
             None => (0, 0),
         };
-        let mut snap = self.metrics.snapshot(
-            depth,
-            active,
-            &self.cache.shard_stats(),
-            self.cache.dir().is_some(),
-        );
-        let (cached, steals, parks, parked) = self.solver_pool_health();
-        if let crate::json::Json::Obj(pairs) = &mut snap {
-            pairs.push((
-                "solver_pool".to_string(),
-                crate::metrics::solver_pool_json(cached, steals, parks, parked),
-            ));
+        Gauges {
+            queue_depth,
+            active_jobs,
+            shards: self.cache.shard_stats(),
+            persistent: self.cache.dir().is_some(),
+            solver_pool: Some(self.solver_pool_health()),
+            mesh: self.mesh.as_ref().map(|m| MeshGauges {
+                peers: m.size(),
+                replicas: m.replicas(),
+                self_name: m.self_name().to_string(),
+                members: m.members().snapshot(),
+                hints_queued: m.hints_queued(),
+            }),
         }
-        if let Some(mesh) = &self.mesh {
-            if let crate::json::Json::Obj(pairs) = &mut snap {
-                pairs.push(("mesh".to_string(), mesh.stats_json()));
-            }
-        }
-        snap
+    }
+
+    /// The STATS snapshot ([`Metrics::snapshot`]).
+    pub fn stats_snapshot(&self) -> crate::json::Json {
+        self.metrics.snapshot(&self.gauges())
     }
 
     /// Cancels the in-flight ORDER with client-assigned `id`. Returns
@@ -589,10 +589,10 @@ impl Engine {
                     }
                 };
                 if let Some(reason) = &outcome.degraded {
-                    self.metrics.inc_degraded(reason);
+                    self.metrics.degraded_orders.inc(reason);
                 }
                 if let Some(stage) = outcome.budget_abort_stage {
-                    self.metrics.inc_budget_abort(stage);
+                    self.metrics.budget_aborts.inc(stage);
                 }
                 let o = outcome.ordering;
                 let ratio = req.compressed.then_some(outcome.compression_ratio);
@@ -648,7 +648,8 @@ impl Engine {
                 if let Some(root) = &root {
                     for name in root.stage_names() {
                         self.metrics
-                            .record_stage_latency(name, root.stage_micros(name));
+                            .stage_latency
+                            .record(name, root.stage_micros(name));
                     }
                 }
                 let trace = if req.trace {
@@ -670,7 +671,7 @@ impl Engine {
             }
         };
         let micros = t0.elapsed().as_micros() as u64;
-        self.metrics.record_latency(req.alg.name(), micros);
+        self.metrics.latency.record(req.alg.name(), micros);
         if self.log_requests {
             eprintln!(
                 "[spectral-orderd] op=order id={} alg={} n={} nnz={} cache={} micros={micros}",
@@ -695,56 +696,9 @@ impl Engine {
         })
     }
 
-    /// The METRICS exposition: the live counters, pool depth and per-shard
-    /// cache stats rendered as Prometheus text
-    /// ([`Metrics::render_prometheus`]).
+    /// The METRICS exposition ([`Metrics::render_prometheus`]).
     pub fn metrics_text(&self) -> String {
-        let (depth, active) = match lock_unpoisoned(&self.pool).as_ref() {
-            Some(p) => (p.queue_depth(), p.active()),
-            None => (0, 0),
-        };
-        let mut text = self.metrics.render_prometheus(
-            depth,
-            active,
-            &self.cache.shard_stats(),
-            self.cache.dir().is_some(),
-        );
-        let (cached, steals, parks, parked) = self.solver_pool_health();
-        text.push_str(&crate::metrics::render_solver_pool_prometheus(
-            cached, steals, parks, parked,
-        ));
-        if let Some(mesh) = &self.mesh {
-            text.push_str(&format!(
-                "# HELP se_peer_mesh_size Nodes on the consistent-hash ring (peers + this node).\n\
-                 # TYPE se_peer_mesh_size gauge\n\
-                 se_peer_mesh_size {}\n\
-                 # HELP se_peer_replication_factor Configured mesh replication factor.\n\
-                 # TYPE se_peer_replication_factor gauge\n\
-                 se_peer_replication_factor {}\n",
-                mesh.size(),
-                mesh.replicas(),
-            ));
-            text.push_str(&format!(
-                "# HELP se_hints_queued Handoff hints currently parked for unreachable peers.\n\
-                 # TYPE se_hints_queued gauge\n\
-                 se_hints_queued {}\n",
-                mesh.hints_queued(),
-            ));
-            text.push_str(
-                "# HELP se_peer_state Failure-detector verdict per peer \
-                 (0=alive, 1=suspect, 2=dead, 3=rejoining).\n\
-                 # TYPE se_peer_state gauge\n",
-            );
-            for (peer, state) in mesh.members().snapshot() {
-                text.push_str(&format!(
-                    "se_peer_state{{peer=\"{}\",state=\"{}\"}} {}\n",
-                    peer,
-                    state.as_str(),
-                    state.code(),
-                ));
-            }
-        }
-        text
+        self.metrics.render_prometheus(&self.gauges())
     }
 
     /// Whether a REPLICATE push from source address `src` is accepted.
@@ -886,7 +840,9 @@ impl Engine {
     /// transitions in `se_peer_transitions_total`.
     fn count_transitions(&self, transitions: &[Transition]) {
         for (peer, from, to) in transitions {
-            self.metrics.inc_peer_transition(from.as_str(), to.as_str());
+            self.metrics
+                .peer_transitions
+                .inc(&format!("{}:{}", from.as_str(), to.as_str()));
             if self.log_requests {
                 eprintln!(
                     "[spectral-orderd] op=peer_state peer={peer} from={} to={}",
@@ -1287,7 +1243,7 @@ mod tests {
         // Serial counts bypass the cache entirely.
         assert!(!e.solver_pool(1).is_parallel());
         assert!(e.solver_pool(0).threads() >= 1);
-        let serial_cached = e.solver_pool_health().0;
+        let serial_cached = e.solver_pool_health().cached;
         // `0` caches only when the host has more than one core.
         assert_eq!(
             serial_cached,
@@ -1298,9 +1254,13 @@ mod tests {
         // distinct count.
         let base = serial_cached;
         let a = e.solver_pool(4);
-        assert_eq!(e.solver_pool_health().0, base + 1);
+        assert_eq!(e.solver_pool_health().cached, base + 1);
         let b = e.solver_pool(4);
-        assert_eq!(e.solver_pool_health().0, base + 1, "same count must hit");
+        assert_eq!(
+            e.solver_pool_health().cached,
+            base + 1,
+            "same count must hit"
+        );
         assert_eq!(a.threads(), b.threads());
         if a.is_parallel() {
             // Regions run on `b` show up in `a`'s stats: one shared pool.
@@ -1310,7 +1270,7 @@ mod tests {
             assert_eq!(a.stats().regions, before + 1);
         }
         let _ = e.solver_pool(3);
-        assert_eq!(e.solver_pool_health().0, base + 2);
+        assert_eq!(e.solver_pool_health().cached, base + 2);
     }
 
     #[test]
@@ -1319,15 +1279,15 @@ mod tests {
         for t in 0..SOLVER_POOL_CACHE_CAP + 3 {
             let _ = e.solver_pool(t + 2);
         }
-        assert_eq!(e.solver_pool_health().0, SOLVER_POOL_CACHE_CAP);
+        assert_eq!(e.solver_pool_health().cached, SOLVER_POOL_CACHE_CAP);
         // Oldest entries were evicted: the first count misses (re-inserting
         // it evicts again, keeping the cap).
         let _ = e.solver_pool(2);
-        assert_eq!(e.solver_pool_health().0, SOLVER_POOL_CACHE_CAP);
+        assert_eq!(e.solver_pool_health().cached, SOLVER_POOL_CACHE_CAP);
 
         e.begin_shutdown();
         assert_eq!(
-            e.solver_pool_health().0,
+            e.solver_pool_health().cached,
             0,
             "shutdown must drop every cached pool"
         );

@@ -59,7 +59,6 @@
 use crate::client::{Client, ClientError, ClientPool, RetryPolicy};
 use crate::frame::FrameMode;
 use crate::hints::{HintLog, DEFAULT_HINT_CAP};
-use crate::json::Json;
 use crate::membership::{Clock, MemberTable, Transition};
 use crate::metrics::Metrics;
 use crate::persist::{self, PersistedEntry};
@@ -308,28 +307,6 @@ impl Mesh {
         src.is_some_and(|ip| self.members.allows_ip(ip))
     }
 
-    /// The STATS `mesh` object, including per-member liveness.
-    pub fn stats_json(&self) -> Json {
-        let members = self
-            .members
-            .snapshot()
-            .into_iter()
-            .map(|(name, state)| {
-                Json::obj(vec![
-                    ("name", Json::Str(name)),
-                    ("state", Json::Str(state.as_str().to_string())),
-                ])
-            })
-            .collect();
-        Json::obj(vec![
-            ("peers", Json::Num(self.size() as f64)),
-            ("replicas", Json::Num(self.replicas as f64)),
-            ("self", Json::Str(self.self_name.clone())),
-            ("members", Json::Arr(members)),
-            ("hints_queued", Json::Num(self.hints.queued() as f64)),
-        ])
-    }
-
     /// Total hints currently queued (the `se_hints_queued` gauge).
     pub fn hints_queued(&self) -> u64 {
         self.hints.queued()
@@ -368,7 +345,9 @@ impl Mesh {
             match self.try_order(peer, &hopped) {
                 Ok(resp) => {
                     metrics.inc(&metrics.peer_forwards);
-                    metrics.record_stage_latency("peer_forward", t0.elapsed().as_micros() as u64);
+                    metrics
+                        .stage_latency
+                        .record("peer_forward", t0.elapsed().as_micros() as u64);
                     return Some(resp);
                 }
                 Err(_) => continue,
@@ -722,6 +701,7 @@ mod tests {
     use crate::membership::PeerState;
     use se_faults::FaultPlane;
     use sparsemat::envelope::EnvelopeStats;
+    use std::sync::atomic::Ordering;
 
     fn mesh(replicas: usize) -> Mesh {
         Mesh::new(
@@ -853,22 +833,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_json_names_the_mesh() {
-        let m = mesh(2);
-        let s = m.stats_json();
-        assert_eq!(s.get("peers").and_then(Json::as_u64), Some(3));
-        assert_eq!(s.get("replicas").and_then(Json::as_u64), Some(2));
-        assert_eq!(s.get("self").and_then(Json::as_str), Some("10.0.0.3:7878"));
-        let members = s.get("members").and_then(Json::as_arr).unwrap();
-        assert_eq!(members.len(), 2);
-        assert_eq!(
-            members[0].get("state").and_then(Json::as_str),
-            Some("alive")
-        );
-        assert_eq!(s.get("hints_queued").and_then(Json::as_u64), Some(0));
-    }
-
-    #[test]
     fn replicate_allowed_only_for_member_source_ips() {
         let m = mesh(2);
         // Only the configured peers may push entries.
@@ -905,13 +869,7 @@ mod tests {
         let key = 42u64;
         if !m.owns(key) {
             assert!(m.forward(key, &req, &metrics).is_none());
-            assert_eq!(
-                metrics
-                    .snapshot(0, 0, &[], false)
-                    .get("peer_forward_failures")
-                    .and_then(Json::as_u64),
-                Some(1)
-            );
+            assert_eq!(metrics.peer_forward_failures.load(Ordering::Relaxed), 1);
         }
     }
 }

@@ -1,10 +1,14 @@
-//! Live service metrics: atomic counters plus per-algorithm latency
-//! histograms, snapshotted as JSON by the STATS command and rendered as
-//! Prometheus text by METRICS. Every scalar series is declared once in
-//! [`SERIES`], which both surfaces read.
+//! Live service metrics: atomic counters, keyed counter tables and latency
+//! histogram tables, snapshotted as JSON by the STATS command and rendered
+//! as Prometheus text by METRICS. Every family either surface shows — the
+//! counters, the keyed tables, the histograms and the engine's gauges — is
+//! declared once in [`FAMILIES`], which both renderers walk.
 
+use crate::cache::ShardStats;
 use crate::json::Json;
+use crate::membership::PeerState;
 use se_faults::lock_unpoisoned;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -14,7 +18,7 @@ use std::sync::{Arc, Mutex};
 pub const HISTOGRAM_BUCKETS: usize = 30;
 
 /// A latency histogram with power-of-two µs buckets.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct Histogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
     count: u64,
@@ -82,9 +86,74 @@ impl Histogram {
     }
 }
 
-/// All counters the service exposes through STATS and METRICS. The scalar
-/// fields are declared as series in [`SERIES`]; the keyed tables and
-/// histograms are rendered by hand.
+/// Rows of `T` keyed by a label value (a degradation reason, an algorithm
+/// name, a `from:to` transition), behind one lock.
+#[derive(Debug, Default)]
+pub struct Table<T>(Mutex<Vec<(String, T)>>);
+
+/// Counters keyed by a label value.
+pub type KeyedCounter = Table<u64>;
+
+/// Latency histograms keyed by a label value.
+pub type HistogramTable = Table<Histogram>;
+
+impl<T: Default + Clone> Table<T> {
+    /// Applies `f` to `key`'s row under one lock, adding a default row
+    /// first when `key` is new — the only case that allocates.
+    fn update(&self, key: &str, f: impl FnOnce(&mut T)) {
+        let mut rows = lock_unpoisoned(&self.0);
+        match rows.iter_mut().find(|(k, _)| k == key) {
+            Some((_, v)) => f(v),
+            None => {
+                let mut v = T::default();
+                f(&mut v);
+                rows.push((key.to_string(), v));
+            }
+        }
+    }
+
+    /// `f` of `key`'s row, or `R::default()` when `key` has no row.
+    fn read<R: Default>(&self, key: &str, f: impl FnOnce(&T) -> R) -> R {
+        lock_unpoisoned(&self.0)
+            .iter()
+            .find(|(k, _)| k == key)
+            .map_or_else(R::default, |(_, v)| f(v))
+    }
+
+    /// Every row, sorted by key.
+    pub fn rows(&self) -> Vec<(String, T)> {
+        let mut rows = lock_unpoisoned(&self.0).clone();
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows
+    }
+}
+
+impl Table<u64> {
+    /// Counts one event under `key`.
+    pub fn inc(&self, key: &str) {
+        self.update(key, |v| *v += 1);
+    }
+
+    /// Events counted under `key`.
+    pub fn get(&self, key: &str) -> u64 {
+        self.read(key, |v| *v)
+    }
+}
+
+impl Table<Histogram> {
+    /// Records one observation under `key`.
+    pub fn record(&self, key: &str, micros: u64) {
+        self.update(key, |h| h.record(micros));
+    }
+
+    /// Observations recorded under `key`.
+    pub fn count(&self, key: &str) -> u64 {
+        self.read(key, Histogram::count)
+    }
+}
+
+/// All counters the service exposes through STATS and METRICS, each
+/// declared as a family in [`FAMILIES`].
 #[derive(Debug, Default)]
 pub struct Metrics {
     /// Request lines received (any command).
@@ -146,109 +215,311 @@ pub struct Metrics {
     /// digest exchange.
     pub antientropy_repairs: AtomicU64,
     /// Peer suspicion-state transitions, keyed `from:to` (lowercase
-    /// state names) — rendered as the two-label
-    /// `se_peer_transitions_total{from=,to=}` family.
-    peer_transitions: Mutex<Vec<(String, u64)>>,
+    /// [`PeerState`] names).
+    pub peer_transitions: KeyedCounter,
     /// Degraded ORDER responses by machine-readable reason
     /// (`not_converged`, `deadline`, `cancelled`, `matvec_cap`,
     /// `numerical`, `fault:<site>`).
-    degraded_orders: Mutex<Vec<(String, u64)>>,
+    pub degraded_orders: KeyedCounter,
     /// Solver budget aborts by the stage that observed exhaustion.
-    budget_aborts: Mutex<Vec<(String, u64)>>,
-    /// name() → latency histogram, one per algorithm seen.
-    latency: Mutex<Vec<(String, Histogram)>>,
-    /// Pipeline stage name → histogram of per-request time spent in that
-    /// stage (summed over the span subtree), harvested from the tracer on
-    /// every computed (cache-miss) ordering.
-    stage_latency: Mutex<Vec<(String, Histogram)>>,
+    pub budget_aborts: KeyedCounter,
+    /// End-to-end ORDER latency by algorithm name.
+    pub latency: HistogramTable,
+    /// Per-request time spent in each pipeline stage (summed over the span
+    /// subtree), harvested from the tracer on every computed (cache-miss)
+    /// ordering, plus `peer_forward` hops.
+    pub stage_latency: HistogramTable,
 }
 
-/// How a scalar series moves, which fixes its Prometheus name and type.
+/// Engine state that is not a counter, sampled when a surface renders.
+#[derive(Debug, Default)]
+pub struct Gauges {
+    /// Jobs waiting in the worker pool queue.
+    pub queue_depth: usize,
+    /// Jobs executing on pool workers.
+    pub active_jobs: usize,
+    /// Per-shard cache counters, in shard order.
+    pub shards: Vec<ShardStats>,
+    /// Whether the cache spills to disk.
+    pub persistent: bool,
+    /// Scheduler health of the engine's cached solver pools (`None`
+    /// outside an engine).
+    pub solver_pool: Option<PoolHealth>,
+    /// The peer mesh (`None` unless peers are configured).
+    pub mesh: Option<MeshGauges>,
+}
+
+/// Scheduler health summed over the engine's cached work-stealing pools.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct PoolHealth {
+    /// Pools alive in the per-thread-count cache.
+    pub cached: usize,
+    /// Tasks stolen across worker deques (cumulative).
+    pub steals: u64,
+    /// Worker idle transitions (cumulative).
+    pub parks: u64,
+    /// Workers parked right now.
+    pub parked_workers: usize,
+}
+
+/// The mesh's shape and liveness view.
+#[derive(Debug, Clone)]
+pub struct MeshGauges {
+    /// Nodes on the ring (peers + this node).
+    pub peers: usize,
+    /// The configured replication factor.
+    pub replicas: usize,
+    /// This node's ring name.
+    pub self_name: String,
+    /// Every known peer and its failure-detector state, sorted.
+    pub members: Vec<(String, PeerState)>,
+    /// Hints parked for unreachable peers.
+    pub hints_queued: u64,
+}
+
+/// How a family moves, which fixes its Prometheus `# TYPE`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeriesKind {
-    /// Only grows; exposed as `se_<key>_total`.
+pub enum Kind {
+    /// Only grows.
     Counter,
-    /// A point-in-time value; exposed as `se_<key>`.
+    /// A point-in-time value.
     Gauge,
+    /// Power-of-two µs latency buckets.
+    Histogram,
 }
 
-impl SeriesKind {
+impl Kind {
     /// The Prometheus `# TYPE` name.
     pub fn prometheus_type(self) -> &'static str {
         match self {
-            SeriesKind::Counter => "counter",
-            SeriesKind::Gauge => "gauge",
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
         }
     }
 }
 
-/// One scalar series of [`Metrics`]: its STATS key (the field's name),
-/// kind, Prometheus help text, and the field holding its value.
-pub struct Series {
-    /// The STATS key, identical to the [`Metrics`] field name.
-    pub key: &'static str,
-    /// Counter or gauge.
-    pub kind: SeriesKind,
+/// One family's live value, as both renderers read it.
+enum Sample {
+    Num(u64),
+    /// `true`/`false` in STATS, `1`/`0` in METRICS.
+    Flag(bool),
+    Text(String),
+    Keyed(Vec<(String, u64)>),
+    Histograms(Vec<(String, Histogram)>),
+    /// One value per cache shard, in shard order.
+    PerShard(Vec<u64>),
+    Members(Vec<(String, PeerState)>),
+}
+
+/// One family of [`FAMILIES`]: where it appears on each surface and how
+/// to read it.
+pub struct Family {
+    /// The STATS key. A dotted path nests it in an object
+    /// (`solver_pool.steals`); a per-shard family's path ends in
+    /// `<array>.<field>`, its field in every element of the shard array.
+    /// Empty: the family is not in STATS.
+    pub stats: &'static str,
+    /// The Prometheus family name. Empty: the family is not in METRICS.
+    pub prom: &'static str,
+    /// Counter, gauge or histogram.
+    pub kind: Kind,
+    /// The Prometheus label names. A two-label keyed family splits each
+    /// STATS key at its last `:` (`alive:suspect`).
+    pub labels: &'static [&'static str],
     /// The Prometheus `# HELP` text.
     pub help: &'static str,
-    field: fn(&Metrics) -> &AtomicU64,
+    /// The family's block in the METRICS exposition (see [`FAMILIES`]).
+    block: u8,
+    /// The live value; `None` leaves the family off both surfaces.
+    read: fn(&Metrics, &Gauges) -> Option<Sample>,
 }
 
-impl Series {
-    /// The Prometheus series name: `se_<key>_total` for a counter,
-    /// `se_<key>` for a gauge.
-    pub fn prometheus_name(&self) -> String {
-        match self.kind {
-            SeriesKind::Counter => format!("se_{}_total", self.key),
-            SeriesKind::Gauge => format!("se_{}", self.key),
-        }
-    }
-
-    /// The series' current value in `m`.
-    pub(crate) fn value(&self, m: &Metrics) -> u64 {
-        (self.field)(m).load(Ordering::Relaxed)
-    }
-}
-
-macro_rules! scalar_series {
-    ($($kind:ident $field:ident $help:literal,)*) => {
-        /// Every scalar series, declared once, in STATS key order: both
-        /// [`Metrics::snapshot`] and [`Metrics::render_prometheus`] read
-        /// this list, so the two surfaces cannot drift apart.
-        pub const SERIES: &[Series] = &[$(Series {
-            key: stringify!($field),
-            kind: SeriesKind::$kind,
+/// One [`FAMILIES`] row: `block Kind "stats.key" => "prom_name" [labels]
+/// "help", read`. The short form `Counter field "help"` (or `Gauge`) reads
+/// a scalar [`Metrics`] field, under the field's name in STATS and
+/// `se_<field>_total` (counter, block 0) or `se_<field>` (gauge, block 2)
+/// in METRICS.
+macro_rules! family {
+    (Counter $field:ident $help:literal) => {
+        family!(@ 0 Counter $field concat!("se_", stringify!($field), "_total"), $help)
+    };
+    (Gauge $field:ident $help:literal) => {
+        family!(@ 2 Gauge $field concat!("se_", stringify!($field)), $help)
+    };
+    (@ $block:literal $kind:ident $field:ident $prom:expr, $help:literal) => {
+        family!($block $kind (stringify!($field)) => ($prom) [] $help,
+            |m, _| Some(Sample::Num(m.$field.load(Ordering::Relaxed))))
+    };
+    ($block:literal $kind:ident $stats:tt => $prom:tt $labels:tt $help:literal, $read:expr) => {
+        Family {
+            stats: $stats,
+            prom: $prom,
+            kind: Kind::$kind,
+            labels: &$labels,
             help: $help,
-            field: |m| &m.$field,
-        },)*];
+            block: $block,
+            read: $read,
+        }
     };
 }
 
-scalar_series! {
-    Counter requests "Request lines received (any command).",
-    Counter orders "Individual ORDER executions (batch members count individually).",
-    Counter batches "BATCH commands received.",
-    Counter cache_hits "Orderings served from the cache.",
-    Counter cache_misses "Orderings computed because the cache missed.",
-    Counter queue_rejections "Submissions rejected with queue-full backpressure.",
-    Counter timeouts "Requests that exceeded their wall-clock timeout.",
-    Counter errors "Requests that failed (parse errors, bad input, I/O).",
-    Counter connections "Connections accepted.",
-    Counter busy_rejections "Connections turned away at the connection limit.",
-    Counter cancelled "ORDER requests whose response was suppressed by a CANCEL.",
-    Counter rate_limited "Requests rejected by per-client rate limiting.",
-    Counter progress_frames "PROGRESS frames put on the wire.",
-    Counter reactor_wakeups "Reactor event-loop wakeups (poll returns).",
-    Gauge open_connections "Currently open client connections.",
-    Gauge inflight_requests "Requests submitted to the engine but not yet answered.",
-    Counter peer_forwards "ORDER requests forwarded to the owning mesh peer.",
-    Counter peer_forward_failures "Forwards that exhausted every candidate peer and fell back to local compute.",
-    Counter peer_replications "Cache entries pushed to successor peers.",
-    Counter peer_replication_failures "Best-effort replication pushes that failed.",
-    Counter peer_entries_received "Cache entries received from peers via REPLICATE.",
-    Counter hints_replayed "Queued handoff hints delivered to their returned target peer.",
-    Counter hints_dropped "Hints dropped by queue overflow or replay-time corruption.",
-    Counter antientropy_repairs "Entries re-pushed to a diverged replica by anti-entropy.",
+/// A per-shard family's values, in shard order.
+fn per_shard(g: &Gauges, field: fn(&ShardStats) -> u64) -> Option<Sample> {
+    Some(Sample::PerShard(g.shards.iter().map(field).collect()))
+}
+
+/// Every family STATS or METRICS exposes, declared once, in STATS order.
+/// A family reads `None` — and is left off both surfaces — when the engine
+/// part it reports is absent (no solver pools, no mesh). METRICS renders
+/// the families with a Prometheus name by ascending block, in table order
+/// within a block: 0 the counters, 1 the worker-pool load, 2 the other
+/// gauges and the histograms, 3 the solver-pool cache size and the mesh
+/// gauges, 4 the per-peer state. The blocks only reproduce the exposition
+/// order the service has always had, which `tests/golden.rs` pins byte
+/// for byte.
+pub const FAMILIES: &[Family] = &[
+    family!(Counter requests "Request lines received (any command)."),
+    family!(Counter orders "Individual ORDER executions (batch members count individually)."),
+    family!(Counter batches "BATCH commands received."),
+    family!(Counter cache_hits "Orderings served from the cache."),
+    family!(Counter cache_misses "Orderings computed because the cache missed."),
+    family!(Counter queue_rejections "Submissions rejected with queue-full backpressure."),
+    family!(Counter timeouts "Requests that exceeded their wall-clock timeout."),
+    family!(Counter errors "Requests that failed (parse errors, bad input, I/O)."),
+    family!(Counter connections "Connections accepted."),
+    family!(Counter busy_rejections "Connections turned away at the connection limit."),
+    family!(Counter cancelled "ORDER requests whose response was suppressed by a CANCEL."),
+    family!(Counter rate_limited "Requests rejected by per-client rate limiting."),
+    family!(Counter progress_frames "PROGRESS frames put on the wire."),
+    family!(Counter reactor_wakeups "Reactor event-loop wakeups (poll returns)."),
+    family!(Gauge open_connections "Currently open client connections."),
+    family!(Gauge inflight_requests "Requests submitted to the engine but not yet answered."),
+    family!(Counter peer_forwards "ORDER requests forwarded to the owning mesh peer."),
+    family!(Counter peer_forward_failures "Forwards that exhausted every candidate peer and fell back to local compute."),
+    family!(Counter peer_replications "Cache entries pushed to successor peers."),
+    family!(Counter peer_replication_failures "Best-effort replication pushes that failed."),
+    family!(Counter peer_entries_received "Cache entries received from peers via REPLICATE."),
+    family!(Counter hints_replayed "Queued handoff hints delivered to their returned target peer."),
+    family!(Counter hints_dropped "Hints dropped by queue overflow or replay-time corruption."),
+    family!(Counter antientropy_repairs "Entries re-pushed to a diverged replica by anti-entropy."),
+    family!(0 Counter "peer_transitions" => "se_peer_transitions_total" ["from", "to"]
+        "Peer suspicion-state transitions observed by the failure detector.",
+        |m, _| Some(Sample::Keyed(m.peer_transitions.rows()))),
+    family!(0 Counter "degraded_orders" => "se_degraded_orders_total" ["reason"]
+        "Degraded ORDER responses by machine-readable reason.",
+        |m, _| Some(Sample::Keyed(m.degraded_orders.rows()))),
+    family!(0 Counter "budget_aborts" => "se_budget_aborts_total" ["stage"]
+        "Solver budget aborts by the stage that observed exhaustion.",
+        |m, _| Some(Sample::Keyed(m.budget_aborts.rows()))),
+    family!(1 Gauge "queue_depth" => "se_queue_depth" [] "Jobs waiting in the worker pool queue.",
+        |_, g| Some(Sample::Num(g.queue_depth as u64))),
+    family!(1 Gauge "active_jobs" => "se_active_jobs" [] "Jobs currently executing on pool workers.",
+        |_, g| Some(Sample::Num(g.active_jobs as u64))),
+    // STATS only: METRICS reports the total per shard (`se_cache_shard_entries`).
+    family!(2 Gauge "cached_orderings" => "" [] "",
+        |_, g| Some(Sample::Num(g.shards.iter().map(|s| s.entries as u64).sum()))),
+    family!(2 Gauge "cache.shard_count" => "" [] "",
+        |_, g| Some(Sample::Num(g.shards.len() as u64))),
+    family!(2 Gauge "cache.bytes" => "" [] "",
+        |_, g| Some(Sample::Num(g.shards.iter().map(|s| s.bytes as u64).sum()))),
+    family!(2 Gauge "cache.persistent" => "se_cache_persistent" []
+        "Whether the ordering cache spills to disk (1) or not (0).",
+        |_, g| Some(Sample::Flag(g.persistent))),
+    family!(2 Gauge "cache.shards.entries" => "se_cache_shard_entries" ["shard"]
+        "Cached orderings per cache shard.",
+        |_, g| per_shard(g, |s| s.entries as u64)),
+    family!(2 Gauge "cache.shards.bytes" => "se_cache_shard_bytes" ["shard"]
+        "Bytes charged against each shard's budget.",
+        |_, g| per_shard(g, |s| s.bytes as u64)),
+    family!(2 Gauge "cache.shards.hits" => "se_cache_shard_hits" ["shard"]
+        "Lookups answered per cache shard.",
+        |_, g| per_shard(g, |s| s.hits)),
+    family!(2 Gauge "cache.shards.misses" => "se_cache_shard_misses" ["shard"]
+        "Lookups each cache shard could not answer.",
+        |_, g| per_shard(g, |s| s.misses)),
+    family!(2 Histogram "latency_us_by_algorithm" => "se_order_latency_microseconds" ["alg"]
+        "End-to-end ORDER latency by algorithm.",
+        |m, _| Some(Sample::Histograms(m.latency.rows()))),
+    // METRICS only.
+    family!(2 Histogram "" => "se_stage_latency_microseconds" ["stage"]
+        "Per-request solver time by pipeline stage (span subtree sums).",
+        |m, _| Some(Sample::Histograms(m.stage_latency.rows()))),
+    family!(3 Gauge "solver_pool.cached" => "se_pool_cached" []
+        "Solver pools alive in the per-thread-count cache.",
+        |_, g| g.solver_pool.map(|p| Sample::Num(p.cached as u64))),
+    family!(2 Counter "solver_pool.steals" => "se_pool_steals_total" []
+        "Tasks stolen across solver-pool worker deques.",
+        |_, g| g.solver_pool.map(|p| Sample::Num(p.steals))),
+    family!(2 Counter "solver_pool.parks" => "se_pool_parks_total" []
+        "Solver-pool worker idle transitions (condvar parks).",
+        |_, g| g.solver_pool.map(|p| Sample::Num(p.parks))),
+    family!(2 Gauge "solver_pool.parked_workers" => "se_pool_parked_workers" []
+        "Solver-pool workers currently parked.",
+        |_, g| g.solver_pool.map(|p| Sample::Num(p.parked_workers as u64))),
+    family!(3 Gauge "mesh.peers" => "se_peer_mesh_size" []
+        "Nodes on the consistent-hash ring (peers + this node).",
+        |_, g| g.mesh.as_ref().map(|m| Sample::Num(m.peers as u64))),
+    family!(3 Gauge "mesh.replicas" => "se_peer_replication_factor" []
+        "Configured mesh replication factor.",
+        |_, g| g.mesh.as_ref().map(|m| Sample::Num(m.replicas as u64))),
+    // STATS only.
+    family!(3 Gauge "mesh.self" => "" [] "",
+        |_, g| g.mesh.as_ref().map(|m| Sample::Text(m.self_name.clone()))),
+    family!(4 Gauge "mesh.members" => "se_peer_state" ["peer", "state"]
+        "Failure-detector verdict per peer (0=alive, 1=suspect, 2=dead, 3=rejoining).",
+        |_, g| g.mesh.as_ref().map(|m| Sample::Members(m.members.clone()))),
+    family!(3 Gauge "mesh.hints_queued" => "se_hints_queued" []
+        "Handoff hints currently parked for unreachable peers.",
+        |_, g| g.mesh.as_ref().map(|m| Sample::Num(m.hints_queued))),
+];
+
+/// `pairs[key]`, inserted as `init()` when missing.
+fn entry<'j>(
+    pairs: &'j mut Vec<(String, Json)>,
+    key: &str,
+    init: impl FnOnce() -> Json,
+) -> &'j mut Json {
+    let at = match pairs.iter().position(|(k, _)| k == key) {
+        Some(at) => at,
+        None => {
+            pairs.push((key.to_string(), init()));
+            pairs.len() - 1
+        }
+    };
+    &mut pairs[at].1
+}
+
+/// The object at dotted `path` under `pairs`, created on first use.
+fn object_at<'j>(
+    mut pairs: &'j mut Vec<(String, Json)>,
+    path: &str,
+) -> &'j mut Vec<(String, Json)> {
+    for key in path.split('.').filter(|k| !k.is_empty()) {
+        pairs = match entry(pairs, key, || Json::Obj(Vec::new())) {
+            Json::Obj(inner) => inner,
+            other => unreachable!("STATS path {path} crosses a non-object: {other:?}"),
+        };
+    }
+    pairs
+}
+
+/// `a="x",b="y"` for label names `[a, b]` and key `x:y`. The key splits at
+/// its last `:`, since a peer name (`host:port`) has one of its own.
+fn label_list(names: &[&str], key: &str) -> String {
+    let values = match names {
+        [_, _] => {
+            let (a, b) = key.rsplit_once(':').unwrap_or((key, ""));
+            vec![a, b]
+        }
+        _ => vec![key],
+    };
+    let pairs: Vec<String> = names
+        .iter()
+        .zip(values)
+        .map(|(n, v)| format!("{n}=\"{v}\""))
+        .collect();
+    pairs.join(",")
 }
 
 impl Metrics {
@@ -269,375 +540,113 @@ impl Metrics {
         });
     }
 
-    /// Records a completed ordering's latency under its algorithm name.
-    pub fn record_latency(&self, alg_name: &str, micros: u64) {
-        Self::record_keyed(&self.latency, alg_name, micros);
-    }
-
-    /// Records the per-request time one pipeline stage took (the subtree
-    /// sum for that stage name from the request's span trace).
-    pub fn record_stage_latency(&self, stage: &str, micros: u64) {
-        Self::record_keyed(&self.stage_latency, stage, micros);
-    }
-
-    fn record_keyed(table: &Mutex<Vec<(String, Histogram)>>, key: &str, micros: u64) {
-        let mut table = lock_unpoisoned(table);
-        match table.iter_mut().find(|(name, _)| name == key) {
-            Some((_, h)) => h.record(micros),
-            None => {
-                let mut h = Histogram::default();
-                h.record(micros);
-                table.push((key.to_string(), h));
-            }
+    /// Snapshot as the STATS JSON object: every [`FAMILIES`] entry with a
+    /// STATS key, in table order, nested along its dotted path.
+    pub fn snapshot(&self, gauges: &Gauges) -> Json {
+        let mut root = Vec::new();
+        for f in FAMILIES.iter().filter(|f| !f.stats.is_empty()) {
+            let Some(sample) = (f.read)(self, gauges) else {
+                continue;
+            };
+            let (parent, key) = f.stats.rsplit_once('.').unwrap_or(("", f.stats));
+            let value = match sample {
+                Sample::PerShard(values) => {
+                    let (group, array) = parent.rsplit_once('.').unwrap_or(("", parent));
+                    let init = || Json::Arr(vec![Json::Obj(Vec::new()); values.len()]);
+                    if let Json::Arr(items) = entry(object_at(&mut root, group), array, init) {
+                        for (item, v) in items.iter_mut().zip(values) {
+                            if let Json::Obj(fields) = item {
+                                fields.push((key.to_string(), Json::Num(v as f64)));
+                            }
+                        }
+                    }
+                    continue;
+                }
+                Sample::Num(v) => Json::Num(v as f64),
+                Sample::Flag(b) => Json::Bool(b),
+                Sample::Text(s) => Json::Str(s),
+                Sample::Keyed(rows) => Json::Obj(
+                    rows.into_iter()
+                        .map(|(k, v)| (k, Json::Num(v as f64)))
+                        .collect(),
+                ),
+                Sample::Histograms(rows) => {
+                    Json::Obj(rows.into_iter().map(|(k, h)| (k, h.to_json())).collect())
+                }
+                Sample::Members(members) => Json::Arr(
+                    members
+                        .into_iter()
+                        .map(|(name, state)| {
+                            Json::obj(vec![
+                                ("name", Json::Str(name)),
+                                ("state", Json::Str(state.as_str().to_string())),
+                            ])
+                        })
+                        .collect(),
+                ),
+            };
+            object_at(&mut root, parent).push((key.to_string(), value));
         }
-    }
-
-    /// Counts one degraded ORDER response under its machine-readable
-    /// reason.
-    pub fn inc_degraded(&self, reason: &str) {
-        Self::bump_keyed(&self.degraded_orders, reason);
-    }
-
-    /// Counts one budget-driven solver abort under the stage that observed
-    /// the exhausted budget.
-    pub fn inc_budget_abort(&self, stage: &str) {
-        Self::bump_keyed(&self.budget_aborts, stage);
-    }
-
-    /// Counts one peer suspicion-state transition
-    /// ([`crate::membership::PeerState`] names, e.g. `alive` → `suspect`).
-    pub fn inc_peer_transition(&self, from: &str, to: &str) {
-        Self::bump_keyed(&self.peer_transitions, &format!("{from}:{to}"));
-    }
-
-    /// Transitions counted for the `from` → `to` edge.
-    pub fn peer_transition_count(&self, from: &str, to: &str) -> u64 {
-        Self::keyed_value(&self.peer_transitions, &format!("{from}:{to}"))
-    }
-
-    /// Degraded responses counted for `reason`.
-    pub fn degraded_count(&self, reason: &str) -> u64 {
-        Self::keyed_value(&self.degraded_orders, reason)
-    }
-
-    /// Budget aborts counted for `stage`.
-    pub fn budget_abort_count(&self, stage: &str) -> u64 {
-        Self::keyed_value(&self.budget_aborts, stage)
-    }
-
-    fn bump_keyed(table: &Mutex<Vec<(String, u64)>>, key: &str) {
-        let mut table = lock_unpoisoned(table);
-        match table.iter_mut().find(|(k, _)| k == key) {
-            Some((_, v)) => *v += 1,
-            None => table.push((key.to_string(), 1)),
-        }
-    }
-
-    fn keyed_value(table: &Mutex<Vec<(String, u64)>>, key: &str) -> u64 {
-        lock_unpoisoned(table)
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// Total recorded latency observations for `alg_name`.
-    pub fn latency_count(&self, alg_name: &str) -> u64 {
-        lock_unpoisoned(&self.latency)
-            .iter()
-            .find(|(name, _)| name == alg_name)
-            .map_or(0, |(_, h)| h.count())
-    }
-
-    /// Total recorded per-stage observations for `stage`.
-    pub fn stage_latency_count(&self, stage: &str) -> u64 {
-        lock_unpoisoned(&self.stage_latency)
-            .iter()
-            .find(|(name, _)| name == stage)
-            .map_or(0, |(_, h)| h.count())
-    }
-
-    /// Snapshot as the STATS JSON object. `queue_depth`/`active` come from
-    /// the pool; `cache` holds the sharded cache's per-shard counters. The
-    /// legacy `cached_orderings` total stays at the top level; the `cache`
-    /// object adds `shards` (an array, one object per shard, in shard
-    /// order), total bytes, and whether persistence is on.
-    pub fn snapshot(
-        &self,
-        queue_depth: usize,
-        active: usize,
-        cache: &[crate::cache::ShardStats],
-        persistent: bool,
-    ) -> Json {
-        let keyed_json = |table: &Mutex<Vec<(String, u64)>>| {
-            let mut rows: Vec<(String, Json)> = lock_unpoisoned(table)
-                .iter()
-                .map(|(k, v)| (k.clone(), Json::Num(*v as f64)))
-                .collect();
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            Json::Obj(rows)
-        };
-        let table = lock_unpoisoned(&self.latency);
-        let mut latency: Vec<(String, Json)> = table
-            .iter()
-            .map(|(name, h)| (name.clone(), h.to_json()))
-            .collect();
-        latency.sort_by(|a, b| a.0.cmp(&b.0));
-        let shard_json = |s: &crate::cache::ShardStats| {
-            Json::obj(vec![
-                ("entries", Json::Num(s.entries as f64)),
-                ("bytes", Json::Num(s.bytes as f64)),
-                ("hits", Json::Num(s.hits as f64)),
-                ("misses", Json::Num(s.misses as f64)),
-            ])
-        };
-        let cached_entries: usize = cache.iter().map(|s| s.entries).sum();
-        let cache_obj = Json::obj(vec![
-            ("shard_count", Json::Num(cache.len() as f64)),
-            (
-                "bytes",
-                Json::Num(cache.iter().map(|s| s.bytes).sum::<usize>() as f64),
-            ),
-            ("persistent", Json::Bool(persistent)),
-            ("shards", Json::Arr(cache.iter().map(shard_json).collect())),
-        ]);
-        let mut pairs: Vec<(&str, Json)> = SERIES
-            .iter()
-            .map(|s| (s.key, Json::Num(s.value(self) as f64)))
-            .collect();
-        pairs.extend([
-            ("peer_transitions", keyed_json(&self.peer_transitions)),
-            ("degraded_orders", keyed_json(&self.degraded_orders)),
-            ("budget_aborts", keyed_json(&self.budget_aborts)),
-            ("queue_depth", Json::Num(queue_depth as f64)),
-            ("active_jobs", Json::Num(active as f64)),
-            ("cached_orderings", Json::Num(cached_entries as f64)),
-            ("cache", cache_obj),
-            ("latency_us_by_algorithm", Json::Obj(latency)),
-        ]);
-        Json::obj(pairs)
+        Json::Obj(root)
     }
 
     /// Renders the metrics in the Prometheus text exposition format
-    /// (version 0.0.4): `# HELP`/`# TYPE` headers, counters and gauges as
-    /// single samples, histograms as cumulative `_bucket{le="…"}` series
-    /// with `_sum` and `_count`. Latency histograms are labelled by
-    /// algorithm, per-stage solver-time histograms by pipeline stage, cache
-    /// gauges by shard.
-    pub fn render_prometheus(
-        &self,
-        queue_depth: usize,
-        active: usize,
-        cache: &[crate::cache::ShardStats],
-        persistent: bool,
-    ) -> String {
-        use std::fmt::Write as _;
+    /// (version 0.0.4): every [`FAMILIES`] entry with a Prometheus name,
+    /// in exposition-block order, each under `# HELP`/`# TYPE` headers.
+    /// Counters and gauges are single or labelled samples, histograms
+    /// cumulative `_bucket{le="…"}` series with `_sum` and `_count`.
+    pub fn render_prometheus(&self, gauges: &Gauges) -> String {
+        let mut families: Vec<&Family> = FAMILIES.iter().filter(|f| !f.prom.is_empty()).collect();
+        families.sort_by_key(|f| f.block);
         let mut out = String::new();
-        let scalar = |out: &mut String, name: &str, help: &str, kind: SeriesKind, v: u64| {
-            let _ = writeln!(out, "# HELP {name} {help}");
-            let _ = writeln!(out, "# TYPE {name} {}", kind.prometheus_type());
-            let _ = writeln!(out, "{name} {v}");
-        };
-        let declared = |out: &mut String, kind: SeriesKind| {
-            for s in SERIES.iter().filter(|s| s.kind == kind) {
-                scalar(out, &s.prometheus_name(), s.help, kind, s.value(self));
-            }
-        };
-        declared(&mut out, SeriesKind::Counter);
-
-        // Transition rows are keyed "from:to"; split into the two labels.
-        {
-            let name = "se_peer_transitions_total";
-            let _ = writeln!(
-                out,
-                "# HELP {name} Peer suspicion-state transitions observed by the failure detector."
-            );
-            let _ = writeln!(out, "# TYPE {name} counter");
-            let mut rows = lock_unpoisoned(&self.peer_transitions).clone();
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            for (edge, v) in rows {
-                let (from, to) = edge.split_once(':').unwrap_or((edge.as_str(), ""));
-                let _ = writeln!(out, "{name}{{from=\"{from}\",to=\"{to}\"}} {v}");
-            }
-        }
-
-        let mut labeled_counter =
-            |name: &str, help: &str, label: &str, table: &Mutex<Vec<(String, u64)>>| {
-                let _ = writeln!(out, "# HELP {name} {help}");
-                let _ = writeln!(out, "# TYPE {name} counter");
-                let mut rows = lock_unpoisoned(table).clone();
-                rows.sort_by(|a, b| a.0.cmp(&b.0));
-                for (k, v) in rows {
-                    let _ = writeln!(out, "{name}{{{label}=\"{k}\"}} {v}");
+        for f in families {
+            let Some(sample) = (f.read)(self, gauges) else {
+                continue;
+            };
+            let name = f.prom;
+            let _ = writeln!(out, "# HELP {name} {}", f.help);
+            let _ = writeln!(out, "# TYPE {name} {}", f.kind.prometheus_type());
+            // (label key, value) rows; the key is empty for an unlabelled family.
+            let rows: Vec<(String, u64)> = match sample {
+                Sample::Num(v) => vec![(String::new(), v)],
+                Sample::Flag(b) => vec![(String::new(), u64::from(b))],
+                Sample::Text(_) => Vec::new(),
+                Sample::Keyed(rows) => rows,
+                Sample::PerShard(values) => values
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, v)| (i.to_string(), v))
+                    .collect(),
+                Sample::Members(members) => members
+                    .into_iter()
+                    .map(|(peer, state)| (format!("{peer}:{}", state.as_str()), state.code()))
+                    .collect(),
+                Sample::Histograms(rows) => {
+                    for (k, h) in rows {
+                        let l = label_list(f.labels, &k);
+                        let mut cumulative = 0u64;
+                        for (i, &c) in h.buckets().iter().enumerate().take(HISTOGRAM_BUCKETS - 1) {
+                            cumulative += c;
+                            let le = 1u64 << (i + 1);
+                            let _ = writeln!(out, "{name}_bucket{{{l},le=\"{le}\"}} {cumulative}");
+                        }
+                        let _ = writeln!(out, "{name}_bucket{{{l},le=\"+Inf\"}} {}", h.count());
+                        let _ = writeln!(out, "{name}_sum{{{l}}} {}", h.sum_micros());
+                        let _ = writeln!(out, "{name}_count{{{l}}} {}", h.count());
+                    }
+                    continue;
                 }
             };
-        labeled_counter(
-            "se_degraded_orders_total",
-            "Degraded ORDER responses by machine-readable reason.",
-            "reason",
-            &self.degraded_orders,
-        );
-        labeled_counter(
-            "se_budget_aborts_total",
-            "Solver budget aborts by the stage that observed exhaustion.",
-            "stage",
-            &self.budget_aborts,
-        );
-
-        scalar(
-            &mut out,
-            "se_queue_depth",
-            "Jobs waiting in the worker pool queue.",
-            SeriesKind::Gauge,
-            queue_depth as u64,
-        );
-        scalar(
-            &mut out,
-            "se_active_jobs",
-            "Jobs currently executing on pool workers.",
-            SeriesKind::Gauge,
-            active as u64,
-        );
-        declared(&mut out, SeriesKind::Gauge);
-        scalar(
-            &mut out,
-            "se_cache_persistent",
-            "Whether the ordering cache spills to disk (1) or not (0).",
-            SeriesKind::Gauge,
-            u64::from(persistent),
-        );
-
-        type ShardField = fn(&crate::cache::ShardStats) -> f64;
-        let shard_fields: [(&str, &str, ShardField); 4] = [
-            (
-                "se_cache_shard_entries",
-                "Cached orderings per cache shard.",
-                |s| s.entries as f64,
-            ),
-            (
-                "se_cache_shard_bytes",
-                "Bytes charged against each shard's budget.",
-                |s| s.bytes as f64,
-            ),
-            (
-                "se_cache_shard_hits",
-                "Lookups answered per cache shard.",
-                |s| s.hits as f64,
-            ),
-            (
-                "se_cache_shard_misses",
-                "Lookups each cache shard could not answer.",
-                |s| s.misses as f64,
-            ),
-        ];
-        for (metric, help, value) in shard_fields {
-            let _ = writeln!(out, "# HELP {metric} {help}");
-            let _ = writeln!(out, "# TYPE {metric} gauge");
-            for (i, s) in cache.iter().enumerate() {
-                let _ = writeln!(out, "{metric}{{shard=\"{i}\"}} {}", value(s));
+            for (k, v) in rows {
+                if f.labels.is_empty() {
+                    let _ = writeln!(out, "{name} {v}");
+                } else {
+                    let _ = writeln!(out, "{name}{{{}}} {v}", label_list(f.labels, &k));
+                }
             }
         }
-
-        let histogram_family = |out: &mut String,
-                                metric: &str,
-                                help: &str,
-                                label: &str,
-                                table: &[(String, Histogram)]| {
-            let _ = writeln!(out, "# HELP {metric} {help}");
-            let _ = writeln!(out, "# TYPE {metric} histogram");
-            for (key, h) in table {
-                let mut cumulative = 0u64;
-                for (i, &c) in h.buckets().iter().enumerate().take(HISTOGRAM_BUCKETS - 1) {
-                    cumulative += c;
-                    let le = 1u64 << (i + 1);
-                    let _ = writeln!(
-                        out,
-                        "{metric}_bucket{{{label}=\"{key}\",le=\"{le}\"}} {cumulative}"
-                    );
-                }
-                let _ = writeln!(
-                    out,
-                    "{metric}_bucket{{{label}=\"{key}\",le=\"+Inf\"}} {}",
-                    h.count()
-                );
-                let _ = writeln!(out, "{metric}_sum{{{label}=\"{key}\"}} {}", h.sum_micros());
-                let _ = writeln!(out, "{metric}_count{{{label}=\"{key}\"}} {}", h.count());
-            }
-        };
-        let sorted = |table: &Mutex<Vec<(String, Histogram)>>| {
-            let table = lock_unpoisoned(table);
-            let mut rows: Vec<(String, Histogram)> = table
-                .iter()
-                .map(|(name, h)| {
-                    (
-                        name.clone(),
-                        Histogram {
-                            buckets: h.buckets,
-                            count: h.count,
-                            sum_micros: h.sum_micros,
-                            max_micros: h.max_micros,
-                        },
-                    )
-                })
-                .collect();
-            rows.sort_by(|a, b| a.0.cmp(&b.0));
-            rows
-        };
-        histogram_family(
-            &mut out,
-            "se_order_latency_microseconds",
-            "End-to-end ORDER latency by algorithm.",
-            "alg",
-            &sorted(&self.latency),
-        );
-        histogram_family(
-            &mut out,
-            "se_stage_latency_microseconds",
-            "Per-request solver time by pipeline stage (span subtree sums).",
-            "stage",
-            &sorted(&self.stage_latency),
-        );
         out
     }
-}
-
-/// The STATS fragment for the engine's solver pool cache — scheduler health
-/// of the shared work-stealing pools (`steals`/`parks` cumulative, `parked`
-/// a point-in-time gauge, `cached` the live pool count). The engine appends
-/// this under the `"solver_pool"` key.
-pub fn solver_pool_json(cached: usize, steals: u64, parks: u64, parked: usize) -> Json {
-    Json::Obj(vec![
-        ("cached".to_string(), Json::Num(cached as f64)),
-        ("steals".to_string(), Json::Num(steals as f64)),
-        ("parks".to_string(), Json::Num(parks as f64)),
-        ("parked_workers".to_string(), Json::Num(parked as f64)),
-    ])
-}
-
-/// The METRICS fragment for the engine's solver pool cache, in Prometheus
-/// text exposition format. `se_pool_steals_total` rising with flat
-/// `se_orders_total` means chunk costs are irregular (stealing is doing real
-/// balancing); `se_pool_parked_workers` pinned at the pool size means the
-/// pools are idle.
-pub fn render_solver_pool_prometheus(
-    cached: usize,
-    steals: u64,
-    parks: u64,
-    parked: usize,
-) -> String {
-    format!(
-        "# HELP se_pool_steals_total Tasks stolen across solver-pool worker deques.\n\
-         # TYPE se_pool_steals_total counter\n\
-         se_pool_steals_total {steals}\n\
-         # HELP se_pool_parks_total Solver-pool worker idle transitions (condvar parks).\n\
-         # TYPE se_pool_parks_total counter\n\
-         se_pool_parks_total {parks}\n\
-         # HELP se_pool_parked_workers Solver-pool workers currently parked.\n\
-         # TYPE se_pool_parked_workers gauge\n\
-         se_pool_parked_workers {parked}\n\
-         # HELP se_pool_cached Solver pools alive in the per-thread-count cache.\n\
-         # TYPE se_pool_cached gauge\n\
-         se_pool_cached {cached}\n"
-    )
 }
 
 #[cfg(test)]
@@ -679,9 +688,9 @@ mod tests {
         let m = Metrics::new();
         m.inc(&m.requests);
         m.inc(&m.cache_hits);
-        m.record_latency("RCM", 100);
-        m.record_latency("RCM", 200);
-        m.record_latency("SPECTRAL", 5000);
+        m.latency.record("RCM", 100);
+        m.latency.record("RCM", 200);
+        m.latency.record("SPECTRAL", 5000);
         let shards = vec![
             crate::cache::ShardStats {
                 entries: 1,
@@ -691,7 +700,13 @@ mod tests {
             },
             crate::cache::ShardStats::default(),
         ];
-        let snap = m.snapshot(3, 2, &shards, true);
+        let snap = m.snapshot(&Gauges {
+            queue_depth: 3,
+            active_jobs: 2,
+            shards,
+            persistent: true,
+            ..Gauges::default()
+        });
         assert_eq!(snap.get("requests").and_then(Json::as_u64), Some(1));
         assert_eq!(snap.get("cache_hits").and_then(Json::as_u64), Some(1));
         assert_eq!(snap.get("queue_depth").and_then(Json::as_u64), Some(3));
@@ -717,21 +732,21 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
-        assert_eq!(m.latency_count("RCM"), 2);
+        assert_eq!(m.latency.count("RCM"), 2);
     }
 
     #[test]
     fn degradation_and_rate_limit_counters_surface_everywhere() {
         let m = Metrics::new();
         m.inc(&m.rate_limited);
-        m.inc_degraded("not_converged");
-        m.inc_degraded("not_converged");
-        m.inc_degraded("deadline");
-        m.inc_budget_abort("lanczos");
-        assert_eq!(m.degraded_count("not_converged"), 2);
-        assert_eq!(m.degraded_count("unknown"), 0);
-        assert_eq!(m.budget_abort_count("lanczos"), 1);
-        let snap = m.snapshot(0, 0, &[], false);
+        m.degraded_orders.inc("not_converged");
+        m.degraded_orders.inc("not_converged");
+        m.degraded_orders.inc("deadline");
+        m.budget_aborts.inc("lanczos");
+        assert_eq!(m.degraded_orders.get("not_converged"), 2);
+        assert_eq!(m.degraded_orders.get("unknown"), 0);
+        assert_eq!(m.budget_aborts.get("lanczos"), 1);
+        let snap = m.snapshot(&Gauges::default());
         assert_eq!(snap.get("rate_limited").and_then(Json::as_u64), Some(1));
         let degraded = snap.get("degraded_orders").expect("degraded table");
         assert_eq!(
@@ -745,7 +760,7 @@ mod tests {
                 .and_then(Json::as_u64),
             Some(1)
         );
-        let text = m.render_prometheus(0, 0, &[], false);
+        let text = m.render_prometheus(&Gauges::default());
         assert!(text.contains("se_rate_limited_total 1"));
         assert!(text.contains("se_degraded_orders_total{reason=\"not_converged\"} 2"));
         assert!(text.contains("se_budget_aborts_total{stage=\"lanczos\"} 1"));
@@ -760,7 +775,7 @@ mod tests {
         m.inc(&m.peer_replications);
         m.inc(&m.peer_replication_failures);
         m.inc(&m.peer_entries_received);
-        let snap = m.snapshot(0, 0, &[], false);
+        let snap = m.snapshot(&Gauges::default());
         assert_eq!(snap.get("peer_forwards").and_then(Json::as_u64), Some(1));
         assert_eq!(
             snap.get("peer_forward_failures").and_then(Json::as_u64),
@@ -778,14 +793,14 @@ mod tests {
             snap.get("peer_entries_received").and_then(Json::as_u64),
             Some(1)
         );
-        let text = m.render_prometheus(0, 0, &[], false);
+        let text = m.render_prometheus(&Gauges::default());
         assert!(text.contains("se_peer_forwards_total 1"));
         assert!(text.contains("se_peer_forward_failures_total 1"));
         assert!(text.contains("se_peer_replications_total 2"));
         assert!(text.contains("se_peer_replication_failures_total 1"));
         assert!(text.contains("se_peer_entries_received_total 1"));
         // A non-mesh node reports zeros, not missing keys.
-        let solo = Metrics::new().snapshot(0, 0, &[], false);
+        let solo = Metrics::new().snapshot(&Gauges::default());
         assert_eq!(solo.get("peer_forwards").and_then(Json::as_u64), Some(0));
     }
 
@@ -795,13 +810,13 @@ mod tests {
         m.inc(&m.hints_replayed);
         m.inc(&m.hints_dropped);
         m.inc(&m.antientropy_repairs);
-        m.inc_peer_transition("alive", "suspect");
-        m.inc_peer_transition("alive", "suspect");
-        m.inc_peer_transition("suspect", "dead");
-        assert_eq!(m.peer_transition_count("alive", "suspect"), 2);
-        assert_eq!(m.peer_transition_count("dead", "rejoining"), 0);
+        m.peer_transitions.inc("alive:suspect");
+        m.peer_transitions.inc("alive:suspect");
+        m.peer_transitions.inc("suspect:dead");
+        assert_eq!(m.peer_transitions.get("alive:suspect"), 2);
+        assert_eq!(m.peer_transitions.get("dead:rejoining"), 0);
 
-        let snap = m.snapshot(0, 0, &[], false);
+        let snap = m.snapshot(&Gauges::default());
         assert_eq!(snap.get("hints_replayed").and_then(Json::as_u64), Some(1));
         assert_eq!(snap.get("hints_dropped").and_then(Json::as_u64), Some(1));
         assert_eq!(
@@ -815,7 +830,7 @@ mod tests {
             Some(2)
         );
 
-        let text = m.render_prometheus(0, 0, &[], false);
+        let text = m.render_prometheus(&Gauges::default());
         assert!(text.contains("se_hints_replayed_total 1"));
         assert!(text.contains("se_hints_dropped_total 1"));
         assert!(text.contains("se_antientropy_repairs_total 1"));

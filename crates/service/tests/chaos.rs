@@ -102,27 +102,27 @@ fn forced_non_convergence_degrades_to_a_valid_rcm_permutation() {
 
 /// An expired deadline aborts a *running* spectral solve at an iteration
 /// boundary (the trace records `budget_abort` on the aborted span) and the
-/// ladder still returns a valid RCM permutation with reason `deadline`
-/// inside the request's timeout window.
+/// ladder still returns a valid RCM permutation with reason `deadline`.
+/// The seeded [`sites::BUDGET_DEADLINE`] site expires the request's budget
+/// once the multilevel hierarchy is built, so the abort lands mid-solve
+/// however fast the host is; the real deadline is far away.
 #[test]
 fn expired_deadline_aborts_mid_solve_and_degrades() {
+    let faults = FaultPlane::seeded(7);
+    faults.arm_times(sites::BUDGET_DEADLINE, 1);
     let handle = serve(Config {
         cache_budget_bytes: 0, // force the compute path
+        faults: faults.clone(),
         ..Config::default()
     })
     .expect("bind ephemeral port");
     let mut client = Client::connect(handle.local_addr()).unwrap();
 
-    // Large enough that the spectral solve cannot finish inside the
-    // deadline on any realistic machine, while RCM (linear-time) still
-    // handles it in far less than the solver budget the timeout leaves.
-    // The timeout is sized so its reserved slice (timeout/8, capped at
-    // 500 ms — see `solver_deadline`) covers the post-abort RCM rung and
-    // response encoding even on a slow single-core debug build, where
-    // RCM on 160k vertices alone costs a few hundred milliseconds.
-    let g = meshgen::grid2d(400, 400);
+    // Large enough for a multilevel hierarchy, so the budget expires
+    // between coarsening and the coarsest solve.
+    let g = meshgen::grid2d(60, 60);
     let mut req = chaco_request(&g, se_order::Algorithm::Spectral);
-    req.timeout_ms = Some(4000);
+    req.timeout_ms = Some(60_000);
     req.trace = true;
     let r = client.order(req).unwrap();
     assert_eq!(r.alg, "RCM");
@@ -137,6 +137,7 @@ fn expired_deadline_aborts_mid_solve_and_degrades() {
         trace.contains(r#""rung":3"#),
         "the ladder must record which rung answered: {trace}"
     );
+    assert_eq!(faults.fired(sites::BUDGET_DEADLINE), 1);
 
     let stats = client.stats().unwrap();
     let aborts = stats.get("budget_aborts").expect("budget_aborts table");

@@ -254,28 +254,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Dense `y = A x` using row-block parallelism over scoped std threads.
-    ///
-    /// This kernel exists to demonstrate the paper's argument (§1) that the
-    /// spectral ordering is built from operations that parallelise trivially.
-    /// Rows are split into one contiguous block per available core; each
-    /// thread owns a disjoint slice of `y`, so no synchronisation is needed.
-    #[cfg(feature = "parallel")]
-    pub fn matvec_par(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "matvec: x length mismatch");
-        assert_eq!(y.len(), self.nrows, "matvec: y length mismatch");
-        crate::par::for_each_row_block(y, |r0, yb| {
-            for (i, yr) in yb.iter_mut().enumerate() {
-                let r = r0 + i;
-                let mut acc = 0.0;
-                for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                    acc += self.values[k] * x[self.col_idx[k]];
-                }
-                *yr = acc;
-            }
-        });
-    }
-
     /// Dense `y = A x` on a [`crate::par::TaskPool`], the kernel behind the
     /// eigensolver's hot loops.
     ///
@@ -594,18 +572,6 @@ mod tests {
         scale(0.5, &mut b);
         assert_eq!(b, vec![1.5, 2.5, 3.5]);
         assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn matvec_par_matches_serial() {
-        let a = example();
-        let x = vec![0.3, -1.2, 2.0];
-        let mut y1 = vec![0.0; 3];
-        let mut y2 = vec![0.0; 3];
-        a.matvec(&x, &mut y1);
-        a.matvec_par(&x, &mut y2);
-        assert_eq!(y1, y2);
     }
 
     #[test]

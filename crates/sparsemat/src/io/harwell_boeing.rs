@@ -151,7 +151,9 @@ pub fn read_harwell_boeing_str(s: &str) -> Result<CsrMatrix> {
             "elemental (unassembled) HB matrices not supported".into(),
         ));
     }
-    let dims: Vec<usize> = type_line[3..]
+    let dims: Vec<usize> = type_line
+        .get(3..)
+        .unwrap_or_default()
         .split_whitespace()
         .map(|t| {
             t.parse::<usize>()
@@ -170,11 +172,16 @@ pub fn read_harwell_boeing_str(s: &str) -> Result<CsrMatrix> {
         .ok_or_else(|| SparseError::Parse("missing HB line 4".into()))?;
     // PTRFMT: cols 1-16, INDFMT: 17-32, VALFMT: 33-52 (fixed columns), but we
     // tolerate whitespace-separated format specs as well.
+    let fixed = |range: std::ops::Range<usize>| {
+        fmt_line.get(range).map(str::to_string).ok_or_else(|| {
+            SparseError::Parse("HB line 4 splits a character at a format column".into())
+        })
+    };
     let (ptrfmt_s, indfmt_s, valfmt_s) = if fmt_line.len() >= 33 {
         (
-            fmt_line[0..16].to_string(),
-            fmt_line[16..32].to_string(),
-            fmt_line[32..fmt_line.len().min(52)].to_string(),
+            fixed(0..16)?,
+            fixed(16..32)?,
+            fixed(32..fmt_line.len().min(52))?,
         )
     } else {
         let toks: Vec<&str> = fmt_line.split_whitespace().collect();
@@ -219,6 +226,16 @@ pub fn read_harwell_boeing_str(s: &str) -> Result<CsrMatrix> {
             colptr[0],
             colptr[ncol],
             nnzero + 1
+        )));
+    }
+    // With the ends pinned, non-decreasing pointers stay inside
+    // 1..=nnzero+1, so every column's range indexes `rowind` safely.
+    if let Some(j) = colptr.windows(2).position(|w| w[0] > w[1]) {
+        return Err(SparseError::Parse(format!(
+            "HB column pointers decrease at column {}: {} > {}",
+            j + 1,
+            colptr[j],
+            colptr[j + 1]
         )));
     }
 

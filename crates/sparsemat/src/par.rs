@@ -980,70 +980,9 @@ impl<T> Copy for SliceSender<T> {}
 unsafe impl<T: Send> Send for SliceSender<T> {}
 unsafe impl<T: Send> Sync for SliceSender<T> {}
 
-// ---------------------------------------------------------------------------
-// One-shot scoped helper (predates the pool; kept for cheap ad-hoc use).
-// ---------------------------------------------------------------------------
-
-/// Runs `body(block_start, block)` over disjoint contiguous blocks of
-/// `data`, one per available core, on one-shot scoped threads
-/// (single-threaded for tiny inputs, where spawn overhead would dominate).
-///
-/// Prefer a [`TaskPool`] in loops — this helper pays a thread spawn per
-/// call and is only sensible for isolated large operations.
-pub fn for_each_row_block<T: Send, F>(data: &mut [T], body: F)
-where
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = data.len();
-    let threads = available_threads().min(n.max(1));
-    // Under ~64k elements of work a fork-join round trip costs more than it
-    // saves; matvec rows are cheap, so fall back to serial.
-    if threads <= 1 || n < 4096 {
-        body(0, data);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut rest = data;
-        let mut start = 0;
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            let b = &body;
-            s.spawn(move || b(start, head));
-            start += take;
-            rest = tail;
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn blocks_cover_slice_exactly_once() {
-        let mut v = vec![0u32; 10_000];
-        for_each_row_block(&mut v, |start, block| {
-            for (i, x) in block.iter_mut().enumerate() {
-                *x += (start + i) as u32;
-            }
-        });
-        for (i, x) in v.iter().enumerate() {
-            assert_eq!(*x, i as u32);
-        }
-    }
-
-    #[test]
-    fn serial_fallback_on_small_input() {
-        let mut v = vec![1u8; 7];
-        for_each_row_block(&mut v, |_, block| {
-            for x in block {
-                *x *= 2;
-            }
-        });
-        assert!(v.iter().all(|&x| x == 2));
-    }
 
     fn test_vec(n: usize, f: f64) -> Vec<f64> {
         (0..n).map(|i| ((i as f64) * f).sin() + 0.25).collect()

@@ -121,3 +121,66 @@ fn chaco_numeric_noise_no_panic() {
         let _ = read_chaco_str(&s);
     }
 }
+
+/// A valid 3×3 symmetric Harwell–Boeing file (five stored lower-triangle
+/// entries, column pointers `1 3 5 6`).
+fn small_harwell_boeing() -> String {
+    use sparsemat::io::harwell_boeing::write_harwell_boeing_string;
+    let a = CsrMatrix::from_entries(
+        3,
+        &[
+            (0, 0, 2.0),
+            (1, 1, 2.0),
+            (2, 2, 2.0),
+            (1, 0, -1.0),
+            (0, 1, -1.0),
+            (2, 1, -1.0),
+            (1, 2, -1.0),
+        ],
+    )
+    .unwrap();
+    write_harwell_boeing_string(&a, "HB3")
+}
+
+/// A valid Harwell–Boeing file with one corrupted byte is either parsed or
+/// cleanly rejected.
+#[test]
+fn corrupted_harwell_boeing_no_panic() {
+    let valid = small_harwell_boeing().into_bytes();
+    let mut rng = SmallRng::seed_from_u64(0xF026);
+    for _ in 0..1024 {
+        let mut text = valid.clone();
+        let pos = rng.gen_range(0..text.len());
+        text[pos] = (rng.gen::<u64>() & 0xFF) as u8;
+        let _ = read_harwell_boeing_str(&String::from_utf8_lossy(&text));
+    }
+}
+
+/// Column pointers that leave `1..=nnzero+1` or decrease, and a multi-byte
+/// character across a fixed-column boundary of the format line, are
+/// rejected instead of panicking.
+#[test]
+fn hostile_harwell_boeing_pointers_and_format_line_are_rejected() {
+    let valid = small_harwell_boeing();
+    let ptr_line = valid.lines().nth(4).unwrap();
+    assert_eq!(
+        ptr_line.split_whitespace().collect::<Vec<_>>(),
+        ["1", "3", "5", "6"]
+    );
+    let fmt_line = valid.lines().nth(3).unwrap();
+    assert!(fmt_line.len() >= 33 && fmt_line.is_char_boundary(15));
+    let with_ptrs = |ptrs: &str| valid.replacen(ptr_line, ptrs, 1);
+    let split_char = valid.replacen(
+        fmt_line,
+        &format!("{}é{}", &fmt_line[..15], &fmt_line[16..]),
+        1,
+    );
+    for (what, text) in [
+        ("pointer past nnzero + 1", with_ptrs(" 1 9 5 6")),
+        ("zero pointer", with_ptrs(" 1 0 5 6")),
+        ("decreasing pointers", with_ptrs(" 1 5 3 6")),
+        ("character across byte 16", split_char),
+    ] {
+        assert!(read_harwell_boeing_str(&text).is_err(), "{what}: {text}");
+    }
+}
