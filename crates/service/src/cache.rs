@@ -16,9 +16,18 @@
 //! With a cache directory configured, every insert is spilled to disk
 //! ([`crate::persist`]) and evictions delete their spill file; a restarted
 //! server reloads the directory and serves hits without recomputing.
+//!
+//! In front of the canonical key sits a **payload alias** map: a
+//! [`PayloadAlias`] (128-bit digest of an inline request's raw bytes, its
+//! format, algorithm and `compressed` flag, guarded by the payload length)
+//! names the key of a present entry, so an exact resend of a payload the
+//! cache has seen is answered without parsing it, building its pattern or
+//! hashing that pattern. Each entry carries at most
+//! [`MAX_ALIASES_PER_ENTRY`] aliases and they die with it; they are never
+//! charged to the byte budget, spilled or sent to peers.
 
 use crate::persist::{self, PersistedEntry};
-use crate::proto::EncodedPerm;
+use crate::proto::{EncodedPerm, MatrixFormat};
 use se_faults::{lock_unpoisoned, FaultPlane};
 use se_order::Algorithm;
 use sparsemat::envelope::EnvelopeStats;
@@ -86,11 +95,99 @@ pub fn pattern_key(g: &SymmetricPattern, alg: Algorithm, compressed: bool) -> u6
     h.finish()
 }
 
+/// Most payload aliases one entry keeps; recording another drops the
+/// oldest. Several spellings of one pattern (comments, whitespace, values)
+/// each get an alias, so the bound keeps a stream of fresh spellings from
+/// growing the alias map without limit.
+pub const MAX_ALIASES_PER_ENTRY: usize = 4;
+
+/// The identity of one inline request payload: a 128-bit digest of its
+/// format, algorithm, `compressed` flag, length and bytes, plus the length
+/// itself as a guard that every lookup compares — the alias counterpart of
+/// an entry's `(n, adjacency_len)` shape guard. Two different payloads
+/// alias each other only if both 64-bit lanes collide at equal length, so
+/// an alias is trusted exactly as far as [`pattern_key`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PayloadAlias {
+    digest: u128,
+    len: usize,
+}
+
+impl PayloadAlias {
+    /// Digests one request payload word-at-a-time: two multiply–rotate
+    /// lanes absorb every 8-byte little-endian word (the tail zero-padded;
+    /// the length, absorbed before the bytes, disambiguates the padding),
+    /// then each lane is avalanched. Byte-wise FNV would cost ~1 ns/byte here.
+    pub(crate) fn of(
+        format: MatrixFormat,
+        alg: Algorithm,
+        compressed: bool,
+        payload: &[u8],
+    ) -> Self {
+        let mut lanes = Lanes::new();
+        lanes.absorb(format as u64);
+        lanes.absorb(alg as u64);
+        lanes.absorb(compressed as u64);
+        lanes.absorb(payload.len() as u64);
+        let words = payload.chunks_exact(8);
+        let tail = words.remainder();
+        for w in words {
+            lanes.absorb(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            lanes.absorb(u64::from_le_bytes(w));
+        }
+        PayloadAlias {
+            digest: lanes.finish(),
+            len: payload.len(),
+        }
+    }
+}
+
+/// The two independent lanes of [`PayloadAlias::of`]: different seeds,
+/// odd multipliers and rotations, so a collision in one is independent of
+/// the other.
+struct Lanes(u64, u64);
+
+impl Lanes {
+    fn new() -> Self {
+        Lanes(0x9e37_79b9_7f4a_7c15, 0xc2b2_ae3d_27d4_eb4f)
+    }
+
+    fn absorb(&mut self, w: u64) {
+        self.0 = (self.0 ^ w)
+            .wrapping_mul(0xff51_afd7_ed55_8ccd)
+            .rotate_left(31);
+        self.1 = (self.1 ^ w)
+            .wrapping_mul(0xc4ce_b9fe_1a85_ec53)
+            .rotate_left(27);
+    }
+
+    fn finish(self) -> u128 {
+        /// The MurmurHash3 64-bit finalizer.
+        fn avalanche(mut h: u64) -> u64 {
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+            h ^= h >> 33;
+            h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+            h ^ (h >> 33)
+        }
+        (u128::from(avalanche(self.0)) << 64) | u128::from(avalanche(self.1))
+    }
+}
+
 /// What a cache hit hands back: everything the engine needs to build a
 /// response without touching the ordering pipeline (the payload is shared,
 /// not cloned).
 #[derive(Debug, Clone)]
 pub struct CacheHit {
+    /// Vertex count of the cached pattern (its collision guard).
+    pub n: usize,
+    /// Stored adjacency entries of the cached pattern, `2 × edges` (its
+    /// collision guard).
+    pub adjacency_len: usize,
     /// Envelope statistics of the cached ordering.
     pub stats: EnvelopeStats,
     /// The permutation, pre-encoded in both wire forms.
@@ -125,6 +222,42 @@ struct Entry {
     adjacency_len: usize,
     bytes: usize,
     tick: u64,
+    /// Payload aliases naming this entry, oldest first (at most
+    /// [`MAX_ALIASES_PER_ENTRY`]); each is also in the cache's alias index.
+    aliases: Vec<PayloadAlias>,
+}
+
+impl Entry {
+    fn hit(&self) -> CacheHit {
+        CacheHit {
+            n: self.n,
+            adjacency_len: self.adjacency_len,
+            stats: self.stats,
+            payload: Arc::clone(&self.payload),
+            compression_ratio: self.compression_ratio,
+            degraded: self.degraded.clone(),
+        }
+    }
+}
+
+/// Payload alias → key of the entry listing it. One map for the whole
+/// cache: it is touched once per lookup for a single hash probe. Lock
+/// order: a shard's mutex may be held while taking this one, never the
+/// reverse, so an entry's alias list and the index change together.
+type AliasIndex = Mutex<HashMap<PayloadAlias, u64>>;
+
+/// Drops `gone`'s aliases from the index (those still pointing at `key`).
+/// Called with `key`'s shard locked.
+fn unindex(index: &AliasIndex, key: u64, gone: &[PayloadAlias]) {
+    if gone.is_empty() {
+        return;
+    }
+    let mut index = lock_unpoisoned(index);
+    for alias in gone {
+        if index.get(alias) == Some(&key) {
+            index.remove(alias);
+        }
+    }
 }
 
 /// Fixed per-entry bookkeeping overhead charged against the byte budget.
@@ -143,12 +276,14 @@ struct Shard {
 
 impl Shard {
     /// Inserts under `budget`, evicting LRU entries; returns evicted keys so
-    /// the caller can delete their spill files outside any useful work.
-    fn insert(&mut self, key: u64, entry: Entry, budget: usize) -> Vec<u64> {
+    /// the caller can delete their spill files outside any useful work. A
+    /// replaced or evicted entry's aliases leave `index` with it.
+    fn insert(&mut self, key: u64, entry: Entry, budget: usize, index: &AliasIndex) -> Vec<u64> {
         let mut evicted = Vec::new();
         if let Some(old) = self.entries.remove(&key) {
             self.lru.remove(&old.tick);
             self.used_bytes -= old.bytes;
+            unindex(index, key, &old.aliases);
         }
         while self.used_bytes + entry.bytes > budget {
             let (&oldest_tick, &oldest_key) = self
@@ -162,6 +297,7 @@ impl Shard {
                 .remove(&oldest_key)
                 .expect("lru and entries agree");
             self.used_bytes -= gone.bytes;
+            unindex(index, oldest_key, &gone.aliases);
             evicted.push(oldest_key);
         }
         let tick = self.next_tick;
@@ -170,6 +306,20 @@ impl Shard {
         self.used_bytes += entry.bytes;
         self.entries.insert(key, Entry { tick, ..entry });
         evicted
+    }
+
+    /// Answers a hit from `key`'s entry, refreshing its recency. Does not
+    /// count the lookup.
+    fn touch(&mut self, key: u64) -> Option<CacheHit> {
+        let tick = self.next_tick;
+        let e = self.entries.get_mut(&key)?;
+        let old_tick = e.tick;
+        e.tick = tick;
+        let hit = e.hit();
+        self.lru.remove(&old_tick);
+        self.lru.insert(tick, key);
+        self.next_tick += 1;
+        Some(hit)
     }
 }
 
@@ -202,6 +352,8 @@ pub struct ShardedOrderingCache {
     /// Fault plane threaded into every spill write ([`crate::persist`]);
     /// disabled by default.
     faults: FaultPlane,
+    /// Payload aliases of present entries ([`PayloadAlias`]).
+    aliases: AliasIndex,
 }
 
 /// Oldest-first byte accounting of the spill directory, used only when a
@@ -231,6 +383,7 @@ impl ShardedOrderingCache {
             dir_budget: None,
             dir_state: Mutex::new(DirState::default()),
             faults: FaultPlane::disabled(),
+            aliases: Mutex::default(),
         }
     }
 
@@ -398,30 +551,27 @@ impl ShardedOrderingCache {
             adjacency_len,
             bytes,
             tick: 0,
+            aliases: Vec::new(),
         }
+    }
+
+    /// Whether the cache can hold anything at all (its budget is not 0).
+    pub(crate) fn is_enabled(&self) -> bool {
+        self.shard_budget > 0
     }
 
     /// Looks up the ordering for `(g, alg, compressed)`, refreshing its
     /// recency and counting the shard's hit/miss.
     pub fn get(&self, g: &SymmetricPattern, alg: Algorithm, compressed: bool) -> Option<CacheHit> {
-        let key = pattern_key(g, alg, compressed);
+        self.get_keyed(pattern_key(g, alg, compressed), g)
+    }
+
+    /// [`get`](Self::get) for a caller that already holds `g`'s
+    /// [`pattern_key`].
+    pub(crate) fn get_keyed(&self, key: u64, g: &SymmetricPattern) -> Option<CacheHit> {
         let mut shard = lock_unpoisoned(&self.shards[self.shard_of(key)]);
-        let tick = shard.next_tick;
-        let hit = match shard.entries.get_mut(&key) {
-            Some(e) if e.n == g.n() && e.adjacency_len == g.adjacency_len() => {
-                let old_tick = e.tick;
-                e.tick = tick;
-                let hit = CacheHit {
-                    stats: e.stats,
-                    payload: Arc::clone(&e.payload),
-                    compression_ratio: e.compression_ratio,
-                    degraded: e.degraded.clone(),
-                };
-                shard.lru.remove(&old_tick);
-                shard.lru.insert(tick, key);
-                shard.next_tick += 1;
-                Some(hit)
-            }
+        let hit = match shard.entries.get(&key) {
+            Some(e) if e.n == g.n() && e.adjacency_len == g.adjacency_len() => shard.touch(key),
             // Absent, or a hash collision — treat as a miss either way.
             _ => None,
         };
@@ -430,6 +580,51 @@ impl ShardedOrderingCache {
             false => shard.misses += 1,
         }
         hit
+    }
+
+    /// Answers a request payload from its alias, exactly like a hit on the
+    /// aliased key: recency refreshed, one shard hit counted. A missing or
+    /// dangling alias (its entry evicted or replaced since) returns `None`
+    /// and counts nothing — the caller falls through to
+    /// [`get_keyed`](Self::get_keyed), which counts the lookup once.
+    pub(crate) fn get_alias(&self, alias: &PayloadAlias) -> Option<CacheHit> {
+        let key = *lock_unpoisoned(&self.aliases).get(alias)?;
+        let mut shard = lock_unpoisoned(&self.shards[self.shard_of(key)]);
+        if !shard
+            .entries
+            .get(&key)
+            .is_some_and(|e| e.aliases.contains(alias))
+        {
+            return None;
+        }
+        let hit = shard.touch(key);
+        shard.hits += 1;
+        hit
+    }
+
+    /// Records `alias` as a name for the present entry under `key`,
+    /// dropping the entry's oldest alias beyond [`MAX_ALIASES_PER_ENTRY`].
+    /// A no-op when the entry is absent (never stored, or already evicted)
+    /// or already lists the alias.
+    pub(crate) fn add_alias(&self, alias: PayloadAlias, key: u64) {
+        let mut shard = lock_unpoisoned(&self.shards[self.shard_of(key)]);
+        let Some(e) = shard.entries.get_mut(&key) else {
+            return;
+        };
+        if e.aliases.contains(&alias) {
+            return;
+        }
+        if e.aliases.len() == MAX_ALIASES_PER_ENTRY {
+            let oldest = e.aliases.remove(0);
+            unindex(&self.aliases, key, &[oldest]);
+        }
+        e.aliases.push(alias);
+        lock_unpoisoned(&self.aliases).insert(alias, key);
+    }
+
+    /// Number of live payload aliases across all entries.
+    pub fn alias_count(&self) -> usize {
+        lock_unpoisoned(&self.aliases).len()
     }
 
     /// Inserts an ordering, evicting LRU shard entries to respect the
@@ -442,6 +637,18 @@ impl ShardedOrderingCache {
         g: &SymmetricPattern,
         alg: Algorithm,
         compressed: bool,
+        perm: &[usize],
+        meta: OrderingMeta<'_>,
+    ) -> Arc<EncodedPerm> {
+        self.insert_keyed(pattern_key(g, alg, compressed), g, perm, meta)
+    }
+
+    /// [`insert`](Self::insert) for a caller that already holds `g`'s
+    /// [`pattern_key`].
+    pub(crate) fn insert_keyed(
+        &self,
+        key: u64,
+        g: &SymmetricPattern,
         perm: &[usize],
         meta: OrderingMeta<'_>,
     ) -> Arc<EncodedPerm> {
@@ -462,7 +669,6 @@ impl ShardedOrderingCache {
         if entry.bytes > self.shard_budget {
             return payload;
         }
-        let key = pattern_key(g, alg, compressed);
         if let Some(dir) = &self.dir {
             let _ = persist::save(
                 dir,
@@ -481,7 +687,7 @@ impl ShardedOrderingCache {
         }
         let evicted = {
             let mut shard = lock_unpoisoned(&self.shards[self.shard_of(key)]);
-            shard.insert(key, entry, self.shard_budget)
+            shard.insert(key, entry, self.shard_budget, &self.aliases)
         };
         for key in evicted {
             self.remove_spill(key);
@@ -532,7 +738,7 @@ impl ShardedOrderingCache {
             if shard.entries.contains_key(&key) {
                 return false;
             }
-            shard.insert(key, entry, self.shard_budget)
+            shard.insert(key, entry, self.shard_budget, &self.aliases)
         };
         for key in evicted {
             self.remove_spill(key);
@@ -557,7 +763,7 @@ impl ShardedOrderingCache {
         }
         let evicted = {
             let mut shard = lock_unpoisoned(&self.shards[self.shard_of(e.key)]);
-            shard.insert(e.key, entry, self.shard_budget)
+            shard.insert(e.key, entry, self.shard_budget, &self.aliases)
         };
         for key in evicted {
             self.remove_spill(key);
@@ -892,6 +1098,158 @@ mod tests {
         assert_eq!(hit.degraded.as_deref(), Some("not_converged"));
         assert_eq!(hit.payload.order(), o.perm.order());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn alias(tag: &str) -> PayloadAlias {
+        PayloadAlias::of(
+            MatrixFormat::MatrixMarket,
+            Algorithm::Rcm,
+            false,
+            tag.as_bytes(),
+        )
+    }
+
+    fn rcm_key(g: &SymmetricPattern) -> u64 {
+        pattern_key(g, Algorithm::Rcm, false)
+    }
+
+    #[test]
+    fn payload_alias_covers_format_algorithm_compression_and_every_byte() {
+        let bytes = b"%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n2 1\n3 2\n";
+        let of = |f, a, c, b: &[u8]| PayloadAlias::of(f, a, c, b);
+        let base = of(MatrixFormat::MatrixMarket, Algorithm::Rcm, false, bytes);
+        assert_eq!(
+            base,
+            of(MatrixFormat::MatrixMarket, Algorithm::Rcm, false, bytes)
+        );
+        assert_ne!(base, of(MatrixFormat::Chaco, Algorithm::Rcm, false, bytes));
+        assert_ne!(
+            base,
+            of(
+                MatrixFormat::MatrixMarket,
+                Algorithm::Spectral,
+                false,
+                bytes
+            )
+        );
+        assert_ne!(
+            base,
+            of(MatrixFormat::MatrixMarket, Algorithm::Rcm, true, bytes)
+        );
+        // Flipping any single bit of any byte, and zero-padding the tail
+        // word, both change the digest.
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.to_vec();
+                flipped[i] ^= 1 << bit;
+                let other = of(MatrixFormat::MatrixMarket, Algorithm::Rcm, false, &flipped);
+                assert_ne!(base.digest, other.digest, "byte {i} bit {bit}");
+            }
+        }
+        let mut padded = bytes.to_vec();
+        padded.push(0);
+        let other = of(MatrixFormat::MatrixMarket, Algorithm::Rcm, false, &padded);
+        assert_ne!(base.digest, other.digest);
+        assert_ne!(base.len, other.len);
+    }
+
+    #[test]
+    fn alias_hit_equals_the_keyed_hit_and_counts_one_shard_hit() {
+        let cache = ShardedOrderingCache::new(1 << 20, 4);
+        let g = path(33);
+        assert!(cache.get_alias(&alias("a")).is_none(), "unknown alias");
+        insert_ordering(&cache, &g, Algorithm::Rcm);
+        cache.add_alias(alias("a"), rcm_key(&g));
+        let used = cache.used_bytes();
+        let by_key = cache.get(&g, Algorithm::Rcm, false).expect("hit");
+        let by_alias = cache.get_alias(&alias("a")).expect("alias hit");
+        assert_eq!(
+            (by_alias.n, by_alias.adjacency_len),
+            (g.n(), g.adjacency_len())
+        );
+        assert_eq!(by_alias.stats, by_key.stats);
+        assert!(Arc::ptr_eq(&by_alias.payload, &by_key.payload));
+        assert!(cache.get_alias(&alias("b")).is_none(), "never recorded");
+        let stats = cache.shard_stats();
+        assert_eq!(stats.iter().map(|s| s.hits).sum::<u64>(), 2);
+        assert_eq!(stats.iter().map(|s| s.misses).sum::<u64>(), 0);
+        assert_eq!(cache.used_bytes(), used, "aliases are not charged");
+        assert_eq!(cache.alias_count(), 1);
+    }
+
+    #[test]
+    fn alias_dies_with_its_evicted_or_replaced_entry() {
+        let per_entry = entry_cost(16);
+        let cache = ShardedOrderingCache::new(per_entry + per_entry / 2, 1);
+        let (a, b) = (path(16), path(17));
+        insert_ordering(&cache, &a, Algorithm::Rcm);
+        cache.add_alias(alias("a"), rcm_key(&a));
+        insert_ordering(&cache, &b, Algorithm::Rcm);
+        assert!(cache.get(&a, Algorithm::Rcm, false).is_none(), "evicted");
+        assert!(cache.get_alias(&alias("a")).is_none(), "dangling alias");
+        assert_eq!(cache.alias_count(), 0);
+        // Re-inserting A (evicting B) does not revive the old alias.
+        cache.add_alias(alias("b"), rcm_key(&b));
+        insert_ordering(&cache, &a, Algorithm::Rcm);
+        assert!(cache.get_alias(&alias("a")).is_none());
+        assert!(cache.get_alias(&alias("b")).is_none());
+        assert_eq!(cache.alias_count(), 0);
+        // Replacing an entry under its own key drops its aliases too.
+        cache.add_alias(alias("a"), rcm_key(&a));
+        insert_ordering(&cache, &a, Algorithm::Rcm);
+        assert!(cache.get_alias(&alias("a")).is_none());
+        assert_eq!(cache.alias_count(), 0);
+        // An absent key records nothing.
+        cache.add_alias(alias("b"), rcm_key(&b));
+        assert_eq!(cache.alias_count(), 0);
+    }
+
+    #[test]
+    fn persisted_inserts_evict_aliases_with_their_entries() {
+        let per_entry = entry_cost(18);
+        let cache = ShardedOrderingCache::new(per_entry + per_entry / 2, 1);
+        let (a, b) = (path(18), path(19));
+        insert_ordering(&cache, &a, Algorithm::Rcm);
+        cache.add_alias(alias("a"), rcm_key(&a));
+        let o = se_order::order(&b, Algorithm::Rcm).unwrap();
+        assert!(cache.insert_persisted(PersistedEntry {
+            key: rcm_key(&b),
+            n: b.n(),
+            adjacency_len: b.adjacency_len(),
+            stats: o.stats,
+            compression_ratio: None,
+            degraded: None,
+            perm: o.perm.order().to_vec(),
+        }));
+        assert!(cache.get_alias(&alias("a")).is_none());
+        assert_eq!(cache.alias_count(), 0);
+    }
+
+    #[test]
+    fn an_entry_keeps_only_its_newest_aliases() {
+        let cache = ShardedOrderingCache::new(1 << 20, 2);
+        let g = path(21);
+        insert_ordering(&cache, &g, Algorithm::Rcm);
+        let spellings: Vec<String> = (0..10).map(|i| format!("spelling {i}")).collect();
+        for s in &spellings {
+            cache.add_alias(alias(s), rcm_key(&g));
+            cache.add_alias(alias(s), rcm_key(&g));
+        }
+        assert_eq!(cache.alias_count(), MAX_ALIASES_PER_ENTRY);
+        let (old, new) = spellings.split_at(10 - MAX_ALIASES_PER_ENTRY);
+        assert!(old.iter().all(|s| cache.get_alias(&alias(s)).is_none()));
+        assert!(new.iter().all(|s| cache.get_alias(&alias(s)).is_some()));
+    }
+
+    #[test]
+    fn zero_budget_records_no_alias() {
+        let cache = ShardedOrderingCache::new(0, 4);
+        assert!(!cache.is_enabled());
+        let g = path(10);
+        insert_ordering(&cache, &g, Algorithm::Rcm);
+        cache.add_alias(alias("a"), rcm_key(&g));
+        assert_eq!(cache.alias_count(), 0);
+        assert!(cache.get_alias(&alias("a")).is_none());
     }
 
     #[test]

@@ -461,14 +461,14 @@ impl Engine {
         }
     }
 
-    /// Worker-side execution: parse, consult the cache, order, record
-    /// metrics. A hit returns the cache's pre-encoded payload
-    /// ([`PermPayload::Cached`]) so the session writes the stored bytes
-    /// without re-encoding; a miss inserts and reuses the freshly encoded
-    /// payload the same way. The ordering runs through the graceful-
-    /// degradation ladder under `budget`, so an exhausted deadline, a
-    /// CANCEL or an injected solver fault yields a valid (degraded)
-    /// permutation instead of an error whenever possible.
+    /// Worker-side execution: consult the payload alias, else parse,
+    /// consult the cache, order, record metrics. A hit returns the cache's
+    /// pre-encoded payload ([`PermPayload::Cached`]) so the session writes
+    /// the stored bytes without re-encoding; a miss inserts and reuses the
+    /// freshly encoded payload the same way. The ordering runs through the
+    /// graceful-degradation ladder under `budget`, so an exhausted
+    /// deadline, a CANCEL or an injected solver fault yields a valid
+    /// (degraded) permutation instead of an error whenever possible.
     fn execute_order(
         &self,
         req: &OrderRequest,
@@ -482,6 +482,13 @@ impl Engine {
         if self.faults.should_fail(sites::WORKER_PANIC) {
             panic!("injected worker panic ({})", sites::WORKER_PANIC);
         }
+        // An exact resend of a payload whose entry is present answers
+        // here, before the payload is parsed; the entry's shape guard
+        // supplies `n` and `nnz`.
+        let alias = self.payload_alias(req);
+        if let Some(hit) = alias.as_ref().and_then(|a| self.cache.get_alias(a)) {
+            return self.finish(req, t0, self.hit_response(req, hit));
+        }
         let g = match load_pattern(&req.source) {
             Ok(g) => g,
             Err(e) => {
@@ -489,6 +496,7 @@ impl Engine {
                 return Err(e);
             }
         };
+        let key = crate::cache::pattern_key(&g, req.alg, req.compressed);
         // A traced request bypasses the cache lookup — its span tree must
         // describe an actual computation — but the computed ordering is
         // still inserted below for future untraced hits. The trace subtree
@@ -496,8 +504,14 @@ impl Engine {
         let cached = if req.trace {
             None
         } else {
-            self.cache.get(&g, req.alg, req.compressed)
+            self.cache.get_keyed(key, &g)
         };
+        if let Some(hit) = cached {
+            if let Some(alias) = alias {
+                self.cache.add_alias(alias, key);
+            }
+            return self.finish(req, t0, self.hit_response(req, hit));
+        }
         // Mesh: a local miss for a key another node is responsible for
         // forwards to the owner (then its replicas) and relays the peer's
         // response unchanged — degraded marker, trace and all. `hop` marks
@@ -506,9 +520,8 @@ impl Engine {
         // one wasted computation, never a loop. When every candidate peer
         // is unreachable the request falls through to local computation:
         // the mesh degrades to independent nodes instead of erroring.
-        if cached.is_none() && !req.hop {
+        if !req.hop {
             if let Some(mesh) = &self.mesh {
-                let key = crate::cache::pattern_key(&g, req.alg, req.compressed);
                 if !mesh.owns(key) {
                     if let Some(resp) = mesh.forward(key, req, &self.metrics) {
                         if self.log_requests {
@@ -526,174 +539,190 @@ impl Engine {
                 }
             }
         }
-        let (stats, payload, compression_ratio, cache_hit, trace, alg_name, degraded) = match cached
-        {
-            Some(hit) => {
-                self.metrics.inc(&self.metrics.cache_hits);
-                let degraded = hit.degraded.map(|r| r.to_string());
-                (
-                    hit.stats,
-                    hit.payload,
-                    hit.compression_ratio,
-                    true,
-                    None,
-                    req.alg.name().to_string(),
-                    degraded,
-                )
-            }
-            None => {
-                self.metrics.inc(&self.metrics.cache_misses);
-                // Clamp the client-supplied thread count to the machine's
-                // actual parallelism: `0` keeps its "all cores" meaning,
-                // anything else is capped so a hostile request can't make
-                // the server spawn an unbounded number of OS threads.
-                // (Decode already rejects values above
-                // `MAX_REQUEST_THREADS` as malformed.)
-                let threads = match req.threads.unwrap_or(self.solver_threads) {
-                    0 => 0,
-                    t => t.min(sparsemat::par::available_threads()),
-                };
-                let mut solver = se_order::SolverOpts::with_threads(threads);
-                // Run on the shared per-thread-count pool instead of
-                // spawning workers for this one request; concurrent solves
-                // at the same count overlap their regions on one pool.
-                solver.pool = Some(self.solver_pool(threads));
-                // Every computed ordering runs under an enabled tracer: its
-                // span tree feeds the per-stage histograms METRICS exposes
-                // and, when the request asked, the response's trace field.
-                // An enabled tracer never changes numerical results; a
-                // progress-observing one only adds a sink call per span
-                // close.
-                let tracer = match progress {
-                    Some(sink) => {
-                        Tracer::enabled_with_observer(progress_observer(Arc::clone(sink), t0))
-                    }
-                    None => Tracer::enabled(),
-                };
-                solver.trace = tracer.clone();
-                solver.budget = budget.clone();
-                solver.faults = self.faults.clone();
-                let computed = if req.compressed {
-                    se_order::order_compressed_degraded_with(&g, req.alg, &solver)
-                } else {
-                    se_order::order_degraded_with(&g, req.alg, &solver)
-                };
-                let outcome = match computed {
-                    Ok(v) => v,
-                    Err(e) => {
-                        self.metrics.inc(&self.metrics.errors);
-                        return Err(ErrorResponse::fatal(format!(
-                            "{} ordering failed: {e}",
-                            req.alg.name()
-                        )));
-                    }
-                };
-                if let Some(reason) = &outcome.degraded {
-                    self.metrics.degraded_orders.inc(reason);
-                }
-                if let Some(stage) = outcome.budget_abort_stage {
-                    self.metrics.budget_aborts.inc(stage);
-                }
-                let o = outcome.ordering;
-                let ratio = req.compressed.then_some(outcome.compression_ratio);
-                // Cache clean results always. Among degraded ones, only
-                // `not_converged` is a deterministic property of the matrix
-                // worth remembering; deadline/cancel/fault degradations are
-                // transient and must be recomputed next time.
-                let cacheable = match outcome.degraded.as_deref() {
-                    None | Some("not_converged") => true,
-                    Some(_) => false,
-                };
-                let payload = if cacheable {
-                    self.cache.insert(
-                        &g,
-                        req.alg,
-                        req.compressed,
-                        o.perm.order(),
-                        crate::cache::OrderingMeta {
-                            stats: o.stats,
-                            compression_ratio: ratio,
-                            degraded: outcome.degraded.as_deref(),
-                        },
-                    )
-                } else {
-                    Arc::new(crate::proto::EncodedPerm::new(o.perm.order().to_vec()))
-                };
-                // Mesh: the key's owner pushes a freshly computed cacheable
-                // entry (in the spill byte layout) to its ring successors,
-                // so replicas answer future reads for the key from their
-                // own cache without forwarding. Best-effort and gated on
-                // ownership — a node that computed locally only because a
-                // forward failed does not spray copies around the ring.
-                if cacheable {
-                    if let Some(mesh) = &self.mesh {
-                        let key = crate::cache::pattern_key(&g, req.alg, req.compressed);
-                        if mesh.is_owner(key) {
-                            mesh.replicate(
-                                &crate::persist::PersistedEntry {
-                                    key,
-                                    n: g.n(),
-                                    adjacency_len: g.adjacency_len(),
-                                    stats: o.stats,
-                                    compression_ratio: ratio,
-                                    degraded: outcome.degraded.clone(),
-                                    perm: o.perm.order().to_vec(),
-                                },
-                                &self.metrics,
-                            );
-                        }
-                    }
-                }
-                let root = tracer.finish();
-                if let Some(root) = &root {
-                    for name in root.stage_names() {
-                        self.metrics
-                            .stage_latency
-                            .record(name, root.stage_micros(name));
-                    }
-                }
-                let trace = if req.trace {
-                    root.map(|r| Arc::<str>::from(r.render_json()))
-                } else {
-                    None
-                };
-                (
-                    o.stats,
-                    payload,
-                    ratio,
-                    false,
-                    trace,
-                    // A degraded response names the algorithm that actually
-                    // produced the permutation (e.g. RCM on rung 3).
-                    o.algorithm.name().to_string(),
-                    outcome.degraded,
-                )
+        self.metrics.inc(&self.metrics.cache_misses);
+        // Clamp the client-supplied thread count to the machine's actual
+        // parallelism: `0` keeps its "all cores" meaning, anything else is
+        // capped so a hostile request can't make the server spawn an
+        // unbounded number of OS threads. (Decode already rejects values
+        // above `MAX_REQUEST_THREADS` as malformed.)
+        let threads = match req.threads.unwrap_or(self.solver_threads) {
+            0 => 0,
+            t => t.min(sparsemat::par::available_threads()),
+        };
+        let mut solver = se_order::SolverOpts::with_threads(threads);
+        // Run on the shared per-thread-count pool instead of spawning
+        // workers for this one request; concurrent solves at the same
+        // count overlap their regions on one pool.
+        solver.pool = Some(self.solver_pool(threads));
+        // Every computed ordering runs under an enabled tracer: its span
+        // tree feeds the per-stage histograms METRICS exposes and, when the
+        // request asked, the response's trace field. An enabled tracer
+        // never changes numerical results; a progress-observing one only
+        // adds a sink call per span close.
+        let tracer = match progress {
+            Some(sink) => Tracer::enabled_with_observer(progress_observer(Arc::clone(sink), t0)),
+            None => Tracer::enabled(),
+        };
+        solver.trace = tracer.clone();
+        solver.budget = budget.clone();
+        solver.faults = self.faults.clone();
+        let computed = if req.compressed {
+            se_order::order_compressed_degraded_with(&g, req.alg, &solver)
+        } else {
+            se_order::order_degraded_with(&g, req.alg, &solver)
+        };
+        let outcome = match computed {
+            Ok(v) => v,
+            Err(e) => {
+                self.metrics.inc(&self.metrics.errors);
+                return Err(ErrorResponse::fatal(format!(
+                    "{} ordering failed: {e}",
+                    req.alg.name()
+                )));
             }
         };
-        let micros = t0.elapsed().as_micros() as u64;
-        self.metrics.latency.record(req.alg.name(), micros);
-        if self.log_requests {
-            eprintln!(
-                "[spectral-orderd] op=order id={} alg={} n={} nnz={} cache={} micros={micros}",
-                req.id.map_or_else(|| "-".to_string(), |i| i.to_string()),
-                req.alg.name(),
-                g.n(),
-                g.nnz_lower_with_diagonal(),
-                if cache_hit { "hit" } else { "miss" },
-            );
+        if let Some(reason) = &outcome.degraded {
+            self.metrics.degraded_orders.inc(reason);
         }
-        Ok(OrderResponse {
-            alg: alg_name,
+        if let Some(stage) = outcome.budget_abort_stage {
+            self.metrics.budget_aborts.inc(stage);
+        }
+        let o = outcome.ordering;
+        let ratio = req.compressed.then_some(outcome.compression_ratio);
+        // Cache clean results always. Among degraded ones, only
+        // `not_converged` is a deterministic property of the matrix worth
+        // remembering; deadline/cancel/fault degradations are transient
+        // and must be recomputed next time.
+        let cacheable = match outcome.degraded.as_deref() {
+            None | Some("not_converged") => true,
+            Some(_) => false,
+        };
+        let payload = if cacheable {
+            let payload = self.cache.insert_keyed(
+                key,
+                &g,
+                o.perm.order(),
+                crate::cache::OrderingMeta {
+                    stats: o.stats,
+                    compression_ratio: ratio,
+                    degraded: outcome.degraded.as_deref(),
+                },
+            );
+            if let Some(alias) = alias {
+                self.cache.add_alias(alias, key);
+            }
+            payload
+        } else {
+            Arc::new(crate::proto::EncodedPerm::new(o.perm.order().to_vec()))
+        };
+        // Mesh: the key's owner pushes a freshly computed cacheable entry
+        // (in the spill byte layout) to its ring successors, so replicas
+        // answer future reads for the key from their own cache without
+        // forwarding. Best-effort and gated on ownership — a node that
+        // computed locally only because a forward failed does not spray
+        // copies around the ring.
+        if cacheable {
+            if let Some(mesh) = &self.mesh {
+                if mesh.is_owner(key) {
+                    mesh.replicate(
+                        &crate::persist::PersistedEntry {
+                            key,
+                            n: g.n(),
+                            adjacency_len: g.adjacency_len(),
+                            stats: o.stats,
+                            compression_ratio: ratio,
+                            degraded: outcome.degraded.clone(),
+                            perm: o.perm.order().to_vec(),
+                        },
+                        &self.metrics,
+                    );
+                }
+            }
+        }
+        let root = tracer.finish();
+        if let Some(root) = &root {
+            for name in root.stage_names() {
+                self.metrics
+                    .stage_latency
+                    .record(name, root.stage_micros(name));
+            }
+        }
+        let trace = if req.trace {
+            root.map(|r| Arc::<str>::from(r.render_json()))
+        } else {
+            None
+        };
+        let resp = OrderResponse {
+            // A degraded response names the algorithm that actually
+            // produced the permutation (e.g. RCM on rung 3).
+            alg: o.algorithm.name().to_string(),
             n: g.n(),
             nnz: g.nnz_lower_with_diagonal(),
-            stats,
+            stats: o.stats,
             perm: req.include_perm.then_some(PermPayload::Cached(payload)),
-            cache_hit,
-            micros,
-            compression_ratio,
-            degraded,
+            cache_hit: false,
+            micros: 0,
+            compression_ratio: ratio,
+            degraded: outcome.degraded,
             trace,
-        })
+        };
+        self.finish(req, t0, resp)
+    }
+
+    /// The alias an inline, untraced request is looked up and recorded
+    /// under. `None` — no digest computed — for a path request (the file
+    /// may change under the same name), a traced one (it bypasses the
+    /// cache lookup) and whenever the cache budget is 0.
+    fn payload_alias(&self, req: &OrderRequest) -> Option<crate::cache::PayloadAlias> {
+        match &req.source {
+            MatrixSource::Inline { format, payload } if !req.trace && self.cache.is_enabled() => {
+                Some(crate::cache::PayloadAlias::of(
+                    *format,
+                    req.alg,
+                    req.compressed,
+                    payload.as_bytes(),
+                ))
+            }
+            _ => None,
+        }
+    }
+
+    /// A cache hit's response (before [`Engine::finish`] stamps `micros`),
+    /// counting it. The entry's shape guard is the pattern's: `n`, and
+    /// `nnz = edges + n` from its adjacency length.
+    fn hit_response(&self, req: &OrderRequest, hit: crate::cache::CacheHit) -> OrderResponse {
+        self.metrics.inc(&self.metrics.cache_hits);
+        OrderResponse {
+            alg: req.alg.name().to_string(),
+            n: hit.n,
+            nnz: hit.adjacency_len / 2 + hit.n,
+            stats: hit.stats,
+            perm: req.include_perm.then_some(PermPayload::Cached(hit.payload)),
+            cache_hit: true,
+            micros: 0,
+            compression_ratio: hit.compression_ratio,
+            degraded: hit.degraded.map(|r| r.to_string()),
+            trace: None,
+        }
+    }
+
+    /// The tail every locally answered ORDER shares: stamps `micros`,
+    /// records the latency histogram and writes the request log line.
+    fn finish(&self, req: &OrderRequest, t0: Instant, mut resp: OrderResponse) -> OrderOutcome {
+        resp.micros = t0.elapsed().as_micros() as u64;
+        self.metrics.latency.record(req.alg.name(), resp.micros);
+        if self.log_requests {
+            eprintln!(
+                "[spectral-orderd] op=order id={} alg={} n={} nnz={} cache={} micros={}",
+                req.id.map_or_else(|| "-".to_string(), |i| i.to_string()),
+                req.alg.name(),
+                resp.n,
+                resp.nnz,
+                if resp.cache_hit { "hit" } else { "miss" },
+                resp.micros,
+            );
+        }
+        Ok(resp)
     }
 
     /// The METRICS exposition ([`Metrics::render_prometheus`]).

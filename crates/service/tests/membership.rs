@@ -78,8 +78,12 @@ fn start_member(addr: &str, peers: Vec<String>, replicas: usize) -> ServerHandle
     serve(cfg).expect("bind reserved mesh port")
 }
 
+/// Starts every member and returns once each has finished its startup
+/// JOIN announcement (`mesh_warmed`), so no startup JOIN is still in
+/// flight when a test reshapes the ring — a late one re-admits a member
+/// the test has just announced as departed.
 fn start_mesh(addrs: &[String], replicas: usize) -> Vec<ServerHandle> {
-    addrs
+    let handles: Vec<ServerHandle> = addrs
         .iter()
         .enumerate()
         .map(|(i, addr)| {
@@ -91,7 +95,11 @@ fn start_mesh(addrs: &[String], replicas: usize) -> Vec<ServerHandle> {
                 .collect();
             start_member(addr, peers, replicas)
         })
-        .collect()
+        .collect();
+    wait_for(10, "every member's startup JOIN", || {
+        handles.iter().all(|h| h.engine().mesh_warmed())
+    });
+    handles
 }
 
 /// Probes grid graphs until one's cache key — for the algorithm the test
