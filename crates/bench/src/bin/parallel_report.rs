@@ -17,14 +17,12 @@
 //! `tracemin` block records outer iterations, summed inner MINRES
 //! iterations, wall-µs and the pool tallies per thread count.
 //!
-//! Honest by construction: the host core count and whether the `parallel`
-//! feature is compiled in are recorded in the output, since speedup is
-//! bounded by physical cores (on a 1-core container every thread count
-//! measures the same serial work plus pool overhead, and the steal/park
-//! tallies show how much scheduling actually happened).
+//! Honest by construction: the host core count is recorded in the output,
+//! since speedup is bounded by physical cores (on a 1-core container every
+//! thread count measures the same serial work plus pool overhead, and the
+//! steal/park tallies show how much scheduling actually happened).
 //!
-//! Run with `cargo run -p se-bench --release --features parallel --bin
-//! parallel_report`.
+//! Run with `cargo run -p se-bench --release --bin parallel_report`.
 
 use se_order::{order_with, Algorithm, SolverOpts};
 use se_trace::{SpanNode, Tracer};
@@ -52,7 +50,6 @@ fn sum_attr(node: &SpanNode, name: &str, attr: &str) -> f64 {
 
 fn main() {
     let cores = available_threads();
-    let feature_on = TaskPool::new(2).is_parallel();
     // 1/2/4/max, with `max` deduplicated against the fixed counts so a
     // 4-core (or 1-core) host doesn't measure the same pool twice.
     let mut threads: Vec<usize> = vec![1, 2, 4];
@@ -60,11 +57,7 @@ fn main() {
         threads.push(cores);
     }
     println!("==== Parallel multilevel Fiedler: serial vs work-stealing pool ====");
-    println!("host cores: {cores}, `parallel` feature compiled: {feature_on}\n");
-    if !feature_on {
-        println!("(pools degrade to serial without `--features parallel`;");
-        println!(" timings below measure the serial path under every label)\n");
-    }
+    println!("host cores: {cores}\n");
 
     let mut blocks = Vec::new();
     for name in MATRICES {
@@ -226,7 +219,7 @@ fn main() {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\n  \"cores\": {cores},\n  \"parallel_feature\": {feature_on},\n  \
+        "{{\n  \"cores\": {cores},\n  \
          \"note\": \"speedup is serial_seconds / best_seconds per matrix; bounded by \
          physical cores — on a 1-core host all thread counts measure the same serial \
          work, and `identical` shows results are bit-reproducible regardless. \

@@ -5,8 +5,7 @@
 //!   --alg <spectral|rcm|gps|gk|sloan|hybrid|refined|mindeg|nd|cm>
 //!                      ordering (default spectral)
 //!   --threads <N>      solver threads for spectral algorithms (0 = all
-//!                      cores; needs the `parallel` feature, results are
-//!                      bit-identical for every N)
+//!                      cores; results are bit-identical for every N)
 //!   --compare          run all paper algorithms and print the table
 //!   --compressed       order via supervariable compression (multi-DOF models)
 //!   --metrics          print the full metric set (work, sums, frontwidths)
@@ -19,21 +18,9 @@
 //!   --perm <file.txt>  write the permutation (1-based, one per line)
 //!   --spy <file.pgm>   write a spy plot of the reordered matrix
 //!
-//! spectral-order serve [--addr HOST:PORT] [--workers N] [--queue N]
-//!                      [--cache-mb N] [--shards N] [--cache-dir PATH]
-//!                      [--cache-dir-budget BYTES] [--max-conns N]
-//!                      [--timeout-ms N] [--threads N] [--log-requests]
-//!                      [--rate-limit RPS[:BURST]] [--io-timeout MS]
-//!                      [--reactor-threads N]
-//!   run the spectral-orderd ordering daemon in the foreground.
-//!   `--cache-dir-budget` bounds the spill directory (oldest entries are
-//!   deleted first); `--log-requests` prints one line per request to stderr;
-//!   `--rate-limit` token-buckets each client IP (fatal "rate limited"
-//!   error when exceeded; BURST defaults to 2*RPS); `--io-timeout` bounds
-//!   every socket read/write so a stalling (slow-loris) client is
-//!   disconnected instead of pinning a connection slot. Connections are
-//!   served by a poll-based reactor: `--reactor-threads` sets its
-//!   event-loop count (default 1).
+//! spectral-order serve [options]
+//!   run the spectral-orderd ordering daemon in the foreground; it takes
+//!   the same flags as `spectral-orderd` (`spectral-order serve --help`).
 //!
 //! spectral-order client --addr HOST:PORT <matrix>... [--alg NAME] [--no-perm]
 //!                      [--threads N] [--compressed] [--binary] [--trace]
@@ -90,11 +77,7 @@ fn usage() -> ExitCode {
         "usage: spectral-order <matrix.{{mtx,rsa,rua,graph}}> [--alg NAME] [--threads N] \
          [--compare] [--compressed] [--metrics] [--json] [--trace] [--trace-json] \
          [--out FILE.mtx] [--perm FILE.txt] [--spy FILE.pgm]\n\
-         \x20      spectral-order serve [--addr HOST:PORT] [--workers N] [--queue N] \
-         [--cache-mb N] [--shards N] [--cache-dir PATH] [--cache-dir-budget BYTES] \
-         [--max-conns N] [--timeout-ms N] [--threads N] [--log-requests] \
-         [--rate-limit RPS[:BURST]] [--io-timeout MS] [--reactor-threads N] \
-         [--peers HOST:PORT,...] [--replicas N]\n\
+         \x20      spectral-order serve [options]   (flags: spectral-order serve --help)\n\
          \x20      spectral-order client --addr HOST:PORT (<matrix>... [--alg NAME] [--no-perm] \
          [--threads N] [--compressed] [--binary] [--trace] [--id N] [--retry N] \
          [--pipeline N] [--progress] | --stats | --metrics-text | --cancel ID | --shutdown)\n\
@@ -107,7 +90,7 @@ fn usage() -> ExitCode {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("serve") => return serve_main(&args[1..]),
+        Some("serve") => return se_service::server::run_daemon("spectral-order serve", &args[1..]),
         Some("client") => return client_main(&args[1..]),
         _ => {}
     }
@@ -331,107 +314,6 @@ fn main() -> ExitCode {
         }
         eprintln!("wrote spy plot to {s}");
     }
-    ExitCode::SUCCESS
-}
-
-/// Parses `RPS` or `RPS:BURST`; a missing burst defaults to `2 * RPS`.
-fn parse_rate_limit(v: &str) -> Option<(u64, u64)> {
-    let (rps, burst) = match v.split_once(':') {
-        Some((r, b)) => (r.parse().ok()?, b.parse().ok()?),
-        None => {
-            let r: u64 = v.parse().ok()?;
-            (r, r.saturating_mul(2))
-        }
-    };
-    (rps > 0 && burst > 0).then_some((rps, burst))
-}
-
-/// `spectral-order serve` — run the daemon in the foreground.
-fn serve_main(args: &[String]) -> ExitCode {
-    let mut cfg = se_service::Config::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let num = |it: &mut dyn Iterator<Item = &String>| -> Option<usize> {
-            it.next().and_then(|v| v.parse().ok())
-        };
-        match a.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => cfg.addr = v.clone(),
-                None => return usage(),
-            },
-            "--workers" => match num(&mut it) {
-                Some(v) if v > 0 => cfg.workers = v,
-                _ => return usage(),
-            },
-            "--queue" => match num(&mut it) {
-                Some(v) if v > 0 => cfg.queue_capacity = v,
-                _ => return usage(),
-            },
-            "--cache-mb" => match num(&mut it) {
-                Some(v) => cfg.cache_budget_bytes = v << 20,
-                None => return usage(),
-            },
-            "--shards" => match num(&mut it) {
-                Some(v) if v > 0 => cfg.cache_shards = v,
-                _ => return usage(),
-            },
-            "--cache-dir" => match it.next() {
-                Some(v) => cfg.cache_dir = Some(v.into()),
-                None => return usage(),
-            },
-            "--cache-dir-budget" => match it.next().and_then(|v| v.parse::<u64>().ok()) {
-                Some(v) => cfg.cache_dir_budget = Some(v),
-                None => return usage(),
-            },
-            "--log-requests" => cfg.log_requests = true,
-            "--max-conns" => match num(&mut it) {
-                Some(v) if v > 0 => cfg.max_conns = v,
-                _ => return usage(),
-            },
-            "--timeout-ms" => match num(&mut it) {
-                Some(v) if v > 0 => cfg.default_timeout_ms = v as u64,
-                _ => return usage(),
-            },
-            "--threads" => match num(&mut it) {
-                Some(v) => cfg.solver_threads = v,
-                None => return usage(),
-            },
-            "--rate-limit" => match it.next().and_then(|v| parse_rate_limit(v)) {
-                Some(limit) => cfg.rate_limit = Some(limit),
-                None => return usage(),
-            },
-            "--io-timeout" => match num(&mut it) {
-                Some(v) if v > 0 => cfg.io_timeout_ms = Some(v as u64),
-                _ => return usage(),
-            },
-            "--reactor-threads" => match num(&mut it) {
-                Some(v) if v > 0 => cfg.reactor_threads = v,
-                _ => return usage(),
-            },
-            "--peers" => match it.next() {
-                Some(v) if !v.is_empty() => {
-                    cfg.peers = v.split(',').map(str::to_string).collect();
-                }
-                _ => return usage(),
-            },
-            "--replicas" => match num(&mut it) {
-                Some(v) if v > 0 => cfg.replicas = v,
-                _ => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let workers = cfg.workers;
-    let handle = match se_service::serve(cfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("serve: cannot start: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!("listening on {} ({} workers)", handle.local_addr(), workers);
-    handle.join();
-    eprintln!("serve: drained and stopped");
     ExitCode::SUCCESS
 }
 

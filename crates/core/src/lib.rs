@@ -113,8 +113,8 @@ pub fn reorder(a: &CsrMatrix, alg: Algorithm) -> Result<Reordered> {
 }
 
 /// [`reorder`] with an explicit solver configuration — tolerances, iteration
-/// caps and, most importantly, `threads`: with the `parallel` feature the
-/// whole Fiedler pipeline runs on one shared thread pool. Results are
+/// caps and, most importantly, `threads`: with `threads != 1` the whole
+/// Fiedler pipeline runs on one shared thread pool. Results are
 /// bit-identical for every thread count.
 pub fn reorder_with(a: &CsrMatrix, alg: Algorithm, solver: &SolverOpts) -> Result<Reordered> {
     let pattern = a.pattern()?;

@@ -480,9 +480,8 @@ mod tests {
 
     #[test]
     fn parallel_fiedler_bitwise_equals_serial() {
-        // Large enough that the pool's chunked paths genuinely engage when
-        // the `parallel` feature is on; trivially serial otherwise. Either
-        // way, every thread count must produce the exact same bits.
+        // Large enough that the pool's chunked paths genuinely engage:
+        // every thread count must produce the exact same bits.
         let g = grid(90, 80);
         let base = fiedler(&g, &FiedlerOptions::default()).unwrap();
         for threads in [2, 4, 8] {

@@ -88,8 +88,7 @@ pub const DEFAULT_MINRES_RTOL: f64 = 1e-10;
 #[derive(Debug, Clone)]
 pub struct SolverOpts {
     /// Total solver threads: `1` = serial (the default), `0` = all available
-    /// cores, `n > 1` = a pool of `n`. Without the crate's `parallel`
-    /// feature any value degrades to serial.
+    /// cores, `n > 1` = a pool of `n`.
     pub threads: usize,
     /// Fiedler eigen-residual tolerance ([`DEFAULT_FIEDLER_TOL`]).
     pub tol: f64,
@@ -169,7 +168,7 @@ impl SolverOpts {
 
     /// The pool this configuration asks for: the injected [`SolverOpts::pool`]
     /// if set, otherwise a freshly built one. Serial unless the effective
-    /// thread count exceeds 1 *and* the `parallel` feature is enabled.
+    /// thread count exceeds 1.
     pub fn pool(&self) -> TaskPool {
         self.pool
             .clone()

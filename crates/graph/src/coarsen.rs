@@ -509,7 +509,7 @@ mod tests {
     #[test]
     fn parallel_mis_matches_greedy() {
         // 5600 vertices: crosses the pool's PAR_MIN threshold, so the select
-        // phase really runs on workers when the `parallel` feature is on.
+        // phase really runs on workers.
         let g = grid(80, 70);
         let serial = maximal_independent_set(&g);
         for threads in [2, 4, 8] {

@@ -147,20 +147,12 @@ impl Engine {
         let mesh = if cfg.peers.is_empty() {
             None
         } else {
-            Some(Mesh::with_tuning(
+            Some(Mesh::new(
                 &cfg.peers,
                 cfg.replicas,
                 addr,
                 cfg.faults.clone(),
-                MeshTuning {
-                    dial_timeout: Duration::from_millis(cfg.peer_dial_timeout_ms),
-                    io_timeout: Duration::from_millis(cfg.peer_io_timeout_ms),
-                    suspect_after_ms: cfg.peer_suspect_after_ms,
-                    dead_after_ms: cfg.peer_dead_after_ms.max(cfg.peer_suspect_after_ms),
-                    hint_cap: cfg.hint_cap,
-                    hint_dir: cfg.cache_dir.clone(),
-                    clock: crate::membership::Clock::system(),
-                },
+                MeshTuning::from_config(cfg),
             ))
         };
         Ok(Engine {

@@ -58,12 +58,13 @@
 
 use crate::client::{Client, ClientError, ClientPool, RetryPolicy};
 use crate::frame::FrameMode;
-use crate::hints::{HintLog, DEFAULT_HINT_CAP};
+use crate::hints::HintLog;
 use crate::membership::{Clock, MemberTable, Transition};
 use crate::metrics::Metrics;
 use crate::persist::{self, PersistedEntry};
 use crate::proto::{OrderRequest, OrderResponse};
 use crate::ring::{HashRing, DEFAULT_VNODES};
+use crate::server::Config;
 use se_faults::{lock_unpoisoned, sites, FaultPlane};
 use std::collections::HashMap;
 use std::net::{IpAddr, SocketAddr, ToSocketAddrs};
@@ -95,9 +96,9 @@ fn resolve_ip(name: &str) -> Option<IpAddr> {
     name.to_socket_addrs().ok()?.next().map(|a| a.ip())
 }
 
-/// Everything about a mesh that operators tune; bundled so
-/// [`Mesh::with_tuning`] does not take nine positional arguments.
-/// [`MeshTuning::default`] matches the documented serve-flag defaults.
+/// Everything about a mesh that operators tune; bundled so [`Mesh::new`]
+/// does not take nine positional arguments. Built from the daemon
+/// [`Config`] by [`MeshTuning::from_config`].
 #[derive(Debug, Clone)]
 pub struct MeshTuning {
     /// Dial deadline for one peer connection (`--peer-dial-timeout-ms`).
@@ -131,15 +132,19 @@ pub struct MeshTuning {
     pub clock: Clock,
 }
 
-impl Default for MeshTuning {
-    fn default() -> Self {
+impl MeshTuning {
+    /// The tuning `cfg`'s `peer_*`, `hint_cap` and `cache_dir` fields ask
+    /// for, on the system clock. The dead window is clamped to at least
+    /// the suspect window: a member cannot be declared dead before it
+    /// could have been suspected.
+    pub fn from_config(cfg: &Config) -> MeshTuning {
         MeshTuning {
-            dial_timeout: Duration::from_millis(250),
-            io_timeout: Duration::from_secs(2),
-            suspect_after_ms: 3_000,
-            dead_after_ms: 10_000,
-            hint_cap: DEFAULT_HINT_CAP,
-            hint_dir: None,
+            dial_timeout: Duration::from_millis(cfg.peer_dial_timeout_ms),
+            io_timeout: Duration::from_millis(cfg.peer_io_timeout_ms),
+            suspect_after_ms: cfg.peer_suspect_after_ms,
+            dead_after_ms: cfg.peer_dead_after_ms.max(cfg.peer_suspect_after_ms),
+            hint_cap: cfg.hint_cap,
+            hint_dir: cfg.cache_dir.clone(),
             clock: Clock::system(),
         }
     }
@@ -174,18 +179,12 @@ pub struct Mesh {
 
 impl Mesh {
     /// Builds the mesh view from the configured peer list and this node's
-    /// bound address, with default [`MeshTuning`]. The ring holds
-    /// `peers ∪ {addr}` (textual addresses, deduplicated), so a peers
-    /// list that includes the node itself is harmless. `replicas` is
-    /// clamped to ≥ 1.
-    pub fn new(peers: &[String], replicas: usize, addr: SocketAddr, faults: FaultPlane) -> Mesh {
-        Self::with_tuning(peers, replicas, addr, faults, MeshTuning::default())
-    }
-
-    /// [`Mesh::new`] with explicit tuning. Peer names are resolved once,
-    /// best-effort, to seed the REPLICATE source allowlist; members
+    /// bound address. The ring holds `peers ∪ {addr}` (textual addresses,
+    /// deduplicated), so a peers list that includes the node itself is
+    /// harmless. `replicas` is clamped to ≥ 1. Peer names are resolved
+    /// once, best-effort, to seed the REPLICATE source allowlist; members
     /// admitted later bring their own source address with their JOIN.
-    pub fn with_tuning(
+    pub fn new(
         peers: &[String],
         replicas: usize,
         addr: SocketAddr,
@@ -709,6 +708,7 @@ mod tests {
             replicas,
             "10.0.0.3:7878".parse().unwrap(),
             FaultPlane::disabled(),
+            MeshTuning::from_config(&Config::default()),
         )
     }
 
@@ -863,6 +863,7 @@ mod tests {
             2,
             "127.0.0.1:3".parse().unwrap(),
             FaultPlane::disabled(),
+            MeshTuning::from_config(&Config::default()),
         );
         let metrics = Metrics::new();
         let req = OrderRequest::inline_mtx(se_order::Algorithm::Rcm, "x");

@@ -1,8 +1,8 @@
 //! Work-stealing task pool and deterministic parallel reductions.
 //!
 //! The workspace deliberately carries no external dependencies, so the
-//! `parallel` feature's kernels are expressed through this std-only module
-//! instead of rayon. Two design constraints shape everything here:
+//! parallel kernels are expressed through this std-only module instead of
+//! rayon. Two design constraints shape everything here:
 //!
 //! 1. **Reuse and overlap** — a matvec inside Lanczos runs thousands of
 //!    times per ordering; spawning OS threads per call would cost more than
@@ -31,10 +31,9 @@
 //!    returns the same bits on 1, 2, 4 or 8 threads — and the same bits as
 //!    [`det_dot`].
 //!
-//! Without the `parallel` cargo feature the pool type still exists but never
-//! spawns a thread: [`TaskPool::new`] clamps to serial, every operation runs
-//! inline, and results are (by the chunking argument above) identical. The
-//! feature is purely a switch for whether OS threads may be used.
+//! A one-thread pool ([`TaskPool::serial`], or [`TaskPool::new`] with
+//! `threads <= 1`) spawns nothing and runs every operation inline; by the
+//! chunking argument above its results are identical too.
 //!
 //! # Scheduling protocol
 //!
@@ -548,7 +547,7 @@ pub struct PoolStats {
 /// ```
 /// use sparsemat::par::TaskPool;
 ///
-/// let pool = TaskPool::new(4); // serial unless the `parallel` feature is on
+/// let pool = TaskPool::new(4);
 /// let x: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
 /// // Same bits as TaskPool::serial().dot(&x, &x), whatever the thread count.
 /// assert_eq!(pool.dot(&x, &x), TaskPool::serial().dot(&x, &x));
@@ -574,15 +573,14 @@ impl TaskPool {
 
     /// Creates a pool targeting `threads` total threads (the caller counts
     /// as one; `threads - 1` workers are spawned). `0` means "use
-    /// [`available_threads`]". Clamps to serial when `threads <= 1` or when
-    /// the crate is built without the `parallel` feature.
+    /// [`available_threads`]". Clamps to serial when `threads <= 1`.
     pub fn new(threads: usize) -> TaskPool {
         let want = if threads == 0 {
             available_threads()
         } else {
             threads
         };
-        if want <= 1 || !cfg!(feature = "parallel") {
+        if want <= 1 {
             return TaskPool::serial();
         }
         let extra = want - 1;
@@ -1065,17 +1063,10 @@ mod tests {
         assert_eq!(TaskPool::default().threads(), 1);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
-    fn parallel_feature_spawns_requested_threads() {
+    fn new_spawns_requested_threads() {
         assert_eq!(TaskPool::new(3).threads(), 3);
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    #[test]
-    fn without_feature_pools_are_serial() {
-        assert_eq!(TaskPool::new(8).threads(), 1);
-        assert!(!TaskPool::new(8).is_parallel());
+        assert!(TaskPool::new(3).is_parallel());
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! and the combinatorial stages (MIS selection, domain growth, coarse-edge
 //! collection) are proven order-identical to their serial forms.
 //!
-//! Without `--features parallel` the pools degrade to serial and the suite
-//! passes trivially; with it, threads 2/4/8 exercise real worker threads.
+//! Every build spawns real worker threads for a thread count of 2 or more;
+//! each thread loop asserts that its pool is parallel, so the suite can
+//! never pass by comparing serial runs with serial runs.
 
 use spectral_envelope_repro::eigen::SolverOpts;
 use spectral_envelope_repro::order::{order_with, Algorithm};
@@ -26,6 +27,14 @@ fn stress_threads() -> Option<usize> {
     std::env::var("SE_STRESS_THREADS").ok()?.parse().ok()
 }
 
+/// A thread count of 2 or more must build a pool with real workers.
+fn assert_parallel(t: usize) {
+    assert!(
+        t < 2 || SolverOpts::with_threads(t).pool().is_parallel(),
+        "{t} threads built a serial pool"
+    );
+}
+
 #[test]
 fn spectral_ordering_is_thread_count_invariant() {
     for name in MATRICES {
@@ -34,6 +43,7 @@ fn spectral_ordering_is_thread_count_invariant() {
         let serial = order_with(g, Algorithm::Spectral, &SolverOpts::default())
             .unwrap_or_else(|e| panic!("{name}: serial ordering failed: {e}"));
         for t in THREADS.into_iter().chain(stress_threads()) {
+            assert_parallel(t);
             let solver = SolverOpts::with_threads(t);
             let par = order_with(g, Algorithm::Spectral, &solver)
                 .unwrap_or_else(|e| panic!("{name}: {t}-thread ordering failed: {e}"));
@@ -58,6 +68,7 @@ fn fiedler_vector_is_bitwise_thread_count_invariant() {
     let a = s.pattern.spd_matrix(0.5);
     let serial = fiedler_vector(&a).unwrap();
     for t in THREADS.into_iter().chain(stress_threads()) {
+        assert_parallel(t);
         let par = fiedler_vector_with(&a, &SolverOpts::with_threads(t)).unwrap();
         assert_eq!(
             par.lambda2.to_bits(),
@@ -72,7 +83,7 @@ fn fiedler_vector_is_bitwise_thread_count_invariant() {
 }
 
 /// Thread counts for the overlapping-region tests; `1` exercises the serial
-/// inline path of `Scope::spawn_*` so both feature states cover it.
+/// inline path of `Scope::spawn_*`.
 const OVERLAP_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Two independent regions in flight concurrently on one pool must produce
@@ -120,6 +131,7 @@ fn overlapping_regions_are_bit_identical() {
     let (d1s, d2s) = (fold(&p1s), fold(&p2s));
 
     for t in OVERLAP_THREADS.into_iter().chain(stress_threads()) {
+        assert_parallel(t);
         let pool = TaskPool::new(t);
         let (mut y1, mut p1) = (vec![0.0; N], vec![0.0; nchunks]);
         let (mut y2, mut p2) = (vec![0.0; N], vec![0.0; nchunks]);
@@ -197,6 +209,7 @@ fn seeded_irregular_chunk_costs_stay_deterministic() {
 
     let serial: Vec<f64> = (0..N).map(work).collect();
     for t in OVERLAP_THREADS.into_iter().chain(stress_threads()) {
+        assert_parallel(t);
         let pool = TaskPool::new(t);
         let mut out = vec![0.0f64; N];
         pool.scope(|s| {

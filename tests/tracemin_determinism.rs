@@ -10,9 +10,9 @@
 //! the multilevel Lanczos/RQI pipeline it complements: same eigenvalue, same
 //! sign-fixed direction, comparable envelope quality.
 //!
-//! Without `--features parallel` the pools degrade to serial and the suite
-//! passes trivially; with it, threads 2/4/8 (plus `SE_STRESS_THREADS`)
-//! exercise real worker threads.
+//! Threads 2/4/8 (plus `SE_STRESS_THREADS`) run on real worker threads in
+//! every build; each thread loop asserts that its pool is parallel, so the
+//! suite can never pass by comparing serial runs with serial runs.
 
 use spectral_envelope_repro::eigen::{LaplacianOp, SolverOpts, SymOp};
 use spectral_envelope_repro::graph::bfs::{connected_components, induced_subgraph};
@@ -35,6 +35,14 @@ fn stress_threads() -> Option<usize> {
     std::env::var("SE_STRESS_THREADS").ok()?.parse().ok()
 }
 
+/// A thread count of 2 or more must build a pool with real workers.
+fn assert_parallel(t: usize) {
+    assert!(
+        t < 2 || SolverOpts::with_threads(t).pool().is_parallel(),
+        "{t} threads built a serial pool"
+    );
+}
+
 /// The largest connected component of a stand-in (the eigensolvers require
 /// connectivity; the ordering layer handles components itself).
 fn largest_component(g: &SymmetricPattern) -> SymmetricPattern {
@@ -55,6 +63,7 @@ fn tracemin_ordering_is_thread_count_invariant() {
         let serial = order_with(g, Algorithm::TraceMin, &SolverOpts::default())
             .unwrap_or_else(|e| panic!("{name}: serial tracemin ordering failed: {e}"));
         for t in THREADS.into_iter().chain(stress_threads()) {
+            assert_parallel(t);
             let solver = SolverOpts::with_threads(t);
             let par = order_with(g, Algorithm::TraceMin, &solver)
                 .unwrap_or_else(|e| panic!("{name}: {t}-thread tracemin ordering failed: {e}"));
@@ -80,6 +89,7 @@ fn tracemin_vector_is_bitwise_thread_count_invariant() {
         let serial = tracemin_fiedler(&g, &TraceminOptions::default())
             .unwrap_or_else(|e| panic!("{name}: serial tracemin failed: {e}"));
         for t in THREADS.into_iter().chain(stress_threads()) {
+            assert_parallel(t);
             let opts = TraceminOptions {
                 pool: TaskPool::new(t),
                 ..TraceminOptions::default()
