@@ -1,4 +1,4 @@
-//! Parallel scaling report — serial vs work-stealing multilevel Fiedler
+//! Parallel scaling report — serial vs pooled multilevel Fiedler
 //! solver, plus the TraceMin-Fiedler comparator.
 //!
 //! Orders the largest stand-ins with the SPECTRAL algorithm at 1/2/4/max
@@ -13,7 +13,7 @@
 //! counts: its per-column inner MINRES solves are coarse concurrent regions
 //! (a very different load shape from the multilevel solver's fine-grained
 //! chunked reductions), so its steal/park tallies characterize how the
-//! work-stealing scheduler absorbs irregular region-level work. The
+//! chunk-claiming scheduler absorbs irregular region-level work. The
 //! `tracemin` block records outer iterations, summed inner MINRES
 //! iterations, wall-µs and the pool tallies per thread count.
 //!
@@ -56,7 +56,7 @@ fn main() {
     if !threads.contains(&cores) {
         threads.push(cores);
     }
-    println!("==== Parallel multilevel Fiedler: serial vs work-stealing pool ====");
+    println!("==== Parallel multilevel Fiedler: serial vs chunk-claiming pool ====");
     println!("host cores: {cores}\n");
 
     let mut blocks = Vec::new();
@@ -223,8 +223,9 @@ fn main() {
          \"note\": \"speedup is serial_seconds / best_seconds per matrix; bounded by \
          physical cores — on a 1-core host all thread counts measure the same serial \
          work, and `identical` shows results are bit-reproducible regardless. \
-         regions/chunks/steals/parks are the work-stealing pool's own counters for \
-         the best rep (steals = chunks taken from another worker's deque; parks = \
+         regions/chunks/steals/parks are the chunk-claiming pool's own counters for \
+         the best rep (steals = chunks a pool worker ran for a region the solving \
+         thread submitted, the solving thread ran the rest; parks = \
          times a worker slept for lack of work). the tracemin block sweeps \
          alg:tracemin over the same grid: outer_iters/inner_matvecs are summed over \
          connected components and must not vary with thread count\",\n  \

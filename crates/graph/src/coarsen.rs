@@ -157,8 +157,8 @@ pub fn contract_with(g: &SymmetricPattern, pool: &TaskPool) -> Contraction {
 /// in parallel into per-chunk buffers and concatenated in chunk order.
 ///
 /// The chunk grid is submitted as **two concurrently outstanding regions**
-/// (low and high halves) through [`TaskPool::scope`] — on the work-stealing
-/// pool both are in flight together and their chunks interleave across the
+/// (low and high halves) through [`TaskPool::scope`] — on a parallel pool
+/// both are in flight together and their chunks interleave across the
 /// workers. Which region a chunk belongs to never changes which vertices it
 /// scans or where its buffer sits, so the concatenation is byte-identical
 /// to the serial scan.

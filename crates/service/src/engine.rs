@@ -91,7 +91,7 @@ pub struct Engine {
     /// threads; doing that per request wasted milliseconds and — worse —
     /// meant concurrent requests could never share workers. With the cache,
     /// simultaneous solves at the same thread count submit their regions to
-    /// one work-stealing pool and genuinely overlap. Bounded by
+    /// one chunk-claiming pool and genuinely overlap. Bounded by
     /// [`SOLVER_POOL_CACHE_CAP`]; drained (workers joined) on shutdown.
     solver_pools: Mutex<Vec<(usize, sparsemat::par::TaskPool)>>,
 }

@@ -249,12 +249,13 @@ pub struct Gauges {
     pub mesh: Option<MeshGauges>,
 }
 
-/// Scheduler health summed over the engine's cached work-stealing pools.
+/// Scheduler health summed over the engine's cached solver pools.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PoolHealth {
     /// Pools alive in the per-thread-count cache.
     pub cached: usize,
-    /// Tasks stolen across worker deques (cumulative).
+    /// Chunks pool workers ran for regions another thread submitted
+    /// (cumulative).
     pub steals: u64,
     /// Worker idle transitions (cumulative).
     pub parks: u64,
@@ -449,7 +450,7 @@ pub const FAMILIES: &[Family] = &[
         "Solver pools alive in the per-thread-count cache.",
         |_, g| g.solver_pool.map(|p| Sample::Num(p.cached as u64))),
     family!(2 Counter "solver_pool.steals" => "se_pool_steals_total" []
-        "Tasks stolen across solver-pool worker deques.",
+        "Chunks solver-pool workers ran for regions another thread submitted.",
         |_, g| g.solver_pool.map(|p| Sample::Num(p.steals))),
     family!(2 Counter "solver_pool.parks" => "se_pool_parks_total" []
         "Solver-pool worker idle transitions (condvar parks).",

@@ -722,7 +722,7 @@ se_stage_latency_microseconds_bucket{stage="fiedler",le="536870912"} 1
 se_stage_latency_microseconds_bucket{stage="fiedler",le="+Inf"} 1
 se_stage_latency_microseconds_sum{stage="fiedler"} 1500
 se_stage_latency_microseconds_count{stage="fiedler"} 1
-# HELP se_pool_steals_total Tasks stolen across solver-pool worker deques.
+# HELP se_pool_steals_total Chunks solver-pool workers ran for regions another thread submitted.
 # TYPE se_pool_steals_total counter
 se_pool_steals_total 0
 # HELP se_pool_parks_total Solver-pool worker idle transitions (condvar parks).

@@ -258,7 +258,7 @@ impl CsrMatrix {
     /// eigensolver's hot loops.
     ///
     /// Rows are split into fixed-width chunks (independent of thread count)
-    /// and distributed by work-stealing; each chunk owns a disjoint slice of
+    /// claimed by whichever pool thread is free; each chunk owns a disjoint slice of
     /// `y`, and every `y[r]` is accumulated serially over row `r`'s entries,
     /// so the result is bit-identical to [`CsrMatrix::matvec`] at every
     /// thread count. On a serial pool this *is* the sequential kernel.

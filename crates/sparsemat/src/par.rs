@@ -1,4 +1,4 @@
-//! Work-stealing task pool and deterministic parallel reductions.
+//! Chunk-claiming task pool and deterministic parallel reductions.
 //!
 //! The workspace deliberately carries no external dependencies, so the
 //! parallel kernels are expressed through this std-only module instead of
@@ -6,26 +6,24 @@
 //!
 //! 1. **Reuse and overlap** — a matvec inside Lanczos runs thousands of
 //!    times per ordering; spawning OS threads per call would cost more than
-//!    the work. [`TaskPool`] therefore keeps a set of persistent workers,
-//!    each owning a **work-stealing deque**: the owner pushes and pops split
-//!    tasks at the back (LIFO, cache-warm), idle threads steal from the
-//!    front (FIFO, the biggest remaining span). A parallel *region* — one
-//!    `run_chunks`/`run_tasks` call — is its own region object with a
-//!    private completion count and panic slot, submitted through a shared
-//!    injector queue. There is no global region lock: **independent regions
-//!    from different threads (or from one thread, via [`TaskPool::scope`])
-//!    are outstanding concurrently**, and workers drain whatever is
-//!    runnable. A panic inside a region body is captured in that region,
-//!    every chunk still completes or drains, and the panic resumes on the
-//!    thread that joins the region — other in-flight regions and the pool
-//!    itself are unaffected.
+//!    the work. [`TaskPool`] therefore keeps a set of persistent workers. A
+//!    parallel *region* — one `run_chunks` call or one scope spawn — is its
+//!    own region object holding a claim counter, a completion count and a
+//!    panic slot, and any helping thread claims the region's next unclaimed
+//!    task with one atomic increment. There is no global region lock:
+//!    **independent regions from different threads (or from one thread, via
+//!    [`TaskPool::scope`]) are outstanding concurrently**, and workers drain
+//!    whatever is runnable. A panic inside a region body is captured in that
+//!    region, every chunk still runs, and the panic resumes on the thread
+//!    that joins the region — other in-flight regions and the pool itself
+//!    are unaffected.
 //!
 //! 2. **Bit-reproducibility** — floating-point addition is not associative,
 //!    so a naive parallel dot product would return different last bits from
 //!    run to run and thread count to thread count. Every reduction here uses
 //!    a *fixed* chunk width ([`DET_CHUNK`], independent of the number of
 //!    threads): per-chunk partials are computed serially within the chunk
-//!    and then combined serially **in chunk order**. Work-stealing changes
+//!    and then combined serially **in chunk order**. Scheduling changes
 //!    *which thread* computes a chunk, never *which elements* form a chunk
 //!    or the order partials are combined, so for any input `TaskPool::dot`
 //!    returns the same bits on 1, 2, 4 or 8 threads — and the same bits as
@@ -37,21 +35,17 @@
 //!
 //! # Scheduling protocol
 //!
-//! * Submitting a region splits `0..nchunks` into one even span per thread
-//!   and pushes them on the injector; the submitting caller keeps the first
-//!   span for itself (blocking APIs) or continues immediately
-//!   ([`Scope::spawn_chunks`]).
-//! * A thread holding a span repeatedly splits it in half, pushing the upper
-//!   half on its own deque (back) and keeping the lower, until a single
-//!   chunk remains, which it executes. Popping its own back retrieves the
-//!   most recently split (adjacent, cache-warm) half.
-//! * An idle worker claims from the injector front, then tries to steal the
-//!   front of every other deque, then parks on a condvar. A `pending`
-//!   counter and the parked-worker count form a Dekker-style handshake so a
-//!   task push and a worker going to sleep can never miss each other.
-//! * Joining a thread (a blocking caller or [`RegionHandle::join`]) helps:
-//!   it steals and runs tasks *belonging to its own region* until none are
-//!   visible, then blocks on the region's completion condvar.
+//! * Submitting a region appends it to the pool's one queue (a mutex-guarded
+//!   `VecDeque`) and wakes up to one parked worker per task.
+//! * A worker takes the front region that still has unclaimed tasks, claims
+//!   task `i = next.fetch_add(1)` until `i >= ntasks`, and drops exhausted
+//!   regions from the front. With none left it parks on the queue condvar.
+//!   The parked count is read and written under the queue mutex, so a
+//!   submission can never miss a worker going to sleep.
+//! * Joining a thread (a blocking caller, [`RegionHandle::join`] or the end
+//!   of a scope) claims tasks of *its own* region directly — it never waits
+//!   on a worker that is busy elsewhere — then blocks on the region's
+//!   completion condvar until the chunks workers claimed have finished.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -95,33 +89,31 @@ fn chunk_sum(a: &[f64]) -> f64 {
     a.iter().sum()
 }
 
+/// `Σ part(s, e)` over the [`DET_CHUNK`] grid of `0..n`, in chunk order.
+fn det_total(n: usize, part: impl Fn(usize, usize) -> f64) -> f64 {
+    let mut total = 0.0;
+    let mut i = 0;
+    while i < n {
+        let e = (i + DET_CHUNK).min(n);
+        total += part(i, e);
+        i = e;
+    }
+    total
+}
+
 /// Deterministic chunked dot product: `Σ aᵢbᵢ` accumulated per
 /// [`DET_CHUNK`]-wide span, spans combined in order.
 ///
 /// [`TaskPool::dot`] returns exactly these bits for every thread count.
 pub fn det_dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "det_dot: length mismatch");
-    let mut total = 0.0;
-    let mut i = 0;
-    while i < a.len() {
-        let e = (i + DET_CHUNK).min(a.len());
-        total += chunk_dot(&a[i..e], &b[i..e]);
-        i = e;
-    }
-    total
+    det_total(a.len(), |s, e| chunk_dot(&a[s..e], &b[s..e]))
 }
 
 /// Deterministic chunked sum, the [`det_dot`] of a vector with all-ones —
 /// same chunking, same guarantee.
 pub fn det_sum(a: &[f64]) -> f64 {
-    let mut total = 0.0;
-    let mut i = 0;
-    while i < a.len() {
-        let e = (i + DET_CHUNK).min(a.len());
-        total += chunk_sum(&a[i..e]);
-        i = e;
-    }
-    total
+    det_total(a.len(), |s, e| chunk_sum(&a[s..e]))
 }
 
 // ---------------------------------------------------------------------------
@@ -146,12 +138,17 @@ struct Job {
 unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
-/// Per-region completion state. One of these exists per outstanding parallel
-/// region; tasks carry an `Arc` to it, so regions are fully independent —
-/// a panic or a slow chunk in one region never blocks another.
+/// Per-region state. One of these exists per outstanding parallel region,
+/// so regions are fully independent — a panic or a slow chunk in one region
+/// never blocks another.
 struct RegionCore {
     job: Job,
-    /// Task indices not yet executed. The region is complete when this hits
+    ntasks: usize,
+    /// The next unclaimed task index; `fetch_add` hands each index to
+    /// exactly one thread. The region is exhausted once this reaches
+    /// `ntasks` (its last chunks may still be running).
+    next: AtomicUsize,
+    /// Task indices not yet finished. The region is complete when this hits
     /// zero; the final decrement wakes `done_cv`.
     remaining: AtomicUsize,
     /// First panic payload captured from any chunk of this region;
@@ -161,47 +158,75 @@ struct RegionCore {
     done_cv: Condvar,
 }
 
-/// A contiguous span `[lo, hi)` of task indices of one region. The unit of
-/// queueing and stealing; threads split spans in half until singletons.
-struct Task {
-    region: Arc<RegionCore>,
-    lo: usize,
-    hi: usize,
+impl RegionCore {
+    fn exhausted(&self) -> bool {
+        self.next.load(Ordering::Relaxed) >= self.ntasks
+    }
+
+    /// Claims and runs one task; `false` once every task has been claimed.
+    /// A panic is captured into the region, and `remaining` drains exactly
+    /// once per task either way. `worker` marks a pool worker running a
+    /// region another thread submitted, which the `steals` counter tallies.
+    fn run_one(&self, stats: &CoreStats, worker: bool) -> bool {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        if i >= self.ntasks {
+            return false;
+        }
+        let job = self.job;
+        // SAFETY: see `Job` — ctx outlives the region, body is Sync.
+        let panic = catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.ctx, i) })).err();
+        if let Some(p) = panic {
+            self.panic.lock().unwrap().get_or_insert(p);
+        }
+        stats.chunks.fetch_add(1, Ordering::Relaxed);
+        if worker {
+            stats.steals.fetch_add(1, Ordering::Relaxed);
+        }
+        // The final decrement must take the done lock before notifying so a
+        // joiner between its `remaining` check and `wait` can't miss it.
+        if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+            drop(self.done.lock().unwrap());
+            self.done_cv.notify_all();
+        }
+        true
+    }
 }
 
-/// Scheduler-health counters, monotone over the pool's lifetime (except the
-/// `parked_now` gauge). All relaxed: they order nothing.
+/// Scheduler-health counters, monotone over the pool's lifetime. All
+/// relaxed: they order nothing.
 #[derive(Default)]
 struct CoreStats {
     regions: AtomicU64,
     chunks: AtomicU64,
     steals: AtomicU64,
     parks: AtomicU64,
-    parked_now: AtomicUsize,
+}
+
+/// Everything the queue mutex guards.
+struct Queue {
+    /// Submitted regions in submission order; exhausted ones are dropped
+    /// from the front by whoever next looks.
+    regions: VecDeque<Arc<RegionCore>>,
+    /// Workers waiting on `Core::work_cv` right now.
+    parked: usize,
+    shutdown: bool,
+}
+
+impl Queue {
+    /// Drops exhausted regions from the front and returns the first region
+    /// that still has unclaimed tasks.
+    fn front(&mut self) -> Option<&Arc<RegionCore>> {
+        while self.regions.front().is_some_and(|r| r.exhausted()) {
+            self.regions.pop_front();
+        }
+        self.regions.front()
+    }
 }
 
 struct Core {
-    /// One deque per worker: the owner pushes/pops the back (LIFO), every
-    /// other thread steals from the front (FIFO — the largest span, pushed
-    /// earliest, sits at the front).
-    deques: Vec<Mutex<VecDeque<Task>>>,
-    /// Submission queue: region seed spans land here; threads without a
-    /// deque (blocking callers, scope joiners) also push splits here.
-    injector: Mutex<VecDeque<Task>>,
-    /// Queued-but-unclaimed task count across injector + all deques. Paired
-    /// with `stats.parked_now` in a store-buffer (Dekker) handshake: a
-    /// pusher increments `pending` *then* checks `parked_now`; a parking
-    /// worker increments `parked_now` *then* re-checks `pending`. Under
-    /// SeqCst at least one side observes the other, so no push can race a
-    /// park into a lost wakeup.
-    pending: AtomicUsize,
-    sleep: Mutex<SleepState>,
+    queue: Mutex<Queue>,
     work_cv: Condvar,
     stats: CoreStats,
-}
-
-struct SleepState {
-    shutdown: bool,
 }
 
 thread_local! {
@@ -220,171 +245,13 @@ impl Drop for FlagGuard {
 }
 
 impl Core {
-    /// Pushes one task and wakes a sleeper if any. `me` is the worker's own
-    /// deque index; callers without a deque push to the injector.
-    fn push_task(&self, me: Option<usize>, t: Task) {
-        match me {
-            Some(i) => self.deques[i].lock().unwrap().push_back(t),
-            None => self.injector.lock().unwrap().push_back(t),
-        }
-        self.pending.fetch_add(1, Ordering::SeqCst);
-        self.wake();
-    }
-
-    fn wake(&self) {
-        if self.stats.parked_now.load(Ordering::SeqCst) > 0 {
-            // Empty lock/unlock: a parking worker holds `sleep` from its
-            // `pending` re-check until `wait`, so by the time we acquire the
-            // lock it is either not parked (and saw our push) or blocked in
-            // `wait` (and receives this notification).
-            drop(self.sleep.lock().unwrap());
-            self.work_cv.notify_all();
-        }
-    }
-
-    /// LIFO pop from the worker's own deque.
-    fn pop_own(&self, me: usize) -> Option<Task> {
-        let t = self.deques[me].lock().unwrap().pop_back();
-        if t.is_some() {
-            self.pending.fetch_sub(1, Ordering::SeqCst);
-        }
-        t
-    }
-
-    /// FIFO claim from the injector, then FIFO steal from other deques.
-    fn steal_any(&self, me: Option<usize>) -> Option<Task> {
-        if let Some(t) = self.injector.lock().unwrap().pop_front() {
-            self.pending.fetch_sub(1, Ordering::SeqCst);
-            return Some(t);
-        }
-        let n = self.deques.len();
-        let start = me.map_or(0, |i| i + 1);
-        for k in 0..n {
-            let q = (start + k) % n;
-            if Some(q) == me {
-                continue;
-            }
-            if let Some(t) = self.deques[q].lock().unwrap().pop_front() {
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                self.stats.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Steals the earliest-queued task *belonging to `region`* from the
-    /// injector or any deque. Used by joining threads to help drain their
-    /// own region even while workers are busy with unrelated regions.
-    fn steal_for_region(&self, region: &Arc<RegionCore>) -> Option<Task> {
-        let take = |dq: &Mutex<VecDeque<Task>>, count_steal: bool| -> Option<Task> {
-            let mut q = dq.lock().unwrap();
-            let idx = q.iter().position(|t| Arc::ptr_eq(&t.region, region))?;
-            let t = q.remove(idx);
-            drop(q);
-            self.pending.fetch_sub(1, Ordering::SeqCst);
-            if count_steal {
-                self.stats.steals.fetch_add(1, Ordering::Relaxed);
-            }
-            t
-        };
-        if let Some(t) = take(&self.injector, false) {
-            return Some(t);
-        }
-        for dq in &self.deques {
-            if let Some(t) = take(dq, true) {
-                return Some(t);
-            }
-        }
-        None
-    }
-
-    /// Splits `t` down to single chunks (upper halves queued for stealing)
-    /// and executes them. Panics are captured into the task's region; the
-    /// region's remaining-count drains exactly once per chunk either way.
-    fn run_span(&self, me: Option<usize>, mut t: Task) {
-        while t.hi - t.lo > 1 {
-            let mid = t.lo + (t.hi - t.lo) / 2;
-            self.push_task(
-                me,
-                Task {
-                    region: Arc::clone(&t.region),
-                    lo: mid,
-                    hi: t.hi,
-                },
-            );
-            t.hi = mid;
-        }
-        let region = &t.region;
-        let job = region.job;
-        // SAFETY: see `Job` — ctx outlives the region, body is Sync.
-        let panic = catch_unwind(AssertUnwindSafe(|| unsafe { (job.call)(job.ctx, t.lo) })).err();
-        if let Some(p) = panic {
-            let mut slot = region.panic.lock().unwrap();
-            if slot.is_none() {
-                *slot = Some(p);
-            }
-        }
-        self.stats.chunks.fetch_add(1, Ordering::Relaxed);
-        // The final decrement must take the done lock before notifying so a
-        // joiner between its `remaining` check and `wait` can't miss it.
-        if region.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            drop(region.done.lock().unwrap());
-            region.done_cv.notify_all();
-        }
-    }
-
-    /// Seeds a region's initial spans: `0..ntasks` split into `nseeds` even
-    /// spans. With `keep_first`, span 0 is returned for the caller to run;
-    /// the rest go on the injector in ascending order in one push.
-    fn seed_region(
-        &self,
-        region: &Arc<RegionCore>,
-        ntasks: usize,
-        nseeds: usize,
-        keep_first: bool,
-    ) -> Option<Task> {
-        let nseeds = nseeds.min(ntasks).max(1);
-        let base = ntasks / nseeds;
-        let rem = ntasks % nseeds;
-        let mut spans = Vec::with_capacity(nseeds);
-        let mut lo = 0;
-        for s in 0..nseeds {
-            let hi = lo + base + usize::from(s < rem);
-            spans.push(Task {
-                region: Arc::clone(region),
-                lo,
-                hi,
-            });
-            lo = hi;
-        }
-        debug_assert_eq!(lo, ntasks);
-        let mine = if keep_first {
-            Some(spans.remove(0))
-        } else {
-            None
-        };
-        if !spans.is_empty() {
-            let pushed = spans.len();
-            self.injector.lock().unwrap().extend(spans);
-            self.pending.fetch_add(pushed, Ordering::SeqCst);
-            self.wake();
-        }
-        mine
-    }
-
-    /// Runs tasks of `region` on the calling thread until none are visible
-    /// in any queue, then blocks until the region fully drains. Re-raises
-    /// the region's captured panic, if any.
-    fn join_region(&self, region: &Arc<RegionCore>, mine: Option<Task>) {
+    /// Runs tasks of `region` on the calling thread until all are claimed,
+    /// then blocks until the region fully drains. Re-raises the region's
+    /// captured panic, if any.
+    fn join_region(&self, region: &RegionCore) {
         {
             let _flag = FlagGuard(IN_POOL_REGION.with(|g| g.replace(true)));
-            if let Some(t) = mine {
-                self.run_span(None, t);
-            }
-            while let Some(t) = self.steal_for_region(region) {
-                self.run_span(None, t);
-            }
+            while region.run_one(&self.stats, false) {}
         }
         let mut g = region.done.lock().unwrap();
         while region.remaining.load(Ordering::Acquire) != 0 {
@@ -397,28 +264,23 @@ impl Core {
     }
 }
 
-fn worker_loop(core: Arc<Core>, me: usize) {
+fn worker_loop(core: Arc<Core>) {
     IN_POOL_REGION.with(|f| f.set(true));
+    let mut q = core.queue.lock().unwrap();
     loop {
-        if let Some(t) = core.pop_own(me).or_else(|| core.steal_any(Some(me))) {
-            core.run_span(Some(me), t);
+        if let Some(region) = q.front().cloned() {
+            drop(q);
+            while region.run_one(&core.stats, true) {}
+            q = core.queue.lock().unwrap();
             continue;
         }
-        // Park. The parked_now increment *before* the pending re-check is
-        // the worker's half of the Dekker handshake (see `Core::pending`).
-        let mut st = core.sleep.lock().unwrap();
-        if st.shutdown {
+        if q.shutdown {
             return;
         }
-        core.stats.parked_now.fetch_add(1, Ordering::SeqCst);
-        if core.pending.load(Ordering::SeqCst) == 0 {
-            core.stats.parks.fetch_add(1, Ordering::Relaxed);
-            st = core.work_cv.wait(st).unwrap();
-        }
-        core.stats.parked_now.fetch_sub(1, Ordering::SeqCst);
-        if st.shutdown {
-            return;
-        }
+        q.parked += 1;
+        core.stats.parks.fetch_add(1, Ordering::Relaxed);
+        q = core.work_cv.wait(q).unwrap();
+        q.parked -= 1;
     }
 }
 
@@ -430,14 +292,9 @@ struct PoolHandle {
 }
 
 impl PoolHandle {
-    /// Builds a region over `ntasks` indices and returns its core after
-    /// seeding the queues. `keep_first` hands the caller span 0 to run.
-    fn submit<F: Fn(usize) + Sync>(
-        &self,
-        ntasks: usize,
-        f: &F,
-        keep_first: bool,
-    ) -> (Arc<RegionCore>, Option<Task>) {
+    /// Builds a region over `ntasks` indices, queues it and wakes up to
+    /// `ntasks` parked workers.
+    fn submit<F: Fn(usize) + Sync>(&self, ntasks: usize, f: &F) -> Arc<RegionCore> {
         unsafe fn shim<F: Fn(usize) + Sync>(ctx: *const (), i: usize) {
             // SAFETY: `ctx` was produced from `&F` below and is still live.
             unsafe { (*(ctx as *const F))(i) }
@@ -448,61 +305,34 @@ impl PoolHandle {
                 call: shim::<F>,
                 ctx: f as *const F as *const (),
             },
+            ntasks,
+            next: AtomicUsize::new(0),
             remaining: AtomicUsize::new(ntasks),
             panic: Mutex::new(None),
             done: Mutex::new(()),
             done_cv: Condvar::new(),
         });
-        let mine = self
-            .core
-            .seed_region(&region, ntasks, self.extra + 1, keep_first);
-        (region, mine)
-    }
-
-    /// Blocking region: submit, participate, drain, re-raise panics.
-    fn run_region<F: Fn(usize) + Sync>(&self, ntasks: usize, f: &F) {
-        let (region, mine) = self.submit(ntasks, f, true);
-        self.core.join_region(&region, mine);
+        let mut q = self.core.queue.lock().unwrap();
+        // Prune exhausted regions here too, so the queue stays short while
+        // every worker is busy and joiners finish their own regions.
+        q.front();
+        q.regions.push_back(Arc::clone(&region));
+        for _ in 0..q.parked.min(ntasks) {
+            self.core.work_cv.notify_one();
+        }
+        region
     }
 }
 
 impl Drop for PoolHandle {
     fn drop(&mut self) {
-        {
-            let mut st = self.core.sleep.lock().unwrap();
-            st.shutdown = true;
-        }
+        self.core.queue.lock().unwrap().shutdown = true;
         self.core.work_cv.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
 }
-
-/// A raw pointer that may cross threads. Used to hand each claimed chunk a
-/// disjoint sub-slice / slot of a caller-owned buffer.
-struct SendPtr<T>(*mut T);
-
-impl<T> SendPtr<T> {
-    /// Accessor (rather than direct field use) so closures capture the whole
-    /// `Send + Sync` wrapper, not the bare raw pointer field.
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-
-// SAFETY: every use writes through disjoint index ranges (one chunk index is
-// executed by exactly one thread), and the owning caller blocks until the
-// region completes.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 // ---------------------------------------------------------------------------
 // Public pool type.
@@ -515,30 +345,28 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 /// reports zeros.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Parallel regions submitted (one per `run_chunks`/`run_tasks`/spawn).
+    /// Parallel regions submitted (one per `run_chunks` call or spawn).
     pub regions: u64,
     /// Chunks executed across all regions.
     pub chunks: u64,
-    /// Tasks acquired from somewhere other than the thread's own deque tail
-    /// — steals from another worker's deque front, plus region-targeted
-    /// reclaims by joining callers. Injector claims of seed spans are
-    /// ordinary distribution, not steals, and are not counted.
+    /// Chunks that a pool worker ran for a region another thread
+    /// submitted; the rest of `chunks` ran on the joining thread itself.
     pub steals: u64,
     /// Times a worker went to sleep on the condvar (idle transitions).
     pub parks: u64,
 }
 
-/// A reusable fork-join pool with work-stealing scheduling and deterministic
-/// reductions.
+/// A reusable fork-join pool with chunk-claiming scheduling and
+/// deterministic reductions.
 ///
 /// Cloning is cheap (an [`Arc`] bump) and clones share the same workers, so
 /// a pool can be embedded in solver option structs and passed down a call
 /// tree. The default value is the serial pool.
 ///
 /// Concurrent use is safe **and concurrent**: each region has its own
-/// completion state, so regions issued from several threads at once are all
-/// outstanding together, their chunks interleaved across the workers by
-/// stealing. Use [`TaskPool::scope`] to overlap several regions from a
+/// claim counter and completion state, so regions issued from several
+/// threads at once are all outstanding together, their chunks spread across
+/// the workers. Use [`TaskPool::scope`] to overlap several regions from a
 /// single thread. A panic inside a region body propagates to the thread
 /// that joins that region; other regions and the pool are unaffected.
 ///
@@ -585,10 +413,11 @@ impl TaskPool {
         }
         let extra = want - 1;
         let core = Arc::new(Core {
-            deques: (0..extra).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            pending: AtomicUsize::new(0),
-            sleep: Mutex::new(SleepState { shutdown: false }),
+            queue: Mutex::new(Queue {
+                regions: VecDeque::new(),
+                parked: 0,
+                shutdown: false,
+            }),
             work_cv: Condvar::new(),
             stats: CoreStats::default(),
         });
@@ -597,7 +426,7 @@ impl TaskPool {
                 let c = Arc::clone(&core);
                 std::thread::Builder::new()
                     .name(format!("se-pool-{i}"))
-                    .spawn(move || worker_loop(c, i))
+                    .spawn(move || worker_loop(c))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -638,7 +467,7 @@ impl TaskPool {
     pub fn parked_workers(&self) -> usize {
         self.inner
             .as_ref()
-            .map_or(0, |h| h.core.stats.parked_now.load(Ordering::SeqCst))
+            .map_or(0, |h| h.core.queue.lock().unwrap().parked)
     }
 
     /// Runs `body(start, end)` over consecutive ranges `[start, end)` of
@@ -648,61 +477,18 @@ impl TaskPool {
     pub fn run_chunks<F: Fn(usize, usize) + Sync>(&self, len: usize, chunk: usize, body: F) {
         let chunk = chunk.max(1);
         let nchunks = len.div_ceil(chunk);
+        let runner = move |c: usize| {
+            let s = c * chunk;
+            body(s, (s + chunk).min(len));
+        };
         let parallel = self
             .inner
             .as_ref()
             .filter(|_| len >= PAR_MIN && nchunks > 1 && !IN_POOL_REGION.with(|f| f.get()));
         match parallel {
-            Some(h) => {
-                let runner = move |c: usize| {
-                    let s = c * chunk;
-                    body(s, (s + chunk).min(len));
-                };
-                h.run_region(nchunks, &runner);
-            }
-            None => {
-                for c in 0..nchunks {
-                    let s = c * chunk;
-                    body(s, (s + chunk).min(len));
-                }
-            }
+            Some(h) => h.core.join_region(&h.submit(nchunks, &runner)),
+            None => (0..nchunks).for_each(runner),
         }
-    }
-
-    /// Runs `body(i)` for every `i in 0..ntasks`, one task per index, with
-    /// **no** size threshold — for coarse-grained tasks where each index is
-    /// already substantial work (a block of a matrix, a buffer to fill).
-    /// Each index runs exactly once on exactly one thread.
-    pub fn run_tasks<F: Fn(usize) + Sync>(&self, ntasks: usize, body: F) {
-        let parallel = self
-            .inner
-            .as_ref()
-            .filter(|_| ntasks > 1 && !IN_POOL_REGION.with(|f| f.get()));
-        match parallel {
-            Some(h) => h.run_region(ntasks, &body),
-            None => {
-                for i in 0..ntasks {
-                    body(i);
-                }
-            }
-        }
-    }
-
-    /// Runs `body(i, &mut data[i])` for every element, one coarse-grained
-    /// task per element (no size threshold — see [`TaskPool::run_tasks`]).
-    pub fn for_each_task_mut<T, F>(&self, data: &mut [T], body: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut T) + Sync,
-    {
-        let base = SendPtr(data.as_mut_ptr());
-        self.run_tasks(data.len(), move |i| {
-            // SAFETY: `run_tasks` executes each index exactly once, so every
-            // element is touched by exactly one thread; `data` outlives the
-            // (blocking) region.
-            let item = unsafe { &mut *base.get().add(i) };
-            body(i, item);
-        });
     }
 
     /// Splits `data` into consecutive chunks of width `chunk` and runs
@@ -714,7 +500,7 @@ impl TaskPool {
         F: Fn(usize, &mut [T]) + Sync,
     {
         let len = data.len();
-        let base = SendPtr(data.as_mut_ptr());
+        let base = slice_sender(data);
         self.run_chunks(len, chunk, move |s, e| {
             // SAFETY: `run_chunks` hands out disjoint [s, e) ranges within
             // `len`, and `data` outlives the (blocking) region.
@@ -775,10 +561,7 @@ impl TaskPool {
         let mut region_panic = None;
         if let Some(h) = &self.inner {
             for sr in &regions {
-                let p = catch_unwind(AssertUnwindSafe(|| {
-                    h.core.join_region(&sr.region, None);
-                }))
-                .err();
+                let p = catch_unwind(AssertUnwindSafe(|| h.core.join_region(&sr.region))).err();
                 if region_panic.is_none() {
                     region_panic = p;
                 }
@@ -800,49 +583,34 @@ impl TaskPool {
     /// thread count (see the module docs for why).
     pub fn dot(&self, a: &[f64], b: &[f64]) -> f64 {
         assert_eq!(a.len(), b.len(), "dot: length mismatch");
-        let n = a.len();
-        if self.inner.is_none() || n < PAR_MIN {
-            return det_dot(a, b);
-        }
-        let nchunks = n.div_ceil(DET_CHUNK);
-        let mut partials = vec![0.0f64; nchunks];
-        let slots = SendPtr(partials.as_mut_ptr());
-        self.run_chunks(n, DET_CHUNK, move |s, e| {
-            // SAFETY: one slot per chunk index; chunk indices are executed
-            // by exactly one thread and `partials` outlives the region.
-            unsafe { *slots.get().add(s / DET_CHUNK) = chunk_dot(&a[s..e], &b[s..e]) };
-        });
-        let mut total = 0.0;
-        for p in &partials {
-            total += p;
-        }
-        total
+        self.pooled_total(a.len(), |s, e| chunk_dot(&a[s..e], &b[s..e]))
     }
 
     /// Deterministic sum — the same bits as [`det_sum`] for every thread
     /// count.
     pub fn sum(&self, a: &[f64]) -> f64 {
-        let n = a.len();
-        if self.inner.is_none() || n < PAR_MIN {
-            return det_sum(a);
-        }
-        let nchunks = n.div_ceil(DET_CHUNK);
-        let mut partials = vec![0.0f64; nchunks];
-        let slots = SendPtr(partials.as_mut_ptr());
-        self.run_chunks(n, DET_CHUNK, move |s, e| {
-            // SAFETY: as in `dot` — one disjoint slot per chunk.
-            unsafe { *slots.get().add(s / DET_CHUNK) = chunk_sum(&a[s..e]) };
-        });
-        let mut total = 0.0;
-        for p in &partials {
-            total += p;
-        }
-        total
+        self.pooled_total(a.len(), |s, e| chunk_sum(&a[s..e]))
     }
 
     /// Euclidean norm via the deterministic [`TaskPool::dot`].
     pub fn norm(&self, a: &[f64]) -> f64 {
         self.dot(a, a).sqrt()
+    }
+
+    /// The pooled [`det_total`]: per-chunk partials land in one slot each
+    /// and are folded serially in chunk order, so the bits match it exactly.
+    fn pooled_total<F: Fn(usize, usize) -> f64 + Sync>(&self, n: usize, part: F) -> f64 {
+        if self.inner.is_none() || n < PAR_MIN {
+            return det_total(n, part);
+        }
+        let mut partials = vec![0.0f64; n.div_ceil(DET_CHUNK)];
+        let slots = slice_sender(&mut partials);
+        self.run_chunks(n, DET_CHUNK, move |s, e| {
+            // SAFETY: one slot per chunk index; chunk indices are executed
+            // by exactly one thread and `partials` outlives the region.
+            unsafe { *slots.get().add(s / DET_CHUNK) = part(s, e) };
+        });
+        partials.iter().fold(0.0, |total, p| total + p)
     }
 }
 
@@ -877,12 +645,12 @@ pub struct RegionHandle {
 }
 
 impl RegionHandle {
-    /// Waits for this region (running its stealable chunks on the calling
+    /// Waits for this region (claiming its unclaimed chunks on the calling
     /// thread), then re-raises the first panic captured in it, if any.
     /// Idempotent; a no-op for inline-executed (serial/nested) spawns.
     pub fn join(&self) {
         if let Some((core, region)) = &self.target {
-            core.join_region(region, None);
+            core.join_region(region);
         }
     }
 }
@@ -905,9 +673,11 @@ impl<'pool, 'env> Scope<'pool, 'env> {
         self.spawn_indexed(nchunks, len >= PAR_MIN, runner)
     }
 
-    /// Like [`TaskPool::run_tasks`], but returns with the region in flight
-    /// (same inline fallbacks as [`Scope::spawn_chunks`], minus the size
-    /// threshold).
+    /// Runs `body(i)` for every `i in 0..ntasks`, one task per index, with
+    /// the region in flight when this returns. There is **no** size
+    /// threshold — each index is meant to be substantial work (a whole
+    /// inner solve, a buffer to fill) — and each runs exactly once on
+    /// exactly one thread (same inline fallbacks as [`Scope::spawn_chunks`]).
     pub fn spawn_tasks<F>(&self, ntasks: usize, body: F) -> RegionHandle
     where
         F: Fn(usize) + Sync + Send + 'env,
@@ -925,13 +695,11 @@ impl<'pool, 'env> Scope<'pool, 'env> {
             .as_ref()
             .filter(|_| big_enough && ntasks > 1 && !IN_POOL_REGION.with(|f| f.get()));
         let Some(h) = parallel else {
-            for i in 0..ntasks {
-                runner(i);
-            }
+            (0..ntasks).for_each(runner);
             return RegionHandle { target: None };
         };
         let boxed = Box::new(runner);
-        let (region, _) = h.submit(ntasks, &*boxed, false);
+        let region = h.submit(ntasks, &*boxed);
         self.regions.borrow_mut().push(ScopeRegion {
             region: Arc::clone(&region),
             _keep: boxed,
@@ -942,16 +710,16 @@ impl<'pool, 'env> Scope<'pool, 'env> {
     }
 }
 
-/// Wraps a mutable slice's base pointer for use inside [`Scope`] spawns that
-/// write disjoint index ranges. The usual pool helpers (`for_each_chunk_mut`)
-/// can't be offered on `Scope` because the region outlives the call — this
-/// makes the disjoint-writes pattern expressible without each caller
-/// re-deriving the `Send`/`Sync` wrapper.
+/// Wraps a mutable slice's base pointer so chunk bodies — in [`Scope`]
+/// spawns and in the pool's own helpers — can write disjoint index ranges
+/// of it from several threads, without each caller re-deriving the
+/// `Send`/`Sync` wrapper.
 ///
 /// # Safety contract
-/// Each spawned region must write only indices it exclusively owns, and the
-/// slice must outlive the scope (guaranteed when it borrows from the frame
-/// around `scope`, which joins every region before returning).
+/// Each chunk must write only indices it exclusively owns, and the slice
+/// must outlive the region (guaranteed for a blocking call, and for a scope
+/// spawn when the slice borrows from the frame around `scope`, which joins
+/// every region before returning).
 pub fn slice_sender<T: Send>(data: &mut [T]) -> SliceSender<T> {
     SliceSender(data.as_mut_ptr())
 }
@@ -961,6 +729,8 @@ pub struct SliceSender<T>(*mut T);
 
 impl<T> SliceSender<T> {
     /// The base pointer; index with `.add(i)` for exclusively-owned `i`.
+    /// An accessor rather than a public field, so closures capture the whole
+    /// `Send + Sync` wrapper, not the bare raw pointer.
     pub fn get(&self) -> *mut T {
         self.0
     }
@@ -973,8 +743,8 @@ impl<T> Clone for SliceSender<T> {
 }
 impl<T> Copy for SliceSender<T> {}
 
-// SAFETY: same contract as `SendPtr` — callers write disjoint ranges and the
-// owner outlives the scope's join barrier.
+// SAFETY: every use writes through disjoint index ranges (one chunk index is
+// executed by exactly one thread), and the owner outlives the region.
 unsafe impl<T: Send> Send for SliceSender<T> {}
 unsafe impl<T: Send> Sync for SliceSender<T> {}
 
@@ -1240,9 +1010,54 @@ mod tests {
     }
 
     #[test]
+    fn joiner_finishes_its_region_while_the_only_worker_is_stuck() {
+        use std::sync::atomic::AtomicBool;
+        let pool = TaskPool::new(2);
+        let started = AtomicBool::new(false);
+        let release = AtomicBool::new(false);
+        let done_b = AtomicUsize::new(0);
+        // Let the worker park first, so region A's submission must wake it.
+        while pool.parked_workers() == 0 {
+            std::thread::yield_now();
+        }
+        pool.scope(|s| {
+            // Region A: task 0 spins until region B's last task releases it.
+            // Only the worker can claim it before the scope ends, so once
+            // `started` is set the pool's one worker is stuck in A.
+            s.spawn_tasks(2, |i| {
+                if i == 0 {
+                    started.store(true, Ordering::SeqCst);
+                    while !release.load(Ordering::SeqCst) {
+                        std::hint::spin_loop();
+                    }
+                }
+            });
+            while !started.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let h_b = s.spawn_tasks(64, |i| {
+                done_b.fetch_add(1, Ordering::SeqCst);
+                if i == 63 {
+                    release.store(true, Ordering::SeqCst);
+                }
+            });
+            h_b.join();
+            assert_eq!(done_b.load(Ordering::SeqCst), 64, "B complete at its join");
+        });
+        assert!(release.load(Ordering::SeqCst));
+        // Every chunk is counted once; steals are the worker's share of them.
+        let before = pool.stats();
+        pool.run_chunks(40 * DET_CHUNK, DET_CHUNK, |_, _| {});
+        let after = pool.stats();
+        assert_eq!(after.regions - before.regions, 1);
+        assert_eq!(after.chunks - before.chunks, 40);
+        assert!(after.steals - before.steals <= 40);
+    }
+
+    #[test]
     fn irregular_chunk_costs_stay_deterministic() {
-        // Seeded, wildly uneven per-chunk work: stealing will migrate spans
-        // between workers, but the output must not care.
+        // Seeded, wildly uneven per-chunk work: which thread claims which
+        // chunk varies from run to run, but the output must not care.
         let n = 60_000;
         let mut reference = Vec::new();
         for threads in [1, 2, 4, 8] {

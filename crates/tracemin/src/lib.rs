@@ -9,7 +9,7 @@
 //! subspace and then refines every basis column with an *independent*
 //! shifted-Laplacian MINRES solve — `s` coarse-grained jobs with irregular,
 //! data-dependent costs, spawned as concurrent regions on the injected
-//! work-stealing [`TaskPool`].
+//! chunk-claiming [`TaskPool`].
 //!
 //! By the Courant–Fischer trace theorem, the minimum of `tr(XᵀLX)` over
 //! orthonormal `X ⊥ 1` is `λ₂ + ⋯ + λ_{s+1}`, attained on the span of the
@@ -416,7 +416,7 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
             let a_ref = &a_op;
             pool.scope(|sc| {
                 // Fixed column→task-index assignment: task j solves column
-                // j and fills slot j, whichever worker steals it.
+                // j and fills slot j, whichever thread claims it.
                 sc.spawn_tasks(s, move |j| {
                     let out = minres(a_ref, &x_ref[j], inner_ref);
                     let _ = outcomes_ref[j].set(out);

@@ -186,7 +186,8 @@ fn concurrent_solves_on_a_shared_pool_stay_bit_identical() {
 }
 
 /// Wildly irregular seeded per-chunk costs (up to ~3 orders of magnitude
-/// apart) force steals and reordered completion, yet the fixed chunk grid
+/// apart) mix which thread claims each chunk and reorder completion, yet
+/// the fixed chunk grid
 /// keeps results byte-identical across thread counts.
 #[test]
 fn seeded_irregular_chunk_costs_stay_deterministic() {
