@@ -4,9 +4,8 @@
 use meshgen::grid2d;
 use se_bench::harness::Runner;
 use se_eigen::lanczos::LanczosOptions;
-use se_eigen::lobpcg::{lobpcg_smallest, LobpcgOptions};
-use se_eigen::multilevel::{fiedler, fiedler_lanczos, FiedlerOptions};
-use se_eigen::op::{constant_unit_vector, LaplacianOp};
+use se_eigen::multilevel::{fiedler, fiedler_lanczos};
+use se_eigen::SolverOpts;
 
 fn main() {
     let runner = Runner::new("fiedler");
@@ -17,22 +16,7 @@ fn main() {
     ] {
         let g = grid2d(nx, ny);
         runner.bench(&format!("multilevel/{label}"), || {
-            fiedler(&g, &FiedlerOptions::default()).expect("connected")
-        });
-        runner.bench(&format!("lobpcg/{label}"), || {
-            let lop = LaplacianOp::new(&g);
-            let deflate = vec![constant_unit_vector(g.n())];
-            lobpcg_smallest(
-                &lop,
-                &deflate,
-                None,
-                &LobpcgOptions {
-                    max_iter: 3000,
-                    tol: 1e-7,
-                    ..Default::default()
-                },
-            )
-            .expect("connected")
+            fiedler(&g, &SolverOpts::default()).expect("connected")
         });
         // Plain Lanczos gets slow quickly; skip the largest size.
         if nx <= 64 {

@@ -7,7 +7,8 @@
 //! 5. local post-refinement: pure SPECTRAL vs SPECTRAL+exchange vs the
 //!    Fiedler–Sloan hybrid vs plain Sloan (the paper's §4 future work).
 
-use se_eigen::multilevel::{fiedler, FiedlerOptions};
+use se_eigen::multilevel::fiedler;
+use se_eigen::SolverOpts;
 use se_order::spectral::order_by_vector;
 use se_order::{exchange_refine, order, Algorithm};
 use sparsemat::envelope::envelope_size;
@@ -41,7 +42,7 @@ fn main() {
         "size", "λ₂", "|Δλ₂|/λ₂", "time (s)", "envelope"
     );
     for size in [25, 50, 100, 200, 400] {
-        let opts = FiedlerOptions {
+        let opts = SolverOpts {
             coarsest_size: size,
             ..Default::default()
         };
@@ -65,7 +66,7 @@ fn main() {
         "steps", "λ₂", "|Δλ₂|/λ₂", "time (s)"
     );
     for steps in [0, 1, 2, 4] {
-        let opts = FiedlerOptions {
+        let opts = SolverOpts {
             smooth_steps: steps,
             ..Default::default()
         };
@@ -82,7 +83,7 @@ fn main() {
 
     println!("\n--- 3. Galerkin (weighted) vs unweighted coarse operator ---");
     for galerkin in [true, false] {
-        let opts = FiedlerOptions {
+        let opts = SolverOpts {
             galerkin,
             ..Default::default()
         };
@@ -100,7 +101,7 @@ fn main() {
     }
 
     println!("\n--- 4. sort direction (Algorithm 1 step 3) ---");
-    let f = fiedler(&g, &FiedlerOptions::default()).expect("connected");
+    let f = fiedler(&g, &SolverOpts::default()).expect("connected");
     let asc = Permutation::sorting(&f.vector);
     let desc = asc.reversed();
     let (e_asc, e_desc) = (envelope_size(&g, &asc), envelope_size(&g, &desc));

@@ -5,7 +5,8 @@
 //! The achieved envelope of *any* ordering must sit above the bound; how
 //! far above indicates how much room the heuristics leave.
 
-use se_eigen::multilevel::{fiedler, FiedlerOptions};
+use se_eigen::multilevel::fiedler;
+use se_eigen::SolverOpts;
 use sparsemat::envelope::theorem_2_2_lower_bounds;
 use spectral_env::report::{compare_orderings, group_digits};
 use spectral_env::Algorithm;
@@ -26,7 +27,7 @@ fn main() {
             continue;
         }
         // The bounds assume a connected graph; our mesh stand-ins are.
-        let fr = match fiedler(&s.pattern, &FiedlerOptions::default()) {
+        let fr = match fiedler(&s.pattern, &SolverOpts::default()) {
             Ok(f) => f,
             Err(e) => {
                 println!("  {name}: fiedler failed — {e}");

@@ -49,11 +49,11 @@ pub mod report;
 
 pub use report::{compare_orderings, Comparison, ComparisonRow};
 
-pub use se_eigen::multilevel::{fiedler, FiedlerOptions, FiedlerResult};
+pub use se_eigen::multilevel::{fiedler, FiedlerResult};
 pub use se_eigen::SolverOpts;
 pub use se_envelope::EnvelopeMatrix;
 pub use se_faults::{Budget, FaultPlane};
-pub use se_order::{Algorithm, LadderOutcome, OrderError, Ordering, SpectralOptions};
+pub use se_order::{Algorithm, LadderOutcome, OrderError, Ordering};
 pub use se_trace::{SpanNode, Tracer};
 pub use sparsemat::{CooMatrix, CsrMatrix, Permutation, SymmetricPattern};
 
@@ -112,10 +112,10 @@ pub fn reorder(a: &CsrMatrix, alg: Algorithm) -> Result<Reordered> {
     reorder_with(a, alg, &SolverOpts::default())
 }
 
-/// [`reorder`] with an explicit solver configuration — tolerances, iteration
-/// caps and, most importantly, `threads`: with `threads != 1` the whole
-/// Fiedler pipeline runs on one shared thread pool. Results are
-/// bit-identical for every thread count.
+/// [`reorder`] with an explicit solver configuration — the multilevel shape,
+/// the tracer, budget and fault plane and, most importantly, `threads`: with
+/// `threads != 1` the whole Fiedler pipeline runs on one shared thread pool.
+/// Results are bit-identical for every thread count.
 pub fn reorder_with(a: &CsrMatrix, alg: Algorithm, solver: &SolverOpts) -> Result<Reordered> {
     let pattern = a.pattern()?;
     let ordering = se_order::order_with(&pattern, alg, solver)?;
@@ -196,8 +196,7 @@ pub fn fiedler_vector(a: &CsrMatrix) -> Result<FiedlerResult> {
 /// [`reorder_with`]).
 pub fn fiedler_vector_with(a: &CsrMatrix, solver: &SolverOpts) -> Result<FiedlerResult> {
     let pattern = a.pattern()?;
-    fiedler(&pattern, &solver.fiedler_options())
-        .map_err(|e| Error::Order(se_order::OrderError::Eigen(e)))
+    fiedler(&pattern, solver).map_err(|e| Error::Order(se_order::OrderError::Eigen(e)))
 }
 
 /// End-to-end solve: reorder with `alg`, envelope-factorize `PᵀAP`, solve,

@@ -13,7 +13,6 @@
 //!   QL with eigenvectors, EISPACK `tql2` style),
 //! * [`lanczos`] — Lanczos with full reorthogonalization and null-space
 //!   deflation,
-//! * [`lobpcg`] — locally optimal preconditioned CG (modern comparator),
 //! * [`mod@minres`] — MINRES for symmetric (indefinite) shifted systems,
 //! * [`rqi`] — Rayleigh Quotient Iteration refinement,
 //! * [`multilevel`] — the Barnard–Simon multilevel Fiedler solver of §3
@@ -21,11 +20,12 @@
 //!
 //! ```
 //! use sparsemat::SymmetricPattern;
-//! use se_eigen::multilevel::{fiedler, FiedlerOptions};
+//! use se_eigen::multilevel::fiedler;
+//! use se_eigen::SolverOpts;
 //!
 //! // λ₂ of the path P₁₀ is 2 − 2cos(π/10).
 //! let g = SymmetricPattern::from_edges(10, &(0..9).map(|i| (i, i+1)).collect::<Vec<_>>()).unwrap();
-//! let f = fiedler(&g, &FiedlerOptions::default()).unwrap();
+//! let f = fiedler(&g, &SolverOpts::default()).unwrap();
 //! let exact = 2.0 - 2.0 * (std::f64::consts::PI / 10.0).cos();
 //! assert!((f.lambda2 - exact).abs() < 1e-8);
 //! ```
@@ -34,7 +34,6 @@
 
 pub mod dense;
 pub mod lanczos;
-pub mod lobpcg;
 pub mod minres;
 pub mod multilevel;
 pub mod op;
@@ -44,9 +43,8 @@ pub mod tridiag;
 
 pub use dense::{DenseEigen, DenseSym};
 pub use lanczos::{lanczos_smallest, LanczosOptions, LanczosResult};
-pub use lobpcg::{lobpcg_smallest, LobpcgOptions, LobpcgResult};
 pub use minres::{minres, MinresOptions, MinresOutcome};
-pub use multilevel::{fiedler, fiedler_lanczos, fiedler_weighted, FiedlerOptions, FiedlerResult};
+pub use multilevel::{fiedler, fiedler_lanczos, fiedler_weighted, FiedlerResult};
 pub use op::{CsrOp, DeflatedOp, LaplacianOp, ShiftedOp, SymOp, WeightedLaplacianOp};
 pub use rqi::{rayleigh_quotient_iteration, RqiOptions, RqiResult};
 pub use solver_opts::SolverOpts;

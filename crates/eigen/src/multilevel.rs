@@ -15,83 +15,15 @@
 
 use crate::lanczos::{lanczos_smallest, LanczosOptions};
 use crate::op::{constant_unit_vector, LaplacianOp, SymOp};
-use crate::rqi::{rayleigh_quotient_iteration, RqiOptions};
-use crate::solver_opts::{DEFAULT_COARSEST_SIZE, DEFAULT_FIEDLER_TOL, DEFAULT_SMOOTH_STEPS};
+use crate::rqi::rayleigh_quotient_iteration;
+use crate::solver_opts::{SolverOpts, DEFAULT_FIEDLER_TOL};
 use crate::{EigenError, Result};
-use se_faults::{sites, Budget, FaultPlane};
+use se_faults::sites;
 use se_graph::bfs::connected_components;
 use se_graph::coarsen::CoarsenLevels;
-use se_trace::{Tracer, WorkerCounter};
+use se_trace::WorkerCounter;
 use sparsemat::par::TaskPool;
 use sparsemat::SymmetricPattern;
-
-/// Options for the multilevel Fiedler solver.
-#[derive(Debug, Clone)]
-pub struct FiedlerOptions {
-    /// Stop coarsening below this many vertices (paper: ~100).
-    pub coarsest_size: usize,
-    /// Eigen-residual tolerance relative to the Laplacian norm bound.
-    pub tol: f64,
-    /// Local-averaging smoothing passes after each interpolation.
-    pub smooth_steps: usize,
-    /// Solve the coarsest eigenproblem on the **mass-scaled Galerkin**
-    /// coarse operator — the consistent restriction of the fine problem,
-    /// `PᵀLP x = λ PᵀP x`, solved in the symmetrically scaled standard form
-    /// (as in Barnard–Simon's weighted contraction). Helpful on strongly
-    /// graded meshes; on expander-like graphs with weak spectral gaps the
-    /// consistent coarse Fiedler vector can correspond to a different fine
-    /// eigenvector and mislead the refinement, so the default is the plain
-    /// unweighted coarse Laplacian (`false`).
-    pub galerkin: bool,
-    /// Lanczos options for the coarsest solve (and the dense fallback).
-    pub lanczos: LanczosOptions,
-    /// RQI options for per-level refinement.
-    pub rqi: RqiOptions,
-    /// Pool shared by **every** stage — coarsening, the coarsest Lanczos
-    /// solve, interpolation, smoothing and RQI/MINRES refinement. Inside
-    /// [`fiedler`] this pool overrides the pools on `lanczos` and `rqi`, so
-    /// setting it is the single thread knob. Results are bit-identical for
-    /// every thread count; default is serial. Build via
-    /// [`crate::SolverOpts`] to configure a thread count in one place.
-    pub pool: TaskPool,
-    /// Span recorder threaded through every stage. Like `pool`, inside
-    /// [`fiedler`] this tracer overrides the tracers on `lanczos` and `rqi`.
-    /// Disabled by default; tracing never changes numerical results.
-    pub trace: Tracer,
-    /// Cooperative budget checked at every stage boundary — before the
-    /// hierarchy build, before the coarsest solve, and at the top of every
-    /// refinement level — plus inside Lanczos/RQI/MINRES iterations. Like
-    /// `pool`, inside [`fiedler`] this budget overrides the budgets on
-    /// `lanczos` and `rqi`. [`Budget::unlimited`] (the default) is a strict
-    /// no-op.
-    pub budget: Budget,
-    /// Deterministic fault plane; like `pool`, inside [`fiedler`] it
-    /// overrides the planes on `lanczos` and `rqi`. The
-    /// [`sites::ALLOC_BUDGET`] site simulates an allocation-budget breach
-    /// before the hierarchy is built, and [`sites::BUDGET_DEADLINE`] a
-    /// deadline passing after it is built.
-    pub faults: FaultPlane,
-}
-
-impl Default for FiedlerOptions {
-    fn default() -> Self {
-        FiedlerOptions {
-            coarsest_size: DEFAULT_COARSEST_SIZE,
-            tol: DEFAULT_FIEDLER_TOL,
-            smooth_steps: DEFAULT_SMOOTH_STEPS,
-            galerkin: false,
-            lanczos: LanczosOptions::default(),
-            rqi: RqiOptions {
-                tol: DEFAULT_FIEDLER_TOL,
-                ..Default::default()
-            },
-            pool: TaskPool::serial(),
-            trace: Tracer::disabled(),
-            budget: Budget::unlimited(),
-            faults: FaultPlane::disabled(),
-        }
-    }
-}
 
 /// Projects a (weighted) Laplacian through a piecewise-constant domain map:
 /// `Lc(c, d) = Σ_{u∈c, v∈d} L(u, v)`. Row sums (hence the constant null
@@ -143,9 +75,18 @@ pub fn fiedler_lanczos(g: &SymmetricPattern, opts: &LanczosOptions) -> Result<Fi
 /// plain Lanczos when the graph is already small, and — should refinement
 /// stall — restarts the finest level with Lanczos so a valid pair is always
 /// returned for a connected graph.
-pub fn fiedler(g: &SymmetricPattern, opts: &FiedlerOptions) -> Result<FiedlerResult> {
+///
+/// One pool ([`SolverOpts::pool`]), one tracer, one budget and one fault
+/// plane drive every stage: coarsening, the coarsest Lanczos solve,
+/// interpolation, smoothing and RQI/MINRES refinement. The budget is checked
+/// before the hierarchy build, before the coarsest solve and at the top of
+/// every refinement level, plus inside every solver iteration. The
+/// [`sites::ALLOC_BUDGET`] site simulates an allocation-budget breach before
+/// the hierarchy is built, and [`sites::BUDGET_DEADLINE`] a deadline passing
+/// after it is built.
+pub fn fiedler(g: &SymmetricPattern, opts: &SolverOpts) -> Result<FiedlerResult> {
     check_connected(g)?;
-    let pool = &opts.pool;
+    let pool = &opts.pool();
     let trace = &opts.trace;
     let mut sp = trace.span("fiedler");
     sp.attr("n", g.n() as f64);
@@ -154,18 +95,8 @@ pub fn fiedler(g: &SymmetricPattern, opts: &FiedlerOptions) -> Result<FiedlerRes
     // the *schedule* and legitimately vary run to run; they are recorded as
     // span attrs, never asserted invariant.
     let pool_stats0 = pool.stats();
-    // One pool (and one tracer) drives every stage: propagate both into the
-    // sub-options.
-    let mut lanczos_opts = opts.lanczos.clone();
-    lanczos_opts.pool = pool.clone();
-    lanczos_opts.trace = trace.clone();
-    lanczos_opts.budget = opts.budget.clone();
-    lanczos_opts.faults = opts.faults.clone();
-    let mut rqi_opts = opts.rqi.clone();
-    rqi_opts.pool = pool.clone();
-    rqi_opts.trace = trace.clone();
-    rqi_opts.budget = opts.budget.clone();
-    rqi_opts.faults = opts.faults.clone();
+    let lanczos_opts = opts.lanczos_options(pool);
+    let rqi_opts = opts.rqi_options(pool);
     if g.n() <= opts.coarsest_size.max(2) {
         sp.attr("levels", 0.0);
         return fiedler_lanczos(g, &lanczos_opts);
@@ -321,7 +252,7 @@ pub fn fiedler(g: &SymmetricPattern, opts: &FiedlerOptions) -> Result<FiedlerRes
         (pool_stats.steals - pool_stats0.steals) as f64,
     );
     sp.attr("pool_parks", (pool_stats.parks - pool_stats0.parks) as f64);
-    let acceptable = residual <= opts.tol.max(1e-6) * lap.norm_bound() * 10.0;
+    let acceptable = residual <= DEFAULT_FIEDLER_TOL.max(1e-6) * lap.norm_bound() * 10.0;
     if !acceptable {
         if let Ok(fallback) = fiedler_lanczos(g, &lanczos_opts) {
             if fallback.residual < residual {
@@ -483,10 +414,9 @@ mod tests {
         // Large enough that the pool's chunked paths genuinely engage:
         // every thread count must produce the exact same bits.
         let g = grid(90, 80);
-        let base = fiedler(&g, &FiedlerOptions::default()).unwrap();
+        let base = fiedler(&g, &SolverOpts::default()).unwrap();
         for threads in [2, 4, 8] {
-            let opts = crate::SolverOpts::with_threads(threads).fiedler_options();
-            let r = fiedler(&g, &opts).unwrap();
+            let r = fiedler(&g, &SolverOpts::with_threads(threads)).unwrap();
             assert_eq!(
                 r.lambda2.to_bits(),
                 base.lambda2.to_bits(),
@@ -502,7 +432,7 @@ mod tests {
     #[test]
     fn small_graph_uses_direct_lanczos() {
         let g = path(20);
-        let r = fiedler(&g, &FiedlerOptions::default()).unwrap();
+        let r = fiedler(&g, &SolverOpts::default()).unwrap();
         assert_eq!(r.levels, 0);
         assert!((r.lambda2 - path_lambda2(20)).abs() < 1e-7);
     }
@@ -511,7 +441,7 @@ mod tests {
     fn multilevel_on_long_path() {
         let n = 600;
         let g = path(n);
-        let opts = FiedlerOptions {
+        let opts = SolverOpts {
             coarsest_size: 50,
             ..Default::default()
         };
@@ -537,7 +467,7 @@ mod tests {
     fn multilevel_on_grid_matches_exact() {
         let (nx, ny) = (40, 25);
         let g = grid(nx, ny);
-        let opts = FiedlerOptions {
+        let opts = SolverOpts {
             coarsest_size: 80,
             ..Default::default()
         };
@@ -556,7 +486,7 @@ mod tests {
         let g = grid(30, 10);
         let ml = fiedler(
             &g,
-            &FiedlerOptions {
+            &SolverOpts {
                 coarsest_size: 40,
                 ..Default::default()
             },
@@ -576,7 +506,7 @@ mod tests {
         let g = grid(25, 12);
         let r = fiedler(
             &g,
-            &FiedlerOptions {
+            &SolverOpts {
                 coarsest_size: 60,
                 ..Default::default()
             },
@@ -592,7 +522,7 @@ mod tests {
     fn disconnected_graph_is_error() {
         let g = SymmetricPattern::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert!(matches!(
-            fiedler(&g, &FiedlerOptions::default()),
+            fiedler(&g, &SolverOpts::default()),
             Err(EigenError::Disconnected)
         ));
         assert!(matches!(
@@ -605,7 +535,7 @@ mod tests {
     fn tiny_graph_is_error() {
         let g = SymmetricPattern::from_edges(1, &[]).unwrap();
         assert!(matches!(
-            fiedler(&g, &FiedlerOptions::default()),
+            fiedler(&g, &SolverOpts::default()),
             Err(EigenError::TooSmall { .. })
         ));
     }
@@ -613,7 +543,7 @@ mod tests {
     #[test]
     fn two_vertex_graph() {
         let g = path(2);
-        let r = fiedler(&g, &FiedlerOptions::default()).unwrap();
+        let r = fiedler(&g, &SolverOpts::default()).unwrap();
         assert!((r.lambda2 - 2.0).abs() < 1e-10);
     }
 
@@ -663,13 +593,13 @@ mod tests {
     #[test]
     fn galerkin_and_unweighted_agree_on_lambda2() {
         let g = grid(35, 20);
-        let base = FiedlerOptions {
+        let base = SolverOpts {
             coarsest_size: 60,
             ..Default::default()
         };
         let with = fiedler(
             &g,
-            &FiedlerOptions {
+            &SolverOpts {
                 galerkin: true,
                 ..base.clone()
             },
@@ -677,7 +607,7 @@ mod tests {
         .unwrap();
         let without = fiedler(
             &g,
-            &FiedlerOptions {
+            &SolverOpts {
                 galerkin: false,
                 ..base
             },
@@ -700,7 +630,7 @@ mod tests {
         let g = grid(nx, ny);
         let r = fiedler(
             &g,
-            &FiedlerOptions {
+            &SolverOpts {
                 coarsest_size: 50,
                 ..Default::default()
             },

@@ -1,20 +1,20 @@
-//! The one-stop solver configuration: [`SolverOpts`].
+//! The one solver configuration: [`SolverOpts`].
 //!
-//! Historically every solver carried its own options struct
-//! ([`LanczosOptions`], [`RqiOptions`], [`crate::minres::MinresOptions`],
-//! [`FiedlerOptions`]) and several tolerance/iteration-cap defaults were
-//! duplicated as bare literals across them. This module hoists every such
-//! knob into named, documented constants, and wraps the handful that callers
-//! actually tune — plus the thread count — into a single flat [`SolverOpts`]
-//! struct that the facade (`spectral-env`), the CLI and `spectral-orderd`
-//! all share.
+//! Every Fiedler-backed path — [`crate::multilevel::fiedler`], the
+//! orderings in `se-order`, the `spectral-env` facade, the CLI and
+//! `spectral-orderd` — takes a [`SolverOpts`]. It carries what callers
+//! actually set: the thread count or an injected pool, the multilevel
+//! shape (`coarsest_size`, `smooth_steps`, `galerkin`), and the shared
+//! tracer, budget and fault plane. Tolerances, iteration caps and seeds are
+//! the named constants below; nothing in the product tunes them.
 //!
-//! The fine-grained option structs remain the solver-level API;
-//! [`SolverOpts::fiedler_options`] expands into them, wiring one shared
-//! [`TaskPool`] through every stage.
+//! The per-solver option structs ([`LanczosOptions`], [`RqiOptions`],
+//! [`crate::minres::MinresOptions`]) remain the solver-level API for callers
+//! that run one solver directly with other values;
+//! [`SolverOpts::lanczos_options`] and [`SolverOpts::rqi_options`] build them
+//! from the constants on a given pool.
 
 use crate::lanczos::LanczosOptions;
-use crate::multilevel::FiedlerOptions;
 use crate::rqi::RqiOptions;
 use se_faults::{Budget, FaultPlane};
 use se_trace::Tracer;
@@ -48,8 +48,8 @@ pub const DEFAULT_LANCZOS_CHECK_EVERY: usize = 5;
 pub const DEFAULT_RQI_MAX_OUTER: usize = 12;
 
 /// RQI eigen-residual tolerance (relative to the operator norm bound) when
-/// RQI is used standalone; the multilevel driver overrides it with
-/// [`DEFAULT_FIEDLER_TOL`] so refinement matches the outer target.
+/// RQI is used standalone; [`SolverOpts::rqi_options`] uses
+/// [`DEFAULT_FIEDLER_TOL`] instead so refinement matches the outer target.
 pub const DEFAULT_RQI_TOL: f64 = 1e-10;
 
 /// Iteration cap of the MINRES solve *inside* an RQI step. Deliberately
@@ -67,63 +67,63 @@ pub const DEFAULT_MINRES_MAX_ITER: usize = 500;
 /// Relative residual tolerance for standalone MINRES solves.
 pub const DEFAULT_MINRES_RTOL: f64 = 1e-10;
 
-/// Flat, user-facing solver configuration.
+/// The one solver configuration every Fiedler-backed path takes.
 ///
 /// This is what the `spectral-env` facade, the `spectral-order` CLI
 /// (`--threads`) and the `spectral-orderd` service (`"threads"` request
-/// field) construct; [`SolverOpts::fiedler_options`] expands it into the
-/// per-solver option structs with one shared [`TaskPool`].
+/// field) construct, and what [`crate::multilevel::fiedler`] and the
+/// `se-order` orderings consume directly.
 ///
 /// Results are **bit-identical for every `threads` value** — the pool's
 /// reductions use a fixed chunk order (see [`sparsemat::par`]) — so the
 /// thread count is purely a wall-clock knob.
 ///
 /// ```
+/// use se_eigen::multilevel::fiedler;
 /// use se_eigen::SolverOpts;
+/// use sparsemat::SymmetricPattern;
 ///
-/// let opts = SolverOpts { threads: 4, ..SolverOpts::default() };
-/// let fo = opts.fiedler_options();
-/// assert_eq!(fo.coarsest_size, se_eigen::solver_opts::DEFAULT_COARSEST_SIZE);
+/// let g = SymmetricPattern::from_edges(200, &(0..199).map(|i| (i, i + 1)).collect::<Vec<_>>())
+///     .unwrap();
+/// let opts = SolverOpts { coarsest_size: 50, ..SolverOpts::with_threads(2) };
+/// let f = fiedler(&g, &opts).unwrap();
+/// assert!(f.levels >= 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SolverOpts {
     /// Total solver threads: `1` = serial (the default), `0` = all available
     /// cores, `n > 1` = a pool of `n`.
     pub threads: usize,
-    /// Fiedler eigen-residual tolerance ([`DEFAULT_FIEDLER_TOL`]).
-    pub tol: f64,
-    /// Lanczos Krylov-dimension cap ([`DEFAULT_LANCZOS_MAX_ITER`]).
-    pub lanczos_max_iter: usize,
-    /// RQI outer-step cap per level ([`DEFAULT_RQI_MAX_OUTER`]).
-    pub rqi_max_outer: usize,
-    /// MINRES cap inside each RQI step ([`DEFAULT_RQI_INNER_MAX_ITER`]).
-    pub inner_max_iter: usize,
-    /// MINRES relative tolerance inside RQI ([`DEFAULT_RQI_INNER_RTOL`]).
-    pub inner_rtol: f64,
     /// Multilevel coarsest-graph size ([`DEFAULT_COARSEST_SIZE`]).
     pub coarsest_size: usize,
     /// Post-interpolation smoothing passes ([`DEFAULT_SMOOTH_STEPS`]).
     pub smooth_steps: usize,
-    /// Lanczos start-vector seed ([`DEFAULT_LANCZOS_SEED`]).
-    pub seed: u64,
+    /// Solve the coarsest eigenproblem on the **mass-scaled Galerkin**
+    /// coarse operator — the consistent restriction of the fine problem,
+    /// `PᵀLP x = λ PᵀP x`, solved in the symmetrically scaled standard form
+    /// (as in Barnard–Simon's weighted contraction). Helpful on strongly
+    /// graded meshes; on expander-like graphs with weak spectral gaps the
+    /// consistent coarse Fiedler vector can correspond to a different fine
+    /// eigenvector and mislead the refinement, so the default is the plain
+    /// unweighted coarse Laplacian (`false`).
+    pub galerkin: bool,
     /// Span recorder threaded through every pipeline stage. Disabled by
     /// default; an enabled tracer never changes numerical results.
     pub trace: Tracer,
-    /// Cooperative deadline/cancel/matvec-cap token, checked at every
-    /// solver iteration boundary. [`Budget::unlimited`] (the default) is a
-    /// strict no-op.
+    /// Cooperative deadline/cancel/matvec-cap token, checked at every stage
+    /// boundary and solver iteration. [`Budget::unlimited`] (the default) is
+    /// a strict no-op.
     pub budget: Budget,
     /// Deterministic fault-injection plane threaded through every stage.
     /// [`FaultPlane::disabled`] (the default) is a strict no-op; solver
     /// results are bit-identical with a disabled plane.
     pub faults: FaultPlane,
     /// An existing pool to run on instead of building a fresh one from
-    /// `threads`. `None` (the default) keeps the old behaviour —
-    /// [`SolverOpts::pool`] spawns workers per call. Long-lived hosts (the
-    /// `spectral-orderd` engine) set this from a per-thread-count pool cache
-    /// so concurrent solves share workers and their regions overlap instead
-    /// of each request paying thread spawn/join. Results are bit-identical
-    /// either way.
+    /// `threads`. `None` (the default) builds one per solve or ordering (see
+    /// [`SolverOpts::pool`]). Long-lived hosts (the `spectral-orderd` engine)
+    /// set this from a per-thread-count pool cache so concurrent solves
+    /// share workers and their regions overlap instead of each request
+    /// paying thread spawn/join. Results are bit-identical either way.
     pub pool: Option<TaskPool>,
 }
 
@@ -131,14 +131,9 @@ impl Default for SolverOpts {
     fn default() -> Self {
         SolverOpts {
             threads: 1,
-            tol: DEFAULT_FIEDLER_TOL,
-            lanczos_max_iter: DEFAULT_LANCZOS_MAX_ITER,
-            rqi_max_outer: DEFAULT_RQI_MAX_OUTER,
-            inner_max_iter: DEFAULT_RQI_INNER_MAX_ITER,
-            inner_rtol: DEFAULT_RQI_INNER_RTOL,
             coarsest_size: DEFAULT_COARSEST_SIZE,
             smooth_steps: DEFAULT_SMOOTH_STEPS,
-            seed: DEFAULT_LANCZOS_SEED,
+            galerkin: false,
             trace: Tracer::disabled(),
             budget: Budget::unlimited(),
             faults: FaultPlane::disabled(),
@@ -175,50 +170,41 @@ impl SolverOpts {
             .unwrap_or_else(|| TaskPool::new(self.threads))
     }
 
-    /// Expands into [`LanczosOptions`] sharing the given pool.
+    /// This configuration with its pool resolved once: every later
+    /// [`SolverOpts::pool`] call returns the same workers. An ordering calls
+    /// this on entry so all its components and bisections share one pool
+    /// instead of each building its own.
+    pub fn resolve_pool(&self) -> SolverOpts {
+        SolverOpts {
+            pool: Some(self.pool()),
+            ..self.clone()
+        }
+    }
+
+    /// [`LanczosOptions`] from the `DEFAULT_LANCZOS_*` constants on `pool`,
+    /// sharing this configuration's tracer, budget and fault plane.
     pub fn lanczos_options(&self, pool: &TaskPool) -> LanczosOptions {
         LanczosOptions {
-            max_iter: self.lanczos_max_iter,
-            tol: DEFAULT_LANCZOS_TOL,
-            seed: self.seed,
-            check_every: DEFAULT_LANCZOS_CHECK_EVERY,
             pool: pool.clone(),
             trace: self.trace.clone(),
             budget: self.budget.clone(),
             faults: self.faults.clone(),
+            ..LanczosOptions::default()
         }
     }
 
-    /// Expands into [`RqiOptions`] sharing the given pool.
+    /// [`RqiOptions`] from the `DEFAULT_RQI_*` constants on `pool`, with the
+    /// multilevel target [`DEFAULT_FIEDLER_TOL`] as the eigen-residual
+    /// tolerance, sharing this configuration's tracer, budget and fault
+    /// plane.
     pub fn rqi_options(&self, pool: &TaskPool) -> RqiOptions {
         RqiOptions {
-            max_outer: self.rqi_max_outer,
-            tol: self.tol,
-            inner_max_iter: self.inner_max_iter,
-            inner_rtol: self.inner_rtol,
+            tol: DEFAULT_FIEDLER_TOL,
             pool: pool.clone(),
             trace: self.trace.clone(),
             budget: self.budget.clone(),
             faults: self.faults.clone(),
-        }
-    }
-
-    /// Expands into the full multilevel [`FiedlerOptions`], creating one
-    /// [`TaskPool`] shared by every stage (coarsening, Lanczos, RQI/MINRES,
-    /// smoothing).
-    pub fn fiedler_options(&self) -> FiedlerOptions {
-        let pool = self.pool();
-        FiedlerOptions {
-            coarsest_size: self.coarsest_size,
-            tol: self.tol,
-            smooth_steps: self.smooth_steps,
-            galerkin: false,
-            lanczos: self.lanczos_options(&pool),
-            rqi: self.rqi_options(&pool),
-            pool,
-            trace: self.trace.clone(),
-            budget: self.budget.clone(),
-            faults: self.faults.clone(),
+            ..RqiOptions::default()
         }
     }
 }
@@ -230,32 +216,27 @@ mod tests {
     #[test]
     fn default_matches_per_solver_defaults() {
         let s = SolverOpts::default();
-        let fo = s.fiedler_options();
-        let base = FiedlerOptions::default();
-        assert_eq!(fo.coarsest_size, base.coarsest_size);
-        assert_eq!(fo.tol, base.tol);
-        assert_eq!(fo.smooth_steps, base.smooth_steps);
-        assert_eq!(fo.lanczos.max_iter, base.lanczos.max_iter);
-        assert_eq!(fo.lanczos.tol, base.lanczos.tol);
-        assert_eq!(fo.lanczos.seed, base.lanczos.seed);
-        assert_eq!(fo.rqi.max_outer, base.rqi.max_outer);
-        assert_eq!(fo.rqi.tol, base.rqi.tol);
-        assert_eq!(fo.rqi.inner_max_iter, base.rqi.inner_max_iter);
-        assert_eq!(fo.rqi.inner_rtol, base.rqi.inner_rtol);
+        let pool = s.pool();
+        let (lz, lz0) = (s.lanczos_options(&pool), LanczosOptions::default());
+        assert_eq!(lz.max_iter, DEFAULT_LANCZOS_MAX_ITER);
+        assert_eq!(lz.max_iter, lz0.max_iter);
+        assert_eq!(lz.tol, lz0.tol);
+        assert_eq!(lz.seed, DEFAULT_LANCZOS_SEED);
+        assert_eq!(lz.check_every, lz0.check_every);
+        let (rqi, rqi0) = (s.rqi_options(&pool), RqiOptions::default());
+        assert_eq!(rqi.max_outer, rqi0.max_outer);
+        assert_eq!(rqi.tol, DEFAULT_FIEDLER_TOL);
+        assert_eq!(rqi.inner_max_iter, DEFAULT_RQI_INNER_MAX_ITER);
+        assert_eq!(rqi.inner_rtol, DEFAULT_RQI_INNER_RTOL);
+        assert_eq!(s.coarsest_size, DEFAULT_COARSEST_SIZE);
+        assert_eq!(s.smooth_steps, DEFAULT_SMOOTH_STEPS);
+        assert!(!s.galerkin);
     }
 
     #[test]
     fn serial_by_default() {
         assert_eq!(SolverOpts::default().pool().threads(), 1);
-        assert!(!SolverOpts::default().fiedler_options().pool.is_parallel());
-    }
-
-    #[test]
-    fn stages_share_one_pool() {
-        let fo = SolverOpts::with_threads(4).fiedler_options();
-        // All stages report the same thread count (clones of one pool).
-        assert_eq!(fo.pool.threads(), fo.lanczos.pool.threads());
-        assert_eq!(fo.pool.threads(), fo.rqi.pool.threads());
+        assert!(!SolverOpts::default().pool().is_parallel());
     }
 
     #[test]
@@ -264,15 +245,32 @@ mod tests {
         let s = SolverOpts::with_pool(external.clone());
         assert_eq!(s.threads, external.threads());
         assert_eq!(s.pool().threads(), external.threads());
-        let fo = s.fiedler_options();
-        assert_eq!(fo.pool.threads(), external.threads());
+        // A resolved configuration keeps handing out the injected pool, and
+        // every stage's options share it.
+        let pool = s.resolve_pool().pool();
+        assert_eq!(s.lanczos_options(&pool).pool.threads(), external.threads());
+        assert_eq!(s.rqi_options(&pool).pool.threads(), external.threads());
         if external.is_parallel() {
-            // Regions run through the injected pool show up in its stats —
-            // proof the expansion shares workers instead of spawning anew.
+            // Regions run through the stages' pools show up in the injected
+            // pool's stats — proof they share workers instead of spawning
+            // anew.
             let before = external.stats().regions;
             let v: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
-            let _ = fo.pool.dot(&v, &v);
-            assert_eq!(external.stats().regions, before + 1);
+            let _ = s.lanczos_options(&pool).pool.dot(&v, &v);
+            let _ = s.rqi_options(&pool).pool.dot(&v, &v);
+            assert_eq!(external.stats().regions, before + 2);
+        }
+    }
+
+    #[test]
+    fn resolved_pool_is_built_once() {
+        let s = SolverOpts::with_threads(2).resolve_pool();
+        let (a, b) = (s.pool(), s.pool());
+        if a.is_parallel() {
+            let before = a.stats().regions;
+            let v: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
+            let _ = b.dot(&v, &v);
+            assert_eq!(a.stats().regions, before + 1);
         }
     }
 }

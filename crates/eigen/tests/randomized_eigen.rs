@@ -68,13 +68,14 @@ fn lanczos_matches_dense_lambda2() {
 /// route straight to Lanczos, so this exercises the fallback path).
 #[test]
 fn multilevel_fiedler_matches_dense() {
-    use se_eigen::multilevel::{fiedler, FiedlerOptions};
+    use se_eigen::multilevel::fiedler;
+    use se_eigen::SolverOpts;
     let mut rng = SmallRng::seed_from_u64(0xE102);
     for _ in 0..48 {
         let g = connected_graph(&mut rng);
         let dense = DenseSym::from_csr(&g.laplacian()).unwrap();
         let full = dense.eigh().unwrap();
-        let f = fiedler(&g, &FiedlerOptions::default()).unwrap();
+        let f = fiedler(&g, &SolverOpts::default()).unwrap();
         assert!(
             (f.lambda2 - full.values[1]).abs() < 1e-6 * (1.0 + full.values[1]),
             "multilevel {} vs dense {}",

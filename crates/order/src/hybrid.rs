@@ -10,35 +10,40 @@
 //! front-size control.
 
 use crate::sloan::{sloan_core, SloanWeights};
-use crate::spectral::SpectralOptions;
+use crate::spectral::fiedler_vector;
 use crate::Result;
-use se_eigen::multilevel::{fiedler, fiedler_lanczos};
+use se_eigen::SolverOpts;
 use se_graph::bfs::{bfs, connected_components, induced_subgraph};
 use sparsemat::{Permutation, SymmetricPattern};
 
-/// Fiedler-guided Sloan ordering.
-pub fn hybrid_sloan_spectral(g: &SymmetricPattern, opts: &SpectralOptions) -> Result<Permutation> {
+/// Fiedler-guided Sloan ordering. `force_lanczos` is rung 2 of the
+/// degradation ladder, as in [`crate::spectral_ordering`].
+pub fn hybrid_sloan_spectral(
+    g: &SymmetricPattern,
+    solver: &SolverOpts,
+    force_lanczos: bool,
+) -> Result<Permutation> {
+    let solver = &solver.resolve_pool();
     let comps = connected_components(g);
     let mut order = Vec::with_capacity(g.n());
     for members in &comps.members {
         let (sub, map) = induced_subgraph(g, members);
-        let local = hybrid_component(&sub, opts)?;
+        let local = hybrid_component(&sub, solver, force_lanczos)?;
         order.extend(local.into_iter().map(|l| map[l]));
     }
     Ok(Permutation::from_new_to_old(order).expect("component orders form a permutation"))
 }
 
-fn hybrid_component(g: &SymmetricPattern, opts: &SpectralOptions) -> Result<Vec<usize>> {
+fn hybrid_component(
+    g: &SymmetricPattern,
+    solver: &SolverOpts,
+    force_lanczos: bool,
+) -> Result<Vec<usize>> {
     let n = g.n();
     if n <= 2 {
         return Ok((0..n).collect());
     }
-    let fr = if opts.force_lanczos {
-        fiedler_lanczos(g, &opts.fiedler.lanczos)?
-    } else {
-        fiedler(g, &opts.fiedler)?
-    };
-    let x = &fr.vector;
+    let x = &fiedler_vector(g, solver, force_lanczos)?;
 
     // The start vertex is the extreme of the Fiedler vector; the global
     // priority decreases away from it. Scale the vector to the magnitude of
@@ -86,14 +91,14 @@ mod tests {
     fn hybrid_on_path_is_optimal() {
         let g = SymmetricPattern::from_edges(20, &(0..19).map(|i| (i, i + 1)).collect::<Vec<_>>())
             .unwrap();
-        let p = hybrid_sloan_spectral(&g, &SpectralOptions::default()).unwrap();
+        let p = hybrid_sloan_spectral(&g, &SolverOpts::default(), false).unwrap();
         assert_eq!(envelope_stats(&g, &p).envelope_size, 19);
     }
 
     #[test]
     fn hybrid_is_valid_permutation() {
         let g = grid(12, 7);
-        let p = hybrid_sloan_spectral(&g, &SpectralOptions::default()).unwrap();
+        let p = hybrid_sloan_spectral(&g, &SolverOpts::default(), false).unwrap();
         let mut seen = [false; 84];
         for k in 0..84 {
             seen[p.new_to_old(k)] = true;
@@ -106,9 +111,9 @@ mod tests {
         // The local refinement should never be much worse than the pure
         // sort, and often better.
         let g = grid(18, 11);
-        let opts = SpectralOptions::default();
-        let spec = spectral_ordering(&g, &opts).unwrap();
-        let hyb = hybrid_sloan_spectral(&g, &opts).unwrap();
+        let opts = SolverOpts::default();
+        let spec = spectral_ordering(&g, &opts, false).unwrap();
+        let hyb = hybrid_sloan_spectral(&g, &opts, false).unwrap();
         let e_spec = envelope_stats(&g, &spec).envelope_size;
         let e_hyb = envelope_stats(&g, &hyb).envelope_size;
         assert!(
@@ -120,7 +125,7 @@ mod tests {
     #[test]
     fn hybrid_handles_disconnected() {
         let g = SymmetricPattern::from_edges(8, &[(0, 1), (1, 2), (4, 5), (5, 6), (6, 7)]).unwrap();
-        let p = hybrid_sloan_spectral(&g, &SpectralOptions::default()).unwrap();
+        let p = hybrid_sloan_spectral(&g, &SolverOpts::default(), false).unwrap();
         assert_eq!(p.len(), 8);
     }
 }

@@ -47,11 +47,11 @@ pub use gk::gibbs_king;
 pub use gps::gibbs_poole_stockmeyer;
 pub use hybrid::hybrid_sloan_spectral;
 pub use min_degree::min_degree_ordering;
-pub use nested_dissection::{spectral_nested_dissection, NestedDissectionOptions};
+pub use nested_dissection::spectral_nested_dissection;
 pub use rcm::{cuthill_mckee, reverse_cuthill_mckee};
 pub use refine::exchange_refine;
 pub use sloan::{sloan, SloanWeights};
-pub use spectral::{spectral_ordering, spectral_ordering_weighted, SpectralOptions};
+pub use spectral::{spectral_ordering, spectral_ordering_weighted};
 pub use tracemin::tracemin_ordering;
 
 pub use se_eigen::SolverOpts;
@@ -216,31 +216,21 @@ fn dispatch_forced(
     solver: &SolverOpts,
     force_lanczos: bool,
 ) -> Result<Permutation> {
-    let spectral_opts = || SpectralOptions {
-        fiedler: solver.fiedler_options(),
-        force_lanczos,
-    };
     let perm = match alg {
         Algorithm::Identity => Permutation::identity(g.n()),
         Algorithm::CuthillMckee => cuthill_mckee(g),
         Algorithm::Rcm => reverse_cuthill_mckee(g),
         Algorithm::Gps => gibbs_poole_stockmeyer(g),
         Algorithm::Gk => gibbs_king(g),
-        Algorithm::Spectral => spectral_ordering(g, &spectral_opts())?,
+        Algorithm::Spectral => spectral_ordering(g, solver, force_lanczos)?,
         Algorithm::Sloan => sloan(g, &SloanWeights::default()),
-        Algorithm::HybridSloanSpectral => hybrid_sloan_spectral(g, &spectral_opts())?,
+        Algorithm::HybridSloanSpectral => hybrid_sloan_spectral(g, solver, force_lanczos)?,
         Algorithm::SpectralRefined => {
-            let base = spectral_ordering(g, &spectral_opts())?;
+            let base = spectral_ordering(g, solver, force_lanczos)?;
             exchange_refine(g, &base, 10).0
         }
         Algorithm::MinDegree => min_degree_ordering(g),
-        Algorithm::SpectralNd => spectral_nested_dissection(
-            g,
-            &NestedDissectionOptions {
-                spectral: spectral_opts(),
-                ..NestedDissectionOptions::default()
-            },
-        )?,
+        Algorithm::SpectralNd => spectral_nested_dissection(g, solver, force_lanczos)?,
         Algorithm::TraceMin => tracemin::tracemin_ordering(g, solver, force_lanczos)?,
     };
     Ok(perm)
@@ -567,6 +557,43 @@ mod tests {
         let out = order_compressed_degraded_with(&g, Algorithm::Spectral, &solver).unwrap();
         assert_eq!(out.degraded.as_deref(), Some("not_converged"));
         assert_eq!(out.ordering.perm.len(), 90);
+    }
+
+    #[test]
+    fn every_multilevel_ordering_answers_from_rung_two() {
+        // An allocation-budget fault aborts the multilevel solve once; rung
+        // 2 must then solve with Lanczos and answer with the requested
+        // algorithm, without re-entering the multilevel scheme.
+        let g = meshgen::grid2d(20, 20);
+        for alg in [
+            Algorithm::Spectral,
+            Algorithm::HybridSloanSpectral,
+            Algorithm::SpectralRefined,
+            Algorithm::SpectralNd,
+        ] {
+            for compressed in [false, true] {
+                let faults = se_faults::FaultPlane::seeded(3);
+                faults.arm(se_faults::sites::ALLOC_BUDGET);
+                let solver = SolverOpts {
+                    faults: faults.clone(),
+                    ..SolverOpts::default()
+                };
+                let out = if compressed {
+                    order_compressed_degraded_with(&g, alg, &solver)
+                } else {
+                    order_degraded_with(&g, alg, &solver)
+                }
+                .unwrap();
+                let case = format!("{alg:?} compressed={compressed}");
+                assert_eq!(out.ordering.algorithm, alg, "{case}");
+                assert_eq!(
+                    out.degraded.as_deref(),
+                    Some("fault:eigen.alloc.budget"),
+                    "{case}"
+                );
+                assert_eq!(faults.fired(se_faults::sites::ALLOC_BUDGET), 1, "{case}");
+            }
+        }
     }
 
     #[test]

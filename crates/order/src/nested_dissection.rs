@@ -10,39 +10,28 @@
 //! Not an envelope method — included as the spectral member of the
 //! general-sparse comparison (`storage_report`), next to minimum degree.
 
-use crate::spectral::SpectralOptions;
+use crate::spectral::fiedler_vector;
 use crate::Result;
-use se_eigen::multilevel::fiedler;
+use se_eigen::SolverOpts;
 use se_graph::bfs::{connected_components, induced_subgraph};
 use sparsemat::{Permutation, SymmetricPattern};
 
-/// Options for [`spectral_nested_dissection`].
-#[derive(Debug, Clone)]
-pub struct NestedDissectionOptions {
-    /// Blocks of at most this many vertices are ordered directly
-    /// (minimum-degree) instead of being split further.
-    pub leaf_size: usize,
-    /// Eigensolver options for the bisections.
-    pub spectral: SpectralOptions,
-}
+/// Blocks of at most this many vertices are ordered directly
+/// (minimum-degree) instead of being split further.
+const LEAF_SIZE: usize = 64;
 
-impl Default for NestedDissectionOptions {
-    fn default() -> Self {
-        NestedDissectionOptions {
-            leaf_size: 64,
-            spectral: SpectralOptions::default(),
-        }
-    }
-}
-
-/// Computes a spectral nested dissection ordering of `g`.
+/// Computes a spectral nested dissection ordering of `g`. `force_lanczos`
+/// is rung 2 of the degradation ladder: every bisection solves its Fiedler
+/// vector directly with Lanczos instead of the multilevel scheme.
 pub fn spectral_nested_dissection(
     g: &SymmetricPattern,
-    opts: &NestedDissectionOptions,
+    solver: &SolverOpts,
+    force_lanczos: bool,
 ) -> Result<Permutation> {
+    let solver = &solver.resolve_pool();
     let mut order = Vec::with_capacity(g.n());
     let all: Vec<usize> = (0..g.n()).collect();
-    dissect(g, &all, opts, &mut order)?;
+    dissect(g, &all, solver, force_lanczos, &mut order)?;
     Ok(Permutation::from_new_to_old(order).expect("dissection covers all vertices once"))
 }
 
@@ -51,14 +40,15 @@ pub fn spectral_nested_dissection(
 fn dissect(
     g: &SymmetricPattern,
     vertices: &[usize],
-    opts: &NestedDissectionOptions,
+    solver: &SolverOpts,
+    force_lanczos: bool,
     order: &mut Vec<usize>,
 ) -> Result<()> {
     if vertices.is_empty() {
         return Ok(());
     }
     let (sub, map) = induced_subgraph(g, vertices);
-    if sub.n() <= opts.leaf_size.max(2) {
+    if sub.n() <= LEAF_SIZE {
         let local = crate::min_degree::min_degree_ordering(&sub);
         order.extend(local.order().iter().map(|&l| map[l]));
         return Ok(());
@@ -68,16 +58,16 @@ fn dissect(
     if comps.count() > 1 {
         for members in &comps.members {
             let globals: Vec<usize> = members.iter().map(|&l| map[l]).collect();
-            dissect(g, &globals, opts, order)?;
+            dissect(g, &globals, solver, force_lanczos, order)?;
         }
         return Ok(());
     }
     // Fiedler bisection at the median.
-    let fr = fiedler(&sub, &opts.spectral.fiedler)?;
-    let mut vals: Vec<f64> = fr.vector.clone();
+    let fiedler = fiedler_vector(&sub, solver, force_lanczos)?;
+    let mut vals: Vec<f64> = fiedler.clone();
     vals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let median = vals[sub.n() / 2];
-    let side_a: Vec<bool> = fr.vector.iter().map(|&x| x < median).collect();
+    let side_a: Vec<bool> = fiedler.iter().map(|&x| x < median).collect();
 
     // Vertex separator from the edge cut: greedily take the endpoint that
     // covers the most uncovered cut edges (small vertex cover heuristic).
@@ -121,8 +111,8 @@ fn dissect(
         return Ok(());
     }
 
-    dissect(g, &part_a, opts, order)?;
-    dissect(g, &part_b, opts, order)?;
+    dissect(g, &part_a, solver, force_lanczos, order)?;
+    dissect(g, &part_b, solver, force_lanczos, order)?;
     // Separator last (its elimination can only touch what remains).
     order.extend(sep);
     Ok(())
@@ -152,7 +142,7 @@ mod tests {
     #[test]
     fn snd_is_valid_permutation() {
         let g = grid(14, 11);
-        let p = spectral_nested_dissection(&g, &Default::default()).unwrap();
+        let p = spectral_nested_dissection(&g, &SolverOpts::default(), false).unwrap();
         let mut seen = vec![false; g.n()];
         for k in 0..g.n() {
             let v = p.new_to_old(k);
@@ -170,7 +160,7 @@ mod tests {
         // grows with n; at 20x20 it is ~20%, at 28x28 ~30%.
         for (nx, factor) in [(20usize, 0.85), (28, 0.80)] {
             let g = grid(nx, nx);
-            let nd = spectral_nested_dissection(&g, &Default::default()).unwrap();
+            let nd = spectral_nested_dissection(&g, &SolverOpts::default(), false).unwrap();
             let rcm = crate::rcm::reverse_cuthill_mckee(&g);
             let fill_nd = fill_in(&g, &nd);
             let fill_rcm = fill_in(&g, &rcm);
@@ -187,21 +177,14 @@ mod tests {
         let off = 64;
         edges.extend(grid(6, 6).edges().map(|(u, v)| (u + off, v + off)));
         let g = SymmetricPattern::from_edges(off + 36, &edges).unwrap();
-        let p = spectral_nested_dissection(&g, &Default::default()).unwrap();
+        let p = spectral_nested_dissection(&g, &SolverOpts::default(), false).unwrap();
         assert_eq!(p.len(), 100);
     }
 
     #[test]
     fn snd_on_tiny_graph_is_min_degree() {
         let g = grid(4, 4);
-        let p = spectral_nested_dissection(
-            &g,
-            &NestedDissectionOptions {
-                leaf_size: 64,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let p = spectral_nested_dissection(&g, &SolverOpts::default(), false).unwrap();
         // Whole graph fits in a leaf -> equals min-degree.
         let md = crate::min_degree::min_degree_ordering(&g);
         assert_eq!(p, md);
@@ -212,7 +195,7 @@ mod tests {
         // On a long strip, the median bisection cuts across the short
         // dimension: the separator is tiny and numbered last.
         let g = grid(30, 4);
-        let p = spectral_nested_dissection(&g, &Default::default()).unwrap();
+        let p = spectral_nested_dissection(&g, &SolverOpts::default(), false).unwrap();
         // The last few ordered vertices should form a short column — check
         // that the final vertex's neighbors are spread across both halves
         // of the ordering (it is a separator vertex).

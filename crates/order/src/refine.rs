@@ -152,7 +152,7 @@ mod tests {
     #[test]
     fn refinement_improves_spectral_on_grid() {
         let g = grid(12, 8);
-        let spec = crate::spectral::spectral_ordering(&g, &Default::default()).unwrap();
+        let spec = crate::spectral::spectral_ordering(&g, &Default::default(), false).unwrap();
         let e_spec = envelope_size(&g, &spec);
         let (p, _) = exchange_refine(&g, &spec, 20);
         let e_ref = envelope_size(&g, &p);

@@ -10,49 +10,66 @@
 //! is a closest (2-norm) permutation vector to the eigenvector.
 
 use crate::Result;
-use se_eigen::multilevel::{fiedler, FiedlerOptions};
+use se_eigen::multilevel::{fiedler, fiedler_lanczos};
+use se_eigen::SolverOpts;
 use se_graph::bfs::{connected_components, induced_subgraph};
 use se_trace::Tracer;
 use sparsemat::envelope::envelope_size;
 use sparsemat::{Permutation, SymmetricPattern};
 
-/// Options for the spectral ordering.
-#[derive(Debug, Clone, Default)]
-pub struct SpectralOptions {
-    /// Options forwarded to the multilevel Fiedler solver.
-    pub fiedler: FiedlerOptions,
-    /// Use plain Lanczos instead of the multilevel scheme (slower, for
-    /// validation).
-    pub force_lanczos: bool,
-}
-
 /// Computes the spectral ordering of `g`. Disconnected graphs are handled
 /// per component (components numbered consecutively by smallest vertex).
-pub fn spectral_ordering(g: &SymmetricPattern, opts: &SpectralOptions) -> Result<Permutation> {
-    let mut sp = opts.fiedler.trace.span("spectral");
+///
+/// `force_lanczos` is rung 2 of the degradation ladder: skip the multilevel
+/// scheme and solve each component directly with Lanczos (slower; also the
+/// validation reference).
+pub fn spectral_ordering(
+    g: &SymmetricPattern,
+    solver: &SolverOpts,
+    force_lanczos: bool,
+) -> Result<Permutation> {
+    let solver = &solver.resolve_pool();
+    let mut sp = solver.trace.span("spectral");
     let comps = connected_components(g);
     sp.attr("components", comps.members.len() as f64);
     let mut order = Vec::with_capacity(g.n());
     for members in &comps.members {
         let (sub, map) = induced_subgraph(g, members);
-        let local = spectral_component(&sub, opts)?;
+        let local = spectral_component(&sub, solver, force_lanczos)?;
         order.extend(local.into_iter().map(|l| map[l]));
     }
     Ok(Permutation::from_new_to_old(order).expect("component orders form a permutation"))
 }
 
 /// Algorithm 1 on one connected component; returns the local visit order.
-fn spectral_component(g: &SymmetricPattern, opts: &SpectralOptions) -> Result<Vec<usize>> {
+fn spectral_component(
+    g: &SymmetricPattern,
+    solver: &SolverOpts,
+    force_lanczos: bool,
+) -> Result<Vec<usize>> {
     let n = g.n();
     if n <= 2 {
         return Ok((0..n).collect());
     }
-    let fr = if opts.force_lanczos {
-        se_eigen::multilevel::fiedler_lanczos(g, &opts.fiedler.lanczos)?
+    let x = fiedler_vector(g, solver, force_lanczos)?;
+    Ok(order_by_vector_traced(g, &x, &solver.trace))
+}
+
+/// Step 2 of Algorithm 1 on a connected graph of more than two vertices:
+/// its Fiedler vector, by the multilevel scheme or (`force_lanczos`)
+/// directly by Lanczos. Shared by every multilevel-backed ordering so all of
+/// them honour rung 2 of the degradation ladder.
+pub(crate) fn fiedler_vector(
+    g: &SymmetricPattern,
+    solver: &SolverOpts,
+    force_lanczos: bool,
+) -> Result<Vec<f64>> {
+    let fr = if force_lanczos {
+        fiedler_lanczos(g, &solver.lanczos_options(&solver.pool()))?
     } else {
-        fiedler(g, &opts.fiedler)?
+        fiedler(g, solver)?
     };
-    Ok(order_by_vector_traced(g, &fr.vector, &opts.fiedler.trace))
+    Ok(fr.vector)
 }
 
 /// Value-weighted variant of the spectral ordering: uses the **weighted**
@@ -153,7 +170,7 @@ mod tests {
         // The Fiedler vector of a path is monotone, so the spectral ordering
         // is exactly the natural (optimal) one.
         let g = path(50);
-        let p = spectral_ordering(&g, &SpectralOptions::default()).unwrap();
+        let p = spectral_ordering(&g, &SolverOpts::default(), false).unwrap();
         let s = envelope_stats(&g, &p);
         assert_eq!(s.envelope_size, 49);
         assert_eq!(s.bandwidth, 1);
@@ -165,14 +182,14 @@ mod tests {
         let scramble =
             Permutation::from_new_to_old((0..60).map(|i| (i * 23) % 60).collect()).unwrap();
         let shuffled = g.permute(&scramble).unwrap();
-        let p = spectral_ordering(&shuffled, &SpectralOptions::default()).unwrap();
+        let p = spectral_ordering(&shuffled, &SolverOpts::default(), false).unwrap();
         assert_eq!(envelope_stats(&shuffled, &p).envelope_size, 59);
     }
 
     #[test]
     fn spectral_orders_grid_along_long_axis() {
         let g = grid(20, 6);
-        let p = spectral_ordering(&g, &SpectralOptions::default()).unwrap();
+        let p = spectral_ordering(&g, &SolverOpts::default(), false).unwrap();
         let s = envelope_stats(&g, &p);
         // Ordering along the long axis gives envelope ≈ 6 per row.
         assert!(
@@ -195,7 +212,7 @@ mod tests {
         let mut edges: Vec<(usize, usize)> = (0..9).map(|i| (i, i + 1)).collect();
         edges.extend((10..19).map(|i| (i, i + 1)));
         let g = SymmetricPattern::from_edges(20, &edges).unwrap();
-        let p = spectral_ordering(&g, &SpectralOptions::default()).unwrap();
+        let p = spectral_ordering(&g, &SolverOpts::default(), false).unwrap();
         let s = envelope_stats(&g, &p);
         assert_eq!(s.envelope_size, 18);
     }
@@ -203,22 +220,15 @@ mod tests {
     #[test]
     fn tiny_components_are_fine() {
         let g = SymmetricPattern::from_edges(4, &[(0, 1)]).unwrap();
-        let p = spectral_ordering(&g, &SpectralOptions::default()).unwrap();
+        let p = spectral_ordering(&g, &SolverOpts::default(), false).unwrap();
         assert_eq!(p.len(), 4);
     }
 
     #[test]
     fn force_lanczos_matches_multilevel_quality() {
         let g = grid(15, 8);
-        let ml = spectral_ordering(&g, &SpectralOptions::default()).unwrap();
-        let lz = spectral_ordering(
-            &g,
-            &SpectralOptions {
-                force_lanczos: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let ml = spectral_ordering(&g, &SolverOpts::default(), false).unwrap();
+        let lz = spectral_ordering(&g, &SolverOpts::default(), true).unwrap();
         let s_ml = envelope_stats(&g, &ml).envelope_size;
         let s_lz = envelope_stats(&g, &lz).envelope_size;
         let ratio = s_ml as f64 / s_lz as f64;
@@ -247,7 +257,7 @@ mod tests {
         let g = grid(10, 6);
         let a = g.to_csr_with(|v| g.degree(v) as f64, -1.0);
         let w = spectral_ordering_weighted(&a, &Default::default()).unwrap();
-        let s = spectral_ordering(&g, &SpectralOptions::default()).unwrap();
+        let s = spectral_ordering(&g, &SolverOpts::default(), false).unwrap();
         let e_w = envelope_stats(&g, &w).envelope_size;
         let e_s = envelope_stats(&g, &s).envelope_size;
         // Same eigenproblem up to solver path; envelope must agree closely.
@@ -301,7 +311,6 @@ mod tests {
         // The centred permutation vector induced by sorting the Fiedler
         // vector is at least as close (2-norm) to the scaled eigenvector as
         // 500 random permutations — a statistical check of Theorem 2.3.
-        use se_eigen::multilevel::fiedler_lanczos;
         let g = grid(6, 4);
         let n = 24;
         let fr = fiedler_lanczos(&g, &Default::default()).unwrap();

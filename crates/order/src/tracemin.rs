@@ -16,17 +16,12 @@ use se_tracemin::{tracemin_fiedler, TraceminOptions};
 use sparsemat::par::TaskPool;
 use sparsemat::{Permutation, SymmetricPattern};
 
-/// Expands [`SolverOpts`] into [`TraceminOptions`] on `pool` — the same
-/// shape as [`SolverOpts::lanczos_options`] and friends. The block size and
-/// outer cap keep their `se-tracemin` defaults; the shared knobs (tolerance,
-/// inner MINRES cap/tolerance, seed, tracer, budget, fault plane) come from
+/// [`TraceminOptions`] on `pool` — the same shape as
+/// [`SolverOpts::lanczos_options`]. Every numeric field keeps its
+/// `se-tracemin` default; the tracer, budget and fault plane come from
 /// `solver`.
 pub fn tracemin_options(solver: &SolverOpts, pool: &TaskPool) -> TraceminOptions {
     TraceminOptions {
-        tol: solver.tol,
-        inner_max_iter: solver.inner_max_iter,
-        inner_rtol: solver.inner_rtol,
-        seed: solver.seed,
         pool: pool.clone(),
         trace: solver.trace.clone(),
         budget: solver.budget.clone(),
@@ -111,13 +106,25 @@ mod tests {
     fn envelope_close_to_multilevel_spectral() {
         let g = meshgen::grid2d(20, 9);
         let tm = tracemin_ordering(&g, &SolverOpts::default(), false).unwrap();
-        let sp = crate::spectral_ordering(&g, &crate::SpectralOptions::default()).unwrap();
+        let sp = crate::spectral_ordering(&g, &SolverOpts::default(), false).unwrap();
         let e_tm = envelope_stats(&g, &tm).envelope_size as f64;
         let e_sp = envelope_stats(&g, &sp).envelope_size as f64;
         assert!(
             (e_tm - e_sp).abs() <= 0.05 * e_sp,
             "tracemin {e_tm} vs spectral {e_sp}"
         );
+    }
+
+    #[test]
+    fn shipped_options_are_the_tracemin_defaults() {
+        let shipped = tracemin_options(&SolverOpts::default(), &TaskPool::serial());
+        let base = TraceminOptions::default();
+        assert_eq!(shipped.block_size, base.block_size);
+        assert_eq!(shipped.max_outer, base.max_outer);
+        assert_eq!(shipped.tol, base.tol);
+        assert_eq!(shipped.inner_max_iter, base.inner_max_iter);
+        assert_eq!(shipped.inner_rtol, base.inner_rtol);
+        assert_eq!(shipped.seed, base.seed);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Std-only deterministic pseudo-random numbers for the workspace.
 //!
 //! The crates in this repository only ever need *reproducible* randomness —
-//! seeded start vectors for Lanczos/LOBPCG, scrambled test matrices, random
-//! meshes — so a tiny in-tree generator removes the workspace's only hard
-//! external dependency (`rand`) and keeps every build fully offline.
+//! seeded start vectors for Lanczos and TraceMin, scrambled test matrices,
+//! random meshes — so a tiny in-tree generator removes the workspace's only
+//! hard external dependency (`rand`) and keeps every build fully offline.
 //!
 //! Two generators are provided:
 //!

@@ -72,8 +72,12 @@ pub const DEFAULT_INNER_MAX_ITER: usize = 300;
 /// TraceMin: early iterations only need a direction, not an accurate solve).
 pub const DEFAULT_INNER_RTOL: f64 = 1e-8;
 
-/// Default seed for the deterministic random start basis.
-pub const DEFAULT_SEED: u64 = 0x5EED_F1ED;
+/// Default seed for the deterministic random start basis, shared with the
+/// Lanczos start vector ([`se_eigen::solver_opts::DEFAULT_LANCZOS_SEED`]).
+/// The `tracemin` ordering runs with it, so changing it changes `tracemin`
+/// permutations, which the service caches and spills under keys that carry
+/// no ordering epoch.
+pub const DEFAULT_SEED: u64 = se_eigen::solver_opts::DEFAULT_LANCZOS_SEED;
 
 /// Cap for the adaptively loosened inner tolerance.
 const INNER_RTOL_CAP: f64 = 1e-2;

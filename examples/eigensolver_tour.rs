@@ -1,10 +1,9 @@
-//! A tour of the eigensolver stack: four different routes to the same
+//! A tour of the eigensolver stack: three different routes to the same
 //! Fiedler pair, with accuracy and timing side by side.
 //!
 //! * dense Householder+QL — the `O(n³)` oracle,
 //! * Lanczos with full reorthogonalization — the paper's "standard
 //!   algorithm" (§3),
-//! * LOBPCG — a modern locally-optimal iteration (extension),
 //! * the multilevel scheme — the paper's contribution for making the
 //!   computation fast at scale.
 //!
@@ -12,9 +11,9 @@
 
 use spectral_envelope_repro::eigen::dense::DenseSym;
 use spectral_envelope_repro::eigen::lanczos::{lanczos_smallest, LanczosOptions};
-use spectral_envelope_repro::eigen::lobpcg::{lobpcg_smallest, LobpcgOptions};
-use spectral_envelope_repro::eigen::multilevel::{fiedler, FiedlerOptions};
+use spectral_envelope_repro::eigen::multilevel::fiedler;
 use spectral_envelope_repro::eigen::op::{constant_unit_vector, LaplacianOp};
+use spectral_envelope_repro::eigen::SolverOpts;
 use std::time::Instant;
 
 fn main() {
@@ -48,17 +47,7 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let lb = lobpcg_smallest(&lop, &deflate, None, &LobpcgOptions::default()).expect("ok");
-    println!(
-        "  lobpcg        λ₂ = {:.6e}  err {:.1e}  {} steps   ({:.3}s)",
-        lb.value,
-        (lb.value - oracle).abs(),
-        lb.iterations,
-        t0.elapsed().as_secs_f64()
-    );
-
-    let t0 = Instant::now();
-    let ml = fiedler(&small, &FiedlerOptions::default()).expect("ok");
+    let ml = fiedler(&small, &SolverOpts::default()).expect("ok");
     println!(
         "  multilevel    λ₂ = {:.6e}  err {:.1e}  {} levels  ({:.3}s)",
         ml.lambda2,
@@ -67,38 +56,16 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
 
-    // Large mesh: iterative solvers only — this is where the multilevel
-    // scheme earns its keep.
+    // Large mesh: the multilevel scheme alone — the scale at which it earns
+    // its keep.
     let big = meshgen::graded_annulus_tri(60_000, 2_600, 0.97, 0x71);
     println!("\nlarge mesh: n = {}, edges = {}", big.n(), big.num_edges());
-    let lop = LaplacianOp::new(&big);
-    let deflate = vec![constant_unit_vector(big.n())];
-
     let t0 = Instant::now();
-    let ml = fiedler(&big, &FiedlerOptions::default()).expect("ok");
-    let t_ml = t0.elapsed().as_secs_f64();
-    println!("  multilevel    λ₂ = {:.6e}  ({t_ml:.3}s)", ml.lambda2);
-
-    let t0 = Instant::now();
-    let lb = lobpcg_smallest(
-        &lop,
-        &deflate,
-        None,
-        &LobpcgOptions {
-            max_iter: 10_000,
-            tol: 1e-7,
-            ..Default::default()
-        },
-    )
-    .expect("ok");
-    let t_lb = t0.elapsed().as_secs_f64();
+    let ml = fiedler(&big, &SolverOpts::default()).expect("ok");
     println!(
-        "  lobpcg        λ₂ = {:.6e}  ({t_lb:.3}s, {} iterations)",
-        lb.value, lb.iterations
-    );
-    println!(
-        "\nmultilevel speedup over LOBPCG at n = {}: {:.1}x",
-        big.n(),
-        t_lb / t_ml.max(1e-9)
+        "  multilevel    λ₂ = {:.6e}  {} levels  ({:.3}s)",
+        ml.lambda2,
+        ml.levels,
+        t0.elapsed().as_secs_f64()
     );
 }

@@ -9,7 +9,8 @@
 //!
 //! Run: `cargo run --release --example spectral_bisection`
 
-use spectral_envelope_repro::eigen::multilevel::{fiedler, FiedlerOptions};
+use spectral_envelope_repro::eigen::multilevel::fiedler;
+use spectral_envelope_repro::eigen::SolverOpts;
 use spectral_envelope_repro::graph::bfs::{connected_components, induced_subgraph};
 
 fn main() {
@@ -17,7 +18,7 @@ fn main() {
     let g = meshgen::graded_annulus_tri(4_000, 260, 0.95, 0x15EC);
     println!("mesh: {} vertices, {} edges", g.n(), g.num_edges());
 
-    let f = fiedler(&g, &FiedlerOptions::default()).expect("mesh is connected");
+    let f = fiedler(&g, &SolverOpts::default()).expect("mesh is connected");
     println!("λ₂ (algebraic connectivity) = {:.6e}", f.lambda2);
 
     // Split at the median component for a balanced bisection.

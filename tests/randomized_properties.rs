@@ -161,14 +161,15 @@ fn envelope_cholesky_solves() {
 /// orthogonal to constants, and the residual is small.
 #[test]
 fn fiedler_properties_on_random_graphs() {
-    use spectral_envelope_repro::eigen::multilevel::{fiedler, FiedlerOptions};
+    use spectral_envelope_repro::eigen::multilevel::fiedler;
+    use spectral_envelope_repro::eigen::SolverOpts;
     let mut rng = SmallRng::seed_from_u64(0xA007);
     for _ in 0..64 {
         let g = connected_graph(&mut rng);
         if g.n() < 3 {
             continue;
         }
-        let f = fiedler(&g, &FiedlerOptions::default()).unwrap();
+        let f = fiedler(&g, &SolverOpts::default()).unwrap();
         assert!(f.lambda2 > 0.0, "λ₂ = {}", f.lambda2);
         let s: f64 = f.vector.iter().sum();
         assert!(s.abs() < 1e-6, "sum {}", s);

@@ -120,12 +120,12 @@ fn tracemin_matches_the_multilevel_fiedler_solver() {
     // ends (block trace minimization vs multilevel Lanczos/RQI); their
     // answers must agree: same λ₂, same sign-fixed direction, and an
     // eigen-residual inside the solver tolerance regime.
-    use spectral_envelope_repro::eigen::multilevel::{fiedler, FiedlerOptions};
+    use spectral_envelope_repro::eigen::multilevel::fiedler;
     for name in MATRICES {
         let g = largest_component(&meshgen::standin(name).unwrap().pattern);
         let tm = tracemin_fiedler(&g, &TraceminOptions::default())
             .unwrap_or_else(|e| panic!("{name}: tracemin failed: {e}"));
-        let ml = fiedler(&g, &FiedlerOptions::default())
+        let ml = fiedler(&g, &SolverOpts::default())
             .unwrap_or_else(|e| panic!("{name}: multilevel failed: {e}"));
 
         let rel = (tm.lambda2 - ml.lambda2).abs() / ml.lambda2.max(f64::MIN_POSITIVE);
