@@ -10,9 +10,9 @@
 //! worker parks — land in the report next to the timing they explain.
 //!
 //! A second sweep runs `alg:"tracemin"` over the same matrices and thread
-//! counts: its per-column inner MINRES solves are coarse concurrent regions
-//! (a very different load shape from the multilevel solver's fine-grained
-//! chunked reductions), so its steal/park tallies characterize how the
+//! counts: its per-column inner MINRES solves are the coarse tasks of one
+//! region per outer iteration (a very different load shape from the
+//! multilevel solver's fine-grained chunked reductions), so its steal/park tallies characterize how the
 //! chunk-claiming scheduler absorbs irregular region-level work. The
 //! `tracemin` block records outer iterations, summed inner MINRES
 //! iterations, wall-µs and the pool tallies per thread count.

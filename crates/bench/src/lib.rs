@@ -18,6 +18,8 @@
 //! off directly. Set `SE_MAX_N=<n>` to skip stand-ins larger than `n`
 //! (useful for quick smoke runs).
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 pub mod paper;
 

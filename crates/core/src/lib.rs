@@ -39,6 +39,8 @@
 //! * [`se_order`] — SPECTRAL, RCM, GPS, GK, Sloan, hybrid orderings,
 //! * [`se_envelope`] — envelope (skyline) Cholesky factorization.
 
+#![forbid(unsafe_code)]
+
 // Compile and run the top-level README's Rust blocks as doc-tests of this
 // crate, so the README can never drift from the API.
 #[cfg(doctest)]

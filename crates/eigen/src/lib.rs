@@ -30,6 +30,7 @@
 //! assert!((f.lambda2 - exact).abs() < 1e-8);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dense;

@@ -27,6 +27,8 @@
 //! assert!((x[2] - 3.0).abs() < 1e-10);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ic;
 pub mod pcg;
 pub mod symbolic;

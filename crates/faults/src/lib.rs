@@ -26,6 +26,8 @@
 //! poison-recovering mutex lock: a worker thread that panics mid-request
 //! must never wedge the daemon by poisoning a shared cache/metrics lock.
 
+#![forbid(unsafe_code)]
+
 use se_prng::SmallRng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,9 +58,10 @@ pub mod sites {
     /// multilevel hierarchy is built.
     pub const ALLOC_BUDGET: &str = "eigen.alloc.budget";
     /// Makes the request deadline pass mid-solve: after building its
-    /// hierarchy the multilevel solver expires its budget
-    /// ([`crate::Budget::expire`]), so every later check reports
-    /// [`crate::Exceeded::Deadline`] without racing the wall clock.
+    /// hierarchy the multilevel solver, and at an outer-iteration boundary
+    /// the TraceMin solver, expires its budget ([`crate::Budget::expire`]),
+    /// so every later check reports [`crate::Exceeded::Deadline`] without
+    /// racing the wall clock.
     pub const BUDGET_DEADLINE: &str = "eigen.budget.deadline";
     /// Forces MIS coarsening to stagnate (no further level is built).
     pub const COARSEN_STAGNATE: &str = "graph.coarsen.stagnate";

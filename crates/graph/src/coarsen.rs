@@ -13,6 +13,7 @@ use se_trace::Tracer;
 use sparsemat::par::TaskPool;
 use sparsemat::SymmetricPattern;
 use std::collections::VecDeque;
+use std::sync::OnceLock;
 
 /// Marker for "unassigned".
 const UNSET: usize = usize::MAX;
@@ -153,39 +154,23 @@ pub fn contract_with(g: &SymmetricPattern, pool: &TaskPool) -> Contraction {
 }
 
 /// Collects one `(min, max)` coarse edge per fine edge crossing two domains,
-/// in exactly the order `g.edges()` yields them: vertex chunks are processed
-/// in parallel into per-chunk buffers and concatenated in chunk order.
-///
-/// The chunk grid is submitted as **two concurrently outstanding regions**
-/// (low and high halves) through [`TaskPool::scope`] — on a parallel pool
-/// both are in flight together and their chunks interleave across the
-/// workers. Which region a chunk belongs to never changes which vertices it
-/// scans or where its buffer sits, so the concatenation is byte-identical
-/// to the serial scan.
+/// in exactly the order `g.edges()` yields them: vertex chunks are scanned
+/// as one region (inline below [`sparsemat::par::PAR_MIN`] vertices or on a
+/// serial pool), each chunk into its own buffer, and the buffers are joined
+/// in chunk order. Which thread scans a chunk never changes which vertices
+/// it scans or where its buffer sits, so the concatenation is
+/// byte-identical to the serial scan.
 fn collect_crossing_edges(
     g: &SymmetricPattern,
     domain: &[usize],
     pool: &TaskPool,
 ) -> Vec<(usize, usize)> {
-    let n = g.n();
-    let serial = || {
-        let mut edges = Vec::new();
-        for (u, v) in g.edges() {
-            let (du, dv) = (domain[u], domain[v]);
-            if du != dv {
-                edges.push((du.min(dv), du.max(dv)));
-            }
-        }
-        edges
-    };
-    if !pool.is_parallel() || n < sparsemat::par::PAR_MIN {
-        return serial();
-    }
     const CHUNK: usize = 1024;
-    let nchunks = n.div_ceil(CHUNK);
-    let mut buffers: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nchunks];
-    let fill = |c: usize, out: &mut Vec<(usize, usize)>| {
-        let (s, e) = (c * CHUNK, ((c + 1) * CHUNK).min(n));
+    let n = g.n();
+    let buffers: Vec<OnceLock<Vec<(usize, usize)>>> =
+        (0..n.div_ceil(CHUNK)).map(|_| OnceLock::new()).collect();
+    pool.run_chunks(n, CHUNK, |s, e| {
+        let mut out = Vec::new();
         for u in s..e {
             let du = domain[u];
             for &v in g.neighbors(u) {
@@ -197,27 +182,13 @@ fn collect_crossing_edges(
                 }
             }
         }
-    };
-    let half = nchunks / 2;
-    let fill = &fill;
-    pool.scope(|s| {
-        let base = sparsemat::par::slice_sender(&mut buffers);
-        s.spawn_tasks(half, move |c| {
-            // SAFETY: this region owns buffer indices `0..half` exclusively;
-            // `buffers` outlives the scope, which joins both regions.
-            fill(c, unsafe { &mut *base.get().add(c) });
-        });
-        s.spawn_tasks(nchunks - half, move |i| {
-            let c = half + i;
-            // SAFETY: this region owns `half..nchunks` exclusively.
-            fill(c, unsafe { &mut *base.get().add(c) });
-        });
+        let _ = buffers[s / CHUNK].set(out);
     });
-    let mut edges = Vec::with_capacity(buffers.iter().map(Vec::len).sum());
-    for buf in &mut buffers {
-        edges.append(buf);
-    }
-    edges
+    let buffers: Vec<Vec<(usize, usize)>> = buffers
+        .into_iter()
+        .map(|b| b.into_inner().expect("every chunk was scanned"))
+        .collect();
+    buffers.concat()
 }
 
 impl Contraction {

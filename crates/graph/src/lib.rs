@@ -24,6 +24,8 @@
 //! assert_eq!(ls.height(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bfs;
 pub mod coarsen;
 pub mod compress;

@@ -18,6 +18,8 @@
 //! assert!((s.pattern.n() as i64 - 6_019i64).abs() < 10);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod basic;
 pub mod fe_mesh;
 pub mod fem;

@@ -31,6 +31,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod gk;
 pub mod gps;
 pub mod hybrid;

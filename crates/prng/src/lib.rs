@@ -29,6 +29,8 @@
 //! let _ = b;
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Sebastiano Vigna's splitmix64: one multiply-xorshift round per output.

@@ -19,7 +19,7 @@ use crate::server::Config;
 use se_faults::{lock_unpoisoned, sites, Budget, FaultPlane};
 use se_trace::{SpanEvent, Tracer};
 use sparsemat::pattern::SymmetricPattern;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering as AtOrd};
 use std::sync::{Arc, Condvar, Mutex};
@@ -67,7 +67,11 @@ pub struct Engine {
     default_timeout: Duration,
     solver_threads: usize,
     log_requests: bool,
-    cancel: Mutex<CancelState>,
+    /// Budgets of the id'd ORDER requests now queued or running. One
+    /// mutex guards registration, CANCEL and the job's final check, so a
+    /// cancel either flips the budget of a pending job (which then
+    /// observes it) or finds the id gone and reports nothing pending.
+    pending: Mutex<HashMap<u64, Budget>>,
     /// Deterministic fault-injection plane shared by every worker
     /// ([`FaultPlane::disabled`] in production).
     faults: FaultPlane,
@@ -103,32 +107,6 @@ pub struct Engine {
 /// in-flight request finishes).
 const SOLVER_POOL_CACHE_CAP: usize = 8;
 
-/// Upper bound on remembered-but-unconsumed cancel marks. Marks are only
-/// set for ids that are pending, and the pending job consumes its mark, so
-/// this cap matters only when a queued job is dropped without ever running
-/// (e.g. the pool dies mid-shutdown) — it keeps that leak bounded.
-const CANCEL_SET_CAP: usize = 1024;
-
-/// Which client-assigned request ids are in flight and which have been
-/// cancelled. One mutex guards both sets so a cancel can never race a job's
-/// completion check: either the cancel lands while the id is pending (the
-/// job will observe it and suppress its response) or the job already
-/// finished (the cancel reports nothing to do).
-#[derive(Default)]
-struct CancelState {
-    /// Ids of ORDER requests currently queued or running.
-    pending: HashSet<u64>,
-    /// Ids cancelled but not yet observed by their job.
-    cancelled: HashSet<u64>,
-    /// Insertion order of `cancelled`, for the bounded-capacity eviction.
-    fifo: VecDeque<u64>,
-    /// Per-request solver budgets, registered while the id is pending. A
-    /// CANCEL flips the budget's shared cancel flag, so a solve that is
-    /// already running aborts at its next iteration boundary instead of
-    /// computing to completion.
-    budgets: HashMap<u64, Budget>,
-}
-
 impl Engine {
     /// Builds the engine from the server configuration and the already-bound
     /// listener address. Fails only when a cache directory is configured and
@@ -163,7 +141,7 @@ impl Engine {
             default_timeout: Duration::from_millis(cfg.default_timeout_ms),
             solver_threads: cfg.solver_threads,
             log_requests: cfg.log_requests,
-            cancel: Mutex::new(CancelState::default()),
+            pending: Mutex::new(HashMap::new()),
             faults: cfg.faults.clone(),
             addr,
             mesh,
@@ -321,58 +299,17 @@ impl Engine {
 
     /// Cancels the in-flight ORDER with client-assigned `id`. Returns
     /// whether the id was still pending: a queued job is dropped before it
-    /// computes, a running one finishes but its response is replaced by an
-    /// error line. Cancelling an unknown (or already completed) id is a
-    /// no-op reporting `false`.
+    /// computes, a running one aborts at its next budget check (or
+    /// finishes) and its response is replaced by an error line. Cancelling
+    /// an unknown (or already completed) id is a no-op reporting `false`.
     pub fn cancel(&self, id: u64) -> bool {
-        let mut st = lock_unpoisoned(&self.cancel);
-        if !st.pending.contains(&id) {
-            return false;
-        }
-        // Reach into a solve that is already running: the budget's shared
-        // cancel flag makes it abort at its next iteration boundary.
-        if let Some(budget) = st.budgets.get(&id) {
-            budget.cancel();
-        }
-        if st.cancelled.insert(id) {
-            st.fifo.push_back(id);
-            if st.fifo.len() > CANCEL_SET_CAP {
-                if let Some(old) = st.fifo.pop_front() {
-                    st.cancelled.remove(&old);
-                }
+        match lock_unpoisoned(&self.pending).get(&id) {
+            Some(budget) => {
+                budget.cancel();
+                true
             }
+            None => false,
         }
-        true
-    }
-
-    fn register_pending(&self, id: Option<u64>, budget: &Budget) {
-        if let Some(id) = id {
-            let mut st = lock_unpoisoned(&self.cancel);
-            st.pending.insert(id);
-            st.budgets.insert(id, budget.clone());
-        }
-    }
-
-    fn unregister_pending(&self, id: Option<u64>) {
-        if let Some(id) = id {
-            let mut st = lock_unpoisoned(&self.cancel);
-            st.pending.remove(&id);
-            st.cancelled.remove(&id);
-            st.budgets.remove(&id);
-        }
-    }
-
-    /// Job-side cancellation check: consumes the cancel mark for `id` if one
-    /// is set. With `finishing` the pending registration is dropped either
-    /// way (the job is done with the id).
-    fn consume_cancel(&self, id: u64, finishing: bool) -> bool {
-        let mut st = lock_unpoisoned(&self.cancel);
-        let hit = st.cancelled.remove(&id);
-        if hit || finishing {
-            st.pending.remove(&id);
-            st.budgets.remove(&id);
-        }
-        hit
     }
 
     /// Submits one ordering job without blocking: `done` runs on the worker
@@ -399,11 +336,13 @@ impl Engine {
         // still answer.
         let budget = Budget::new(Some(solver_deadline(timeout)), None);
         let job_engine = Arc::clone(self);
-        let req_id = req.id;
-        self.register_pending(req_id, &budget);
+        if let Some(id) = req.id {
+            lock_unpoisoned(&self.pending).insert(id, budget.clone());
+        }
         let done = DoneGuard {
             done: Some(done),
             armed: false,
+            pending: req.id.map(|id| (id, budget.clone())),
             engine: Arc::clone(self),
         };
         let submit = {
@@ -415,22 +354,16 @@ impl Engine {
                     // job panics (the guard fires on unwind).
                     done.armed = true;
                     // A queued job whose id was cancelled is dropped before
-                    // it computes; one cancelled mid-run finishes but its
-                    // response is suppressed. Both paths answer the
+                    // it computes; one cancelled mid-run aborts or finishes
+                    // but its response is suppressed. Both paths answer the
                     // submitter with the same error line.
-                    let outcome = if req
-                        .id
-                        .is_some_and(|id| job_engine.consume_cancel(id, false))
-                    {
-                        job_engine.metrics.inc(&job_engine.metrics.cancelled);
-                        Err(ErrorResponse::fatal("request cancelled"))
-                    } else {
-                        let out = job_engine.execute_order(&req, &budget, progress.as_ref());
-                        if req.id.is_some_and(|id| job_engine.consume_cancel(id, true)) {
+                    let out = (!budget.is_cancelled())
+                        .then(|| job_engine.execute_order(&req, &budget, progress.as_ref()));
+                    let outcome = match out {
+                        Some(out) if !done.unregister() => out,
+                        _ => {
                             job_engine.metrics.inc(&job_engine.metrics.cancelled);
                             Err(ErrorResponse::fatal("request cancelled"))
-                        } else {
-                            out
                         }
                     };
                     done.complete(outcome);
@@ -441,12 +374,10 @@ impl Engine {
         match submit {
             Ok(()) => Ok(timeout),
             Err(SubmitError::QueueFull) => {
-                self.unregister_pending(req_id);
                 self.metrics.inc(&self.metrics.queue_rejections);
                 Err(ErrorResponse::retriable("queue full, retry later"))
             }
             Err(SubmitError::ShuttingDown) => {
-                self.unregister_pending(req_id);
                 self.metrics.inc(&self.metrics.errors);
                 Err(ErrorResponse::fatal("server is shutting down"))
             }
@@ -1116,14 +1047,30 @@ fn jitter_ms(seed: u64, round: u64, span: u64) -> u64 {
 /// moment the job starts executing. A panic mid-execution unwinds through
 /// the never-invoked callback, and the guard's drop turns that into a
 /// `worker dropped the request` error — the session would otherwise wait
-/// out the full request timeout.
+/// out the full request timeout. Whichever way the job ends — completed,
+/// panicked, rejected or dropped unrun — the guard also drops the request's
+/// pending CANCEL registration.
 struct DoneGuard {
     done: Option<Box<dyn FnOnce(OrderOutcome) + Send>>,
     armed: bool,
+    /// The request's id and budget while it is registered as pending.
+    pending: Option<(u64, Budget)>,
     engine: Arc<Engine>,
 }
 
 impl DoneGuard {
+    /// Drops the pending registration (once) and reports whether a CANCEL
+    /// reached the request first. Both happen under the engine's pending
+    /// lock, which CANCEL also holds while it flips a budget.
+    fn unregister(&mut self) -> bool {
+        let Some((id, budget)) = self.pending.take() else {
+            return false;
+        };
+        let mut pending = lock_unpoisoned(&self.engine.pending);
+        pending.remove(&id);
+        budget.is_cancelled()
+    }
+
     /// Answers with the job's real outcome (the normal path).
     fn complete(mut self, outcome: OrderOutcome) {
         if let Some(done) = self.done.take() {
@@ -1134,6 +1081,7 @@ impl DoneGuard {
 
 impl Drop for DoneGuard {
     fn drop(&mut self) {
+        self.unregister();
         if !self.armed {
             return;
         }

@@ -90,6 +90,8 @@
 //! transitions, hint depth, and repair counts are all visible in `STATS`
 //! and `METRICS`.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod client;
 pub mod engine;

@@ -420,6 +420,40 @@ fn worker_panic_fails_one_request_and_the_daemon_recovers() {
     handle.join();
 }
 
+/// A job that panics still drops its pending CANCEL registration: once the
+/// submitter has its `worker dropped` error, cancelling the same id finds
+/// nothing pending.
+#[test]
+fn worker_panic_unregisters_the_pending_id() {
+    let faults = FaultPlane::seeded(7);
+    faults.arm_times(sites::WORKER_PANIC, 1);
+    let handle = serve(Config {
+        faults,
+        workers: 1,
+        ..Config::default()
+    })
+    .expect("bind ephemeral port");
+    let mut client = Client::connect(handle.local_addr()).unwrap();
+    let g = meshgen::grid2d(9, 9);
+
+    let mut req = chaco_request(&g, se_order::Algorithm::Rcm);
+    req.id = Some(21);
+    let err = client.order(req).unwrap_err();
+    match err {
+        ClientError::Server(e) => {
+            assert!(e.error.contains("worker dropped"), "got: {}", e.error)
+        }
+        other => panic!("expected the dropped-request error, got {other}"),
+    }
+    assert!(
+        !client.cancel(21).unwrap(),
+        "a panicked job must not stay pending"
+    );
+
+    client.shutdown().unwrap();
+    handle.join();
+}
+
 /// The client retry helper rides out transient `server busy` rejections:
 /// with the connection limit exhausted, a direct order fails retriable,
 /// while `order_with_retry` keeps re-dialling until a slot frees up.
@@ -503,38 +537,47 @@ fn forced_tracemin_non_convergence_degrades_to_a_valid_rcm_permutation() {
     handle.join();
 }
 
-/// A mid-solve deadline aborts a running tracemin solve at an iteration
-/// boundary (outer-loop or inner-MINRES budget check) and the ladder still
-/// answers with a valid RCM permutation, reason `deadline`, inside the
-/// request's timeout window.
+/// A mid-solve deadline aborts a running tracemin solve at an outer
+/// iteration boundary (the trace records `budget_abort` on the `tracemin`
+/// span) and the ladder still answers with a valid RCM permutation, reason
+/// `deadline`. The seeded [`sites::BUDGET_DEADLINE`] site expires the
+/// request's budget at the first outer-loop check, so the abort lands
+/// mid-solve however fast the host is; the real deadline is far away.
 #[test]
 fn tracemin_deadline_walks_the_ladder_to_rcm() {
+    let faults = FaultPlane::seeded(7);
+    faults.arm_times(sites::BUDGET_DEADLINE, 1);
     let handle = serve(Config {
         cache_budget_bytes: 0, // force the compute path
+        faults: faults.clone(),
         ..Config::default()
     })
     .expect("bind ephemeral port");
     let mut client = Client::connect(handle.local_addr()).unwrap();
 
-    // Large enough that the tracemin solve cannot finish inside the
-    // deadline (same sizing rationale as the spectral deadline test).
-    let g = meshgen::grid2d(400, 400);
+    let g = meshgen::grid2d(60, 60);
     let mut req = chaco_request(&g, se_order::Algorithm::TraceMin);
-    req.timeout_ms = Some(4000);
+    req.timeout_ms = Some(60_000);
     req.trace = true;
     let r = client.order(req).unwrap();
     assert_eq!(r.alg, "RCM");
     assert_eq!(r.degraded.as_deref(), Some("deadline"));
     assert_valid_perm(r.perm.as_ref().unwrap().order(), g.n());
     let trace = r.trace.as_deref().expect("traced request");
+    let tracemin_attrs = trace
+        .split(r#""name":"tracemin","#)
+        .nth(1)
+        .and_then(|span| span.split(r#""children""#).next())
+        .unwrap_or_else(|| panic!("the tracemin span must be recorded: {trace}"));
     assert!(
-        trace.contains(r#""tracemin""#),
-        "the tracemin span must be recorded: {trace}"
+        tracemin_attrs.contains(r#""budget_abort":1"#),
+        "the tracemin span must record the budget abort: {trace}"
     );
     assert!(
         trace.contains(r#""rung":3"#),
         "the ladder must record which rung answered: {trace}"
     );
+    assert_eq!(faults.fired(sites::BUDGET_DEADLINE), 1);
 
     let stats = client.stats().unwrap();
     let aborts = stats.get("budget_aborts").expect("budget_aborts table");

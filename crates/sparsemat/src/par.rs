@@ -4,19 +4,19 @@
 //! parallel kernels are expressed through this std-only module instead of
 //! rayon. Two design constraints shape everything here:
 //!
-//! 1. **Reuse and overlap** — a matvec inside Lanczos runs thousands of
+//! 1. **Reuse and sharing** — a matvec inside Lanczos runs thousands of
 //!    times per ordering; spawning OS threads per call would cost more than
 //!    the work. [`TaskPool`] therefore keeps a set of persistent workers. A
-//!    parallel *region* — one `run_chunks` call or one scope spawn — is its
-//!    own region object holding a claim counter, a completion count and a
-//!    panic slot, and any helping thread claims the region's next unclaimed
-//!    task with one atomic increment. There is no global region lock:
-//!    **independent regions from different threads (or from one thread, via
-//!    [`TaskPool::scope`]) are outstanding concurrently**, and workers drain
-//!    whatever is runnable. A panic inside a region body is captured in that
-//!    region, every chunk still runs, and the panic resumes on the thread
-//!    that joins the region — other in-flight regions and the pool itself
-//!    are unaffected.
+//!    parallel *region* — one blocking [`TaskPool::run_chunks`] or
+//!    [`TaskPool::run_tasks`] call — is its own region object holding a
+//!    claim counter, a completion count and a panic slot, and any helping
+//!    thread claims the region's next unclaimed task with one atomic
+//!    increment. There is no global region lock: **regions submitted by
+//!    different threads sharing one pool are outstanding concurrently**, and
+//!    workers drain whatever is runnable. A panic inside a region body is
+//!    captured in that region, every chunk still runs, and the panic resumes
+//!    on the thread that submitted the region — other in-flight regions and
+//!    the pool itself are unaffected.
 //!
 //! 2. **Bit-reproducibility** — floating-point addition is not associative,
 //!    so a naive parallel dot product would return different last bits from
@@ -42,10 +42,10 @@
 //!   regions from the front. With none left it parks on the queue condvar.
 //!   The parked count is read and written under the queue mutex, so a
 //!   submission can never miss a worker going to sleep.
-//! * Joining a thread (a blocking caller, [`RegionHandle::join`] or the end
-//!   of a scope) claims tasks of *its own* region directly — it never waits
-//!   on a worker that is busy elsewhere — then blocks on the region's
-//!   completion condvar until the chunks workers claimed have finished.
+//! * The submitting thread claims tasks of *its own* region directly — it
+//!   never waits on a worker that is busy elsewhere — then blocks on the
+//!   region's completion condvar until the chunks workers claimed have
+//!   finished. Every region call returns only once its region has drained.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -121,20 +121,18 @@ pub fn det_sum(a: &[f64]) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// A type-erased region body: `call(ctx, i)` invokes the caller's closure on
-/// task index `i`. The pointer refers either to the stack frame of a blocking
-/// submission (which stays blocked until the region drains) or to a boxed
-/// closure owned by a [`Scope`] (dropped only after every region joined) —
-/// so the pointee strictly outlives every use.
+/// task index `i`. The pointer refers into the stack frame of the submitting
+/// thread, which stays blocked until the region drains — so the pointee
+/// strictly outlives every use.
 #[derive(Clone, Copy)]
 struct Job {
     call: unsafe fn(*const (), usize),
     ctx: *const (),
 }
 
-// SAFETY: the context pointer is only dereferenced while the owning
-// submission (blocking call or scope) keeps the closure alive, and the
-// closure is `Sync` (enforced by the submission bounds), so shared calls
-// from several threads are fine.
+// SAFETY: the context pointer is only dereferenced while the blocked
+// submitter keeps the closure alive, and the closure is `Sync` (enforced by
+// the submission bounds), so shared calls from several threads are fine.
 unsafe impl Send for Job {}
 unsafe impl Sync for Job {}
 
@@ -152,7 +150,7 @@ struct RegionCore {
     /// zero; the final decrement wakes `done_cv`.
     remaining: AtomicUsize,
     /// First panic payload captured from any chunk of this region;
-    /// re-raised on the thread that joins the region.
+    /// re-raised on the thread that submitted the region.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     done: Mutex<()>,
     done_cv: Condvar,
@@ -183,7 +181,7 @@ impl RegionCore {
             stats.steals.fetch_add(1, Ordering::Relaxed);
         }
         // The final decrement must take the done lock before notifying so a
-        // joiner between its `remaining` check and `wait` can't miss it.
+        // submitter between its `remaining` check and `wait` can't miss it.
         if self.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
             drop(self.done.lock().unwrap());
             self.done_cv.notify_all();
@@ -244,26 +242,6 @@ impl Drop for FlagGuard {
     }
 }
 
-impl Core {
-    /// Runs tasks of `region` on the calling thread until all are claimed,
-    /// then blocks until the region fully drains. Re-raises the region's
-    /// captured panic, if any.
-    fn join_region(&self, region: &RegionCore) {
-        {
-            let _flag = FlagGuard(IN_POOL_REGION.with(|g| g.replace(true)));
-            while region.run_one(&self.stats, false) {}
-        }
-        let mut g = region.done.lock().unwrap();
-        while region.remaining.load(Ordering::Acquire) != 0 {
-            g = region.done_cv.wait(g).unwrap();
-        }
-        drop(g);
-        if let Some(p) = region.panic.lock().unwrap().take() {
-            resume_unwind(p);
-        }
-    }
-}
-
 fn worker_loop(core: Arc<Core>) {
     IN_POOL_REGION.with(|f| f.set(true));
     let mut q = core.queue.lock().unwrap();
@@ -292,9 +270,11 @@ struct PoolHandle {
 }
 
 impl PoolHandle {
-    /// Builds a region over `ntasks` indices, queues it and wakes up to
-    /// `ntasks` parked workers.
-    fn submit<F: Fn(usize) + Sync>(&self, ntasks: usize, f: &F) -> Arc<RegionCore> {
+    /// Submits a region over `ntasks` indices and joins it: queues it, wakes
+    /// up to `ntasks` parked workers, runs tasks of it on the calling thread
+    /// until all are claimed, then blocks until the region fully drains.
+    /// Re-raises the region's captured panic, if any.
+    fn run<F: Fn(usize) + Sync>(&self, ntasks: usize, f: &F) {
         unsafe fn shim<F: Fn(usize) + Sync>(ctx: *const (), i: usize) {
             // SAFETY: `ctx` was produced from `&F` below and is still live.
             unsafe { (*(ctx as *const F))(i) }
@@ -314,13 +294,27 @@ impl PoolHandle {
         });
         let mut q = self.core.queue.lock().unwrap();
         // Prune exhausted regions here too, so the queue stays short while
-        // every worker is busy and joiners finish their own regions.
+        // every worker is busy and submitters finish their own regions.
         q.front();
         q.regions.push_back(Arc::clone(&region));
         for _ in 0..q.parked.min(ntasks) {
             self.core.work_cv.notify_one();
         }
-        region
+        drop(q);
+
+        {
+            let _flag = FlagGuard(IN_POOL_REGION.with(|g| g.replace(true)));
+            while region.run_one(&self.core.stats, false) {}
+        }
+        let mut g = region.done.lock().unwrap();
+        while region.remaining.load(Ordering::Acquire) != 0 {
+            g = region.done_cv.wait(g).unwrap();
+        }
+        drop(g);
+        let panic = region.panic.lock().unwrap().take();
+        if let Some(p) = panic {
+            resume_unwind(p);
+        }
     }
 }
 
@@ -345,12 +339,13 @@ impl Drop for PoolHandle {
 /// reports zeros.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Parallel regions submitted (one per `run_chunks` call or spawn).
+    /// Parallel regions submitted (one per `run_chunks` or `run_tasks` call
+    /// that did not run inline).
     pub regions: u64,
     /// Chunks executed across all regions.
     pub chunks: u64,
     /// Chunks that a pool worker ran for a region another thread
-    /// submitted; the rest of `chunks` ran on the joining thread itself.
+    /// submitted; the rest of `chunks` ran on the submitting thread itself.
     pub steals: u64,
     /// Times a worker went to sleep on the condvar (idle transitions).
     pub parks: u64,
@@ -363,12 +358,12 @@ pub struct PoolStats {
 /// a pool can be embedded in solver option structs and passed down a call
 /// tree. The default value is the serial pool.
 ///
-/// Concurrent use is safe **and concurrent**: each region has its own
-/// claim counter and completion state, so regions issued from several
-/// threads at once are all outstanding together, their chunks spread across
-/// the workers. Use [`TaskPool::scope`] to overlap several regions from a
-/// single thread. A panic inside a region body propagates to the thread
-/// that joins that region; other regions and the pool are unaffected.
+/// Every region call blocks until its region has drained. Concurrent use
+/// is safe **and concurrent**: each region has its own claim counter and
+/// completion state, so regions issued from several threads at once are all
+/// outstanding together, their chunks spread across the workers. A panic
+/// inside a region body propagates to the thread that submitted that
+/// region; other regions and the pool are unaffected.
 ///
 /// Worker threads are joined when the last clone is dropped.
 ///
@@ -476,18 +471,32 @@ impl TaskPool {
     /// (`len < PAR_MIN`) run inline.
     pub fn run_chunks<F: Fn(usize, usize) + Sync>(&self, len: usize, chunk: usize, body: F) {
         let chunk = chunk.max(1);
-        let nchunks = len.div_ceil(chunk);
-        let runner = move |c: usize| {
+        self.run_indexed(len.div_ceil(chunk), len >= PAR_MIN, |c| {
             let s = c * chunk;
             body(s, (s + chunk).min(len));
-        };
+        });
+    }
+
+    /// Runs `body(i)` for every `i in 0..ntasks`, one task per index, and
+    /// returns once all have finished. There is **no** size threshold —
+    /// each index is meant to be substantial work (a whole inner solve, a
+    /// buffer to fill) — and each runs exactly once on exactly one thread.
+    pub fn run_tasks<F: Fn(usize) + Sync>(&self, ntasks: usize, body: F) {
+        self.run_indexed(ntasks, true, body);
+    }
+
+    /// The one place that decides inline versus pooled: `runner` runs
+    /// inline over `0..ntasks` on the serial pool, for a single task, when
+    /// the input is not `big_enough`, or when nested inside another region;
+    /// otherwise the region is submitted and joined.
+    fn run_indexed<F: Fn(usize) + Sync>(&self, ntasks: usize, big_enough: bool, runner: F) {
         let parallel = self
             .inner
             .as_ref()
-            .filter(|_| len >= PAR_MIN && nchunks > 1 && !IN_POOL_REGION.with(|f| f.get()));
+            .filter(|_| big_enough && ntasks > 1 && !IN_POOL_REGION.with(|f| f.get()));
         match parallel {
-            Some(h) => h.core.join_region(&h.submit(nchunks, &runner)),
-            None => (0..nchunks).for_each(runner),
+            Some(h) => h.run(ntasks, &runner),
+            None => (0..ntasks).for_each(runner),
         }
     }
 
@@ -507,76 +516,6 @@ impl TaskPool {
             let sub = unsafe { std::slice::from_raw_parts_mut(base.get().add(s), e - s) };
             body(s, sub);
         });
-    }
-
-    /// Opens a scope in which **multiple independent regions may be
-    /// outstanding concurrently** from this one thread, spread across the
-    /// same workers. Every region spawned inside is complete when `scope`
-    /// returns (the caller helps drain them), so bodies may borrow from the
-    /// enclosing stack frame.
-    ///
-    /// On the serial pool — or when called from inside another region — each
-    /// spawn simply runs inline at the spawn site, preserving exact
-    /// semantics and bit-identical results.
-    ///
-    /// If a spawned body panics, the panic is re-raised here (or at that
-    /// region's [`RegionHandle::join`]) after *all* regions have drained;
-    /// other regions run to completion unaffected.
-    ///
-    /// ```
-    /// use sparsemat::par::TaskPool;
-    /// let pool = TaskPool::new(4);
-    /// let (mut a, mut b) = (vec![0u32; 5000], vec![0u32; 5000]);
-    /// pool.scope(|s| {
-    ///     s.spawn_chunks(5000, 256, {
-    ///         let a = sparsemat::par::slice_sender(&mut a);
-    ///         move |lo, hi| {
-    ///             for i in lo..hi {
-    ///                 unsafe { *a.get().add(i) = i as u32 }
-    ///             }
-    ///         }
-    ///     });
-    ///     s.spawn_chunks(5000, 256, {
-    ///         let b = sparsemat::par::slice_sender(&mut b);
-    ///         move |lo, hi| {
-    ///             for i in lo..hi {
-    ///                 unsafe { *b.get().add(i) = (i * 2) as u32 }
-    ///             }
-    ///         }
-    ///     });
-    /// });
-    /// assert!(a.iter().enumerate().all(|(i, &v)| v as usize == i));
-    /// assert!(b.iter().enumerate().all(|(i, &v)| v as usize == i * 2));
-    /// ```
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
-        let scope = Scope {
-            pool: self,
-            regions: std::cell::RefCell::new(Vec::new()),
-            _env: std::marker::PhantomData,
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| f(&scope)));
-        // Join every outstanding region — also on the panic path, so bodies
-        // borrowing the enclosing frame are done before we unwind past it.
-        let regions = scope.regions.into_inner();
-        let mut region_panic = None;
-        if let Some(h) = &self.inner {
-            for sr in &regions {
-                let p = catch_unwind(AssertUnwindSafe(|| h.core.join_region(&sr.region))).err();
-                if region_panic.is_none() {
-                    region_panic = p;
-                }
-            }
-        }
-        drop(regions);
-        match result {
-            Err(p) => resume_unwind(p),
-            Ok(r) => {
-                if let Some(p) = region_panic {
-                    resume_unwind(p);
-                }
-                r
-            }
-        }
     }
 
     /// Deterministic dot product — the same bits as [`det_dot`] for every
@@ -600,7 +539,8 @@ impl TaskPool {
     /// The pooled [`det_total`]: per-chunk partials land in one slot each
     /// and are folded serially in chunk order, so the bits match it exactly.
     fn pooled_total<F: Fn(usize, usize) -> f64 + Sync>(&self, n: usize, part: F) -> f64 {
-        if self.inner.is_none() || n < PAR_MIN {
+        if n <= DET_CHUNK {
+            // One chunk is its own total; no slot array needed.
             return det_total(n, part);
         }
         let mut partials = vec![0.0f64; n.div_ceil(DET_CHUNK)];
@@ -614,124 +554,26 @@ impl TaskPool {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Overlapping-region scope.
-// ---------------------------------------------------------------------------
-
-/// Keeps a spawned region's boxed closure alive until the scope joins it.
-trait KeepAlive {}
-impl<T: ?Sized> KeepAlive for T {}
-
-struct ScopeRegion<'env> {
-    region: Arc<RegionCore>,
-    /// Owns the closure the region's `Job::ctx` points into.
-    _keep: Box<dyn KeepAlive + Send + Sync + 'env>,
-}
-
-/// Spawn surface handed to the closure of [`TaskPool::scope`]. Regions
-/// spawned here run concurrently with each other and with the caller's
-/// continued execution; all are joined before `scope` returns.
-pub struct Scope<'pool, 'env> {
-    pool: &'pool TaskPool,
-    regions: std::cell::RefCell<Vec<ScopeRegion<'env>>>,
-    _env: std::marker::PhantomData<&'env mut &'env ()>,
-}
-
-/// Handle to one spawned region. [`RegionHandle::join`] blocks until that
-/// region completes (helping to run its chunks) and re-raises its panic;
-/// dropping the handle is fine — the scope joins every region on exit.
-pub struct RegionHandle {
-    target: Option<(Arc<Core>, Arc<RegionCore>)>,
-}
-
-impl RegionHandle {
-    /// Waits for this region (claiming its unclaimed chunks on the calling
-    /// thread), then re-raises the first panic captured in it, if any.
-    /// Idempotent; a no-op for inline-executed (serial/nested) spawns.
-    pub fn join(&self) {
-        if let Some((core, region)) = &self.target {
-            core.join_region(region);
-        }
-    }
-}
-
-impl<'pool, 'env> Scope<'pool, 'env> {
-    /// Like [`TaskPool::run_chunks`], but returns immediately with the
-    /// region in flight (unless it runs inline — serial pool, small input,
-    /// or nested inside another region). The chunk decomposition is the
-    /// same fixed grid, so results are bit-identical to the blocking form.
-    pub fn spawn_chunks<F>(&self, len: usize, chunk: usize, body: F) -> RegionHandle
-    where
-        F: Fn(usize, usize) + Sync + Send + 'env,
-    {
-        let chunk = chunk.max(1);
-        let nchunks = len.div_ceil(chunk);
-        let runner = move |c: usize| {
-            let s = c * chunk;
-            body(s, (s + chunk).min(len));
-        };
-        self.spawn_indexed(nchunks, len >= PAR_MIN, runner)
-    }
-
-    /// Runs `body(i)` for every `i in 0..ntasks`, one task per index, with
-    /// the region in flight when this returns. There is **no** size
-    /// threshold — each index is meant to be substantial work (a whole
-    /// inner solve, a buffer to fill) — and each runs exactly once on
-    /// exactly one thread (same inline fallbacks as [`Scope::spawn_chunks`]).
-    pub fn spawn_tasks<F>(&self, ntasks: usize, body: F) -> RegionHandle
-    where
-        F: Fn(usize) + Sync + Send + 'env,
-    {
-        self.spawn_indexed(ntasks, true, body)
-    }
-
-    fn spawn_indexed<F>(&self, ntasks: usize, big_enough: bool, runner: F) -> RegionHandle
-    where
-        F: Fn(usize) + Sync + Send + 'env,
-    {
-        let parallel = self
-            .pool
-            .inner
-            .as_ref()
-            .filter(|_| big_enough && ntasks > 1 && !IN_POOL_REGION.with(|f| f.get()));
-        let Some(h) = parallel else {
-            (0..ntasks).for_each(runner);
-            return RegionHandle { target: None };
-        };
-        let boxed = Box::new(runner);
-        let region = h.submit(ntasks, &*boxed);
-        self.regions.borrow_mut().push(ScopeRegion {
-            region: Arc::clone(&region),
-            _keep: boxed,
-        });
-        RegionHandle {
-            target: Some((Arc::clone(&h.core), region)),
-        }
-    }
-}
-
-/// Wraps a mutable slice's base pointer so chunk bodies — in [`Scope`]
-/// spawns and in the pool's own helpers — can write disjoint index ranges
-/// of it from several threads, without each caller re-deriving the
-/// `Send`/`Sync` wrapper.
+/// Wraps a mutable slice's base pointer so the chunk bodies of
+/// [`TaskPool::for_each_chunk_mut`] and `pooled_total` can write disjoint
+/// index ranges of it from several threads.
 ///
 /// # Safety contract
 /// Each chunk must write only indices it exclusively owns, and the slice
-/// must outlive the region (guaranteed for a blocking call, and for a scope
-/// spawn when the slice borrows from the frame around `scope`, which joins
-/// every region before returning).
-pub fn slice_sender<T: Send>(data: &mut [T]) -> SliceSender<T> {
+/// must outlive the region (guaranteed: every region call blocks until its
+/// region drains).
+fn slice_sender<T: Send>(data: &mut [T]) -> SliceSender<T> {
     SliceSender(data.as_mut_ptr())
 }
 
 /// See [`slice_sender`].
-pub struct SliceSender<T>(*mut T);
+struct SliceSender<T>(*mut T);
 
 impl<T> SliceSender<T> {
     /// The base pointer; index with `.add(i)` for exclusively-owned `i`.
-    /// An accessor rather than a public field, so closures capture the whole
+    /// An accessor rather than a field access, so closures capture the whole
     /// `Send + Sync` wrapper, not the bare raw pointer.
-    pub fn get(&self) -> *mut T {
+    fn get(&self) -> *mut T {
         self.0
     }
 }
@@ -908,89 +750,41 @@ mod tests {
     }
 
     #[test]
-    fn scope_overlapping_regions_cover_both() {
+    fn run_tasks_runs_every_index_once_and_surfaces_panics() {
+        // No size threshold: even 64 trivial tasks form a region on a
+        // parallel pool, and the serial pool runs them inline.
         for threads in [1, 2, 4, 8] {
             let pool = TaskPool::new(threads);
-            let mut a = vec![0u64; 30_000];
-            let mut b = vec![0u64; 30_000];
-            pool.scope(|s| {
-                let pa = slice_sender(&mut a);
-                s.spawn_chunks(30_000, 512, move |lo, hi| {
-                    for i in lo..hi {
-                        // SAFETY: disjoint chunk ranges, `a` outlives scope.
-                        unsafe { *pa.get().add(i) = i as u64 + 1 };
-                    }
-                });
-                let pb = slice_sender(&mut b);
-                s.spawn_chunks(30_000, 512, move |lo, hi| {
-                    for i in lo..hi {
-                        // SAFETY: as above for `b`.
-                        unsafe { *pb.get().add(i) = (i as u64) * 3 };
-                    }
-                });
+            let hits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+            let before = pool.stats();
+            pool.run_tasks(64, |i| {
+                hits[i].fetch_add(1, Ordering::Relaxed);
             });
-            for i in 0..30_000 {
-                assert_eq!(a[i], i as u64 + 1, "{threads} threads");
-                assert_eq!(b[i], (i as u64) * 3, "{threads} threads");
-            }
-        }
-    }
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "{threads} threads"
+            );
+            let regions = pool.stats().regions - before.regions;
+            assert_eq!(regions, u64::from(pool.is_parallel()), "{threads} threads");
 
-    #[test]
-    fn scope_handle_join_is_idempotent_and_early() {
-        let pool = TaskPool::new(4);
-        let total = AtomicUsize::new(0);
-        pool.scope(|s| {
-            let h = s.spawn_tasks(64, |_| {
-                total.fetch_add(1, Ordering::Relaxed);
-            });
-            h.join();
-            assert_eq!(total.load(Ordering::Relaxed), 64);
-            h.join(); // idempotent
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn scope_panic_in_one_region_does_not_poison_the_other() {
-        let pool = TaskPool::new(4);
-        let mut good = vec![0u8; 10_000];
-        let caught = catch_unwind(AssertUnwindSafe(|| {
-            pool.scope(|s| {
-                let pg = slice_sender(&mut good);
-                s.spawn_chunks(10_000, 128, move |lo, hi| {
-                    for i in lo..hi {
-                        // SAFETY: disjoint chunk ranges, outlives scope.
-                        unsafe { *pg.get().add(i) = 7 };
-                    }
-                });
-                s.spawn_tasks(32, |i| {
+            // A panicking task surfaces at the call, and the pool stays
+            // usable. A pooled region still runs every other task; inline,
+            // the panic unwinds straight out of the loop.
+            let ran = AtomicUsize::new(0);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                pool.run_tasks(32, |i| {
                     if i == 5 {
-                        panic!("region two failed");
+                        panic!("task five failed");
                     }
+                    ran.fetch_add(1, Ordering::Relaxed);
                 });
-            });
-        }));
-        assert!(caught.is_err(), "spawned region panic must surface");
-        assert!(good.iter().all(|&x| x == 7), "healthy region completed");
-        // Pool fully usable afterwards.
-        let a = test_vec(20_000, 0.31);
-        assert_eq!(pool.dot(&a, &a).to_bits(), det_dot(&a, &a).to_bits());
-    }
-
-    #[test]
-    fn scope_spawn_runs_inline_on_serial_pool() {
-        let pool = TaskPool::serial();
-        let hits = AtomicUsize::new(0);
-        pool.scope(|s| {
-            let h = s.spawn_tasks(10, |_| {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-            // Inline: already complete at the spawn site.
-            assert_eq!(hits.load(Ordering::Relaxed), 10);
-            h.join();
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 10);
+            }));
+            assert!(caught.is_err(), "{threads} threads: panic must surface");
+            let expect_ran = if pool.is_parallel() { 31 } else { 5 };
+            assert_eq!(ran.load(Ordering::Relaxed), expect_ran, "{threads} threads");
+            let a = test_vec(20_000, 0.31);
+            assert_eq!(pool.dot(&a, &a).to_bits(), det_dot(&a, &a).to_bits());
+        }
     }
 
     #[test]
@@ -1013,36 +807,36 @@ mod tests {
     fn joiner_finishes_its_region_while_the_only_worker_is_stuck() {
         use std::sync::atomic::AtomicBool;
         let pool = TaskPool::new(2);
-        let started = AtomicBool::new(false);
+        let started = AtomicUsize::new(0);
         let release = AtomicBool::new(false);
         let done_b = AtomicUsize::new(0);
         // Let the worker park first, so region A's submission must wake it.
         while pool.parked_workers() == 0 {
             std::thread::yield_now();
         }
-        pool.scope(|s| {
-            // Region A: task 0 spins until region B's last task releases it.
-            // Only the worker can claim it before the scope ends, so once
-            // `started` is set the pool's one worker is stuck in A.
-            s.spawn_tasks(2, |i| {
-                if i == 0 {
-                    started.store(true, Ordering::SeqCst);
+        std::thread::scope(|s| {
+            // Region A: both tasks spin until region B's last task releases
+            // them. Its submitter claims one and the pool's one worker the
+            // other, so once both started, every pool thread is stuck in A.
+            let a = s.spawn(|| {
+                pool.run_tasks(2, |_| {
+                    started.fetch_add(1, Ordering::SeqCst);
                     while !release.load(Ordering::SeqCst) {
                         std::hint::spin_loop();
                     }
-                }
+                });
             });
-            while !started.load(Ordering::SeqCst) {
+            while started.load(Ordering::SeqCst) < 2 {
                 std::thread::yield_now();
             }
-            let h_b = s.spawn_tasks(64, |i| {
+            pool.run_tasks(64, |i| {
                 done_b.fetch_add(1, Ordering::SeqCst);
                 if i == 63 {
                     release.store(true, Ordering::SeqCst);
                 }
             });
-            h_b.join();
             assert_eq!(done_b.load(Ordering::SeqCst), 64, "B complete at its join");
+            a.join().unwrap();
         });
         assert!(release.load(Ordering::SeqCst));
         // Every chunk is counted once; steals are the worker's share of them.

@@ -8,7 +8,7 @@
 //! outer iteration performs a Rayleigh–Ritz projection onto the current
 //! subspace and then refines every basis column with an *independent*
 //! shifted-Laplacian MINRES solve — `s` coarse-grained jobs with irregular,
-//! data-dependent costs, spawned as concurrent regions on the injected
+//! data-dependent costs, run as the `s` tasks of one region on the injected
 //! chunk-claiming [`TaskPool`].
 //!
 //! By the Courant–Fischer trace theorem, the minimum of `tr(XᵀLX)` over
@@ -29,8 +29,8 @@
 //! 2. each inner MINRES runs on a *serial* pool internally, so a column's
 //!    solution depends only on its right-hand side, never on scheduling;
 //! 3. columns map to region task indices by their fixed position `j`, and
-//!    each task writes only its own [`OnceLock`] slot — the scope's join
-//!    barrier orders every write before the (serial) Gram–Schmidt pass.
+//!    each task writes only its own [`OnceLock`] slot — the blocking
+//!    region call orders every write before the (serial) Gram–Schmidt pass.
 //!
 //! Parallel speedup therefore comes purely from running the `s` column
 //! solves concurrently (plus pooled matvecs in the Ritz step), never from
@@ -110,9 +110,9 @@ pub struct TraceminOptions {
     pub inner_rtol: f64,
     /// Start-basis seed ([`DEFAULT_SEED`]).
     pub seed: u64,
-    /// Pool for the Ritz-step matvecs/reductions and for spawning the
-    /// per-column inner solves as concurrent regions. Serial by default;
-    /// results are bit-identical for every thread count.
+    /// Pool for the Ritz-step matvecs/reductions and for running the
+    /// per-column inner solves as the tasks of one region. Serial by
+    /// default; results are bit-identical for every thread count.
     pub pool: TaskPool,
     /// Span recorder: one `tracemin` root span plus a `tracemin_iter` span
     /// per outer iteration. Disabled by default.
@@ -121,8 +121,10 @@ pub struct TraceminOptions {
     /// (inside MINRES) at every inner-iteration boundary.
     pub budget: Budget,
     /// Fault-injection plane: sites
-    /// [`tracemin.outer.converge`](sites::TRACEMIN_OUTER_CONVERGE) and
-    /// [`tracemin.inner.converge`](sites::TRACEMIN_INNER_CONVERGE).
+    /// [`tracemin.outer.converge`](sites::TRACEMIN_OUTER_CONVERGE),
+    /// [`tracemin.inner.converge`](sites::TRACEMIN_INNER_CONVERGE) and
+    /// [`eigen.budget.deadline`](sites::BUDGET_DEADLINE) (checked at every
+    /// outer-iteration boundary).
     pub faults: FaultPlane,
 }
 
@@ -310,6 +312,9 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
     let mut inner_matvecs: u64 = 0;
 
     for k in 0..opts.max_outer {
+        if opts.faults.should_fail(sites::BUDGET_DEADLINE) {
+            opts.budget.expire();
+        }
         if let Err(cause) = opts.budget.check() {
             span.attr("budget_abort", 1.0);
             span.attr("iterations", k as f64);
@@ -413,20 +418,11 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
             budget: opts.budget.clone(),
         };
         let outcomes: Vec<OnceLock<MinresOutcome>> = (0..s).map(|_| OnceLock::new()).collect();
-        {
-            let x_ref = &x;
-            let outcomes_ref = &outcomes;
-            let inner_ref = &inner_opts;
-            let a_ref = &a_op;
-            pool.scope(|sc| {
-                // Fixed column→task-index assignment: task j solves column
-                // j and fills slot j, whichever thread claims it.
-                sc.spawn_tasks(s, move |j| {
-                    let out = minres(a_ref, &x_ref[j], inner_ref);
-                    let _ = outcomes_ref[j].set(out);
-                });
-            });
-        }
+        // Fixed column→task-index assignment: task j solves column j and
+        // fills slot j, whichever thread claims it.
+        pool.run_tasks(s, |j| {
+            let _ = outcomes[j].set(minres(&a_op, &x[j], &inner_opts));
+        });
         if let Err(cause) = opts.budget.check() {
             span.attr("budget_abort", 1.0);
             span.attr("iterations", k as f64);

@@ -2,6 +2,8 @@
 //! root `examples/` and `tests/` can use a single dependency. Library users
 //! should depend on the individual crates (most importantly `spectral-env`).
 
+#![forbid(unsafe_code)]
+
 pub use meshgen;
 pub use se_eigen as eigen;
 pub use se_envelope as envelope;

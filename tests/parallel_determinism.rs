@@ -83,8 +83,32 @@ fn fiedler_vector_is_bitwise_thread_count_invariant() {
 }
 
 /// Thread counts for the overlapping-region tests; `1` exercises the serial
-/// inline path of `Scope::spawn_*`.
+/// inline path of the pool.
 const OVERLAP_THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Runs `a` and `b` on two threads that start together, so the regions
+/// they submit to a shared pool are in flight at the same time — the
+/// engine's case of concurrent requests on one per-thread-count pool.
+fn overlapped<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
+    RA: Send,
+    RB: Send,
+{
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        let ha = s.spawn(|| {
+            start.wait();
+            a()
+        });
+        let hb = s.spawn(|| {
+            start.wait();
+            b()
+        });
+        (ha.join().unwrap(), hb.join().unwrap())
+    })
+}
 
 /// Two independent regions in flight concurrently on one pool must produce
 /// the same bytes as running their bodies serially — for every thread
@@ -93,10 +117,10 @@ const OVERLAP_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// serially, so this asserts the bit-reproducibility contract under real
 /// region overlap, not just under a single blocking region.
 #[test]
-#[allow(clippy::needless_range_loop)] // indexed loop mirrors the chunk math
 fn overlapping_regions_are_bit_identical() {
     use spectral_envelope_repro::prng::SplitMix64;
-    use spectral_envelope_repro::sparsemat::par::{slice_sender, TaskPool};
+    use spectral_envelope_repro::sparsemat::par::TaskPool;
+    use std::sync::OnceLock;
 
     const N: usize = 60_000;
     const CHUNK: usize = 1024;
@@ -108,45 +132,40 @@ fn overlapping_regions_are_bit_identical() {
         .map(|_| (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64))
         .collect();
 
-    let transform = |x: &[f64], lo: usize, hi: usize, y: *mut f64, part: *mut f64| {
+    // Transforms the chunk starting at `lo` into `y` and stores its partial
+    // sum in the chunk's slot.
+    let transform = |x: &[f64], lo: usize, y: &mut [f64], part: &[OnceLock<f64>]| {
         let mut acc = 0.0f64;
-        for i in lo..hi {
-            let v = (x[i] * 3.5 - 1.0).mul_add(x[i], 0.25);
-            unsafe { *y.add(i) = v };
-            acc += v * x[i];
+        for (yi, &xi) in y.iter_mut().zip(&x[lo..]) {
+            let v = (xi * 3.5 - 1.0).mul_add(xi, 0.25);
+            *yi = v;
+            acc += v * xi;
         }
-        unsafe { *part.add(lo / CHUNK) = acc };
+        part[lo / CHUNK].set(acc).unwrap();
     };
     let nchunks = N.div_ceil(CHUNK);
-    let fold = |parts: &[f64]| parts.iter().fold(0.0f64, |a, &p| a + p);
+    let slots = || -> Vec<OnceLock<f64>> { (0..nchunks).map(|_| OnceLock::new()).collect() };
+    let fold = |parts: &[OnceLock<f64>]| parts.iter().fold(0.0f64, |a, p| a + p.get().unwrap());
 
     // Serial reference.
-    let (mut y1s, mut p1s) = (vec![0.0; N], vec![0.0; nchunks]);
-    let (mut y2s, mut p2s) = (vec![0.0; N], vec![0.0; nchunks]);
+    let (mut y1s, p1s) = (vec![0.0; N], slots());
+    let (mut y2s, p2s) = (vec![0.0; N], slots());
     for c in 0..nchunks {
         let (lo, hi) = (c * CHUNK, ((c + 1) * CHUNK).min(N));
-        transform(&x1, lo, hi, y1s.as_mut_ptr(), p1s.as_mut_ptr());
-        transform(&x2, lo, hi, y2s.as_mut_ptr(), p2s.as_mut_ptr());
+        transform(&x1, lo, &mut y1s[lo..hi], &p1s);
+        transform(&x2, lo, &mut y2s[lo..hi], &p2s);
     }
     let (d1s, d2s) = (fold(&p1s), fold(&p2s));
 
     for t in OVERLAP_THREADS.into_iter().chain(stress_threads()) {
         assert_parallel(t);
         let pool = TaskPool::new(t);
-        let (mut y1, mut p1) = (vec![0.0; N], vec![0.0; nchunks]);
-        let (mut y2, mut p2) = (vec![0.0; N], vec![0.0; nchunks]);
-        pool.scope(|s| {
-            s.spawn_chunks(N, CHUNK, {
-                let (y, p) = (slice_sender(&mut y1), slice_sender(&mut p1));
-                let x1 = &x1;
-                move |lo, hi| transform(x1, lo, hi, y.get(), p.get())
-            });
-            s.spawn_chunks(N, CHUNK, {
-                let (y, p) = (slice_sender(&mut y2), slice_sender(&mut p2));
-                let x2 = &x2;
-                move |lo, hi| transform(x2, lo, hi, y.get(), p.get())
-            });
-        });
+        let region = |x: &[f64]| {
+            let (mut y, p) = (vec![0.0; N], slots());
+            pool.for_each_chunk_mut(&mut y, CHUNK, |lo, block| transform(x, lo, block, &p));
+            (y, p)
+        };
+        let ((y1, p1), (y2, p2)) = overlapped(|| region(&x1), || region(&x2));
         for i in 0..N {
             assert_eq!(y1[i].to_bits(), y1s[i].to_bits(), "{t} threads, y1[{i}]");
             assert_eq!(y2[i].to_bits(), y2s[i].to_bits(), "{t} threads, y2[{i}]");
@@ -170,29 +189,23 @@ fn concurrent_solves_on_a_shared_pool_stay_bit_identical() {
     let serial_b = order_with(&gb, Algorithm::Spectral, &SolverOpts::default()).unwrap();
 
     let pool = TaskPool::new(4);
-    let (pa, pb) = std::thread::scope(|s| {
-        let ha = s.spawn(|| {
-            let solver = SolverOpts::with_pool(pool.clone());
-            order_with(&ga, Algorithm::Spectral, &solver).unwrap()
-        });
-        let hb = s.spawn(|| {
-            let solver = SolverOpts::with_pool(pool.clone());
-            order_with(&gb, Algorithm::Spectral, &solver).unwrap()
-        });
-        (ha.join().unwrap(), hb.join().unwrap())
-    });
+    let solve = |g| {
+        let solver = SolverOpts::with_pool(pool.clone());
+        order_with(g, Algorithm::Spectral, &solver).unwrap()
+    };
+    let (pa, pb) = overlapped(|| solve(&ga), || solve(&gb));
     assert_eq!(pa.perm.order(), serial_a.perm.order(), "CAN1072 diverged");
     assert_eq!(pb.perm.order(), serial_b.perm.order(), "DWT2680 diverged");
 }
 
 /// Wildly irregular seeded per-chunk costs (up to ~3 orders of magnitude
-/// apart) mix which thread claims each chunk and reorder completion, yet
-/// the fixed chunk grid
-/// keeps results byte-identical across thread counts.
+/// apart), in two overlapping regions, mix which thread claims each chunk
+/// and reorder completion, yet the fixed chunk grid keeps results
+/// byte-identical across thread counts.
 #[test]
 fn seeded_irregular_chunk_costs_stay_deterministic() {
     use spectral_envelope_repro::prng::SplitMix64;
-    use spectral_envelope_repro::sparsemat::par::{slice_sender, TaskPool};
+    use spectral_envelope_repro::sparsemat::par::TaskPool;
 
     const N: usize = 20_000;
     const CHUNK: usize = 64;
@@ -212,51 +225,49 @@ fn seeded_irregular_chunk_costs_stay_deterministic() {
     for t in OVERLAP_THREADS.into_iter().chain(stress_threads()) {
         assert_parallel(t);
         let pool = TaskPool::new(t);
-        let mut out = vec![0.0f64; N];
-        pool.scope(|s| {
-            s.spawn_chunks(N, CHUNK, {
-                let o = slice_sender(&mut out);
-                move |lo, hi| {
-                    for i in lo..hi {
-                        unsafe { *o.get().add(i) = work(i) };
-                    }
+        let region = || {
+            let mut out = vec![0.0f64; N];
+            pool.for_each_chunk_mut(&mut out, CHUNK, |lo, block| {
+                for (i, o) in (lo..).zip(block) {
+                    *o = work(i);
                 }
             });
-        });
+            out
+        };
+        let (out1, out2) = overlapped(region, region);
         for i in 0..N {
-            assert_eq!(out[i].to_bits(), serial[i].to_bits(), "{t} threads, [{i}]");
+            assert_eq!(out1[i].to_bits(), serial[i].to_bits(), "{t} threads, [{i}]");
+            assert_eq!(out2[i].to_bits(), serial[i].to_bits(), "{t} threads, [{i}]");
         }
     }
 }
 
 /// A panic in one region must not poison a concurrently outstanding
 /// sibling region or the pool itself: the sibling completes in full, the
-/// panic surfaces at the scope boundary, and the pool still computes
-/// bit-correct reductions afterwards.
+/// panic surfaces at the panicking region's call, and the pool still
+/// computes bit-correct reductions afterwards.
 #[test]
 fn panic_in_one_region_does_not_poison_the_other() {
-    use spectral_envelope_repro::sparsemat::par::{det_dot, slice_sender, TaskPool};
+    use spectral_envelope_repro::sparsemat::par::{det_dot, TaskPool};
 
     const N: usize = 50_000;
     let pool = TaskPool::new(4);
-    let mut good = vec![0u8; N];
-    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        pool.scope(|s| {
-            s.spawn_chunks(N, 512, {
-                let g = slice_sender(&mut good);
-                move |lo, hi| {
-                    for i in lo..hi {
-                        unsafe { *g.get().add(i) = 1 };
+    let (good, caught) = overlapped(
+        || {
+            let mut good = vec![0u8; N];
+            pool.for_each_chunk_mut(&mut good, 512, |_, block| block.fill(1));
+            good
+        },
+        || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                pool.run_tasks(64, |i| {
+                    if i == 33 {
+                        panic!("injected region failure");
                     }
-                }
-            });
-            s.spawn_tasks(64, |i| {
-                if i == 33 {
-                    panic!("injected region failure");
-                }
-            });
-        });
-    }));
+                });
+            }))
+        },
+    );
     assert!(caught.is_err(), "the injected panic must surface");
     assert!(
         good.iter().all(|&b| b == 1),
