@@ -1,26 +1,26 @@
-//! Parallel scaling report — serial vs pooled multilevel Fiedler
-//! solver, plus the TraceMin-Fiedler comparator.
+//! Parallel scaling report for TraceMin-Fiedler, the one solver that runs
+//! on the solver pool.
 //!
-//! Orders the largest stand-ins with the SPECTRAL algorithm at 1/2/4/max
-//! solver threads (`max` = the host's core count, deduplicated against the
-//! fixed counts), verifies every run produces the **bit-identical**
-//! permutation, and writes machine-readable measurements to
-//! `BENCH_parallel.json`. Each run injects its own [`TaskPool`] so the
-//! scheduler's own counters — regions submitted, chunks executed, steals,
-//! worker parks — land in the report next to the timing they explain.
+//! Orders the largest stand-ins with `alg:"tracemin"` at 1/2/4/max solver
+//! threads (`max` = the host's core count, deduplicated against the fixed
+//! counts), verifies every run produces the **bit-identical** permutation,
+//! and writes machine-readable measurements to `BENCH_parallel.json`. Each
+//! run injects its own [`TaskPool`] so the scheduler's own counters —
+//! regions submitted, chunks executed, steals, worker parks — land in the
+//! report next to the timing they explain. TraceMin's per-column inner
+//! MINRES solves are the coarse tasks of one region per outer iteration;
+//! the report records outer iterations, summed inner MINRES iterations,
+//! wall-µs and the pool tallies per thread count.
 //!
-//! A second sweep runs `alg:"tracemin"` over the same matrices and thread
-//! counts: its per-column inner MINRES solves are the coarse tasks of one
-//! region per outer iteration (a very different load shape from the
-//! multilevel solver's fine-grained chunked reductions), so its steal/park tallies characterize how the
-//! chunk-claiming scheduler absorbs irregular region-level work. The
-//! `tracemin` block records outer iterations, summed inner MINRES
-//! iterations, wall-µs and the pool tallies per thread count.
+//! The multilevel solver behind SPECTRAL has no sweep here: it runs on the
+//! calling thread, so every thread count would measure the same serial
+//! solve.
 //!
-//! Honest by construction: the host core count is recorded in the output,
-//! since speedup is bounded by physical cores (on a 1-core container every
-//! thread count measures the same serial work plus pool overhead, and the
-//! steal/park tallies show how much scheduling actually happened).
+//! Honest by construction: the output is stamped with the host core count,
+//! the build profile and the git commit, since speedup is bounded by
+//! physical cores (on a 1-core container every thread count measures the
+//! same serial work plus pool overhead, and the steal/park tallies show how
+//! much scheduling actually happened).
 //!
 //! Run with `cargo run -p se-bench --release --bin parallel_report`.
 
@@ -56,81 +56,10 @@ fn main() {
     if !threads.contains(&cores) {
         threads.push(cores);
     }
-    println!("==== Parallel multilevel Fiedler: serial vs chunk-claiming pool ====");
+    println!("==== TraceMin-Fiedler: serial vs chunk-claiming pool ====");
     println!("host cores: {cores}\n");
 
     let mut blocks = Vec::new();
-    for name in MATRICES {
-        let s = meshgen::standin(name).expect("known stand-in");
-        let g = &s.pattern;
-        println!("--- {} (n = {}, nnz = {}) ---", s.name, g.n(), s.nnz());
-        println!(
-            "  {:>7} {:>10} {:>8} {:>9} {:>8} {:>8} {:>10}",
-            "threads", "best (s)", "speedup", "regions", "steals", "parks", "identical"
-        );
-
-        let mut rows = Vec::new();
-        let mut serial_perm: Option<Vec<usize>> = None;
-        let mut serial_secs = 0.0f64;
-        for &t in &threads {
-            let pool = TaskPool::new(t);
-            let solver = SolverOpts::with_pool(pool.clone());
-            let mut best = f64::INFINITY;
-            let mut perm = Vec::new();
-            let mut tallies = PoolStats::default();
-            for _ in 0..REPS {
-                let before = pool.stats();
-                let t0 = Instant::now();
-                let o = order_with(g, Algorithm::Spectral, &solver).expect("ordering runs");
-                let secs = t0.elapsed().as_secs_f64();
-                let after = pool.stats();
-                if secs < best {
-                    best = secs;
-                    tallies = PoolStats {
-                        regions: after.regions - before.regions,
-                        chunks: after.chunks - before.chunks,
-                        steals: after.steals - before.steals,
-                        parks: after.parks - before.parks,
-                    };
-                }
-                perm = o.perm.order().to_vec();
-            }
-            let identical = match &serial_perm {
-                None => {
-                    serial_perm = Some(perm);
-                    serial_secs = best;
-                    true
-                }
-                Some(p) => *p == perm,
-            };
-            assert!(
-                identical,
-                "{name}: {t}-thread permutation diverged from serial"
-            );
-            let speedup = serial_secs / best;
-            println!(
-                "  {:>7} {:>10.4} {:>8.2} {:>9} {:>8} {:>8} {:>10}",
-                t, best, speedup, tallies.regions, tallies.steals, tallies.parks, identical
-            );
-            rows.push(format!(
-                "{{\"threads\":{t},\"seconds\":{best:.6},\"speedup\":{speedup:.3},\
-                 \"regions\":{},\"chunks\":{},\"steals\":{},\"parks\":{},\
-                 \"identical\":{identical}}}",
-                tallies.regions, tallies.chunks, tallies.steals, tallies.parks
-            ));
-        }
-        blocks.push(format!(
-            "{{\"matrix\":\"{}\",\"n\":{},\"nnz\":{},\"runs\":[{}]}}",
-            s.name,
-            g.n(),
-            s.nnz(),
-            rows.join(",")
-        ));
-        println!();
-    }
-
-    // --- TraceMin-Fiedler: the coarse-region comparator -------------------
-    let mut tm_blocks = Vec::new();
     for name in MATRICES {
         let s = meshgen::standin(name).expect("known stand-in");
         let g = &s.pattern;
@@ -206,7 +135,7 @@ fn main() {
                 tallies.regions, tallies.chunks, tallies.steals, tallies.parks
             ));
         }
-        tm_blocks.push(format!(
+        blocks.push(format!(
             "{{\"matrix\":\"{}\",\"n\":{},\"nnz\":{},\"runs\":[{}]}}",
             s.name,
             g.n(),
@@ -216,25 +145,43 @@ fn main() {
         println!();
     }
 
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\n  \"cores\": {cores},\n  \
-         \"note\": \"speedup is serial_seconds / best_seconds per matrix; bounded by \
-         physical cores — on a 1-core host all thread counts measure the same serial \
-         work, and `identical` shows results are bit-reproducible regardless. \
+        "{{\n  \"cores\": {cores},\n  \"profile\": \"{profile}\",\n  \
+         \"commit\": \"{}\",\n  \
+         \"note\": \"alg:tracemin per matrix and solver thread count. speedup is \
+         serial wall_micros / best wall_micros; bounded by physical cores — on a 1-core \
+         host all thread counts measure the same serial work, and `identical` shows \
+         results are bit-reproducible regardless. outer_iters/inner_matvecs are summed \
+         over connected components and must not vary with thread count. \
          regions/chunks/steals/parks are the chunk-claiming pool's own counters for \
          the best rep (steals = chunks a pool worker ran for a region the solving \
-         thread submitted, the solving thread ran the rest; parks = \
-         times a worker slept for lack of work). the tracemin block sweeps \
-         alg:tracemin over the same grid: outer_iters/inner_matvecs are summed over \
-         connected components and must not vary with thread count\",\n  \
-         \"results\": [\n    {}\n  ],\n  \
+         thread submitted, the solving thread ran the rest; parks = times a worker \
+         slept for lack of work). the multilevel solver behind alg:spectral runs on \
+         the calling thread and has no sweep\",\n  \
          \"tracemin\": [\n    {}\n  ]\n}}\n",
-        blocks.join(",\n    "),
-        tm_blocks.join(",\n    ")
+        git_commit(),
+        blocks.join(",\n    ")
     );
     let path = "BENCH_parallel.json";
     std::fs::write(path, &out).expect("write BENCH_parallel.json");
     println!("wrote {path}");
+}
+
+/// The checked-out commit (`git rev-parse HEAD`); `unknown` outside a git
+/// checkout.
+fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
 }

@@ -10,7 +10,7 @@
 //! * `figures_4_x` — spy plots of BARTH4 under all orderings (Figs 4.1–4.5),
 //! * `bounds_report` — Theorem 2.2 eigenvalue bounds vs achieved envelopes,
 //! * `size_report` — stand-in sizes vs the paper's matrices,
-//! * `parallel_report` — serial vs threaded Fiedler solver; verifies
+//! * `parallel_report` — serial vs threaded TraceMin-Fiedler; verifies
 //!   bit-identical permutations and writes `BENCH_parallel.json`.
 //!
 //! Each table binary prints, next to our measurements, the paper's reported

@@ -4,8 +4,9 @@
 //! spectral-order <matrix.{mtx,rsa,rua,graph}> [options]
 //!   --alg <spectral|rcm|gps|gk|sloan|hybrid|refined|mindeg|nd|cm>
 //!                      ordering (default spectral)
-//!   --threads <N>      solver threads for spectral algorithms (0 = all
-//!                      cores; results are bit-identical for every N)
+//!   --threads <N>      solver threads for tracemin (0 = all cores; the
+//!                      other algorithms solve on one thread; results are
+//!                      bit-identical for every N)
 //!   --compare          run all paper algorithms and print the table
 //!   --compressed       order via supervariable compression (multi-DOF models)
 //!   --metrics          print the full metric set (work, sums, frontwidths)

@@ -115,9 +115,10 @@ pub fn reorder(a: &CsrMatrix, alg: Algorithm) -> Result<Reordered> {
 }
 
 /// [`reorder`] with an explicit solver configuration — the multilevel shape,
-/// the tracer, budget and fault plane and, most importantly, `threads`: with
-/// `threads != 1` the whole Fiedler pipeline runs on one shared thread pool.
-/// Results are bit-identical for every thread count.
+/// the tracer, budget and fault plane, and `threads`: with `threads != 1`
+/// TRACEMIN's inner solves run on one shared thread pool (the multilevel
+/// algorithms always solve on the calling thread). Results are
+/// bit-identical for every thread count.
 pub fn reorder_with(a: &CsrMatrix, alg: Algorithm, solver: &SolverOpts) -> Result<Reordered> {
     let pattern = a.pattern()?;
     let ordering = se_order::order_with(&pattern, alg, solver)?;

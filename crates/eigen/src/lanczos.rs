@@ -7,7 +7,7 @@
 //! numerically orthogonal — expensive in general, but the bases here are
 //! short (the multilevel method only runs Lanczos on ~100-vertex graphs).
 
-use crate::op::SymOp;
+use crate::op::{norm, SymOp};
 use crate::solver_opts::{
     DEFAULT_LANCZOS_CHECK_EVERY, DEFAULT_LANCZOS_MAX_ITER, DEFAULT_LANCZOS_SEED,
     DEFAULT_LANCZOS_TOL,
@@ -17,7 +17,7 @@ use crate::{EigenError, Result};
 use se_faults::{sites, Budget, FaultPlane};
 use se_prng::SmallRng;
 use se_trace::Tracer;
-use sparsemat::par::TaskPool;
+use sparsemat::par::det_dot;
 
 /// Options controlling the Lanczos iteration.
 #[derive(Debug, Clone)]
@@ -30,10 +30,6 @@ pub struct LanczosOptions {
     pub seed: u64,
     /// How often (in steps) to test convergence.
     pub check_every: usize,
-    /// Pool for matvecs, dot products and reorthogonalization. Results are
-    /// bit-identical for every thread count (deterministic reductions);
-    /// default is serial.
-    pub pool: TaskPool,
     /// Span recorder; disabled by default. Records a `lanczos` span with
     /// the problem size, step and matvec counts.
     pub trace: Tracer,
@@ -52,7 +48,6 @@ impl Default for LanczosOptions {
             tol: DEFAULT_LANCZOS_TOL,
             seed: DEFAULT_LANCZOS_SEED,
             check_every: DEFAULT_LANCZOS_CHECK_EVERY,
-            pool: TaskPool::serial(),
             trace: Tracer::disabled(),
             budget: Budget::unlimited(),
             faults: FaultPlane::disabled(),
@@ -72,11 +67,10 @@ pub struct LanczosResult {
 }
 
 /// Orthogonalizes `w` against `basis` (classical Gram–Schmidt, one pass).
-/// The projection coefficients use the pool's deterministic dot product, so
-/// the result is bit-identical for every thread count.
-fn orthogonalize(w: &mut [f64], basis: &[Vec<f64>], pool: &TaskPool) {
+/// The projection coefficients use the fixed-grid chunked [`det_dot`].
+fn orthogonalize(w: &mut [f64], basis: &[Vec<f64>]) {
     for u in basis {
-        let c = pool.dot(u, w);
+        let c = det_dot(u, w);
         for (wi, ui) in w.iter_mut().zip(u) {
             *wi -= c * ui;
         }
@@ -130,19 +124,18 @@ fn lanczos_inner<Op: SymOp>(
         });
     }
     let scale = op.norm_bound();
-    let pool = &opts.pool;
     let mut rng = SmallRng::seed_from_u64(opts.seed);
 
     // Random start vector in the deflated subspace.
     let mut v: Vec<f64> = (0..n).map(|_| rng.gen::<f64>() - 0.5).collect();
-    orthogonalize(&mut v, deflate, pool);
-    let mut nv = pool.norm(&v);
+    orthogonalize(&mut v, deflate);
+    let mut nv = norm(&v);
     while nv < 1e-12 {
         for vi in v.iter_mut() {
             *vi = rng.gen::<f64>() - 0.5;
         }
-        orthogonalize(&mut v, deflate, pool);
-        nv = pool.norm(&v);
+        orthogonalize(&mut v, deflate);
+        nv = norm(&v);
     }
     for vi in v.iter_mut() {
         *vi /= nv;
@@ -175,8 +168,8 @@ fn lanczos_inner<Op: SymOp>(
                     *xi += c * bij;
                 }
             }
-            orthogonalize(&mut x, deflate, pool);
-            let nx = pool.norm(&x);
+            orthogonalize(&mut x, deflate);
+            let nx = norm(&x);
             if nx < 1e-14 {
                 return Err(EigenError::Numerical(
                     "Ritz vector vanished after deflation".into(),
@@ -207,9 +200,9 @@ fn lanczos_inner<Op: SymOp>(
                 cause,
             });
         }
-        op.apply_pooled(&basis[j], &mut w, pool);
+        op.apply(&basis[j], &mut w);
         opts.budget.charge_matvecs(1);
-        let a_j = pool.dot(&basis[j], &w);
+        let a_j = det_dot(&basis[j], &w);
         alpha.push(a_j);
         // Three-term recurrence, then full reorthogonalization (twice —
         // "twice is enough", Parlett).
@@ -222,12 +215,12 @@ fn lanczos_inner<Op: SymOp>(
                 *wi -= b * vi;
             }
         }
-        orthogonalize(&mut w, deflate, pool);
-        orthogonalize(&mut w, &basis, pool);
-        orthogonalize(&mut w, deflate, pool);
-        orthogonalize(&mut w, &basis, pool);
+        orthogonalize(&mut w, deflate);
+        orthogonalize(&mut w, &basis);
+        orthogonalize(&mut w, deflate);
+        orthogonalize(&mut w, &basis);
 
-        let b_j = pool.norm(&w);
+        let b_j = norm(&w);
         let steps = j + 1;
         if b_j <= breakdown {
             // Invariant subspace found: the Ritz pairs are (numerically)

@@ -18,6 +18,14 @@
 //! * [`multilevel`] — the Barnard–Simon multilevel Fiedler solver of §3
 //!   (contract → interpolate → refine).
 //!
+//! Every solver here runs on the calling thread, so SPECTRAL, hybrid,
+//! refined and nd solve on the thread that asked. [`SolverOpts::threads`]
+//! and [`SolverOpts::pool`] size the pool of TraceMin-Fiedler
+//! (`se-tracemin`) only, which reaches it through
+//! [`op::SymOp::apply_pooled`]. Reductions use the fixed-grid chunked forms
+//! of [`sparsemat::par`], so results are bit-identical for every thread
+//! count either way.
+//!
 //! ```
 //! use sparsemat::SymmetricPattern;
 //! use se_eigen::multilevel::fiedler;

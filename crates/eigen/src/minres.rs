@@ -7,10 +7,10 @@
 //! (the iterate grows along the eigenvector direction, which is precisely
 //! what RQI exploits).
 
-use crate::op::SymOp;
+use crate::op::{norm, SymOp};
 use crate::solver_opts::{DEFAULT_MINRES_MAX_ITER, DEFAULT_MINRES_RTOL};
 use se_faults::Budget;
-use sparsemat::par::TaskPool;
+use sparsemat::par::det_dot;
 
 /// Options for [`minres`].
 #[derive(Debug, Clone)]
@@ -19,9 +19,6 @@ pub struct MinresOptions {
     pub max_iter: usize,
     /// Relative residual tolerance: stop when `‖r‖ ≤ rtol · ‖b‖`.
     pub rtol: f64,
-    /// Pool for matvecs and dot products. Results are bit-identical for
-    /// every thread count; default is serial.
-    pub pool: TaskPool,
     /// Cooperative budget checked once per iteration. An exhausted budget
     /// breaks out with the best iterate so far (`converged == false`).
     pub budget: Budget,
@@ -32,7 +29,6 @@ impl Default for MinresOptions {
         MinresOptions {
             max_iter: DEFAULT_MINRES_MAX_ITER,
             rtol: DEFAULT_MINRES_RTOL,
-            pool: TaskPool::serial(),
             budget: Budget::unlimited(),
         }
     }
@@ -51,14 +47,15 @@ pub struct MinresOutcome {
     pub converged: bool,
 }
 
-/// Solves `A x = b` for symmetric `A` starting from `x₀ = 0`.
+/// Solves `A x = b` for symmetric `A` starting from `x₀ = 0`, on the
+/// calling thread. Every vector lives in a buffer allocated before the first
+/// iteration; the steps rotate them instead of allocating.
 pub fn minres<Op: SymOp>(op: &Op, b: &[f64], opts: &MinresOptions) -> MinresOutcome {
     let n = op.n();
     assert_eq!(b.len(), n, "minres: rhs length mismatch");
-    let pool = &opts.pool;
     let mut x = vec![0.0; n];
 
-    let beta1 = pool.norm(b);
+    let beta1 = norm(b);
     if beta1 == 0.0 {
         return MinresOutcome {
             x,
@@ -82,6 +79,7 @@ pub fn minres<Op: SymOp>(op: &Op, b: &[f64], opts: &MinresOptions) -> MinresOutc
     let mut sn = 0.0f64;
 
     let mut w = vec![0.0; n];
+    let mut w1 = vec![0.0; n];
     let mut w2 = vec![0.0; n];
     let mut v = vec![0.0; n];
     let mut iterations = 0usize;
@@ -96,17 +94,16 @@ pub fn minres<Op: SymOp>(op: &Op, b: &[f64], opts: &MinresOptions) -> MinresOutc
         for (vi, yi) in v.iter_mut().zip(&y) {
             *vi = s * yi;
         }
-        let mut ay = vec![0.0; n];
-        op.apply_pooled(&v, &mut ay, pool);
+        // `y` is spent once `v` holds it scaled, so the product overwrites it.
+        op.apply(&v, &mut y);
         opts.budget.charge_matvecs(1);
-        y = ay;
         if itn >= 2 {
             let c = beta / oldb;
             for (yi, ri) in y.iter_mut().zip(&r1) {
                 *yi -= c * ri;
             }
         }
-        let alfa = pool.dot(&v, &y);
+        let alfa = det_dot(&v, &y);
         let c = alfa / beta;
         for (yi, ri) in y.iter_mut().zip(&r2) {
             *yi -= c * ri;
@@ -114,7 +111,7 @@ pub fn minres<Op: SymOp>(op: &Op, b: &[f64], opts: &MinresOptions) -> MinresOutc
         std::mem::swap(&mut r1, &mut r2);
         r2.copy_from_slice(&y);
         oldb = beta;
-        beta = pool.norm(&y);
+        beta = norm(&y);
 
         // Apply the previous rotation.
         let oldeps = epsln;
@@ -132,8 +129,10 @@ pub fn minres<Op: SymOp>(op: &Op, b: &[f64], opts: &MinresOptions) -> MinresOutc
 
         // Update the solution.
         let denom = 1.0 / gamma;
-        let w1 = w2.clone();
-        w2.copy_from_slice(&w);
+        // Rotate (w1, w2, w) ← (w2, w, w1): the old `w1` becomes scratch for
+        // the new `w`, which the loop overwrites in full.
+        std::mem::swap(&mut w1, &mut w2);
+        std::mem::swap(&mut w2, &mut w);
         for i in 0..n {
             w[i] = (v[i] - oldeps * w1[i] - delta * w2[i]) * denom;
         }

@@ -12,17 +12,20 @@
 //!
 //! The coarsest graph (≤ `coarsest_size` vertices, paper uses ~100) is
 //! solved directly by Lanczos.
+//!
+//! Every stage runs on the calling thread. Its Krylov steps are too fine
+//! for a worker pool: on two cores a pooled solve ran slower than a serial
+//! one, so a host with spare cores spends them on concurrent solves instead.
 
 use crate::lanczos::{lanczos_smallest, LanczosOptions};
-use crate::op::{constant_unit_vector, LaplacianOp, SymOp};
+use crate::op::{constant_unit_vector, norm, LaplacianOp, SymOp};
 use crate::rqi::rayleigh_quotient_iteration;
 use crate::solver_opts::{SolverOpts, DEFAULT_FIEDLER_TOL};
 use crate::{EigenError, Result};
 use se_faults::sites;
 use se_graph::bfs::connected_components;
 use se_graph::coarsen::CoarsenLevels;
-use se_trace::WorkerCounter;
-use sparsemat::par::TaskPool;
+use sparsemat::par::det_sum;
 use sparsemat::SymmetricPattern;
 
 /// Projects a (weighted) Laplacian through a piecewise-constant domain map:
@@ -76,27 +79,22 @@ pub fn fiedler_lanczos(g: &SymmetricPattern, opts: &LanczosOptions) -> Result<Fi
 /// stall — restarts the finest level with Lanczos so a valid pair is always
 /// returned for a connected graph.
 ///
-/// One pool ([`SolverOpts::pool`]), one tracer, one budget and one fault
-/// plane drive every stage: coarsening, the coarsest Lanczos solve,
-/// interpolation, smoothing and RQI/MINRES refinement. The budget is checked
-/// before the hierarchy build, before the coarsest solve and at the top of
-/// every refinement level, plus inside every solver iteration. The
-/// [`sites::ALLOC_BUDGET`] site simulates an allocation-budget breach before
-/// the hierarchy is built, and [`sites::BUDGET_DEADLINE`] a deadline passing
-/// after it is built.
+/// One tracer, one budget and one fault plane drive every stage:
+/// coarsening, the coarsest Lanczos solve, interpolation, smoothing and
+/// RQI/MINRES refinement, all on the calling thread
+/// ([`SolverOpts::threads`] and [`SolverOpts::pool`] are ignored). The
+/// budget is checked before the hierarchy build, before the coarsest solve
+/// and at the top of every refinement level, plus inside every solver
+/// iteration. The [`sites::ALLOC_BUDGET`] site simulates an
+/// allocation-budget breach before the hierarchy is built, and
+/// [`sites::BUDGET_DEADLINE`] a deadline passing after it is built.
 pub fn fiedler(g: &SymmetricPattern, opts: &SolverOpts) -> Result<FiedlerResult> {
     check_connected(g)?;
-    let pool = &opts.pool();
     let trace = &opts.trace;
     let mut sp = trace.span("fiedler");
     sp.attr("n", g.n() as f64);
-    // Scheduler-health deltas for this solve. Unlike the WorkerCounter
-    // drains (which are thread-count invariant), steal/park tallies describe
-    // the *schedule* and legitimately vary run to run; they are recorded as
-    // span attrs, never asserted invariant.
-    let pool_stats0 = pool.stats();
-    let lanczos_opts = opts.lanczos_options(pool);
-    let rqi_opts = opts.rqi_options(pool);
+    let lanczos_opts = opts.lanczos_options();
+    let rqi_opts = opts.rqi_options();
     if g.n() <= opts.coarsest_size.max(2) {
         sp.attr("levels", 0.0);
         return fiedler_lanczos(g, &lanczos_opts);
@@ -112,14 +110,8 @@ pub fn fiedler(g: &SymmetricPattern, opts: &SolverOpts) -> Result<FiedlerResult>
             cause,
         });
     }
-    let hierarchy = CoarsenLevels::build_guarded(
-        g,
-        opts.coarsest_size,
-        pool,
-        trace,
-        &opts.budget,
-        &opts.faults,
-    );
+    let hierarchy =
+        CoarsenLevels::build_guarded(g, opts.coarsest_size, trace, &opts.budget, &opts.faults);
     if hierarchy.depth() == 0 {
         sp.attr("levels", 0.0);
         return fiedler_lanczos(g, &lanczos_opts);
@@ -205,22 +197,15 @@ pub fn fiedler(g: &SymmetricPattern, opts: &SolverOpts) -> Result<FiedlerResult>
         let map = &hierarchy.levels[k].fine_to_coarse;
         level_sp.attr("n", map.len() as f64);
         // Interpolate: each fine vertex takes its domain's coarse value.
-        let mut xf = vec![0.0f64; map.len()];
-        {
+        let mut xf: Vec<f64> = {
             let _interp_sp = trace.span("interpolate");
-            let x = &x;
-            pool.for_each_chunk_mut(&mut xf, 1024, |v0, xb| {
-                for (i, xv) in xb.iter_mut().enumerate() {
-                    *xv = x[map[v0 + i]];
-                }
-            });
-        }
+            map.iter().map(|&c| x[c]).collect()
+        };
         {
             let mut smooth_sp = trace.span("smooth");
             smooth_sp.attr("steps", opts.smooth_steps as f64);
-            let updates = trace.worker_counter();
-            smooth(fine, &mut xf, opts.smooth_steps, pool, &updates);
-            smooth_sp.merge_counter("updates", &updates);
+            smooth(fine, &mut xf, opts.smooth_steps);
+            smooth_sp.attr("updates", (fine.n() * opts.smooth_steps) as f64);
         }
         let lap = LaplacianOp::new(fine);
         let rq_before = lap.rayleigh_quotient(&xf);
@@ -246,12 +231,6 @@ pub fn fiedler(g: &SymmetricPattern, opts: &SolverOpts) -> Result<FiedlerResult>
     let lam = lap.rayleigh_quotient(&x);
     let residual = eigen_residual(&lap, &x, lam);
     sp.attr("residual", residual);
-    let pool_stats = pool.stats();
-    sp.attr(
-        "pool_steals",
-        (pool_stats.steals - pool_stats0.steals) as f64,
-    );
-    sp.attr("pool_parks", (pool_stats.parks - pool_stats0.parks) as f64);
     let acceptable = residual <= DEFAULT_FIEDLER_TOL.max(1e-6) * lap.norm_bound() * 10.0;
     if !acceptable {
         if let Ok(fallback) = fiedler_lanczos(g, &lanczos_opts) {
@@ -328,51 +307,29 @@ fn eigen_residual(lap: &LaplacianOp<'_>, x: &[f64], lam: f64) -> f64 {
 /// Weighted-Jacobi-style smoothing: each vertex moves halfway toward its
 /// neighborhood average. Damps the high-frequency error the injection
 /// interpolation introduces, then re-centres against the constant vector.
-///
-/// Each output entry depends only on the previous iterate, so the vertex
-/// loop farms out to the pool row-chunk-wise; the recentring mean and the
-/// normalisation use the deterministic chunked reductions. Bit-identical
-/// for every thread count.
-///
-/// `updates` counts vertex updates without locking: each worker adds its
-/// chunk length into a striped counter (stripe picked by chunk index) that
-/// the caller drains once after the region — counts are thread-count
-/// invariant because the chunk decomposition is.
-fn smooth(
-    g: &SymmetricPattern,
-    x: &mut [f64],
-    steps: usize,
-    pool: &TaskPool,
-    updates: &WorkerCounter,
-) {
+/// The recentring mean and the normalisation use the fixed-grid chunked
+/// reductions of [`sparsemat::par`].
+fn smooth(g: &SymmetricPattern, x: &mut [f64], steps: usize) {
     let n = g.n();
     let mut y = vec![0.0; n];
     for _ in 0..steps {
-        {
-            let x_read: &[f64] = x;
-            pool.for_each_chunk_mut(&mut y, 512, |v0, yb| {
-                updates.add(v0 / 512, yb.len() as u64);
-                for (i, yv) in yb.iter_mut().enumerate() {
-                    let v = v0 + i;
-                    let deg = g.degree(v);
-                    if deg == 0 {
-                        *yv = x_read[v];
-                        continue;
-                    }
-                    let avg: f64 =
-                        g.neighbors(v).iter().map(|&u| x_read[u]).sum::<f64>() / deg as f64;
-                    *yv = 0.5 * x_read[v] + 0.5 * avg;
-                }
-            });
+        for (v, yv) in y.iter_mut().enumerate() {
+            let deg = g.degree(v);
+            *yv = if deg == 0 {
+                x[v]
+            } else {
+                let avg: f64 = g.neighbors(v).iter().map(|&u| x[u]).sum::<f64>() / deg as f64;
+                0.5 * x[v] + 0.5 * avg
+            };
         }
         x.copy_from_slice(&y);
     }
     // Re-centre and normalise.
-    let mean = pool.sum(x) / n as f64;
+    let mean = det_sum(x) / n as f64;
     for xi in x.iter_mut() {
         *xi -= mean;
     }
-    let nrm = pool.norm(x);
+    let nrm = norm(x);
     if nrm > 0.0 {
         for xi in x.iter_mut() {
             *xi /= nrm;
@@ -407,26 +364,6 @@ mod tests {
 
     fn path_lambda2(n: usize) -> f64 {
         2.0 - 2.0 * (std::f64::consts::PI / n as f64).cos()
-    }
-
-    #[test]
-    fn parallel_fiedler_bitwise_equals_serial() {
-        // Large enough that the pool's chunked paths genuinely engage:
-        // every thread count must produce the exact same bits.
-        let g = grid(90, 80);
-        let base = fiedler(&g, &SolverOpts::default()).unwrap();
-        for threads in [2, 4, 8] {
-            let r = fiedler(&g, &SolverOpts::with_threads(threads)).unwrap();
-            assert_eq!(
-                r.lambda2.to_bits(),
-                base.lambda2.to_bits(),
-                "{threads} threads"
-            );
-            assert_eq!(r.levels, base.levels);
-            for (a, b) in r.vector.iter().zip(&base.vector) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads");
-            }
-        }
     }
 
     #[test]

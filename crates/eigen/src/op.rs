@@ -3,7 +3,12 @@
 //! Every iterative solver in this crate consumes a [`SymOp`] — a symmetric
 //! `n x n` operator presented only through matrix–vector products. This is
 //! precisely the paper's point (§1): the spectral algorithm is built from
-//! matvecs, dot products and axpys, all of which vectorise/parallelise.
+//! matvecs, dot products and axpys.
+//!
+//! The multilevel solver applies every operator on the calling thread.
+//! Only TraceMin-Fiedler (`se-tracemin`) farms matvecs out to a
+//! [`TaskPool`], through [`SymOp::apply_pooled`] on [`CsrOp`] and
+//! [`DeflatedOp`].
 
 use sparsemat::par::TaskPool;
 use sparsemat::{CsrMatrix, SymmetricPattern};
@@ -25,9 +30,9 @@ pub trait SymOp: Sync {
     fn apply(&self, x: &[f64], y: &mut [f64]);
 
     /// `y = A x`, with row spans farmed out to `pool`. The default simply
-    /// runs [`SymOp::apply`] serially; concrete operators with row-local
-    /// kernels override it. Implementations must be **deterministic**: the
-    /// result may not depend on the pool's thread count.
+    /// runs [`SymOp::apply`] serially; [`CsrOp`] overrides it.
+    /// Implementations must be **deterministic**: the result may not depend
+    /// on the pool's thread count.
     fn apply_pooled(&self, x: &[f64], y: &mut [f64], pool: &TaskPool) {
         let _ = pool;
         self.apply(x, y);
@@ -140,21 +145,6 @@ impl SymOp for LaplacianOp<'_> {
         }
     }
 
-    fn apply_pooled(&self, x: &[f64], y: &mut [f64], pool: &TaskPool) {
-        assert_eq!(x.len(), self.g.n());
-        assert_eq!(y.len(), self.g.n());
-        pool.for_each_chunk_mut(y, ROW_CHUNK, |v0, yb| {
-            for (i, yv) in yb.iter_mut().enumerate() {
-                let v = v0 + i;
-                let mut acc = self.degree[v] * x[v];
-                for &u in self.g.neighbors(v) {
-                    acc -= x[u];
-                }
-                *yv = acc;
-            }
-        });
-    }
-
     fn norm_bound(&self) -> f64 {
         // λ_max(Q) ≤ 2·Δ.
         2.0 * self.degree.iter().copied().fold(0.0, f64::max).max(0.5)
@@ -231,21 +221,6 @@ impl SymOp for WeightedLaplacianOp {
         }
     }
 
-    fn apply_pooled(&self, x: &[f64], y: &mut [f64], pool: &TaskPool) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        pool.for_each_chunk_mut(y, ROW_CHUNK, |v0, yb| {
-            for (i, yv) in yb.iter_mut().enumerate() {
-                let v = v0 + i;
-                let mut acc = self.wdeg[v] * x[v];
-                for k in self.row_ptr[v]..self.row_ptr[v + 1] {
-                    acc -= self.weights[k] * x[self.col_idx[k]];
-                }
-                *yv = acc;
-            }
-        });
-    }
-
     fn norm_bound(&self) -> f64 {
         2.0 * self.wdeg.iter().copied().fold(0.0, f64::max).max(0.5)
     }
@@ -271,13 +246,6 @@ impl<Op: SymOp> SymOp for ShiftedOp<'_, Op> {
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.op.apply(x, y);
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi -= self.shift * xi;
-        }
-    }
-
-    fn apply_pooled(&self, x: &[f64], y: &mut [f64], pool: &TaskPool) {
-        self.op.apply_pooled(x, y, pool);
         for (yi, xi) in y.iter_mut().zip(x) {
             *yi -= self.shift * xi;
         }
@@ -351,6 +319,12 @@ impl<Op: SymOp> SymOp for DeflatedOp<'_, Op> {
     fn norm_bound(&self) -> f64 {
         self.op.norm_bound()
     }
+}
+
+/// Euclidean norm from the fixed-grid chunked [`sparsemat::par::det_dot`]:
+/// the same bits as [`TaskPool::norm`] at every thread count.
+pub(crate) fn norm(x: &[f64]) -> f64 {
+    sparsemat::par::det_dot(x, x).sqrt()
 }
 
 /// Returns the normalised constant vector `1/√n`, the Laplacian's null
@@ -472,22 +446,6 @@ mod tests {
         let y = wop.apply_alloc(&[2.0; 3]);
         for v in y {
             assert!(v.abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn apply_pooled_matches_serial_bitwise() {
-        let n = 9000; // above the pool's parallel threshold
-        let g = path(n);
-        let lop = LaplacianOp::new(&g);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
-        let mut serial = vec![0.0; n];
-        lop.apply(&x, &mut serial);
-        for threads in [1, 2, 4] {
-            let pool = TaskPool::new(threads);
-            let mut pooled = vec![0.0; n];
-            lop.apply_pooled(&x, &mut pooled, &pool);
-            assert_eq!(serial, pooled, "{threads} threads");
         }
     }
 

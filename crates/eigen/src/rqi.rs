@@ -8,13 +8,12 @@
 //! vector.
 
 use crate::minres::{minres, MinresOptions};
-use crate::op::{DeflatedOp, LaplacianOp, ShiftedOp, SymOp};
+use crate::op::{norm, DeflatedOp, LaplacianOp, ShiftedOp, SymOp};
 use crate::solver_opts::{
     DEFAULT_RQI_INNER_MAX_ITER, DEFAULT_RQI_INNER_RTOL, DEFAULT_RQI_MAX_OUTER, DEFAULT_RQI_TOL,
 };
 use se_faults::{sites, Budget, FaultPlane};
 use se_trace::Tracer;
-use sparsemat::par::TaskPool;
 
 /// Options for [`rayleigh_quotient_iteration`].
 #[derive(Debug, Clone)]
@@ -27,9 +26,6 @@ pub struct RqiOptions {
     pub inner_max_iter: usize,
     /// Inner MINRES relative tolerance (loose — we only need a direction).
     pub inner_rtol: f64,
-    /// Pool shared with the inner MINRES solves and the residual algebra.
-    /// Results are bit-identical for every thread count; default is serial.
-    pub pool: TaskPool,
     /// Span recorder; disabled by default. Records an `rqi` span with outer
     /// and (summed) inner MINRES iteration counts and the final residual.
     pub trace: Tracer,
@@ -49,7 +45,6 @@ impl Default for RqiOptions {
             tol: DEFAULT_RQI_TOL,
             inner_max_iter: DEFAULT_RQI_INNER_MAX_ITER,
             inner_rtol: DEFAULT_RQI_INNER_RTOL,
-            pool: TaskPool::serial(),
             trace: Tracer::disabled(),
             budget: Budget::unlimited(),
             faults: FaultPlane::disabled(),
@@ -72,8 +67,8 @@ pub struct RqiResult {
     pub converged: bool,
 }
 
-fn normalize(x: &mut [f64], pool: &TaskPool) -> f64 {
-    let n = pool.norm(x);
+fn normalize(x: &mut [f64]) -> f64 {
+    let n = norm(x);
     if n > 0.0 {
         for xi in x.iter_mut() {
             *xi /= n;
@@ -106,17 +101,16 @@ pub fn rayleigh_quotient_iteration(
             converged: false,
         };
     }
-    let pool = &opts.pool;
     let ones = crate::op::constant_unit_vector(n);
     let deflate = vec![ones];
     let dop = DeflatedOp::new(lap, &deflate);
 
     let mut x = x0.to_vec();
-    let x0_norm = pool.norm(&x);
-    dop.project_pooled(&mut x, pool);
+    let x0_norm = norm(&x);
+    dop.project(&mut x);
     // A start vector (numerically) inside the deflated subspace carries no
     // usable direction — projection leaves only roundoff.
-    if normalize(&mut x, pool) <= 1e-12 * x0_norm.max(1.0) {
+    if normalize(&mut x) <= 1e-12 * x0_norm.max(1.0) {
         // Degenerate start: return a failure with a zero vector; callers
         // (the multilevel driver) fall back to Lanczos.
         sp.attr("outer_iterations", 0.0);
@@ -145,7 +139,7 @@ pub fn rayleigh_quotient_iteration(
         let rho = lap.rayleigh_quotient(&x);
         // Residual of the current pair.
         let mut qx = vec![0.0; n];
-        lap.apply_pooled(&x, &mut qx, pool);
+        lap.apply(&x, &mut qx);
         opts.budget.charge_matvecs(1);
         let res: f64 = qx
             .iter()
@@ -178,14 +172,13 @@ pub fn rayleigh_quotient_iteration(
             &MinresOptions {
                 max_iter: opts.inner_max_iter,
                 rtol: opts.inner_rtol,
-                pool: pool.clone(),
                 budget: opts.budget.clone(),
             },
         );
         sp.add("inner_iterations", out.iterations as f64);
         let mut y = out.x;
-        dop.project_pooled(&mut y, pool);
-        if normalize(&mut y, pool) < 1e-300 || y.iter().any(|v| !v.is_finite()) {
+        dop.project(&mut y);
+        if normalize(&mut y) < 1e-300 || y.iter().any(|v| !v.is_finite()) {
             break; // inner solve collapsed; keep the best pair we have
         }
         x = y;

@@ -3,16 +3,16 @@
 //! Every Fiedler-backed path — [`crate::multilevel::fiedler`], the
 //! orderings in `se-order`, the `spectral-env` facade, the CLI and
 //! `spectral-orderd` — takes a [`SolverOpts`]. It carries what callers
-//! actually set: the thread count or an injected pool, the multilevel
-//! shape (`coarsest_size`, `smooth_steps`, `galerkin`), and the shared
-//! tracer, budget and fault plane. Tolerances, iteration caps and seeds are
-//! the named constants below; nothing in the product tunes them.
+//! actually set: the multilevel shape (`coarsest_size`, `smooth_steps`,
+//! `galerkin`), the shared tracer, budget and fault plane, and the thread
+//! count or injected pool of TraceMin-Fiedler. Tolerances, iteration caps and
+//! seeds are the named constants below; nothing in the product tunes them.
 //!
 //! The per-solver option structs ([`LanczosOptions`], [`RqiOptions`],
 //! [`crate::minres::MinresOptions`]) remain the solver-level API for callers
 //! that run one solver directly with other values;
 //! [`SolverOpts::lanczos_options`] and [`SolverOpts::rqi_options`] build them
-//! from the constants on a given pool.
+//! from the constants.
 
 use crate::lanczos::LanczosOptions;
 use crate::rqi::RqiOptions;
@@ -74,6 +74,8 @@ pub const DEFAULT_MINRES_RTOL: f64 = 1e-10;
 /// field) construct, and what [`crate::multilevel::fiedler`] and the
 /// `se-order` orderings consume directly.
 ///
+/// The multilevel solver behind SPECTRAL, hybrid, refined and nd runs on the
+/// calling thread: `threads` and `pool` size TraceMin-Fiedler's pool only.
 /// Results are **bit-identical for every `threads` value** — the pool's
 /// reductions use a fixed chunk order (see [`sparsemat::par`]) — so the
 /// thread count is purely a wall-clock knob.
@@ -85,14 +87,15 @@ pub const DEFAULT_MINRES_RTOL: f64 = 1e-10;
 ///
 /// let g = SymmetricPattern::from_edges(200, &(0..199).map(|i| (i, i + 1)).collect::<Vec<_>>())
 ///     .unwrap();
-/// let opts = SolverOpts { coarsest_size: 50, ..SolverOpts::with_threads(2) };
+/// let opts = SolverOpts { coarsest_size: 50, ..SolverOpts::default() };
 /// let f = fiedler(&g, &opts).unwrap();
 /// assert!(f.levels >= 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SolverOpts {
-    /// Total solver threads: `1` = serial (the default), `0` = all available
-    /// cores, `n > 1` = a pool of `n`.
+    /// TraceMin-Fiedler's solver threads: `1` = serial (the default), `0` =
+    /// all available cores, `n > 1` = a pool of `n`. The multilevel solver
+    /// ignores it.
     pub threads: usize,
     /// Multilevel coarsest-graph size ([`DEFAULT_COARSEST_SIZE`]).
     pub coarsest_size: usize,
@@ -118,12 +121,13 @@ pub struct SolverOpts {
     /// [`FaultPlane::disabled`] (the default) is a strict no-op; solver
     /// results are bit-identical with a disabled plane.
     pub faults: FaultPlane,
-    /// An existing pool to run on instead of building a fresh one from
-    /// `threads`. `None` (the default) builds one per solve or ordering (see
-    /// [`SolverOpts::pool`]). Long-lived hosts (the `spectral-orderd` engine)
-    /// set this from a per-thread-count pool cache so concurrent solves
-    /// share workers and their regions overlap instead of each request
-    /// paying thread spawn/join. Results are bit-identical either way.
+    /// An existing pool for TraceMin-Fiedler to run on instead of building a
+    /// fresh one from `threads`. `None` (the default) builds one per
+    /// ordering (see [`SolverOpts::pool`]). Long-lived hosts (the
+    /// `spectral-orderd` engine) set this from a per-thread-count pool cache
+    /// so concurrent TraceMin solves share workers and their regions overlap
+    /// instead of each request paying thread spawn/join. Results are
+    /// bit-identical either way. The multilevel solver never touches it.
     pub pool: Option<TaskPool>,
 }
 
@@ -170,22 +174,10 @@ impl SolverOpts {
             .unwrap_or_else(|| TaskPool::new(self.threads))
     }
 
-    /// This configuration with its pool resolved once: every later
-    /// [`SolverOpts::pool`] call returns the same workers. An ordering calls
-    /// this on entry so all its components and bisections share one pool
-    /// instead of each building its own.
-    pub fn resolve_pool(&self) -> SolverOpts {
-        SolverOpts {
-            pool: Some(self.pool()),
-            ..self.clone()
-        }
-    }
-
-    /// [`LanczosOptions`] from the `DEFAULT_LANCZOS_*` constants on `pool`,
-    /// sharing this configuration's tracer, budget and fault plane.
-    pub fn lanczos_options(&self, pool: &TaskPool) -> LanczosOptions {
+    /// [`LanczosOptions`] from the `DEFAULT_LANCZOS_*` constants, sharing
+    /// this configuration's tracer, budget and fault plane.
+    pub fn lanczos_options(&self) -> LanczosOptions {
         LanczosOptions {
-            pool: pool.clone(),
             trace: self.trace.clone(),
             budget: self.budget.clone(),
             faults: self.faults.clone(),
@@ -193,14 +185,13 @@ impl SolverOpts {
         }
     }
 
-    /// [`RqiOptions`] from the `DEFAULT_RQI_*` constants on `pool`, with the
+    /// [`RqiOptions`] from the `DEFAULT_RQI_*` constants, with the
     /// multilevel target [`DEFAULT_FIEDLER_TOL`] as the eigen-residual
     /// tolerance, sharing this configuration's tracer, budget and fault
     /// plane.
-    pub fn rqi_options(&self, pool: &TaskPool) -> RqiOptions {
+    pub fn rqi_options(&self) -> RqiOptions {
         RqiOptions {
             tol: DEFAULT_FIEDLER_TOL,
-            pool: pool.clone(),
             trace: self.trace.clone(),
             budget: self.budget.clone(),
             faults: self.faults.clone(),
@@ -216,14 +207,13 @@ mod tests {
     #[test]
     fn default_matches_per_solver_defaults() {
         let s = SolverOpts::default();
-        let pool = s.pool();
-        let (lz, lz0) = (s.lanczos_options(&pool), LanczosOptions::default());
+        let (lz, lz0) = (s.lanczos_options(), LanczosOptions::default());
         assert_eq!(lz.max_iter, DEFAULT_LANCZOS_MAX_ITER);
         assert_eq!(lz.max_iter, lz0.max_iter);
         assert_eq!(lz.tol, lz0.tol);
         assert_eq!(lz.seed, DEFAULT_LANCZOS_SEED);
         assert_eq!(lz.check_every, lz0.check_every);
-        let (rqi, rqi0) = (s.rqi_options(&pool), RqiOptions::default());
+        let (rqi, rqi0) = (s.rqi_options(), RqiOptions::default());
         assert_eq!(rqi.max_outer, rqi0.max_outer);
         assert_eq!(rqi.tol, DEFAULT_FIEDLER_TOL);
         assert_eq!(rqi.inner_max_iter, DEFAULT_RQI_INNER_MAX_ITER);
@@ -245,32 +235,14 @@ mod tests {
         let s = SolverOpts::with_pool(external.clone());
         assert_eq!(s.threads, external.threads());
         assert_eq!(s.pool().threads(), external.threads());
-        // A resolved configuration keeps handing out the injected pool, and
-        // every stage's options share it.
-        let pool = s.resolve_pool().pool();
-        assert_eq!(s.lanczos_options(&pool).pool.threads(), external.threads());
-        assert_eq!(s.rqi_options(&pool).pool.threads(), external.threads());
         if external.is_parallel() {
-            // Regions run through the stages' pools show up in the injected
-            // pool's stats — proof they share workers instead of spawning
-            // anew.
+            // A region run through the configuration's pool shows up in the
+            // injected pool's stats — proof it shares workers instead of
+            // spawning anew.
             let before = external.stats().regions;
             let v: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
-            let _ = s.lanczos_options(&pool).pool.dot(&v, &v);
-            let _ = s.rqi_options(&pool).pool.dot(&v, &v);
-            assert_eq!(external.stats().regions, before + 2);
-        }
-    }
-
-    #[test]
-    fn resolved_pool_is_built_once() {
-        let s = SolverOpts::with_threads(2).resolve_pool();
-        let (a, b) = (s.pool(), s.pool());
-        if a.is_parallel() {
-            let before = a.stats().regions;
-            let v: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
-            let _ = b.dot(&v, &v);
-            assert_eq!(a.stats().regions, before + 1);
+            let _ = s.pool().dot(&v, &v);
+            assert_eq!(external.stats().regions, before + 1);
         }
     }
 }

@@ -10,10 +10,8 @@
 
 use se_faults::{sites, Budget, FaultPlane};
 use se_trace::Tracer;
-use sparsemat::par::TaskPool;
 use sparsemat::SymmetricPattern;
 use std::collections::VecDeque;
-use std::sync::OnceLock;
 
 /// Marker for "unassigned".
 const UNSET: usize = usize::MAX;
@@ -40,62 +38,6 @@ pub fn maximal_independent_set(g: &SymmetricPattern) -> Vec<usize> {
     mis
 }
 
-/// [`maximal_independent_set`] computed with a round-based parallel
-/// algorithm (Luby-style, with the vertex index as priority) that returns
-/// **exactly** the serial greedy set for every graph and thread count.
-///
-/// Each round scans the still-undecided vertices in parallel; `v` is
-/// selected iff every undecided neighbor has a larger index. Selected
-/// vertices are independent by construction (of two adjacent undecided
-/// vertices only the smaller can be selected), and an induction over vertex
-/// indices shows the fixpoint equals the ascending greedy set: the smallest
-/// undecided vertex is always selected, and a vertex is excluded only by a
-/// neighbor that the greedy scan would also have placed in the set first.
-///
-/// Worst case (a path labeled in descending order) needs `O(n)` rounds, but
-/// each round only touches the shrinking undecided frontier; on mesh-like
-/// graphs with locality-friendly labelings a handful of rounds suffice.
-pub fn maximal_independent_set_with(g: &SymmetricPattern, pool: &TaskPool) -> Vec<usize> {
-    if !pool.is_parallel() {
-        return maximal_independent_set(g);
-    }
-    let n = g.n();
-    let mut state = vec![0u8; n]; // 0 undecided, 1 in MIS, 2 excluded
-    let mut undecided: Vec<usize> = (0..n).collect();
-    let mut selected: Vec<u8> = Vec::new();
-    while !undecided.is_empty() {
-        // Select phase: read-only on `state`, one flag slot per candidate.
-        selected.clear();
-        selected.resize(undecided.len(), 0);
-        {
-            let state_read: &[u8] = &state;
-            let undecided_read: &[usize] = &undecided;
-            pool.for_each_chunk_mut(&mut selected, 256, |i0, flags| {
-                for (i, flag) in flags.iter_mut().enumerate() {
-                    let v = undecided_read[i0 + i];
-                    let wins = g.neighbors(v).iter().all(|&u| state_read[u] != 0 || u > v);
-                    *flag = u8::from(wins);
-                }
-            });
-        }
-        // Apply phase: winners form an independent set, so marking them and
-        // excluding their neighbors never conflicts. Serial and in index
-        // order — cheap relative to the scans.
-        for (i, &v) in undecided.iter().enumerate() {
-            if selected[i] == 1 {
-                state[v] = 1;
-                for &u in g.neighbors(v) {
-                    if state[u] == 0 {
-                        state[u] = 2;
-                    }
-                }
-            }
-        }
-        undecided.retain(|&v| state[v] == 0);
-    }
-    (0..n).filter(|&v| state[v] == 1).collect()
-}
-
 /// One level of graph contraction.
 #[derive(Debug, Clone)]
 pub struct Contraction {
@@ -113,18 +55,8 @@ pub struct Contraction {
 /// For a connected fine graph the coarse graph is connected. The coarse
 /// graph is strictly smaller whenever `g` has at least one edge.
 pub fn contract(g: &SymmetricPattern) -> Contraction {
-    contract_with(g, &TaskPool::serial())
-}
-
-/// [`contract`] with the maximal-independent-set selection and the
-/// coarse-edge construction farmed out to `pool`. Produces exactly the same
-/// contraction as the serial version for every thread count: the parallel
-/// MIS equals the greedy one ([`maximal_independent_set_with`]), domain
-/// growing stays serial (its queue order is the tie-breaker), and coarse
-/// edges are collected per vertex chunk and concatenated in chunk order.
-pub fn contract_with(g: &SymmetricPattern, pool: &TaskPool) -> Contraction {
     let n = g.n();
-    let seeds = maximal_independent_set_with(g, pool);
+    let seeds = maximal_independent_set(g);
     let mut domain = vec![UNSET; n];
     let mut queue = VecDeque::new();
     for (c, &s) in seeds.iter().enumerate() {
@@ -143,7 +75,15 @@ pub fn contract_with(g: &SymmetricPattern, pool: &TaskPool) -> Contraction {
     }
     debug_assert!(domain.iter().all(|&d| d != UNSET), "domains must cover");
 
-    let coarse_edges = collect_crossing_edges(g, &domain, pool);
+    // One `(min, max)` coarse edge per fine edge crossing two domains, in
+    // `g.edges()` order.
+    let coarse_edges: Vec<(usize, usize)> = g
+        .edges()
+        .filter_map(|(u, v)| {
+            let (du, dv) = (domain[u], domain[v]);
+            (du != dv).then_some((du.min(dv), du.max(dv)))
+        })
+        .collect();
     let coarse = SymmetricPattern::from_edges(seeds.len(), &coarse_edges)
         .expect("domain indices are in range");
     Contraction {
@@ -151,44 +91,6 @@ pub fn contract_with(g: &SymmetricPattern, pool: &TaskPool) -> Contraction {
         fine_to_coarse: domain,
         seeds,
     }
-}
-
-/// Collects one `(min, max)` coarse edge per fine edge crossing two domains,
-/// in exactly the order `g.edges()` yields them: vertex chunks are scanned
-/// as one region (inline below [`sparsemat::par::PAR_MIN`] vertices or on a
-/// serial pool), each chunk into its own buffer, and the buffers are joined
-/// in chunk order. Which thread scans a chunk never changes which vertices
-/// it scans or where its buffer sits, so the concatenation is
-/// byte-identical to the serial scan.
-fn collect_crossing_edges(
-    g: &SymmetricPattern,
-    domain: &[usize],
-    pool: &TaskPool,
-) -> Vec<(usize, usize)> {
-    const CHUNK: usize = 1024;
-    let n = g.n();
-    let buffers: Vec<OnceLock<Vec<(usize, usize)>>> =
-        (0..n.div_ceil(CHUNK)).map(|_| OnceLock::new()).collect();
-    pool.run_chunks(n, CHUNK, |s, e| {
-        let mut out = Vec::new();
-        for u in s..e {
-            let du = domain[u];
-            for &v in g.neighbors(u) {
-                if v > u {
-                    let dv = domain[v];
-                    if du != dv {
-                        out.push((du.min(dv), du.max(dv)));
-                    }
-                }
-            }
-        }
-        let _ = buffers[s / CHUNK].set(out);
-    });
-    let buffers: Vec<Vec<(usize, usize)>> = buffers
-        .into_iter()
-        .map(|b| b.into_inner().expect("every chunk was scanned"))
-        .collect();
-    buffers.concat()
 }
 
 impl Contraction {
@@ -230,29 +132,16 @@ impl CoarsenLevels {
     /// Repeatedly contracts `g` until the coarse graph has at most
     /// `target_n` vertices (the paper uses ~100) or contraction stalls.
     pub fn build(g: &SymmetricPattern, target_n: usize) -> CoarsenLevels {
-        CoarsenLevels::build_with(g, target_n, &TaskPool::serial())
+        CoarsenLevels::build_traced(g, target_n, &Tracer::disabled())
     }
 
-    /// [`CoarsenLevels::build`] with each contraction farmed out to `pool`
-    /// (see [`contract_with`]). The hierarchy is identical to the serial one
-    /// for every thread count.
-    pub fn build_with(g: &SymmetricPattern, target_n: usize, pool: &TaskPool) -> CoarsenLevels {
-        CoarsenLevels::build_traced(g, target_n, pool, &Tracer::disabled())
-    }
-
-    /// [`CoarsenLevels::build_with`] recording a `coarsen` span with one
+    /// [`CoarsenLevels::build`] recording a `coarsen` span with one
     /// `contract` child per level (fine/coarse sizes and seed counts) into
     /// `trace`. The hierarchy itself is unaffected by tracing.
-    pub fn build_traced(
-        g: &SymmetricPattern,
-        target_n: usize,
-        pool: &TaskPool,
-        trace: &Tracer,
-    ) -> CoarsenLevels {
+    pub fn build_traced(g: &SymmetricPattern, target_n: usize, trace: &Tracer) -> CoarsenLevels {
         CoarsenLevels::build_guarded(
             g,
             target_n,
-            pool,
             trace,
             &Budget::unlimited(),
             &FaultPlane::disabled(),
@@ -268,7 +157,6 @@ impl CoarsenLevels {
     pub fn build_guarded(
         g: &SymmetricPattern,
         target_n: usize,
-        pool: &TaskPool,
         trace: &Tracer,
         budget: &Budget,
         faults: &FaultPlane,
@@ -287,7 +175,7 @@ impl CoarsenLevels {
             }
             let mut lvl = trace.span_at("contract", levels.len());
             lvl.attr("n_fine", current.n() as f64);
-            let c = contract_with(&current, pool);
+            let c = contract(&current);
             if c.coarse.n() >= current.n() {
                 break; // no edges left to contract (e.g. edgeless graph)
             }
@@ -475,46 +363,6 @@ mod tests {
         let h = CoarsenLevels::build(&g, 100);
         assert_eq!(h.depth(), 0);
         assert!(h.coarsest().is_none());
-    }
-
-    #[test]
-    fn parallel_mis_matches_greedy() {
-        // 5600 vertices: crosses the pool's PAR_MIN threshold, so the select
-        // phase really runs on workers.
-        let g = grid(80, 70);
-        let serial = maximal_independent_set(&g);
-        for threads in [2, 4, 8] {
-            let pool = TaskPool::new(threads);
-            assert_eq!(maximal_independent_set_with(&g, &pool), serial);
-        }
-    }
-
-    #[test]
-    fn parallel_contract_matches_serial() {
-        let g = grid(80, 70);
-        let base = contract(&g);
-        for threads in [2, 4] {
-            let pool = TaskPool::new(threads);
-            let c = contract_with(&g, &pool);
-            assert_eq!(c.seeds, base.seeds);
-            assert_eq!(c.fine_to_coarse, base.fine_to_coarse);
-            assert_eq!(c.coarse.n(), base.coarse.n());
-            let ea: Vec<_> = base.coarse.edges().collect();
-            let eb: Vec<_> = c.coarse.edges().collect();
-            assert_eq!(ea, eb);
-        }
-    }
-
-    #[test]
-    fn parallel_hierarchy_matches_serial() {
-        let g = grid(75, 75);
-        let a = CoarsenLevels::build(&g, 50);
-        let b = CoarsenLevels::build_with(&g, 50, &TaskPool::new(4));
-        assert_eq!(a.depth(), b.depth());
-        for (x, y) in a.levels.iter().zip(&b.levels) {
-            assert_eq!(x.seeds, y.seeds);
-            assert_eq!(x.fine_to_coarse, y.fine_to_coarse);
-        }
     }
 
     #[test]

@@ -23,7 +23,6 @@ pub fn hybrid_sloan_spectral(
     solver: &SolverOpts,
     force_lanczos: bool,
 ) -> Result<Permutation> {
-    let solver = &solver.resolve_pool();
     let comps = connected_components(g);
     let mut order = Vec::with_capacity(g.n());
     for members in &comps.members {

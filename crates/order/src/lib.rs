@@ -176,10 +176,10 @@ pub fn order(g: &SymmetricPattern, alg: Algorithm) -> Result<Ordering> {
 }
 
 /// [`order`] with an explicit solver configuration. `solver` reaches every
-/// eigensolver-backed algorithm (SPECTRAL, HYBRID, SPECTRAL+X, SPECTRAL-ND);
-/// the combinatorial ones (RCM, GPS, GK, …) ignore it. In particular
-/// `solver.threads` routes the whole Fiedler pipeline through one shared
-/// thread pool — results are bit-identical for every thread count.
+/// eigensolver-backed algorithm (SPECTRAL, HYBRID, SPECTRAL+X, SPECTRAL-ND,
+/// TRACEMIN); the combinatorial ones (RCM, GPS, GK, …) ignore it. The
+/// multilevel algorithms solve on the calling thread; `solver.threads` sizes
+/// TRACEMIN's pool only — results are bit-identical for every thread count.
 pub fn order_with(g: &SymmetricPattern, alg: Algorithm, solver: &SolverOpts) -> Result<Ordering> {
     order_forced(g, alg, solver, false)
 }

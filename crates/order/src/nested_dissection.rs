@@ -28,7 +28,6 @@ pub fn spectral_nested_dissection(
     solver: &SolverOpts,
     force_lanczos: bool,
 ) -> Result<Permutation> {
-    let solver = &solver.resolve_pool();
     let mut order = Vec::with_capacity(g.n());
     let all: Vec<usize> = (0..g.n()).collect();
     dissect(g, &all, solver, force_lanczos, &mut order)?;

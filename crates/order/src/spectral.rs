@@ -28,7 +28,6 @@ pub fn spectral_ordering(
     solver: &SolverOpts,
     force_lanczos: bool,
 ) -> Result<Permutation> {
-    let solver = &solver.resolve_pool();
     let mut sp = solver.trace.span("spectral");
     let comps = connected_components(g);
     sp.attr("components", comps.members.len() as f64);
@@ -65,7 +64,7 @@ pub(crate) fn fiedler_vector(
     force_lanczos: bool,
 ) -> Result<Vec<f64>> {
     let fr = if force_lanczos {
-        fiedler_lanczos(g, &solver.lanczos_options(&solver.pool()))?
+        fiedler_lanczos(g, &solver.lanczos_options())?
     } else {
         fiedler(g, solver)?
     };

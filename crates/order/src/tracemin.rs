@@ -16,9 +16,9 @@ use se_tracemin::{tracemin_fiedler, TraceminOptions};
 use sparsemat::par::TaskPool;
 use sparsemat::{Permutation, SymmetricPattern};
 
-/// [`TraceminOptions`] on `pool` — the same shape as
-/// [`SolverOpts::lanczos_options`]. Every numeric field keeps its
-/// `se-tracemin` default; the tracer, budget and fault plane come from
+/// [`TraceminOptions`] on `pool`: the shape of
+/// [`SolverOpts::lanczos_options`] plus the pool. Every numeric field keeps
+/// its `se-tracemin` default; the tracer, budget and fault plane come from
 /// `solver`.
 pub fn tracemin_options(solver: &SolverOpts, pool: &TaskPool) -> TraceminOptions {
     TraceminOptions {
@@ -35,8 +35,8 @@ pub fn tracemin_options(solver: &SolverOpts, pool: &TaskPool) -> TraceminOptions
 /// smallest vertex), matching every other ordering in this crate.
 ///
 /// `force_lanczos` is rung 2 of the degradation ladder: skip tracemin and
-/// solve the eigenproblem directly with Lanczos, exactly like the other
-/// eigensolver-backed algorithms.
+/// solve the eigenproblem directly with Lanczos on the calling thread,
+/// exactly like the other eigensolver-backed algorithms.
 pub fn tracemin_ordering(
     g: &SymmetricPattern,
     solver: &SolverOpts,
@@ -67,7 +67,7 @@ fn tracemin_component(
         return Ok((0..n).collect());
     }
     let vector = if force_lanczos {
-        se_eigen::multilevel::fiedler_lanczos(g, &solver.lanczos_options(pool))?.vector
+        se_eigen::multilevel::fiedler_lanczos(g, &solver.lanczos_options())?.vector
     } else {
         tracemin_fiedler(g, &tracemin_options(solver, pool))?.vector
     };

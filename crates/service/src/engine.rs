@@ -94,8 +94,9 @@ pub struct Engine {
     /// Building a [`sparsemat::par::TaskPool`] spawns and later joins OS
     /// threads; doing that per request wasted milliseconds and — worse —
     /// meant concurrent requests could never share workers. With the cache,
-    /// simultaneous solves at the same thread count submit their regions to
-    /// one chunk-claiming pool and genuinely overlap. Bounded by
+    /// simultaneous TraceMin solves at the same thread count submit their
+    /// regions to one chunk-claiming pool and genuinely overlap (the
+    /// multilevel algorithms solve on the worker thread and never touch it). Bounded by
     /// [`SOLVER_POOL_CACHE_CAP`]; drained (workers joined) on shutdown.
     solver_pools: Mutex<Vec<(usize, sparsemat::par::TaskPool)>>,
 }
@@ -474,8 +475,8 @@ impl Engine {
         };
         let mut solver = se_order::SolverOpts::with_threads(threads);
         // Run on the shared per-thread-count pool instead of spawning
-        // workers for this one request; concurrent solves at the same
-        // count overlap their regions on one pool.
+        // workers for this one request; concurrent TraceMin solves at the
+        // same count overlap their regions on one pool.
         solver.pool = Some(self.solver_pool(threads));
         // Every computed ordering runs under an enabled tracer: its span
         // tree feeds the per-stage histograms METRICS exposes and, when the

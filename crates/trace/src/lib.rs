@@ -15,15 +15,13 @@
 //!   everywhere. Its guards are a `None` branch — no clock read, no
 //!   allocation, no lock — so threading a tracer through every options
 //!   struct costs nothing on the production path.
-//! * **No lock on the matvec path.** Span open/close happens on the
-//!   orchestrating thread only (a `Mutex` there is uncontended and cold).
-//!   Quantities counted *inside* `TaskPool` regions go through a
-//!   [`WorkerCounter`]: striped relaxed atomics the workers add to without
-//!   any lock, merged into a span attribute when the region ends.
-//! * **Thread-count invariance.** A counter's merged total is a sum of
-//!   per-stripe partials of the same deterministic chunk decomposition the
-//!   pool uses, so traced totals are identical for 1, 2, … threads — the
-//!   same invariant the solver itself keeps for floating point.
+//! * **No lock on the matvec path.** Span open/close and attribute writes
+//!   happen on the orchestrating thread only (a `Mutex` there is
+//!   uncontended and cold); nothing is counted inside a `TaskPool` region.
+//! * **Thread-count invariance.** Attributes count algorithmic work
+//!   (iterations, matvecs, vertex updates), never the schedule, so traced
+//!   totals are identical for 1, 2, … threads — the same invariant the
+//!   solver itself keeps for floating point.
 //!
 //! # Example
 //!
@@ -47,13 +45,8 @@
 #![forbid(unsafe_code)]
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Number of independent cells in a [`WorkerCounter`]; power of two so the
-/// stripe choice is a mask.
-const STRIPES: usize = 16;
 
 /// One completed span: a named, timed stage with numeric attributes and
 /// nested children, in the order they were opened.
@@ -348,14 +341,6 @@ impl Tracer {
         }
     }
 
-    /// A counter `TaskPool` workers can add to without locking; disabled
-    /// when the tracer is.
-    pub fn worker_counter(&self) -> WorkerCounter {
-        WorkerCounter {
-            stripes: self.inner.as_ref().map(|_| Arc::new(Stripes::default())),
-        }
-    }
-
     /// Takes the recorded tree, or `None` for a disabled tracer or when
     /// nothing was recorded. Clears the recorder, so a tracer can be
     /// reused across requests.
@@ -412,14 +397,6 @@ impl SpanGuard<'_> {
             }
         }
     }
-
-    /// Drains a [`WorkerCounter`] into an attribute — the per-worker
-    /// accumulation merge at region end.
-    pub fn merge_counter(&mut self, name: &'static str, counter: &WorkerCounter) {
-        if self.live.is_some() {
-            self.add(name, counter.drain() as f64);
-        }
-    }
 }
 
 impl Drop for SpanGuard<'_> {
@@ -456,65 +433,6 @@ impl Drop for SpanGuard<'_> {
     }
 }
 
-/// One cache-line-sized counter cell (padding keeps stripes from false
-/// sharing).
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct Cell {
-    value: AtomicU64,
-}
-
-#[derive(Debug, Default)]
-struct Stripes {
-    cells: [Cell; STRIPES],
-}
-
-/// A lock-free counter for quantities produced inside `TaskPool` regions.
-///
-/// Workers call [`WorkerCounter::add`] with any cheap stripe hint (the
-/// pool's chunk index works well); adds are relaxed atomic increments on
-/// striped cells, so the matvec path takes no lock and suffers no shared
-/// cache line. The total is the sum over stripes, read once when the
-/// enclosing span merges the counter ([`SpanGuard::merge_counter`]) — and
-/// because the counted quantities follow the pool's deterministic chunk
-/// decomposition, the merged total is identical for every thread count.
-///
-/// A counter minted from a disabled tracer is a no-op.
-#[derive(Debug, Clone, Default)]
-pub struct WorkerCounter {
-    stripes: Option<Arc<Stripes>>,
-}
-
-impl WorkerCounter {
-    /// Adds `value` on the stripe selected by `stripe_hint` (wrapped to the
-    /// stripe count). Safe to call from any thread.
-    #[inline]
-    pub fn add(&self, stripe_hint: usize, value: u64) {
-        if let Some(s) = &self.stripes {
-            s.cells[stripe_hint % STRIPES]
-                .value
-                .fetch_add(value, Ordering::Relaxed);
-        }
-    }
-
-    /// Whether adds actually count (i.e. the minting tracer was enabled).
-    pub fn is_enabled(&self) -> bool {
-        self.stripes.is_some()
-    }
-
-    /// Sums all stripes and resets them to zero.
-    pub fn drain(&self) -> u64 {
-        match &self.stripes {
-            Some(s) => s
-                .cells
-                .iter()
-                .map(|c| c.value.swap(0, Ordering::Relaxed))
-                .sum(),
-            None => 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,7 +452,6 @@ mod tests {
     #[test]
     fn default_is_disabled() {
         assert!(!Tracer::default().is_enabled());
-        assert!(!WorkerCounter::default().is_enabled());
     }
 
     #[test]
@@ -606,41 +523,6 @@ mod tests {
         }
         let tree = t2.finish().unwrap();
         assert_eq!(tree.shape(), "root\n  sub\n");
-    }
-
-    #[test]
-    fn worker_counter_merges_at_region_end() {
-        let t = Tracer::enabled();
-        let c = t.worker_counter();
-        assert!(c.is_enabled());
-        {
-            let mut g = t.span("region");
-            // Simulate workers on arbitrary stripes, including colliding ones.
-            let threads: Vec<_> = (0..4)
-                .map(|w| {
-                    let c = c.clone();
-                    std::thread::spawn(move || {
-                        for i in 0..100 {
-                            c.add(w * 31 + i, 2);
-                        }
-                    })
-                })
-                .collect();
-            for th in threads {
-                th.join().unwrap();
-            }
-            g.merge_counter("updates", &c);
-        }
-        let tree = t.finish().unwrap();
-        assert_eq!(tree.attr("updates"), Some(800.0));
-        assert_eq!(c.drain(), 0, "merge drains the counter");
-    }
-
-    #[test]
-    fn disabled_counter_is_noop() {
-        let c = Tracer::disabled().worker_counter();
-        c.add(0, 5);
-        assert_eq!(c.drain(), 0);
     }
 
     #[test]

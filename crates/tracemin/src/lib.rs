@@ -1,15 +1,15 @@
 //! TraceMin-Fiedler: block trace minimization for the Fiedler vector.
 //!
-//! The multilevel Lanczos/RQI pipeline in `se-eigen` extracts its
-//! parallelism from *inside* each matvec and dot product. This crate
-//! implements the complementary strategy of Manguoglu's TraceMin-Fiedler
-//! algorithm (see PAPERS.md): minimize the trace of `Xᵀ·L·X` over
-//! `s`-dimensional subspaces with orthonormal basis `X` (`s ≈ 2–8`). Each
-//! outer iteration performs a Rayleigh–Ritz projection onto the current
-//! subspace and then refines every basis column with an *independent*
-//! shifted-Laplacian MINRES solve — `s` coarse-grained jobs with irregular,
-//! data-dependent costs, run as the `s` tasks of one region on the injected
-//! chunk-claiming [`TaskPool`].
+//! The multilevel Lanczos/RQI pipeline in `se-eigen` runs on the calling
+//! thread: its per-step matvecs and dot products are too fine to gain from
+//! a pool. This crate implements the coarse-grained strategy of
+//! Manguoglu's TraceMin-Fiedler algorithm (see PAPERS.md): minimize the
+//! trace of `Xᵀ·L·X` over `s`-dimensional subspaces with orthonormal basis
+//! `X` (`s ≈ 2–8`). Each outer iteration performs a Rayleigh–Ritz
+//! projection onto the current subspace and then refines every basis column
+//! with an *independent* shifted-Laplacian MINRES solve — `s` coarse-grained
+//! jobs with irregular, data-dependent costs, run as the `s` tasks of one
+//! region on the injected chunk-claiming [`TaskPool`].
 //!
 //! By the Courant–Fischer trace theorem, the minimum of `tr(XᵀLX)` over
 //! orthonormal `X ⊥ 1` is `λ₂ + ⋯ + λ_{s+1}`, attained on the span of the
@@ -26,8 +26,9 @@
 //! 1. every reduction goes through the pool's fixed-grid chunked forms
 //!    ([`TaskPool::dot`]/[`TaskPool::sum`]/[`TaskPool::norm`]), which are
 //!    bitwise equal to their serial counterparts;
-//! 2. each inner MINRES runs on a *serial* pool internally, so a column's
-//!    solution depends only on its right-hand side, never on scheduling;
+//! 2. each inner MINRES runs serially on the thread that claimed its task,
+//!    so a column's solution depends only on its right-hand side, never on
+//!    scheduling;
 //! 3. columns map to region task indices by their fixed position `j`, and
 //!    each task writes only its own [`OnceLock`] slot — the blocking
 //!    region call orders every write before the (serial) Gram–Schmidt pass.
@@ -412,9 +413,6 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
         let inner_opts = MinresOptions {
             max_iter: opts.inner_max_iter,
             rtol: inner_rtol,
-            // Serial inner pool: each column's solve is bit-reproducible in
-            // isolation; concurrency comes from the columns themselves.
-            pool: TaskPool::serial(),
             budget: opts.budget.clone(),
         };
         let outcomes: Vec<OnceLock<MinresOutcome>> = (0..s).map(|_| OnceLock::new()).collect();

@@ -1,20 +1,22 @@
-//! Seeded determinism suite: the parallel multilevel Fiedler pipeline must
-//! produce the **same permutation** as the serial one — not merely the same
-//! envelope — on every graph, for every thread count.
+//! Seeded determinism suite: every Fiedler-backed ordering must produce the
+//! **same permutation** as the serial one — not merely the same envelope —
+//! on every graph, for every thread count.
 //!
 //! This is the contract that lets `spectral-orderd` ignore the thread count
-//! in its cache key and lets benchmark runs be compared bit-for-bit. It
-//! holds because every floating-point reduction in the pipeline uses a
-//! fixed chunk order independent of thread count (see `sparsemat::par`),
-//! and the combinatorial stages (MIS selection, domain growth, coarse-edge
-//! collection) are proven order-identical to their serial forms.
+//! in its cache key and lets benchmark runs be compared bit-for-bit. The
+//! multilevel solver behind SPECTRAL, hybrid, refined and nd runs on the
+//! calling thread, so it holds there by construction (and
+//! `multilevel_solve_submits_no_region` pins that the pool stays idle).
+//! TraceMin-Fiedler does use the pool; it keeps the contract because every
+//! floating-point reduction uses a fixed chunk order independent of thread
+//! count (see `sparsemat::par`).
 //!
 //! Every build spawns real worker threads for a thread count of 2 or more;
 //! each thread loop asserts that its pool is parallel, so the suite can
 //! never pass by comparing serial runs with serial runs.
 
 use spectral_envelope_repro::eigen::SolverOpts;
-use spectral_envelope_repro::order::{order_with, Algorithm};
+use spectral_envelope_repro::order::{order_with, Algorithm, Ordering};
 use spectral_envelope_repro::spectral_env::{fiedler_vector, fiedler_vector_with};
 
 const MATRICES: [&str; 5] = ["CAN1072", "POW9", "BLKHOLE", "DWT2680", "SSTMODEL"];
@@ -175,27 +177,88 @@ fn overlapping_regions_are_bit_identical() {
     }
 }
 
-/// The engine-style overlap: two whole spectral solves running concurrently
-/// on one shared injected pool (as `spectral-orderd`'s per-thread-count
-/// pool cache arranges for concurrent requests) must each match the serial
-/// permutation exactly.
+/// The engine-style overlap: two whole solves running concurrently on one
+/// shared injected pool (as `spectral-orderd`'s per-thread-count pool cache
+/// arranges for concurrent requests) must each match the serial
+/// permutation exactly. TraceMin is the case whose regions really overlap;
+/// SPECTRAL shares the configuration but solves on its own thread.
 #[test]
 fn concurrent_solves_on_a_shared_pool_stay_bit_identical() {
     use spectral_envelope_repro::sparsemat::par::TaskPool;
 
     let ga = meshgen::standin("CAN1072").unwrap().pattern;
     let gb = meshgen::standin("DWT2680").unwrap().pattern;
-    let serial_a = order_with(&ga, Algorithm::Spectral, &SolverOpts::default()).unwrap();
-    let serial_b = order_with(&gb, Algorithm::Spectral, &SolverOpts::default()).unwrap();
+    for alg in [Algorithm::TraceMin, Algorithm::Spectral] {
+        let serial_a = order_with(&ga, alg, &SolverOpts::default()).unwrap();
+        let serial_b = order_with(&gb, alg, &SolverOpts::default()).unwrap();
 
-    let pool = TaskPool::new(4);
-    let solve = |g| {
-        let solver = SolverOpts::with_pool(pool.clone());
-        order_with(g, Algorithm::Spectral, &solver).unwrap()
-    };
-    let (pa, pb) = overlapped(|| solve(&ga), || solve(&gb));
-    assert_eq!(pa.perm.order(), serial_a.perm.order(), "CAN1072 diverged");
-    assert_eq!(pb.perm.order(), serial_b.perm.order(), "DWT2680 diverged");
+        let pool = TaskPool::new(4);
+        let solve = |g| {
+            let solver = SolverOpts::with_pool(pool.clone());
+            order_with(g, alg, &solver).unwrap()
+        };
+        let (pa, pb) = overlapped(|| solve(&ga), || solve(&gb));
+        assert_eq!(
+            pa.perm.order(),
+            serial_a.perm.order(),
+            "{alg:?}: CAN1072 diverged"
+        );
+        assert_eq!(
+            pb.perm.order(),
+            serial_b.perm.order(),
+            "{alg:?}: DWT2680 diverged"
+        );
+    }
+}
+
+/// The multilevel solve and every ordering built on it run on the calling
+/// thread: with a 2-thread pool injected, the pool sees no region and the
+/// results equal the serial bits. TraceMin on the same pool does submit
+/// regions, so the `threads` setting stays live where it pays.
+#[test]
+fn multilevel_solve_submits_no_region() {
+    use spectral_envelope_repro::eigen::multilevel::fiedler;
+    use spectral_envelope_repro::graph::bfs::{connected_components, induced_subgraph};
+    use spectral_envelope_repro::sparsemat::par::TaskPool;
+
+    let g = meshgen::standin("BARTH4").unwrap().pattern;
+    let comps = connected_components(&g);
+    let largest = comps.members.iter().max_by_key(|m| m.len()).unwrap();
+    let (sub, _) = induced_subgraph(&g, largest);
+
+    let pool = TaskPool::new(2);
+    assert!(pool.is_parallel(), "2 threads built a serial pool");
+    let pooled = SolverOpts::with_pool(pool.clone());
+    let before = pool.stats().regions;
+
+    let serial = fiedler(&sub, &SolverOpts::default()).unwrap();
+    let par = fiedler(&sub, &pooled).unwrap();
+    assert_eq!(par.lambda2.to_bits(), serial.lambda2.to_bits());
+    assert_eq!(par.vector.len(), serial.vector.len());
+    for (i, (x, y)) in par.vector.iter().zip(&serial.vector).enumerate() {
+        assert_eq!(x.to_bits(), y.to_bits(), "Fiedler component {i}");
+    }
+    assert_eq!(pool.stats().regions, before, "fiedler submitted a region");
+
+    let same = |a: &Ordering, b: &Ordering| a.perm.order() == b.perm.order() && a.stats == b.stats;
+    for alg in [
+        Algorithm::Spectral,
+        Algorithm::HybridSloanSpectral,
+        Algorithm::SpectralNd,
+    ] {
+        let serial = order_with(&g, alg, &SolverOpts::default()).unwrap();
+        let par = order_with(&g, alg, &pooled).unwrap();
+        assert!(same(&par, &serial), "{alg:?}: ordering diverged");
+        assert_eq!(pool.stats().regions, before, "{alg:?} submitted a region");
+    }
+
+    let serial = order_with(&g, Algorithm::TraceMin, &SolverOpts::default()).unwrap();
+    let par = order_with(&g, Algorithm::TraceMin, &pooled).unwrap();
+    assert!(same(&par, &serial), "TraceMin: ordering diverged");
+    assert!(
+        pool.stats().regions > before,
+        "TraceMin must run its inner solves on the injected pool"
+    );
 }
 
 /// Wildly irregular seeded per-chunk costs (up to ~3 orders of magnitude

@@ -96,25 +96,44 @@ fn disabled_tracer_leaves_results_bit_identical() {
 
 #[test]
 fn counters_are_thread_count_invariant() {
+    // SPECTRAL solves on the calling thread whatever `threads` says;
+    // TraceMin runs its inner solves on a pool of that many threads.
     let g = mesh();
-    let mut baseline: Option<(Vec<usize>, String, f64, f64, f64)> = None;
-    for threads in [1usize, 2, 4] {
-        let (opts, tracer) = traced_opts(threads);
-        let ordering = reorder_pattern_with(&g, Algorithm::Spectral, &opts).expect("ordering");
-        let root = tracer.finish().expect("root span");
-        let perm = ordering.perm.order().to_vec();
-        let shape = root.shape();
-        let updates = root.attr_total("updates");
-        let matvecs = root.attr_total("matvecs");
-        let inner = root.attr_total("inner_iterations");
-        match &baseline {
-            None => baseline = Some((perm, shape, updates, matvecs, inner)),
-            Some((p, s, u, m, i)) => {
-                assert_eq!(&perm, p, "{threads} threads changed the permutation");
-                assert_eq!(&shape, s, "{threads} threads changed the tree shape");
-                assert_eq!(updates, *u, "{threads} threads changed smoothing updates");
-                assert_eq!(matvecs, *m, "{threads} threads changed the matvec count");
-                assert_eq!(inner, *i, "{threads} threads changed RQI inner iterations");
+    for alg in [Algorithm::Spectral, Algorithm::TraceMin] {
+        let mut baseline: Option<(Vec<usize>, String, f64, f64, f64)> = None;
+        for threads in [1usize, 2, 4] {
+            let (opts, tracer) = traced_opts(threads);
+            let ordering = reorder_pattern_with(&g, alg, &opts).expect("ordering");
+            let root = tracer.finish().expect("root span");
+            let perm = ordering.perm.order().to_vec();
+            let shape = root.shape();
+            let updates = root.attr_total("updates");
+            let matvecs = root.attr_total("matvecs");
+            let inner = root.attr_total("inner_iterations");
+            match &baseline {
+                None => baseline = Some((perm, shape, updates, matvecs, inner)),
+                Some((p, s, u, m, i)) => {
+                    assert_eq!(
+                        &perm, p,
+                        "{alg:?}: {threads} threads changed the permutation"
+                    );
+                    assert_eq!(
+                        &shape, s,
+                        "{alg:?}: {threads} threads changed the tree shape"
+                    );
+                    assert_eq!(
+                        updates, *u,
+                        "{alg:?}: {threads} threads changed smoothing updates"
+                    );
+                    assert_eq!(
+                        matvecs, *m,
+                        "{alg:?}: {threads} threads changed the matvec count"
+                    );
+                    assert_eq!(
+                        inner, *i,
+                        "{alg:?}: {threads} threads changed RQI inner iterations"
+                    );
+                }
             }
         }
     }

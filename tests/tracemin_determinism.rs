@@ -3,8 +3,8 @@
 //!
 //! The same contract as `tests/parallel_determinism.rs`, for the second
 //! eigensolver: permutations and eigenvectors must be **bit-identical at
-//! every thread count**, because the per-column inner MINRES solves run on
-//! serial pools (a column's bits depend only on its right-hand side), the
+//! every thread count**, because each per-column inner MINRES solve runs
+//! serially (a column's bits depend only on its right-hand side), the
 //! column→region-task assignment is fixed, and every reduction uses the
 //! pool's fixed chunk grid. On top of that, the eigensolver must agree with
 //! the multilevel Lanczos/RQI pipeline it complements: same eigenvalue, same
