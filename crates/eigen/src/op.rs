@@ -303,22 +303,42 @@ impl<Op: SymOp> SymOp for DeflatedOp<'_, Op> {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        let mut xp = x.to_vec();
-        self.project(&mut xp);
-        self.op.apply(&xp, y);
+        with_scratch_copy(x, |xp| {
+            self.project(xp);
+            self.op.apply(xp, y);
+        });
         self.project(y);
     }
 
     fn apply_pooled(&self, x: &[f64], y: &mut [f64], pool: &TaskPool) {
-        let mut xp = x.to_vec();
-        self.project_pooled(&mut xp, pool);
-        self.op.apply_pooled(&xp, y, pool);
+        with_scratch_copy(x, |xp| {
+            self.project_pooled(xp, pool);
+            self.op.apply_pooled(xp, y, pool);
+        });
         self.project_pooled(y, pool);
     }
 
     fn norm_bound(&self) -> f64 {
         self.op.norm_bound()
     }
+}
+
+thread_local! {
+    /// [`DeflatedOp`]'s projected copy of its input, kept per thread so an
+    /// inner MINRES matvec does not allocate. Per thread keeps the operator
+    /// `Sync` for TraceMin's pooled tasks.
+    static SCRATCH: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
+}
+
+/// Runs `f` on a copy of `x` held in this thread's scratch buffer. The
+/// buffer is taken out for the call, so a nested call allocates instead of
+/// aliasing it.
+fn with_scratch_copy(x: &[f64], f: impl FnOnce(&mut [f64])) {
+    let mut xp = SCRATCH.take();
+    xp.clear();
+    xp.extend_from_slice(x);
+    f(&mut xp);
+    SCRATCH.set(xp);
 }
 
 /// Euclidean norm from the fixed-grid chunked [`sparsemat::par::det_dot`]:

@@ -8,6 +8,7 @@
 //! connection whose queue grows past the high watermark stops being read
 //! until the peer drains it below the low watermark.
 
+use crate::scan::{find, lanes_eq};
 use std::collections::VecDeque;
 use std::io::{self, Write};
 
@@ -30,10 +31,16 @@ impl std::fmt::Display for LineError {
     }
 }
 
+/// Index of the first `\n` in `bytes`, eight bytes per step.
+fn find_newline(bytes: &[u8]) -> Option<usize> {
+    find(bytes, |w| lanes_eq(w, b'\n'))
+}
+
 /// An append-only read buffer that hands back complete `\n`-terminated
-/// lines. Scanning is incremental (bytes are examined once), and consumed
-/// prefixes are compacted away opportunistically so a long-lived connection
-/// does not grow without bound.
+/// lines. Scanning is incremental (bytes are examined once, a word at a
+/// time — see [`crate::scan`]), and consumed prefixes are compacted away
+/// opportunistically so a long-lived connection does not grow without
+/// bound.
 #[derive(Debug)]
 pub struct LineBuf {
     buf: Vec<u8>,
@@ -63,7 +70,8 @@ impl LineBuf {
         if self.buf.len() - self.start > self.max_line {
             // Only a cap violation if no newline exists in the window —
             // scan before giving up (pop_line would release the space).
-            if !self.buf[self.start..].contains(&b'\n') {
+            // Bytes before `scanned` are known to hold none.
+            if find_newline(&self.buf[self.scanned.max(self.start)..]).is_none() {
                 return Err(LineError::TooLong);
             }
         }
@@ -74,10 +82,7 @@ impl LineBuf {
     /// preceding `\r` is kept; callers trim). `Ok(None)` means no complete
     /// line is buffered yet.
     pub fn pop_line(&mut self) -> Result<Option<String>, LineError> {
-        let rel = self.buf[self.scanned.max(self.start)..]
-            .iter()
-            .position(|&b| b == b'\n');
-        match rel {
+        match find_newline(&self.buf[self.scanned.max(self.start)..]) {
             None => {
                 self.scanned = self.buf.len();
                 if self.buf.len() - self.start > self.max_line {

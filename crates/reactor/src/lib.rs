@@ -3,7 +3,8 @@
 //! The socket engine under `spectral-orderd`'s v2 pipelined wire protocol.
 //! One small crate, zero dependencies: a readiness loop over a minimal
 //! `poll(2)` FFI shim ([`poll`]), per-connection line/write buffers
-//! ([`buffers`]), and the event loop itself ([`reactor`]) with a
+//! ([`buffers`]) over a word-at-a-time byte search ([`scan`], shared with
+//! the service's JSON codec), and the event loop itself ([`reactor`]) with a
 //! cross-thread inbox+waker so worker pools can hand finished responses
 //! back to the loop that owns the connection.
 //!
@@ -59,6 +60,7 @@
 pub mod buffers;
 pub mod poll;
 pub mod reactor;
+pub mod scan;
 
 pub use buffers::{LineBuf, LineError, WriteQueue};
 pub use reactor::{start, ConnCtx, Handle, Handler, ReactorConfig, ReactorGroup, Token};

@@ -17,6 +17,7 @@ use crate::proto::{
 };
 use crate::server::Config;
 use se_faults::{lock_unpoisoned, sites, Budget, FaultPlane};
+use se_order::Algorithm;
 use se_trace::{SpanEvent, Tracer};
 use sparsemat::pattern::SymmetricPattern;
 use std::collections::{HashMap, HashSet};
@@ -474,10 +475,15 @@ impl Engine {
             t => t.min(sparsemat::par::available_threads()),
         };
         let mut solver = se_order::SolverOpts::with_threads(threads);
-        // Run on the shared per-thread-count pool instead of spawning
-        // workers for this one request; concurrent TraceMin solves at the
-        // same count overlap their regions on one pool.
-        solver.pool = Some(self.solver_pool(threads));
+        // TraceMin, the one pooled solver, runs on the shared
+        // per-thread-count pool instead of spawning workers for this one
+        // request; concurrent TraceMin solves at the same count overlap
+        // their regions on one pool. Every other algorithm solves on this
+        // worker thread, so a daemon that never serves TraceMin never
+        // builds a solver pool.
+        if req.alg == Algorithm::TraceMin {
+            solver.pool = Some(self.solver_pool(threads));
+        }
         // Every computed ordering runs under an enabled tracer: its span
         // tree feeds the per-stage histograms METRICS exposes and, when the
         // request asked, the response's trace field. An enabled tracer
@@ -1241,6 +1247,40 @@ mod tests {
         }
         let _ = e.solver_pool(3);
         assert_eq!(e.solver_pool_health().cached, base + 2);
+    }
+
+    #[test]
+    fn only_tracemin_misses_build_a_solver_pool() {
+        let e = test_engine();
+        let path = |n: usize| {
+            let mut m = format!(
+                "%%MatrixMarket matrix coordinate pattern symmetric\n{n} {n} {}\n",
+                n - 1
+            );
+            for i in 1..n {
+                m.push_str(&format!("{} {i}\n", i + 1));
+            }
+            m
+        };
+        let miss = |alg, n| {
+            let mut req = OrderRequest::inline_mtx(alg, path(n));
+            req.threads = Some(2);
+            let resp = e
+                .execute_order(&req, &Budget::unlimited(), None)
+                .expect("order succeeds");
+            assert!(!resp.cache_hit);
+        };
+        miss(Algorithm::Spectral, 40);
+        miss(Algorithm::Rcm, 41);
+        assert_eq!(e.solver_pool_health().cached, 0);
+        // Two TraceMin misses share one pool (none on a one-core host,
+        // where the request's two threads clamp to a serial solve).
+        miss(Algorithm::TraceMin, 42);
+        miss(Algorithm::TraceMin, 43);
+        assert_eq!(
+            e.solver_pool_health().cached,
+            usize::from(sparsemat::par::available_threads() > 1)
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! escapes, numbers (f64), booleans and null. Object key order is
 //! preserved so responses are stable and diffable in tests.
 
+use se_reactor::scan::{find, lanes_below, lanes_eq};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -43,6 +44,18 @@ impl Json {
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Moves object field `key` (first match) out, leaving `null` behind,
+    /// so a decoder can keep a large string without copying it.
+    pub(crate) fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(pairs) => pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Json::Null)),
             _ => None,
         }
     }
@@ -97,7 +110,7 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -139,21 +152,37 @@ impl Json {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// The bytes a JSON string cannot hold literally — `"`, `\` and controls
+/// below 0x20 — flagged per lane of an eight-byte word. The parser stops
+/// on them to unescape, the writer to escape.
+fn special_lanes(w: u64) -> u64 {
+    lanes_eq(w, b'"') | lanes_eq(w, b'\\') | lanes_below(w, 0x20)
+}
+
+/// Writes `s` as a quoted JSON string. The runs between bytes that need
+/// escaping are copied whole; those bytes are ASCII, so every run ends on
+/// a char boundary.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
+    // Room for an escape every 8 bytes, which covers a matrix payload's
+    // one `\n` per entry line without growing the buffer mid-copy.
+    out.reserve(s.len() + s.len() / 8 + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut rest = s;
+    while let Some(i) = find(rest.as_bytes(), special_lanes) {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{:04x}", c);
             }
-            c => out.push(c),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -178,6 +207,7 @@ impl std::error::Error for JsonError {}
 /// garbage rejected).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -195,6 +225,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -263,7 +294,7 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
+        let text = &self.src[start..self.pos];
         text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
             message: format!("bad number '{text}'"),
             offset: start,
@@ -274,13 +305,22 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
+            // Copy the run of plain characters up to the next quote,
+            // backslash or control byte in one piece. Those delimiters are
+            // ASCII, so the run is a `str` slice of the input: no per-byte
+            // tests and no UTF-8 revalidation.
+            let Some(run) = find(&self.bytes[self.pos..], special_lanes) else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
+            match self.bytes[self.pos] {
+                b'"' => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                b'\\' => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -316,25 +356,7 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Batch-copy the whole run of plain characters up to
-                    // the next quote, backslash, or control byte. Those
-                    // delimiters are ASCII, so the run ends on a char
-                    // boundary and one UTF-8 validation covers the run —
-                    // keeping long strings (inline matrix payloads) O(n)
-                    // instead of revalidating the tail per character.
-                    let start = self.pos;
-                    while let Some(&b) = self.bytes.get(self.pos) {
-                        if b == b'"' || b == b'\\' || b < 0x20 {
-                            break;
-                        }
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(run);
-                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }

@@ -25,7 +25,7 @@
 //! response is bit-identical in content across both modes.
 
 use crate::frame::{encode_perm_frame, encode_perm_json, FrameMode};
-use crate::json::{parse, Json, JsonError};
+use crate::json::{parse, write_escaped, Json, JsonError};
 use se_order::Algorithm;
 use sparsemat::envelope::EnvelopeStats;
 use std::sync::Arc;
@@ -1055,53 +1055,70 @@ fn response_from_json(v: &Json) -> Result<Response, ProtoError> {
     Ok(Response::Order(order_response_from_json(v)?))
 }
 
+/// Appends an ORDER request object to `out`. The payload is escaped
+/// straight from the request: it is never cloned into a [`Json`] value.
+fn write_order(out: &mut String, o: &OrderRequest) {
+    fn key(out: &mut String, k: &str) {
+        out.push(',');
+        write_escaped(out, k);
+        out.push(':');
+    }
+    out.push_str(r#"{"cmd":"ORDER""#);
+    key(out, "alg");
+    write_escaped(out, algorithm_wire_name(o.alg));
+    match &o.source {
+        MatrixSource::Inline { format, payload } => {
+            key(out, "format");
+            write_escaped(out, format.wire_name());
+            key(out, "payload");
+            write_escaped(out, payload);
+        }
+        MatrixSource::Path(p) => {
+            key(out, "path");
+            write_escaped(out, p);
+        }
+    }
+    let optional = [
+        ("timeout_ms", o.timeout_ms.map(|t| Json::Num(t as f64))),
+        (
+            "include_perm",
+            (!o.include_perm).then_some(Json::Bool(false)),
+        ),
+        ("threads", o.threads.map(|t| Json::Num(t as f64))),
+        ("compressed", o.compressed.then_some(Json::Bool(true))),
+        ("trace", o.trace.then_some(Json::Bool(true))),
+        ("id", o.id.map(|id| Json::Num(id as f64))),
+        ("progress", o.progress.then_some(Json::Bool(true))),
+        ("hop", o.hop.then_some(Json::Bool(true))),
+    ];
+    for (k, v) in optional {
+        if let Some(v) = v {
+            key(out, k);
+            v.write(out);
+        }
+    }
+    out.push('}');
+}
+
 /// Serializes a [`Request`] to its wire line (no trailing newline).
 pub fn encode_request(r: &Request) -> String {
-    fn order_fields(o: &OrderRequest) -> Vec<(String, Json)> {
-        let mut pairs = vec![
-            ("cmd".to_string(), Json::Str("ORDER".to_string())),
-            (
-                "alg".to_string(),
-                Json::Str(algorithm_wire_name(o.alg).to_string()),
-            ),
-        ];
-        match &o.source {
-            MatrixSource::Inline { format, payload } => {
-                pairs.push((
-                    "format".to_string(),
-                    Json::Str(format.wire_name().to_string()),
-                ));
-                pairs.push(("payload".to_string(), Json::Str(payload.clone())));
-            }
-            MatrixSource::Path(p) => pairs.push(("path".to_string(), Json::Str(p.clone()))),
-        }
-        if let Some(t) = o.timeout_ms {
-            pairs.push(("timeout_ms".to_string(), Json::Num(t as f64)));
-        }
-        if !o.include_perm {
-            pairs.push(("include_perm".to_string(), Json::Bool(false)));
-        }
-        if let Some(t) = o.threads {
-            pairs.push(("threads".to_string(), Json::Num(t as f64)));
-        }
-        if o.compressed {
-            pairs.push(("compressed".to_string(), Json::Bool(true)));
-        }
-        if o.trace {
-            pairs.push(("trace".to_string(), Json::Bool(true)));
-        }
-        if let Some(id) = o.id {
-            pairs.push(("id".to_string(), Json::Num(id as f64)));
-        }
-        if o.progress {
-            pairs.push(("progress".to_string(), Json::Bool(true)));
-        }
-        if o.hop {
-            pairs.push(("hop".to_string(), Json::Bool(true)));
-        }
-        pairs
-    }
     let v = match r {
+        Request::Order(o) => {
+            let mut out = String::new();
+            write_order(&mut out, o);
+            return out;
+        }
+        Request::Batch(items) => {
+            let mut out = String::from(r#"{"cmd":"BATCH","requests":["#);
+            for (i, o) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_order(&mut out, o);
+            }
+            out.push_str("]}");
+            return out;
+        }
         Request::Hello { frames, proto } => {
             let mut pairs = vec![
                 ("cmd", Json::Str("HELLO".to_string())),
@@ -1114,14 +1131,6 @@ pub fn encode_request(r: &Request) -> String {
             }
             Json::obj(pairs)
         }
-        Request::Order(o) => Json::Obj(order_fields(o)),
-        Request::Batch(items) => Json::obj(vec![
-            ("cmd", Json::Str("BATCH".to_string())),
-            (
-                "requests",
-                Json::Arr(items.iter().map(|o| Json::Obj(order_fields(o))).collect()),
-            ),
-        ]),
         Request::Stats => Json::obj(vec![("cmd", Json::Str("STATS".to_string()))]),
         Request::Cancel { id } => Json::obj(vec![
             ("cmd", Json::Str("CANCEL".to_string())),
@@ -1158,7 +1167,9 @@ pub fn encode_request(r: &Request) -> String {
     v.to_string_compact()
 }
 
-fn order_request_from_json(v: &Json) -> Result<OrderRequest, ProtoError> {
+/// Builds an ORDER request from its parsed object, moving the payload
+/// string out instead of copying it.
+fn order_request_from_json(mut v: Json) -> Result<OrderRequest, ProtoError> {
     let alg_name = v.get("alg").and_then(Json::as_str).unwrap_or("spectral");
     let alg = parse_algorithm(alg_name).ok_or_else(|| {
         shape(format!(
@@ -1166,12 +1177,14 @@ fn order_request_from_json(v: &Json) -> Result<OrderRequest, ProtoError> {
             algorithm_names()
         ))
     })?;
-    let source = match (v.get("payload"), v.get("path")) {
-        (Some(payload), None) => {
-            let payload = payload
-                .as_str()
-                .ok_or_else(|| shape("payload must be a string"))?
-                .to_string();
+    let source = match (v.get("payload").is_some(), v.get("path")) {
+        (true, None) => {
+            let Some(Json::Str(mut payload)) = v.take("payload") else {
+                return Err(shape("payload must be a string"));
+            };
+            // The decoder grew the string by doubling: return the slack,
+            // so a queued or forwarded request holds only its payload.
+            payload.shrink_to_fit();
             let format = match v.get("format") {
                 Some(f) => {
                     let name = f.as_str().ok_or_else(|| shape("format must be a string"))?;
@@ -1182,13 +1195,13 @@ fn order_request_from_json(v: &Json) -> Result<OrderRequest, ProtoError> {
             };
             MatrixSource::Inline { format, payload }
         }
-        (None, Some(path)) => MatrixSource::Path(
+        (false, Some(path)) => MatrixSource::Path(
             path.as_str()
                 .ok_or_else(|| shape("path must be a string"))?
                 .to_string(),
         ),
-        (Some(_), Some(_)) => return Err(shape("give either payload or path, not both")),
-        (None, None) => return Err(shape("ORDER needs a payload or a path")),
+        (true, Some(_)) => return Err(shape("give either payload or path, not both")),
+        (false, None) => return Err(shape("ORDER needs a payload or a path")),
     };
     let timeout_ms = match v.get("timeout_ms") {
         None => None,
@@ -1234,7 +1247,7 @@ fn order_request_from_json(v: &Json) -> Result<OrderRequest, ProtoError> {
 
 /// Parses a request line.
 pub fn decode_request(line: &str) -> Result<Request, ProtoError> {
-    let v = parse(line).map_err(ProtoError::Json)?;
+    let mut v = parse(line).map_err(ProtoError::Json)?;
     let cmd = v
         .get("cmd")
         .and_then(Json::as_str)
@@ -1263,17 +1276,16 @@ pub fn decode_request(line: &str) -> Result<Request, ProtoError> {
             };
             Ok(Request::Hello { frames, proto })
         }
-        "ORDER" => Ok(Request::Order(order_request_from_json(&v)?)),
+        "ORDER" => Ok(Request::Order(order_request_from_json(v)?)),
         "BATCH" => {
-            let items = v
-                .get("requests")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| shape("BATCH needs a requests array"))?;
+            let Some(Json::Arr(items)) = v.take("requests") else {
+                return Err(shape("BATCH needs a requests array"));
+            };
             if items.is_empty() {
                 return Err(shape("BATCH must contain at least one request"));
             }
             items
-                .iter()
+                .into_iter()
                 .map(order_request_from_json)
                 .collect::<Result<Vec<_>, _>>()
                 .map(Request::Batch)
