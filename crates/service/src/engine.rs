@@ -386,11 +386,12 @@ impl Engine {
         }
     }
 
-    /// Worker-side execution: consult the payload alias, else parse,
-    /// consult the cache, order, record metrics. A hit returns the cache's
-    /// pre-encoded payload ([`PermPayload::Cached`]) so the session writes
-    /// the stored bytes without re-encoding; a miss inserts and reuses the
-    /// freshly encoded payload the same way. The ordering runs through the
+    /// Worker-side execution: consult the payload alias, then the mesh's
+    /// route memo, else parse, consult the cache, order, record metrics.
+    /// A hit returns the cache's pre-encoded payload
+    /// ([`PermPayload::Cached`]) so the session writes the stored bytes
+    /// without re-encoding; a miss inserts and reuses the freshly encoded
+    /// payload the same way. The ordering runs through the
     /// graceful-degradation ladder under `budget`, so an exhausted
     /// deadline, a CANCEL or an injected solver fault yields a valid
     /// (degraded) permutation instead of an error whenever possible.
@@ -413,6 +414,21 @@ impl Engine {
         let alias = self.payload_alias(req);
         if let Some(hit) = alias.as_ref().and_then(|a| self.cache.get_alias(a)) {
             return self.finish(req, t0, self.hit_response(req, hit));
+        }
+        // Mesh: an exact resend of a payload this node already forwarded
+        // is forwarded again under its remembered key, without parsing or
+        // keying it, while the live ring still routes that key elsewhere.
+        // If every peer fails, the request computes locally below without
+        // a second forward round. `hop` marks a request that already
+        // crossed the mesh once; it is never forwarded again.
+        let mut forwarder = self.mesh.as_ref().filter(|_| !req.hop);
+        if let (Some(mesh), Some(alias)) = (forwarder, &alias) {
+            if let Some(key) = mesh.remembered_route(alias).filter(|&k| !mesh.owns(k)) {
+                if let Some(resp) = mesh.forward(key, req, &self.metrics) {
+                    return self.relay(req, t0, resp);
+                }
+                forwarder = None;
+            }
         }
         let g = match load_pattern(&req.source) {
             Ok(g) => g,
@@ -439,29 +455,18 @@ impl Engine {
         }
         // Mesh: a local miss for a key another node is responsible for
         // forwards to the owner (then its replicas) and relays the peer's
-        // response unchanged — degraded marker, trace and all. `hop` marks
-        // a request that already crossed the mesh once; the receiver
-        // answers strictly locally, so disagreeing ring views cost at most
-        // one wasted computation, never a loop. When every candidate peer
-        // is unreachable the request falls through to local computation:
-        // the mesh degrades to independent nodes instead of erroring.
-        if !req.hop {
-            if let Some(mesh) = &self.mesh {
-                if !mesh.owns(key) {
-                    if let Some(resp) = mesh.forward(key, req, &self.metrics) {
-                        if self.log_requests {
-                            eprintln!(
-                                "[spectral-orderd] op=order id={} alg={} n={} nnz={} cache=forward micros={}",
-                                req.id.map_or_else(|| "-".to_string(), |i| i.to_string()),
-                                req.alg.name(),
-                                g.n(),
-                                g.nnz_lower_with_diagonal(),
-                                t0.elapsed().as_micros(),
-                            );
-                        }
-                        return Ok(resp);
-                    }
+        // response unchanged — degraded marker, trace and all. A `hop`
+        // request's receiver answers strictly locally, so disagreeing ring
+        // views cost at most one wasted computation, never a loop. When
+        // every candidate peer is unreachable the request falls through to
+        // local computation: the mesh degrades to independent nodes
+        // instead of erroring.
+        if let Some(mesh) = forwarder.filter(|m| !m.owns(key)) {
+            if let Some(resp) = mesh.forward(key, req, &self.metrics) {
+                if let Some(alias) = alias {
+                    mesh.remember_route(alias, key);
                 }
+                return self.relay(req, t0, resp);
             }
         }
         self.metrics.inc(&self.metrics.cache_misses);
@@ -640,19 +645,32 @@ impl Engine {
     /// records the latency histogram and writes the request log line.
     fn finish(&self, req: &OrderRequest, t0: Instant, mut resp: OrderResponse) -> OrderOutcome {
         resp.micros = t0.elapsed().as_micros() as u64;
-        self.metrics.latency.record(req.alg.name(), resp.micros);
+        let cache = if resp.cache_hit { "hit" } else { "miss" };
+        self.record(req, &resp, cache, resp.micros);
+        Ok(resp)
+    }
+
+    /// The tail of a forwarded ORDER: the owner's response is relayed
+    /// unchanged, its `micros` included, while this node's latency
+    /// histogram and request log take this node's own elapsed time.
+    fn relay(&self, req: &OrderRequest, t0: Instant, resp: OrderResponse) -> OrderOutcome {
+        self.record(req, &resp, "forward", t0.elapsed().as_micros() as u64);
+        Ok(resp)
+    }
+
+    /// Records one answered ORDER in the latency histogram and the
+    /// request log line.
+    fn record(&self, req: &OrderRequest, resp: &OrderResponse, cache: &str, micros: u64) {
+        self.metrics.latency.record(req.alg.name(), micros);
         if self.log_requests {
             eprintln!(
-                "[spectral-orderd] op=order id={} alg={} n={} nnz={} cache={} micros={}",
+                "[spectral-orderd] op=order id={} alg={} n={} nnz={} cache={cache} micros={micros}",
                 req.id.map_or_else(|| "-".to_string(), |i| i.to_string()),
                 req.alg.name(),
                 resp.n,
                 resp.nnz,
-                if resp.cache_hit { "hit" } else { "miss" },
-                resp.micros,
             );
         }
-        Ok(resp)
     }
 
     /// The METRICS exposition ([`Metrics::render_prometheus`]).

@@ -365,9 +365,15 @@ impl<'a> Parser<'a> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+        // Exactly four hex digits: `u32::from_str_radix` alone would also
+        // take a leading `+`.
+        let digits = &self.bytes[self.pos..self.pos + 4];
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("bad \\u escape"));
+        }
+        let v = digits.iter().fold(0, |v, &b| {
+            (v << 4) | char::from(b).to_digit(16).expect("an ASCII hex digit")
+        });
         self.pos += 4;
         Ok(v)
     }
@@ -456,6 +462,15 @@ mod tests {
         assert_eq!(parse(r#""é""#).unwrap(), Json::Str("é".to_string()));
         // Surrogate pair for 😀 (U+1F600).
         assert_eq!(parse(r#""😀""#).unwrap(), Json::Str("😀".to_string()));
+        assert_eq!(
+            parse(r#""\u00e9\ud83d\ude00""#).unwrap(),
+            Json::Str("é😀".to_string())
+        );
+        // A `\u` escape takes exactly four hex digits; a sign is not one.
+        for bad in [r#""\u+123""#, r#""\u+0041""#, r#""\u-123""#] {
+            let err = parse(bad).unwrap_err();
+            assert_eq!((err.message.as_str(), err.offset), ("bad \\u escape", 3));
+        }
     }
 
     #[test]

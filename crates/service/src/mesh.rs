@@ -16,6 +16,10 @@
 //!   an extra computation but never a forwarding loop. If every candidate
 //!   peer is unreachable the node simply computes the answer itself —
 //!   the mesh degrades to independent single nodes, it never errors.
+//!   A bounded route memo (`Mesh::remembered_route`) maps the payload
+//!   alias of each successfully forwarded inline request to its key, so
+//!   an exact resend is forwarded without being parsed or keyed again;
+//!   ownership is still decided on the live ring at every forward.
 //! * **replicate** — after the owner computes a cacheable entry, it
 //!   pushes the entry (in the spill-file byte layout,
 //!   [`crate::persist::encode_entry`]) to the next `replicas - 1` ring
@@ -56,13 +60,14 @@
 //! [`sites::PEER_HINT_CORRUPT`] flips bits in stored hints — the chaos
 //! suite drives the self-healing proof through them.
 
+use crate::cache::PayloadAlias;
 use crate::client::{Client, ClientError, ClientPool, RetryPolicy};
 use crate::frame::FrameMode;
 use crate::hints::HintLog;
 use crate::membership::{Clock, MemberTable, Transition};
 use crate::metrics::Metrics;
 use crate::persist::{self, PersistedEntry};
-use crate::proto::{OrderRequest, OrderResponse};
+use crate::proto::{OrderRequest, OrderResponse, Request, Response};
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use crate::server::Config;
 use se_faults::{lock_unpoisoned, sites, FaultPlane};
@@ -74,6 +79,10 @@ use std::time::{Duration, Instant};
 
 /// Idle connections parked per peer.
 const MESH_MAX_IDLE: usize = 2;
+
+/// Route memo entries kept before the memo is cleared. Each entry is a
+/// 32-byte alias and an 8-byte key, so a full memo stays near 100 KiB.
+const ROUTE_MEMO_CAP: usize = 1024;
 
 /// The retry policy for one forward attempt against one peer. Much
 /// tighter than the client-facing default: a dead peer must fail fast so
@@ -171,6 +180,10 @@ pub struct Mesh {
     members: MemberTable,
     /// Undeliverable replication/handoff pushes, keyed by target.
     hints: HintLog,
+    /// Payload alias → pattern key of inline requests this node forwarded
+    /// ([`Mesh::remembered_route`]); cleared when it reaches
+    /// [`ROUTE_MEMO_CAP`].
+    routes: Mutex<HashMap<PayloadAlias, u64>>,
     dial_timeout: Duration,
     io_timeout: Duration,
     retry: RetryPolicy,
@@ -217,6 +230,7 @@ impl Mesh {
                 tuning.dead_after_ms,
             ),
             hints: HintLog::new(tuning.hint_dir.as_deref(), tuning.hint_cap, faults.clone()),
+            routes: Mutex::new(HashMap::new()),
             dial_timeout: tuning.dial_timeout,
             io_timeout: tuning.io_timeout,
             retry: mesh_retry_policy(),
@@ -316,6 +330,26 @@ impl Mesh {
         self.hints.peers_with_hints()
     }
 
+    /// The pattern key of a payload this node forwarded before, by the
+    /// payload's alias. The alias determines the key exactly as far as it
+    /// determines a cache entry, so a remembered key needs no
+    /// invalidation; whether this node owns it is asked of the live ring
+    /// at each use.
+    pub(crate) fn remembered_route(&self, alias: &PayloadAlias) -> Option<u64> {
+        lock_unpoisoned(&self.routes).get(alias).copied()
+    }
+
+    /// Records that the payload named by `alias` was forwarded under
+    /// `key`. A full memo is cleared first: each payload it held then
+    /// costs one more parse on its next resend.
+    pub(crate) fn remember_route(&self, alias: PayloadAlias, key: u64) {
+        let mut routes = lock_unpoisoned(&self.routes);
+        if routes.len() >= ROUTE_MEMO_CAP && !routes.contains_key(&alias) {
+            routes.clear();
+        }
+        routes.insert(alias, key);
+    }
+
     /// Forwards `req` for `key` to the live owning peer, falling back
     /// through the key's live replica successors; returns the first
     /// response, relayed verbatim. `None` means every candidate was
@@ -328,13 +362,16 @@ impl Mesh {
         metrics: &Metrics,
     ) -> Option<OrderResponse> {
         let t0 = Instant::now();
-        let mut hopped = req.clone();
         // One hop only: the receiver answers locally no matter what its
         // own ring says. Progress streaming and cancel ids are
-        // connection-local concepts and do not survive the hop.
-        hopped.hop = true;
-        hopped.id = None;
-        hopped.progress = false;
+        // connection-local concepts and do not survive the hop. The
+        // request is built once and sent by reference on every attempt.
+        let hopped = Request::Order(OrderRequest {
+            hop: true,
+            id: None,
+            progress: false,
+            ..req.clone()
+        });
         let candidates: Vec<String> = self
             .live_route(key, self.replicas)
             .into_iter()
@@ -609,7 +646,7 @@ impl Mesh {
     /// One ORDER against one peer, retried under the mesh policy while
     /// the failure is retriable. A simulated partition
     /// ([`sites::PEER_PARTITION`]) fails each attempt before it dials.
-    fn try_order(&self, peer: &str, req: &OrderRequest) -> Result<OrderResponse, ClientError> {
+    fn try_order(&self, peer: &str, req: &Request) -> Result<OrderResponse, ClientError> {
         let delays = self.retry.delays();
         let mut attempt = 0usize;
         loop {
@@ -620,9 +657,12 @@ impl Mesh {
                 )))
             } else {
                 self.checkout(peer).and_then(|mut client| {
-                    let resp = client.order(req.clone())?;
+                    let resp = client.roundtrip(req)?;
                     self.checkin(peer, client);
-                    Ok(resp)
+                    match resp {
+                        Response::Order(resp) => Ok(resp),
+                        _ => Err(ClientError::UnexpectedResponse("an ORDER response")),
+                    }
                 })
             };
             match result {
@@ -852,6 +892,30 @@ mod tests {
         assert!(m.replicate_allowed("10.0.0.9".parse().ok()));
         m.depart("10.0.0.9:7878");
         assert!(m.replicate_allowed("10.0.0.9".parse().ok()));
+    }
+
+    #[test]
+    fn route_memo_stays_within_its_bound() {
+        let m = mesh(1);
+        let alias = |i: usize| {
+            PayloadAlias::of(
+                crate::proto::MatrixFormat::Chaco,
+                se_order::Algorithm::Rcm,
+                false,
+                &i.to_le_bytes(),
+            )
+        };
+        for i in 0..3 * ROUTE_MEMO_CAP {
+            m.remember_route(alias(i), i as u64);
+            assert!(lock_unpoisoned(&m.routes).len() <= ROUTE_MEMO_CAP);
+            assert_eq!(m.remembered_route(&alias(i)), Some(i as u64));
+        }
+        // The memo is full now; re-recording a present alias keeps it.
+        let last = 3 * ROUTE_MEMO_CAP - 1;
+        m.remember_route(alias(last), 7);
+        assert_eq!(lock_unpoisoned(&m.routes).len(), ROUTE_MEMO_CAP);
+        assert_eq!(m.remembered_route(&alias(last - 1)), Some(last as u64 - 1));
+        assert_eq!(m.remembered_route(&alias(last)), Some(7));
     }
 
     #[test]

@@ -123,6 +123,32 @@ fn counter(stats: &Json, name: &str) -> u64 {
     stats.get(name).and_then(Json::as_u64).unwrap_or(u64::MAX)
 }
 
+/// Cache lookups counted as misses, summed over the shards.
+fn shard_misses(stats: &Json) -> u64 {
+    stats
+        .get("cache")
+        .and_then(|c| c.get("shards"))
+        .and_then(Json::as_arr)
+        .expect("per-shard table")
+        .iter()
+        .map(|s| {
+            s.get("misses")
+                .and_then(Json::as_u64)
+                .expect("shard misses")
+        })
+        .sum()
+}
+
+/// ORDERs `alg` recorded in the latency histogram.
+fn latency_count(stats: &Json, alg: &str) -> u64 {
+    stats
+        .get("latency_us_by_algorithm")
+        .and_then(|t| t.get(alg))
+        .and_then(|h| h.get("count"))
+        .and_then(Json::as_u64)
+        .unwrap_or(0)
+}
+
 /// The headline acceptance test: a key owned by a remote node is served
 /// through any member bit-identically to a standalone server — forwarded
 /// and computed at the owner on the first ask, relayed from the owner's
@@ -193,6 +219,47 @@ fn three_node_mesh_serves_remote_owned_keys_bit_identically() {
     assert!(text.contains("se_peer_mesh_size 3"));
     assert!(text.contains("se_peer_replication_factor 1"));
     assert!(text.contains("se_peer_forwards_total 1"));
+}
+
+/// A non-owner parses and keys a payload only the first time it forwards
+/// it: its route memo sends every exact resend straight to the owner. The
+/// first ask counts one shard miss, the next `K` count `K` forwards and no
+/// miss, every forwarded ORDER lands in the non-owner's latency histogram,
+/// and every answer is the owner-local one bit for bit.
+#[test]
+fn exact_resends_to_a_non_owner_forward_without_a_local_lookup() {
+    const K: u64 = 4;
+    let addrs = reserve_addrs(2);
+    let handles = start_mesh(&addrs, 1, |_, _| {});
+    let (g, _) = graph_owned_by(&handles[0], &addrs[1]);
+    let req = || chaco_request(&g, se_order::Algorithm::Rcm);
+
+    // The ground truth: the owner computes and then answers from its cache.
+    let mut owner = Client::connect(handles[1].local_addr()).unwrap();
+    owner.order(req()).unwrap();
+    let mut reference = owner.order(req()).unwrap();
+    assert!(reference.cache_hit);
+    reference.micros = 0;
+
+    let mut c = Client::connect(handles[0].local_addr()).unwrap();
+    let mut last = c.stats().unwrap();
+    for i in 0..=K {
+        let mut r = c.order(req()).unwrap();
+        r.micros = 0;
+        assert_eq!(r, reference, "resend {i} ≠ the owner-local answer");
+        let now = c.stats().unwrap();
+        let misses = shard_misses(&now) - shard_misses(&last);
+        assert_eq!(misses, u64::from(i == 0), "shard misses on resend {i}");
+        assert_eq!(
+            counter(&now, "peer_forwards") - counter(&last, "peer_forwards"),
+            1
+        );
+        assert_eq!(latency_count(&now, "RCM") - latency_count(&last, "RCM"), 1);
+        last = now;
+    }
+    assert_eq!(counter(&last, "peer_forwards"), K + 1);
+    assert_eq!(counter(&last, "peer_forward_failures"), 0);
+    assert_eq!(counter(&last, "cache_misses"), 0, "nothing computed here");
 }
 
 /// With `--replicas 2` the owner pushes each freshly computed entry to

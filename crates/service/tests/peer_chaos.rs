@@ -219,6 +219,64 @@ fn injected_partition_degrades_to_local_compute() {
     assert_eq!(counter(&other, "orders"), 0);
 }
 
+/// A resend whose remembered route fails answers locally after exactly
+/// one forward round: the route memo's forward fails, and the parse path
+/// behind it computes without forwarding a second time. The answer still
+/// carries the owner's bits.
+#[test]
+fn partitioned_route_memo_forward_answers_locally_in_one_round() {
+    let addrs = reserve_addrs(2);
+    let faults = FaultPlane::seeded(11);
+    let plane = faults.clone();
+    let handles = start_mesh(&addrs, 1, |i, cfg| {
+        if i == 0 {
+            cfg.faults = plane.clone();
+        }
+    });
+    let alg = se_order::Algorithm::Rcm;
+    let g = graph_owned_by(&handles[0], &addrs[1], alg);
+    // A second remote-owned payload the memo never sees, to measure what
+    // one forward round fires.
+    let other = (8..400)
+        .map(|w| meshgen::grid2d(w, 9))
+        .find(|h| {
+            let key = se_service::cache::pattern_key(h, alg, false);
+            handles[0].engine().mesh().unwrap().ring().owner(key) == addrs[1]
+        })
+        .expect("a second probe graph owned by the peer");
+
+    let mut c = Client::connect(handles[0].local_addr()).unwrap();
+    let primed = c.order(chaco_request(&g, alg)).unwrap();
+    assert_eq!(counter(&c.stats().unwrap(), "peer_forwards"), 1);
+
+    faults.arm(sites::PEER_PARTITION);
+    c.order(chaco_request(&other, alg)).unwrap();
+    let one_round = faults.fired(sites::PEER_PARTITION);
+    assert!(one_round >= 1, "the parse path's round hit the site");
+    let failures = counter(&c.stats().unwrap(), "peer_forward_failures");
+
+    let r = c
+        .order(chaco_request(&g, alg))
+        .expect("a partitioned peer must never surface as an error");
+    assert_eq!(
+        faults.fired(sites::PEER_PARTITION),
+        2 * one_round,
+        "the memo's failed forward is the resend's only round"
+    );
+    assert!(!r.cache_hit, "computed locally");
+    assert_eq!(r.perm, primed.perm, "the owner's bits");
+    assert_eq!((r.stats, r.n, r.nnz), (primed.stats, primed.n, primed.nnz));
+    let s = c.stats().unwrap();
+    assert_eq!(counter(&s, "peer_forwards"), 1);
+    assert_eq!(counter(&s, "peer_forward_failures"), failures + 1);
+    // The owner saw only the priming ORDER.
+    let owner = Client::connect(handles[1].local_addr())
+        .unwrap()
+        .stats()
+        .unwrap();
+    assert_eq!(counter(&owner, "orders"), 1);
+}
+
 /// A peer failure composes with the solver's own degradation ladder: the
 /// owner is dead *and* the survivor's eigensolvers are forced to
 /// non-convergence, yet the answer is still a valid permutation — RCM,

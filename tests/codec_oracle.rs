@@ -180,9 +180,15 @@ impl RefParser<'_> {
         if self.pos + 4 > self.bytes.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("bad \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+        // Exactly four hex digits: `u32::from_str_radix` alone would also
+        // take a leading `+`.
+        let digits = &self.bytes[self.pos..self.pos + 4];
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("bad \\u escape"));
+        }
+        let v = digits.iter().fold(0, |v, &b| {
+            (v << 4) | char::from(b).to_digit(16).expect("an ASCII hex digit")
+        });
         self.pos += 4;
         Ok(v)
     }
@@ -346,6 +352,7 @@ fn special_fragments() -> Vec<String> {
             "\\u12",
             "\\u12G4",
             "\\u+123",
+            "\\u+0041",
             "\\x",
             "\\",
             "é",
