@@ -179,7 +179,9 @@ pub fn fiedler(g: &SymmetricPattern, opts: &SolverOpts) -> Result<FiedlerResult>
     drop(coarsest_sp);
 
     // Walk back up: levels[k] maps (graph at level k) -> (graph at k+1).
-    // The graph at level k is `g` for k = 0 else levels[k-1].coarse.
+    // The graph at level k is `g` for k = 0 else levels[k-1].coarse. The
+    // finest operator serves both the k = 0 refinement and the final check.
+    let finest = LaplacianOp::new(g);
     for k in (0..hierarchy.depth()).rev() {
         if let Err(cause) = opts.budget.check() {
             sp.attr("budget_abort", 1.0);
@@ -207,9 +209,10 @@ pub fn fiedler(g: &SymmetricPattern, opts: &SolverOpts) -> Result<FiedlerResult>
             smooth(fine, &mut xf, opts.smooth_steps);
             smooth_sp.attr("updates", (fine.n() * opts.smooth_steps) as f64);
         }
-        let lap = LaplacianOp::new(fine);
+        let coarse_lap = (k > 0).then(|| LaplacianOp::new(fine));
+        let lap = coarse_lap.as_ref().unwrap_or(&finest);
         let rq_before = lap.rayleigh_quotient(&xf);
-        let refined = rayleigh_quotient_iteration(&lap, &xf, &rqi_opts);
+        let refined = rayleigh_quotient_iteration(lap, &xf, &rqi_opts);
         // RQI converges to the eigenvalue *nearest* the starting Rayleigh
         // quotient — with a good interpolant that is λ₂, and the quotient
         // can only drop. If it rose, RQI locked onto an interior eigenpair
@@ -227,11 +230,10 @@ pub fn fiedler(g: &SymmetricPattern, opts: &SolverOpts) -> Result<FiedlerResult>
     // The fallback itself is best-effort: if Lanczos cannot converge within
     // its budget either, the multilevel vector is still a usable ordering
     // direction, so return it rather than failing the whole computation.
-    let lap = LaplacianOp::new(g);
-    let lam = lap.rayleigh_quotient(&x);
-    let residual = eigen_residual(&lap, &x, lam);
+    let lam = finest.rayleigh_quotient(&x);
+    let residual = eigen_residual(&finest, &x, lam);
     sp.attr("residual", residual);
-    let acceptable = residual <= DEFAULT_FIEDLER_TOL.max(1e-6) * lap.norm_bound() * 10.0;
+    let acceptable = residual <= DEFAULT_FIEDLER_TOL.max(1e-6) * finest.norm_bound() * 10.0;
     if !acceptable {
         if let Ok(fallback) = fiedler_lanczos(g, &lanczos_opts) {
             if fallback.residual < residual {

@@ -27,7 +27,9 @@ pub struct RqiOptions {
     /// Inner MINRES relative tolerance (loose — we only need a direction).
     pub inner_rtol: f64,
     /// Span recorder; disabled by default. Records an `rqi` span with outer
-    /// and (summed) inner MINRES iteration counts and the final residual.
+    /// and (summed) inner MINRES iteration counts, the Laplacian matvecs
+    /// they cost (`matvecs`: one residual product per outer step plus one
+    /// per inner iteration) and the final residual.
     pub trace: Tracer,
     /// Cooperative budget checked at every outer-step boundary (and inside
     /// the inner MINRES solves); an exhausted budget stops refinement and
@@ -141,6 +143,7 @@ pub fn rayleigh_quotient_iteration(
         let mut qx = vec![0.0; n];
         lap.apply(&x, &mut qx);
         opts.budget.charge_matvecs(1);
+        sp.add("matvecs", 1.0);
         let res: f64 = qx
             .iter()
             .zip(&x)
@@ -175,7 +178,9 @@ pub fn rayleigh_quotient_iteration(
                 budget: opts.budget.clone(),
             },
         );
+        // One operator application per MINRES iteration.
         sp.add("inner_iterations", out.iterations as f64);
+        sp.add("matvecs", out.iterations as f64);
         let mut y = out.x;
         dop.project(&mut y);
         if normalize(&mut y) < 1e-300 || y.iter().any(|v| !v.is_finite()) {

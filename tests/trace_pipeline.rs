@@ -4,6 +4,7 @@
 //! counters are invariant under the solver thread count (they describe the
 //! algorithm, not the schedule).
 
+use se_trace::SpanNode;
 use spectral_env::{reorder_pattern_with, Algorithm, SolverOpts, Tracer};
 
 /// A mesh big enough that the multilevel path runs (coarsen levels,
@@ -72,6 +73,38 @@ fn stage_totals_are_bounded_by_the_root() {
         "the root records the problem size"
     );
     assert!(root.attr_total("matvecs") >= 1.0, "Lanczos counts matvecs");
+}
+
+/// Every span named `name` in the subtree, pre-order.
+fn spans_named<'a>(node: &'a SpanNode, name: &str, out: &mut Vec<&'a SpanNode>) {
+    if node.name == name {
+        out.push(node);
+    }
+    for c in &node.children {
+        spans_named(c, name, out);
+    }
+}
+
+#[test]
+fn rqi_spans_count_one_matvec_per_outer_and_inner_iteration() {
+    let g = mesh();
+    let (opts, tracer) = traced_opts(1);
+    reorder_pattern_with(&g, Algorithm::Spectral, &opts).expect("ordering");
+    let root = tracer.finish().expect("root span");
+    let mut rqi = Vec::new();
+    spans_named(&root, "rqi", &mut rqi);
+    assert!(!rqi.is_empty(), "the multilevel solve refines with RQI");
+    for sp in rqi {
+        let outer = sp.attr("outer_iterations").expect("outer_iterations");
+        let inner = sp.attr("inner_iterations").unwrap_or(0.0);
+        assert!(outer >= 1.0, "RQI ran no outer step: {:?}", sp.attrs);
+        assert_eq!(
+            sp.attr("matvecs"),
+            Some(inner + outer),
+            "rqi span attrs: {:?}",
+            sp.attrs
+        );
+    }
 }
 
 #[test]
