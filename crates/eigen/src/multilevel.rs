@@ -182,6 +182,8 @@ pub fn fiedler(g: &SymmetricPattern, opts: &SolverOpts) -> Result<FiedlerResult>
     // The graph at level k is `g` for k = 0 else levels[k-1].coarse. The
     // finest operator serves both the k = 0 refinement and the final check.
     let finest = LaplacianOp::new(g);
+    // The finest level's Rayleigh quotient of `x`, set by the k = 0 step.
+    let mut lam = f64::NAN;
     for k in (0..hierarchy.depth()).rev() {
         if let Err(cause) = opts.budget.check() {
             sp.attr("budget_abort", 1.0);
@@ -217,12 +219,18 @@ pub fn fiedler(g: &SymmetricPattern, opts: &SolverOpts) -> Result<FiedlerResult>
         // quotient — with a good interpolant that is λ₂, and the quotient
         // can only drop. If it rose, RQI locked onto an interior eigenpair
         // (weak spectral gap); the smoothed interpolant is the better
-        // ordering direction, so keep it.
+        // ordering direction, so keep it. `refined.lambda` is the quotient
+        // of `refined.vector` itself; RQI's NaN-λ early exits carry an
+        // infinite residual and are rejected before it is read.
         let ok = refined.vector.iter().all(|v| v.is_finite())
             && refined.residual.is_finite()
-            && lap.rayleigh_quotient(&refined.vector) <= rq_before * (1.0 + 1e-9) + 1e-14;
+            && refined.lambda <= rq_before * (1.0 + 1e-9) + 1e-14;
         level_sp.attr("rqi_accepted", f64::from(ok));
-        x = if ok { refined.vector } else { xf };
+        (x, lam) = if ok {
+            (refined.vector, refined.lambda)
+        } else {
+            (xf, rq_before)
+        };
     }
 
     // Quality check at the finest level; fall back to Lanczos if RQI
@@ -230,7 +238,6 @@ pub fn fiedler(g: &SymmetricPattern, opts: &SolverOpts) -> Result<FiedlerResult>
     // The fallback itself is best-effort: if Lanczos cannot converge within
     // its budget either, the multilevel vector is still a usable ordering
     // direction, so return it rather than failing the whole computation.
-    let lam = finest.rayleigh_quotient(&x);
     let residual = eigen_residual(&finest, &x, lam);
     sp.attr("residual", residual);
     let acceptable = residual <= DEFAULT_FIEDLER_TOL.max(1e-6) * finest.norm_bound() * 10.0;

@@ -101,25 +101,33 @@ impl SymOp for CsrOp<'_> {
 /// copied row after row in the pattern's adjacency order, and `groups`
 /// records each degree with the end of its run in `rows`. [`SymOp::apply`]
 /// walks a group four rows at a time: four independent accumulators with
-/// the same trip count, so their chains overlap in the pipeline.
+/// the same trip count, so their chains overlap in the pipeline. `rows` and
+/// `cols` hold `u32` indices, which halves the index bytes the kernel
+/// streams; [`LaplacianOp::new`] asserts that `n` fits.
 ///
-/// Row `v` still starts from `degree[v]·x[v]` and subtracts the same
-/// neighbours in the same order as a plain row-by-row loop, and no row reads
-/// another's result. Only the order in which rows are visited changes, so
-/// `y` is bit-identical to the row loop for every input.
+/// Row `v` still starts from `deg(v)·x[v]` (the group's degree `d as f64`,
+/// the same value as `g.degree(v) as f64`) and subtracts the same neighbours
+/// in the same order as a plain row-by-row loop, and no row reads another's
+/// result. Only the order in which rows are visited changes, so `y` is
+/// bit-identical to the row loop for every input.
 pub struct LaplacianOp<'a> {
     g: &'a SymmetricPattern,
-    degree: Vec<f64>,
-    rows: Vec<usize>,
-    cols: Vec<usize>,
+    rows: Vec<u32>,
+    cols: Vec<u32>,
     groups: Vec<(usize, usize)>,
 }
 
 impl<'a> LaplacianOp<'a> {
     /// Builds the Laplacian operator of a pattern, in O(n + nnz).
+    ///
+    /// # Panics
+    /// If `g` has more than `u32::MAX` vertices.
     pub fn new(g: &'a SymmetricPattern) -> Self {
         let n = g.n();
-        let degree = (0..n).map(|v| g.degree(v) as f64).collect();
+        assert!(
+            u32::try_from(n).is_ok(),
+            "LaplacianOp: {n} vertices exceed u32 indices"
+        );
         // Stable counting sort by degree: `start[d]` is where degree `d`'s
         // run begins in `rows`, then its fill cursor.
         let mut start = vec![0usize; g.max_degree() + 2];
@@ -133,19 +141,18 @@ impl<'a> LaplacianOp<'a> {
             .filter(|&d| start[d + 1] > start[d])
             .map(|d| (d, start[d + 1]))
             .collect();
-        let mut rows = vec![0usize; n];
+        let mut rows = vec![0u32; n];
         for v in 0..n {
             let slot = &mut start[g.degree(v)];
-            rows[*slot] = v;
+            rows[*slot] = v as u32;
             *slot += 1;
         }
         let mut cols = Vec::with_capacity(g.adjacency_len());
         for &v in &rows {
-            cols.extend_from_slice(g.neighbors(v));
+            cols.extend(g.neighbors(v as usize).iter().map(|&u| u as u32));
         }
         LaplacianOp {
             g,
-            degree,
             rows,
             cols,
             groups,
@@ -184,6 +191,7 @@ impl SymOp for LaplacianOp<'_> {
         assert_eq!(y.len(), self.g.n());
         let (mut begin, mut cols) = (0, &self.cols[..]);
         for &(d, end) in &self.groups {
+            let deg = d as f64;
             let mut quads = self.rows[begin..end].chunks_exact(4);
             for q in quads.by_ref() {
                 let (c0, rest) = cols.split_at(d);
@@ -191,27 +199,29 @@ impl SymOp for LaplacianOp<'_> {
                 let (c2, rest) = rest.split_at(d);
                 let (c3, rest) = rest.split_at(d);
                 cols = rest;
-                let mut a0 = self.degree[q[0]] * x[q[0]];
-                let mut a1 = self.degree[q[1]] * x[q[1]];
-                let mut a2 = self.degree[q[2]] * x[q[2]];
-                let mut a3 = self.degree[q[3]] * x[q[3]];
+                let [v0, v1, v2, v3] = [q[0], q[1], q[2], q[3]].map(|v| v as usize);
+                let mut a0 = deg * x[v0];
+                let mut a1 = deg * x[v1];
+                let mut a2 = deg * x[v2];
+                let mut a3 = deg * x[v3];
                 for (((&u0, &u1), &u2), &u3) in c0.iter().zip(c1).zip(c2).zip(c3) {
-                    a0 -= x[u0];
-                    a1 -= x[u1];
-                    a2 -= x[u2];
-                    a3 -= x[u3];
+                    a0 -= x[u0 as usize];
+                    a1 -= x[u1 as usize];
+                    a2 -= x[u2 as usize];
+                    a3 -= x[u3 as usize];
                 }
-                y[q[0]] = a0;
-                y[q[1]] = a1;
-                y[q[2]] = a2;
-                y[q[3]] = a3;
+                y[v0] = a0;
+                y[v1] = a1;
+                y[v2] = a2;
+                y[v3] = a3;
             }
             for &v in quads.remainder() {
+                let v = v as usize;
                 let (c, rest) = cols.split_at(d);
                 cols = rest;
-                let mut acc = self.degree[v] * x[v];
+                let mut acc = deg * x[v];
                 for &u in c {
-                    acc -= x[u];
+                    acc -= x[u as usize];
                 }
                 y[v] = acc;
             }
@@ -220,8 +230,9 @@ impl SymOp for LaplacianOp<'_> {
     }
 
     fn norm_bound(&self) -> f64 {
-        // λ_max(Q) ≤ 2·Δ.
-        2.0 * self.degree.iter().copied().fold(0.0, f64::max).max(0.5)
+        // λ_max(Q) ≤ 2·Δ; the last group holds the largest degree.
+        let max_degree = self.groups.last().map_or(0, |&(d, _)| d);
+        2.0 * (max_degree as f64).max(0.5)
     }
 }
 
@@ -351,12 +362,23 @@ impl<'a, Op: SymOp> DeflatedOp<'a, Op> {
     /// Uses the deterministic chunked dot product, so
     /// [`DeflatedOp::project_pooled`] produces identical bits.
     pub fn project(&self, x: &mut [f64]) {
-        for u in self.basis {
-            let c = sparsemat::par::det_dot(u, x);
-            for (xi, ui) in x.iter_mut().zip(u) {
-                *xi -= c * ui;
-            }
+        project_against(self.basis, x);
+    }
+
+    /// `xp = P x` in one pass per basis vector, with no copy: the first
+    /// coefficient `c = uᵀx` is taken from `x` itself, and `xp` is written
+    /// as `x − c·u`. Bit-identical to copying `x` and calling
+    /// [`DeflatedOp::project`].
+    fn project_into(&self, x: &[f64], xp: &mut [f64]) {
+        let Some((u, rest)) = self.basis.split_first() else {
+            xp.copy_from_slice(x);
+            return;
+        };
+        let c = sparsemat::par::det_dot(u, x);
+        for ((pi, xi), ui) in xp.iter_mut().zip(x).zip(u) {
+            *pi = xi - c * ui;
         }
+        project_against(rest, xp);
     }
 
     /// [`DeflatedOp::project`] with the coefficient dot products farmed out
@@ -377,15 +399,16 @@ impl<Op: SymOp> SymOp for DeflatedOp<'_, Op> {
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        with_scratch_copy(x, |xp| {
-            self.project(xp);
+        with_scratch(x.len(), |xp| {
+            self.project_into(x, xp);
             self.op.apply(xp, y);
         });
         self.project(y);
     }
 
     fn apply_pooled(&self, x: &[f64], y: &mut [f64], pool: &TaskPool) {
-        with_scratch_copy(x, |xp| {
+        with_scratch(x.len(), |xp| {
+            xp.copy_from_slice(x);
             self.project_pooled(xp, pool);
             self.op.apply_pooled(xp, y, pool);
         });
@@ -397,6 +420,16 @@ impl<Op: SymOp> SymOp for DeflatedOp<'_, Op> {
     }
 }
 
+/// `x ← x − Σ (uᵀx)·u` over `basis`, one vector after another.
+fn project_against(basis: &[Vec<f64>], x: &mut [f64]) {
+    for u in basis {
+        let c = sparsemat::par::det_dot(u, x);
+        for (xi, ui) in x.iter_mut().zip(u) {
+            *xi -= c * ui;
+        }
+    }
+}
+
 thread_local! {
     /// [`DeflatedOp`]'s projected copy of its input, kept per thread so an
     /// inner MINRES matvec does not allocate. Per thread keeps the operator
@@ -404,13 +437,12 @@ thread_local! {
     static SCRATCH: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
-/// Runs `f` on a copy of `x` held in this thread's scratch buffer. The
-/// buffer is taken out for the call, so a nested call allocates instead of
-/// aliasing it.
-fn with_scratch_copy(x: &[f64], f: impl FnOnce(&mut [f64])) {
+/// Runs `f` on this thread's scratch buffer, sized to `n`. Its contents are
+/// stale; `f` overwrites all of it. The buffer is taken out for the call,
+/// so a nested call allocates instead of aliasing it.
+fn with_scratch(n: usize, f: impl FnOnce(&mut [f64])) {
     let mut xp = SCRATCH.take();
-    xp.clear();
-    xp.extend_from_slice(x);
+    xp.resize(n, 0.0);
     f(&mut xp);
     SCRATCH.set(xp);
 }

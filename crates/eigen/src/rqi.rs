@@ -129,7 +129,11 @@ pub fn rayleigh_quotient_iteration(
     let scale = lap.norm_bound();
     let mut best_res = f64::INFINITY;
     let mut best_x = x.clone();
-    let mut best_lambda = lap.rayleigh_quotient(&x);
+    // The start vector's quotient is both the fallback λ and the first
+    // step's shift.
+    let mut rho = lap.rayleigh_quotient(&x);
+    let mut best_lambda = rho;
+    let mut qx = vec![0.0; n];
     let mut outer = 0usize;
 
     for _ in 0..opts.max_outer {
@@ -138,9 +142,10 @@ pub fn rayleigh_quotient_iteration(
             break; // cooperative abort: keep the best pair so far
         }
         outer += 1;
-        let rho = lap.rayleigh_quotient(&x);
+        if outer > 1 {
+            rho = lap.rayleigh_quotient(&x);
+        }
         // Residual of the current pair.
-        let mut qx = vec![0.0; n];
         lap.apply(&x, &mut qx);
         opts.budget.charge_matvecs(1);
         sp.add("matvecs", 1.0);

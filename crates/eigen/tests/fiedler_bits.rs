@@ -100,3 +100,15 @@ fn bcsstk13_bits_are_pinned() {
 fn bcsstk13_relabelled_bits_are_pinned() {
     check("BCSSTK13", 7, 0x2f2207c28aeb89a0, 0x7cbca96b3b6d05a9);
 }
+
+// SHUTTLE's Fiedler vector holds only 132 distinct values over 9,240
+// vertices, so its permutation is the one a change of tie order would move.
+#[test]
+fn shuttle_bits_are_pinned() {
+    check("SHUTTLE", 0, 0xc7c5eea7a3a342cd, 0x2e87511c855e6ead);
+}
+
+#[test]
+fn shuttle_relabelled_bits_are_pinned() {
+    check("SHUTTLE", 1, 0xd75112f87ed1c76d, 0x3580b28e3eebbafd);
+}

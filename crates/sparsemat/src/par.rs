@@ -29,6 +29,16 @@
 //!    returns the same bits on 1, 2, 4 or 8 threads — and the same bits as
 //!    [`det_dot`].
 //!
+//!    The association contract, which [`det_fold`] implements for every
+//!    serial reduction: span `k` covers `k·DET_CHUNK..(k+1)·DET_CHUNK`
+//!    (the last one shorter), its terms are added in index order starting
+//!    from `-0.0`, and the span sums are added in span order to a total
+//!    that starts from `0.0`. Only this order of additions fixes the bits;
+//!    when each addition happens does not. So [`det_fold`] runs the add
+//!    chains of four (then two) spans side by side, which hides the add
+//!    latency that bounds a single chain, and still returns the bits of the
+//!    chunk-by-chunk loop.
+//!
 //! A one-thread pool ([`TaskPool::serial`], or [`TaskPool::new`] with
 //! `threads <= 1`) spawns nothing and runs every operation inline; by the
 //! chunking argument above its results are identical too.
@@ -76,7 +86,7 @@ pub fn available_threads() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic serial reference reductions (also used by the pool itself).
+// Deterministic serial reductions (the pool's partials use the same grid).
 // ---------------------------------------------------------------------------
 
 #[inline]
@@ -89,31 +99,74 @@ fn chunk_sum(a: &[f64]) -> f64 {
     a.iter().sum()
 }
 
-/// `Σ part(s, e)` over the [`DET_CHUNK`] grid of `0..n`, in chunk order.
-fn det_total(n: usize, part: impl Fn(usize, usize) -> f64) -> f64 {
+/// `Σ term(i)` over `0..n` on the fixed [`DET_CHUNK`] grid: each span is
+/// summed in index order starting from `-0.0` (the identity of
+/// `Iterator::sum` for `f64`), and the span sums are added in span order to
+/// a total that starts from `0.0`. This is the association every reduction
+/// in this module shares, so the result is bit-identical to [`TaskPool::dot`]
+/// and [`TaskPool::sum`] partials folded serially.
+///
+/// A span's sum is one add chain, bound by add latency. The loop therefore
+/// walks four full spans side by side, then two, then the rest one at a
+/// time: the lanes are independent chains that overlap in the pipeline, and
+/// each lane still adds its own span's terms in index order, so no sum is
+/// reassociated and no bit moves.
+///
+/// `term` is called exactly once per index, though not in index order (the
+/// lanes interleave), so it may update element `i` of a vector it owns, as
+/// MINRES does to fuse an axpy into the dot product that follows it.
+#[inline]
+pub fn det_fold(n: usize, mut term: impl FnMut(usize) -> f64) -> f64 {
+    const C: usize = DET_CHUNK;
     let mut total = 0.0;
-    let mut i = 0;
-    while i < n {
-        let e = (i + DET_CHUNK).min(n);
-        total += part(i, e);
-        i = e;
+    let mut s = 0;
+    while n - s >= 4 * C {
+        let (mut a0, mut a1, mut a2, mut a3) = (-0.0, -0.0, -0.0, -0.0);
+        for i in s..s + C {
+            a0 += term(i);
+            a1 += term(i + C);
+            a2 += term(i + 2 * C);
+            a3 += term(i + 3 * C);
+        }
+        total += a0;
+        total += a1;
+        total += a2;
+        total += a3;
+        s += 4 * C;
+    }
+    if n - s >= 2 * C {
+        let (mut a0, mut a1) = (-0.0, -0.0);
+        for i in s..s + C {
+            a0 += term(i);
+            a1 += term(i + C);
+        }
+        total += a0;
+        total += a1;
+        s += 2 * C;
+    }
+    while s < n {
+        let e = (s + C).min(n);
+        let mut a = -0.0;
+        for i in s..e {
+            a += term(i);
+        }
+        total += a;
+        s = e;
     }
     total
 }
 
-/// Deterministic chunked dot product: `Σ aᵢbᵢ` accumulated per
-/// [`DET_CHUNK`]-wide span, spans combined in order.
+/// Deterministic chunked dot product: `Σ aᵢbᵢ` by [`det_fold`].
 ///
 /// [`TaskPool::dot`] returns exactly these bits for every thread count.
 pub fn det_dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "det_dot: length mismatch");
-    det_total(a.len(), |s, e| chunk_dot(&a[s..e], &b[s..e]))
+    det_fold(a.len(), |i| a[i] * b[i])
 }
 
-/// Deterministic chunked sum, the [`det_dot`] of a vector with all-ones —
-/// same chunking, same guarantee.
+/// Deterministic chunked sum by [`det_fold`] — same grid, same guarantee.
 pub fn det_sum(a: &[f64]) -> f64 {
-    det_total(a.len(), |s, e| chunk_sum(&a[s..e]))
+    det_fold(a.len(), |i| a[i])
 }
 
 // ---------------------------------------------------------------------------
@@ -536,12 +589,14 @@ impl TaskPool {
         self.dot(a, a).sqrt()
     }
 
-    /// The pooled [`det_total`]: per-chunk partials land in one slot each
-    /// and are folded serially in chunk order, so the bits match it exactly.
+    /// The pooled [`det_fold`]: per-chunk partials land in one slot each
+    /// and are folded serially in chunk order from `0.0`, so the bits match
+    /// it exactly.
     fn pooled_total<F: Fn(usize, usize) -> f64 + Sync>(&self, n: usize, part: F) -> f64 {
         if n <= DET_CHUNK {
-            // One chunk is its own total; no slot array needed.
-            return det_total(n, part);
+            // One chunk (or none: an empty span sums to -0.0, and the total's
+            // 0.0 start turns that into 0.0); no slot array needed.
+            return 0.0 + part(0, n);
         }
         let mut partials = vec![0.0f64; n.div_ceil(DET_CHUNK)];
         let slots = slice_sender(&mut partials);
@@ -596,6 +651,103 @@ mod tests {
 
     fn test_vec(n: usize, f: f64) -> Vec<f64> {
         (0..n).map(|i| ((i as f64) * f).sin() + 0.25).collect()
+    }
+
+    /// The chunk-by-chunk loop [`det_fold`] replaced: the bit oracle.
+    fn det_total(n: usize, part: impl Fn(usize, usize) -> f64) -> f64 {
+        let mut total = 0.0;
+        let mut i = 0;
+        while i < n {
+            let e = (i + DET_CHUNK).min(n);
+            total += part(i, e);
+            i = e;
+        }
+        total
+    }
+
+    /// Signed zeros, subnormals, ±1e300 and ordinary values, with one span
+    /// of all `-0.0` when `n` reaches two spans and, if `infinite`, a few
+    /// ±∞ (rare, so most totals stay finite).
+    fn awkward_vec(n: usize, seed: u64, infinite: bool) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut v: Vec<f64> = (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let sign = if state & 1 == 0 { 1.0 } else { -1.0 };
+                let frac = (state >> 11) as f64 / (1u64 << 53) as f64;
+                sign * match (state >> 1) % 16 {
+                    0 => 0.0,
+                    1 => f64::MIN_POSITIVE * frac,
+                    2 => 1e300 * frac,
+                    3 if infinite && (state >> 5).is_multiple_of(64) => f64::INFINITY,
+                    _ => frac - 0.5,
+                }
+            })
+            .collect();
+        if n >= 2 * DET_CHUNK {
+            v[DET_CHUNK..2 * DET_CHUNK].fill(-0.0);
+        }
+        v
+    }
+
+    #[test]
+    fn fold_keeps_the_chunk_by_chunk_bits_on_every_lane_path() {
+        let c = DET_CHUNK;
+        let lengths = [
+            0,
+            1,
+            c - 1,
+            c,
+            c + 1,
+            2 * c - 1,
+            2 * c,
+            3 * c + 1,
+            4 * c,
+            5 * c + 7,
+            9 * c,
+            100_003,
+        ];
+        let pool = TaskPool::new(2);
+        for n in lengths {
+            for seed in 1..=3 {
+                for infinite in [false, true] {
+                    let a = awkward_vec(n, seed, infinite);
+                    let b = awkward_vec(n, seed + 10, infinite);
+                    let dot = det_total(n, |s, e| chunk_dot(&a[s..e], &b[s..e])).to_bits();
+                    let sum = det_total(n, |s, e| chunk_sum(&a[s..e])).to_bits();
+                    let case = format!("n = {n}, seed {seed}, infinite {infinite}");
+                    assert_eq!(det_fold(n, |i| a[i] * b[i]).to_bits(), dot, "{case}");
+                    assert_eq!(det_dot(&a, &b).to_bits(), dot, "{case}");
+                    assert_eq!(det_sum(&a).to_bits(), sum, "{case}");
+                    assert_eq!(pool.dot(&a, &b).to_bits(), dot, "{case}");
+                    assert_eq!(pool.sum(&a).to_bits(), sum, "{case}");
+                }
+            }
+        }
+        // An all -0.0 input: every span sums to -0.0 from the -0.0 identity,
+        // and the total's 0.0 start makes the result +0.0.
+        for n in [1, c, 4 * c + 3] {
+            let z = vec![-0.0; n];
+            let want = det_total(n, |s, e| chunk_sum(&z[s..e])).to_bits();
+            assert_eq!(want, 0.0f64.to_bits());
+            assert_eq!(det_sum(&z).to_bits(), want, "n = {n}");
+            assert_eq!(pool.sum(&z).to_bits(), want, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn fold_visits_every_index_once() {
+        for n in [0, 5, DET_CHUNK, 7 * DET_CHUNK + 9] {
+            let mut hits = vec![0u8; n];
+            let total = det_fold(n, |i| {
+                hits[i] += 1;
+                1.0
+            });
+            assert_eq!(total, n as f64);
+            assert!(hits.iter().all(|&h| h == 1), "n = {n}");
+        }
     }
 
     #[test]
