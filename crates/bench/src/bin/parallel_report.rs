@@ -1,16 +1,16 @@
 //! Parallel scaling report for TraceMin-Fiedler, the one solver that runs
-//! on the solver pool.
+//! on more than one thread.
 //!
 //! Orders the largest stand-ins with `alg:"tracemin"` at 1/2/4/max solver
 //! threads (`max` = the host's core count, deduplicated against the fixed
 //! counts), verifies every run produces the **bit-identical** permutation,
 //! and writes machine-readable measurements to `BENCH_parallel.json`. Each
-//! run injects its own [`TaskPool`] so the scheduler's own counters —
-//! regions submitted, chunks executed, steals, worker parks — land in the
-//! report next to the timing they explain. TraceMin's per-column inner
-//! MINRES solves are the coarse tasks of one region per outer iteration;
-//! the report records outer iterations, summed inner MINRES iterations,
-//! wall-µs and the pool tallies per thread count.
+//! run injects its own [`TaskPool`] so the pool's counters — regions run
+//! on several threads, tasks, tasks a helper ran — land in the report next
+//! to the timing they explain. TraceMin's per-column inner MINRES solves
+//! are the tasks of one region per outer iteration; the report records
+//! outer iterations, summed inner MINRES iterations, wall-µs and the pool
+//! tallies per thread count.
 //!
 //! The multilevel solver behind SPECTRAL has no sweep here: it runs on the
 //! calling thread, so every thread count would measure the same serial
@@ -19,8 +19,8 @@
 //! Honest by construction: the output is stamped with the host core count,
 //! the build profile and the git commit, since speedup is bounded by
 //! physical cores (on a 1-core container every thread count measures the
-//! same serial work plus pool overhead, and the steal/park tallies show how
-//! much scheduling actually happened).
+//! same serial work plus thread start-up, and the steal tallies show how
+//! much work the helpers actually took).
 //!
 //! Run with `cargo run -p se-bench --release --bin parallel_report`.
 
@@ -56,7 +56,7 @@ fn main() {
     if !threads.contains(&cores) {
         threads.push(cores);
     }
-    println!("==== TraceMin-Fiedler: serial vs chunk-claiming pool ====");
+    println!("==== TraceMin-Fiedler: serial vs scoped inner-solve fan-out ====");
     println!("host cores: {cores}\n");
 
     let mut blocks = Vec::new();
@@ -70,8 +70,8 @@ fn main() {
             s.nnz()
         );
         println!(
-            "  {:>7} {:>12} {:>8} {:>7} {:>9} {:>8} {:>8} {:>10}",
-            "threads", "best (µs)", "speedup", "outer", "inner-it", "steals", "parks", "identical"
+            "  {:>7} {:>12} {:>8} {:>7} {:>9} {:>8} {:>10}",
+            "threads", "best (µs)", "speedup", "outer", "inner-it", "steals", "identical"
         );
 
         let mut rows = Vec::new();
@@ -82,7 +82,8 @@ fn main() {
             let trace = Tracer::enabled();
             let solver = SolverOpts {
                 trace: trace.clone(),
-                ..SolverOpts::with_pool(pool.clone())
+                pool: Some(pool.clone()),
+                ..SolverOpts::default()
             };
             let mut best = u128::MAX;
             let mut perm = Vec::new();
@@ -105,7 +106,7 @@ fn main() {
                         regions: after.regions - before.regions,
                         chunks: after.chunks - before.chunks,
                         steals: after.steals - before.steals,
-                        parks: after.parks - before.parks,
+                        ..PoolStats::default()
                     };
                 }
                 perm = o.perm.order().to_vec();
@@ -124,15 +125,15 @@ fn main() {
             );
             let speedup = serial_micros as f64 / best as f64;
             println!(
-                "  {:>7} {:>12} {:>8.2} {:>7} {:>9} {:>8} {:>8} {:>10}",
-                t, best, speedup, outer, inner, tallies.steals, tallies.parks, identical
+                "  {:>7} {:>12} {:>8.2} {:>7} {:>9} {:>8} {:>10}",
+                t, best, speedup, outer, inner, tallies.steals, identical
             );
             rows.push(format!(
                 "{{\"threads\":{t},\"wall_micros\":{best},\"speedup\":{speedup:.3},\
                  \"outer_iters\":{outer},\"inner_matvecs\":{inner},\
-                 \"regions\":{},\"chunks\":{},\"steals\":{},\"parks\":{},\
+                 \"regions\":{},\"chunks\":{},\"steals\":{},\
                  \"identical\":{identical}}}",
-                tallies.regions, tallies.chunks, tallies.steals, tallies.parks
+                tallies.regions, tallies.chunks, tallies.steals
             ));
         }
         blocks.push(format!(
@@ -160,10 +161,10 @@ fn main() {
          host all thread counts measure the same serial work, and `identical` shows \
          results are bit-reproducible regardless. outer_iters/inner_matvecs are summed \
          over connected components and must not vary with thread count. \
-         regions/chunks/steals/parks are the chunk-claiming pool's own counters for \
-         the best rep (steals = chunks a pool worker ran for a region the solving \
-         thread submitted, the solving thread ran the rest; parks = times a worker \
-         slept for lack of work). the multilevel solver behind alg:spectral runs on \
+         regions/chunks/steals are the pool's own counters for the best rep \
+         (regions = outer steps whose inner solves ran on several threads, chunks = \
+         inner solves they ran, steals = inner solves a helper thread ran, the \
+         solving thread ran the rest). the multilevel solver behind alg:spectral runs on \
          the calling thread and has no sweep\",\n  \
          \"tracemin\": [\n    {}\n  ]\n}}\n",
         git_commit(),

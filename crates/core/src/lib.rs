@@ -116,8 +116,8 @@ pub fn reorder(a: &CsrMatrix, alg: Algorithm) -> Result<Reordered> {
 
 /// [`reorder`] with an explicit solver configuration — the multilevel shape,
 /// the tracer, budget and fault plane, and `threads`: with `threads != 1`
-/// TRACEMIN's inner solves run on one shared thread pool (the multilevel
-/// algorithms always solve on the calling thread). Results are
+/// TRACEMIN's inner solves run on up to that many threads per outer step
+/// (the multilevel algorithms always solve on the calling thread). Results are
 /// bit-identical for every thread count.
 pub fn reorder_with(a: &CsrMatrix, alg: Algorithm, solver: &SolverOpts) -> Result<Reordered> {
     let pattern = a.pattern()?;

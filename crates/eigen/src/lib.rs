@@ -20,11 +20,10 @@
 //!
 //! Every solver here runs on the calling thread, so SPECTRAL, hybrid,
 //! refined and nd solve on the thread that asked. [`SolverOpts::threads`]
-//! and [`SolverOpts::pool`] size the pool of TraceMin-Fiedler
-//! (`se-tracemin`) only, which reaches it through
-//! [`op::SymOp::apply_pooled`]. Reductions use the fixed-grid chunked forms
-//! of [`sparsemat::par`], so results are bit-identical for every thread
-//! count either way.
+//! and [`SolverOpts::pool`] size TraceMin-Fiedler (`se-tracemin`) only,
+//! which runs its inner solves on several threads at once. Reductions use
+//! the fixed-grid chunked forms of [`sparsemat::par`], so results are
+//! bit-identical for every thread count either way.
 //!
 //! ```
 //! use sparsemat::SymmetricPattern;
@@ -53,8 +52,8 @@ pub mod tridiag;
 pub use dense::{DenseEigen, DenseSym};
 pub use lanczos::{lanczos_smallest, LanczosOptions, LanczosResult};
 pub use minres::{minres, MinresOptions, MinresOutcome};
-pub use multilevel::{fiedler, fiedler_lanczos, fiedler_weighted, FiedlerResult};
-pub use op::{CsrOp, DeflatedOp, LaplacianOp, ShiftedOp, SymOp, WeightedLaplacianOp};
+pub use multilevel::{fiedler, fiedler_lanczos, FiedlerResult};
+pub use op::{CsrOp, DeflatedOp, LaplacianOp, ShiftedOp, SymOp};
 pub use rqi::{rayleigh_quotient_iteration, RqiOptions, RqiResult};
 pub use solver_opts::SolverOpts;
 

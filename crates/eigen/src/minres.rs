@@ -429,7 +429,6 @@ mod tests {
             u.iter_mut().for_each(|v| *v /= nu);
             basis.push(u);
         }
-        let pool = sparsemat::par::TaskPool::new(2);
         for k in 0..=basis.len() {
             let dop = DeflatedOp::new(&lop, &basis[..k]);
             let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() - 0.1).collect();
@@ -439,9 +438,6 @@ mod tests {
             dop.project(&mut want);
             let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&dop.apply_alloc(&x)), bits(&want), "{k} basis vectors");
-            let mut pooled = vec![0.0; n];
-            dop.apply_pooled(&x, &mut pooled, &pool);
-            assert_eq!(bits(&pooled), bits(&want), "{k} basis vectors, pooled");
         }
     }
 

@@ -259,36 +259,6 @@ pub fn fiedler(g: &SymmetricPattern, opts: &SolverOpts) -> Result<FiedlerResult>
     })
 }
 
-/// Computes the Fiedler pair of the **weighted** Laplacian of a symmetric
-/// matrix (edge weights `|a_uv|`), by Lanczos with deflation. The adjacency
-/// structure must be connected. Useful when the matrix's magnitudes carry
-/// geometric information the structural ordering should respect.
-pub fn fiedler_weighted(a: &sparsemat::CsrMatrix, opts: &LanczosOptions) -> Result<FiedlerResult> {
-    let g = a
-        .pattern()
-        .map_err(|e| EigenError::Numerical(format!("matrix not symmetric: {e}")))?;
-    check_connected(&g)?;
-    let wop = crate::op::WeightedLaplacianOp::from_matrix(a);
-    let deflate = vec![constant_unit_vector(g.n())];
-    let r = lanczos_smallest(&wop, &deflate, 1, opts)?;
-    let v = r.vectors.into_iter().next().expect("k = 1");
-    let lam = r.values[0];
-    // Residual relative to the weighted operator.
-    let av = wop.apply_alloc(&v);
-    let residual = av
-        .iter()
-        .zip(&v)
-        .map(|(x, y)| (x - lam * y).powi(2))
-        .sum::<f64>()
-        .sqrt();
-    Ok(FiedlerResult {
-        lambda2: lam,
-        vector: v,
-        levels: 0,
-        residual,
-    })
-}
-
 fn check_connected(g: &SymmetricPattern) -> Result<()> {
     if g.n() < 2 {
         return Err(EigenError::TooSmall { n: g.n() });
@@ -491,49 +461,6 @@ mod tests {
         let g = path(2);
         let r = fiedler(&g, &SolverOpts::default()).unwrap();
         assert!((r.lambda2 - 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn weighted_fiedler_with_unit_weights_matches_structural() {
-        let g = grid(12, 7);
-        let a = g.to_csr_with(|v| g.degree(v) as f64, -1.0);
-        let w = fiedler_weighted(&a, &Default::default()).unwrap();
-        let s = fiedler_lanczos(&g, &Default::default()).unwrap();
-        assert!(
-            (w.lambda2 - s.lambda2).abs() < 1e-7,
-            "{} vs {}",
-            w.lambda2,
-            s.lambda2
-        );
-    }
-
-    #[test]
-    fn weighted_fiedler_follows_weights_not_structure() {
-        // A path with one very weak link in the middle: the weighted Fiedler
-        // vector should jump across the weak edge (it is the natural cut),
-        // with near-constant values on each side.
-        let n = 12;
-        let g = path(n);
-        let mut entries = Vec::new();
-        for (u, v) in g.edges() {
-            let w = if u == 5 { 1e-3 } else { 1.0 };
-            entries.push((u, v, -w));
-            entries.push((v, u, -w));
-        }
-        for v in 0..n {
-            entries.push((v, v, 2.0));
-        }
-        let a = sparsemat::CsrMatrix::from_entries(n, &entries).unwrap();
-        let w = fiedler_weighted(&a, &Default::default()).unwrap();
-        // λ₂ of the weighted Laplacian is tiny (dominated by the weak edge).
-        assert!(w.lambda2 < 1e-3, "λ₂ = {}", w.lambda2);
-        // The vector separates the halves by sign.
-        let left: f64 = w.vector[..6].iter().sum::<f64>() / 6.0;
-        let right: f64 = w.vector[6..].iter().sum::<f64>() / 6.0;
-        assert!(
-            left * right < 0.0,
-            "halves not separated: {left} vs {right}"
-        );
     }
 
     #[test]

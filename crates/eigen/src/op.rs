@@ -5,38 +5,22 @@
 //! precisely the paper's point (§1): the spectral algorithm is built from
 //! matvecs, dot products and axpys.
 //!
-//! The multilevel solver applies every operator on the calling thread.
-//! Only TraceMin-Fiedler (`se-tracemin`) farms matvecs out to a
-//! [`TaskPool`], through [`SymOp::apply_pooled`] on [`CsrOp`] and
-//! [`DeflatedOp`].
+//! Every operator applies on the calling thread. TraceMin-Fiedler
+//! (`se-tracemin`) runs whole inner solves on several threads at once, each
+//! applying the same operator.
 
-use sparsemat::par::TaskPool;
 use sparsemat::{CsrMatrix, SymmetricPattern};
-
-/// Row-chunk width for pooled matvecs: rows are claimed from the pool in
-/// spans of this many. Each output row is written by exactly one thread, so
-/// pooled matvecs are bitwise identical to serial ones.
-const ROW_CHUNK: usize = 512;
 
 /// A symmetric linear operator on `ℝⁿ`.
 ///
-/// Operators must be [`Sync`]: the iterative solvers share them by reference
-/// across the worker threads of a [`TaskPool`].
+/// Operators must be [`Sync`]: TraceMin-Fiedler shares one by reference
+/// across the threads of a [`sparsemat::par::TaskPool`] region.
 pub trait SymOp: Sync {
     /// Operator dimension.
     fn n(&self) -> usize;
 
     /// `y = A x`. `x.len() == y.len() == self.n()`.
     fn apply(&self, x: &[f64], y: &mut [f64]);
-
-    /// `y = A x`, with row spans farmed out to `pool`. The default simply
-    /// runs [`SymOp::apply`] serially; [`CsrOp`] overrides it.
-    /// Implementations must be **deterministic**: the result may not depend
-    /// on the pool's thread count.
-    fn apply_pooled(&self, x: &[f64], y: &mut [f64], pool: &TaskPool) {
-        let _ = pool;
-        self.apply(x, y);
-    }
 
     /// Allocating convenience.
     fn apply_alloc(&self, x: &[f64]) -> Vec<f64> {
@@ -77,10 +61,6 @@ impl SymOp for CsrOp<'_> {
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.a.matvec(x, y);
-    }
-
-    fn apply_pooled(&self, x: &[f64], y: &mut [f64], pool: &TaskPool) {
-        self.a.matvec_pooled(x, y, pool, ROW_CHUNK);
     }
 
     fn norm_bound(&self) -> f64 {
@@ -236,81 +216,6 @@ impl SymOp for LaplacianOp<'_> {
     }
 }
 
-/// The **weighted** graph Laplacian of a symmetric matrix: edge weights
-/// `w(u,v) = |a_uv|`, `L = diag(Σ_v w(u,v)) − W`. For matrices whose
-/// magnitudes carry geometry (e.g. anisotropic stiffness), the weighted
-/// Fiedler vector can order better than the purely structural one.
-pub struct WeightedLaplacianOp {
-    n: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    weights: Vec<f64>,
-    wdeg: Vec<f64>,
-}
-
-impl WeightedLaplacianOp {
-    /// Builds from a structurally symmetric matrix; off-diagonal magnitudes
-    /// become edge weights (diagonal values are ignored; zero off-diagonals
-    /// contribute nothing).
-    pub fn from_matrix(a: &CsrMatrix) -> Self {
-        assert_eq!(
-            a.nrows(),
-            a.ncols(),
-            "weighted Laplacian needs square matrix"
-        );
-        let n = a.nrows();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::new();
-        let mut weights = Vec::new();
-        let mut wdeg = vec![0.0f64; n];
-        row_ptr.push(0);
-        for (r, wd) in wdeg.iter_mut().enumerate() {
-            for (&c, &v) in a.row_cols(r).iter().zip(a.row_vals(r)) {
-                if c != r && v != 0.0 {
-                    col_idx.push(c);
-                    weights.push(v.abs());
-                    *wd += v.abs();
-                }
-            }
-            row_ptr.push(col_idx.len());
-        }
-        WeightedLaplacianOp {
-            n,
-            row_ptr,
-            col_idx,
-            weights,
-            wdeg,
-        }
-    }
-
-    /// Weighted degree of vertex `v`.
-    pub fn weighted_degree(&self, v: usize) -> f64 {
-        self.wdeg[v]
-    }
-}
-
-impl SymOp for WeightedLaplacianOp {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        for v in 0..self.n {
-            let mut acc = self.wdeg[v] * x[v];
-            for k in self.row_ptr[v]..self.row_ptr[v + 1] {
-                acc -= self.weights[k] * x[self.col_idx[k]];
-            }
-            y[v] = acc;
-        }
-    }
-
-    fn norm_bound(&self) -> f64 {
-        2.0 * self.wdeg.iter().copied().fold(0.0, f64::max).max(0.5)
-    }
-}
-
 /// `A − shift·I` as an operator (for RQI / MINRES shifted solves).
 pub struct ShiftedOp<'a, Op: SymOp> {
     op: &'a Op,
@@ -358,9 +263,8 @@ impl<'a, Op: SymOp> DeflatedOp<'a, Op> {
         DeflatedOp { op, basis }
     }
 
-    /// Projects `x` onto the orthogonal complement of the basis, in place.
-    /// Uses the deterministic chunked dot product, so
-    /// [`DeflatedOp::project_pooled`] produces identical bits.
+    /// Projects `x` onto the orthogonal complement of the basis, in place,
+    /// with the deterministic chunked dot product.
     pub fn project(&self, x: &mut [f64]) {
         project_against(self.basis, x);
     }
@@ -380,17 +284,6 @@ impl<'a, Op: SymOp> DeflatedOp<'a, Op> {
         }
         project_against(rest, xp);
     }
-
-    /// [`DeflatedOp::project`] with the coefficient dot products farmed out
-    /// to `pool`. Bit-identical to the serial version for any thread count.
-    pub fn project_pooled(&self, x: &mut [f64], pool: &TaskPool) {
-        for u in self.basis {
-            let c = pool.dot(u, x);
-            for (xi, ui) in x.iter_mut().zip(u) {
-                *xi -= c * ui;
-            }
-        }
-    }
 }
 
 impl<Op: SymOp> SymOp for DeflatedOp<'_, Op> {
@@ -404,15 +297,6 @@ impl<Op: SymOp> SymOp for DeflatedOp<'_, Op> {
             self.op.apply(xp, y);
         });
         self.project(y);
-    }
-
-    fn apply_pooled(&self, x: &[f64], y: &mut [f64], pool: &TaskPool) {
-        with_scratch(x.len(), |xp| {
-            xp.copy_from_slice(x);
-            self.project_pooled(xp, pool);
-            self.op.apply_pooled(xp, y, pool);
-        });
-        self.project_pooled(y, pool);
     }
 
     fn norm_bound(&self) -> f64 {
@@ -433,7 +317,7 @@ fn project_against(basis: &[Vec<f64>], x: &mut [f64]) {
 thread_local! {
     /// [`DeflatedOp`]'s projected copy of its input, kept per thread so an
     /// inner MINRES matvec does not allocate. Per thread keeps the operator
-    /// `Sync` for TraceMin's pooled tasks.
+    /// `Sync` for TraceMin's parallel inner solves.
     static SCRATCH: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
@@ -447,8 +331,7 @@ fn with_scratch(n: usize, f: impl FnOnce(&mut [f64])) {
     SCRATCH.set(xp);
 }
 
-/// Euclidean norm from the fixed-grid chunked [`sparsemat::par::det_dot`]:
-/// the same bits as [`TaskPool::norm`] at every thread count.
+/// Euclidean norm from the fixed-grid chunked [`sparsemat::par::det_dot`].
 pub(crate) fn norm(x: &[f64]) -> f64 {
     sparsemat::par::det_dot(x, x).sqrt()
 }
@@ -631,57 +514,6 @@ mod tests {
         let g = path(2);
         let lop = LaplacianOp::new(&g);
         assert!(lop.norm_bound() >= 2.0);
-    }
-
-    #[test]
-    fn weighted_laplacian_with_unit_weights_matches_unweighted() {
-        let g = path(8);
-        let a = g.to_csr_with(|v| g.degree(v) as f64, -1.0);
-        let wop = WeightedLaplacianOp::from_matrix(&a);
-        let lop = LaplacianOp::new(&g);
-        let x: Vec<f64> = (0..8).map(|i| (i as f64 * 0.9).cos()).collect();
-        let y1 = wop.apply_alloc(&x);
-        let y2 = lop.apply_alloc(&x);
-        for (a, b) in y1.iter().zip(&y2) {
-            assert!((a - b).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn weighted_laplacian_annihilates_constants() {
-        let a = CsrMatrix::from_entries(
-            3,
-            &[
-                (0, 1, -5.0),
-                (1, 0, -5.0),
-                (1, 2, 0.25),
-                (2, 1, 0.25),
-                (0, 0, 9.0),
-            ],
-        )
-        .unwrap();
-        let wop = WeightedLaplacianOp::from_matrix(&a);
-        assert_eq!(wop.weighted_degree(1), 5.25);
-        let y = wop.apply_alloc(&[2.0; 3]);
-        for v in y {
-            assert!(v.abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn deflated_project_pooled_matches_serial_bitwise() {
-        let n = 8192;
-        let g = path(n);
-        let lop = LaplacianOp::new(&g);
-        let basis = vec![constant_unit_vector(n)];
-        let dop = DeflatedOp::new(&lop, &basis);
-        let x0: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos() + 0.1).collect();
-        let mut serial = x0.clone();
-        dop.project(&mut serial);
-        let pool = TaskPool::new(4);
-        let mut pooled = x0;
-        dop.project_pooled(&mut pooled, &pool);
-        assert_eq!(serial, pooled);
     }
 
     #[test]

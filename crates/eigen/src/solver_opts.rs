@@ -75,10 +75,11 @@ pub const DEFAULT_MINRES_RTOL: f64 = 1e-10;
 /// `se-order` orderings consume directly.
 ///
 /// The multilevel solver behind SPECTRAL, hybrid, refined and nd runs on the
-/// calling thread: `threads` and `pool` size TraceMin-Fiedler's pool only.
-/// Results are **bit-identical for every `threads` value** — the pool's
-/// reductions use a fixed chunk order (see [`sparsemat::par`]) — so the
-/// thread count is purely a wall-clock knob.
+/// calling thread: `threads` and `pool` size TraceMin-Fiedler's inner-solve
+/// fan-out only. Results are **bit-identical for every `threads` value** —
+/// each inner solve runs serially on one thread, and every reduction uses a
+/// fixed chunk order (see [`sparsemat::par`]) — so the thread count is
+/// purely a wall-clock knob.
 ///
 /// ```
 /// use se_eigen::multilevel::fiedler;
@@ -94,8 +95,10 @@ pub const DEFAULT_MINRES_RTOL: f64 = 1e-10;
 #[derive(Debug, Clone)]
 pub struct SolverOpts {
     /// TraceMin-Fiedler's solver threads: `1` = serial (the default), `0` =
-    /// all available cores, `n > 1` = a pool of `n`. The multilevel solver
-    /// ignores it.
+    /// all available cores, `n > 1` = up to `n` threads per outer step, one
+    /// inner solve each (TraceMin's block of at most 8 columns bounds it).
+    /// Threads start and stop with each step. The multilevel solver ignores
+    /// it.
     pub threads: usize,
     /// Multilevel coarsest-graph size ([`DEFAULT_COARSEST_SIZE`]).
     pub coarsest_size: usize,
@@ -121,13 +124,12 @@ pub struct SolverOpts {
     /// [`FaultPlane::disabled`] (the default) is a strict no-op; solver
     /// results are bit-identical with a disabled plane.
     pub faults: FaultPlane,
-    /// An existing pool for TraceMin-Fiedler to run on instead of building a
-    /// fresh one from `threads`. `None` (the default) builds one per
-    /// ordering (see [`SolverOpts::pool`]). Long-lived hosts (the
-    /// `spectral-orderd` engine) set this from a per-thread-count pool cache
-    /// so concurrent TraceMin solves share workers and their regions overlap
-    /// instead of each request paying thread spawn/join. Results are
-    /// bit-identical either way. The multilevel solver never touches it.
+    /// A pool for TraceMin-Fiedler to use instead of one built from
+    /// `threads`, so that a caller can read its [`TaskPool::stats`] after
+    /// the solve. `None` (the default) builds one per ordering (see
+    /// [`SolverOpts::pool`]); a pool starts no thread until a region runs,
+    /// so building one costs nothing. Results are bit-identical either way.
+    /// The multilevel solver never touches it.
     pub pool: Option<TaskPool>,
 }
 
@@ -155,19 +157,9 @@ impl SolverOpts {
         }
     }
 
-    /// Defaults with an externally owned pool (e.g. from a pool cache); the
-    /// `threads` field is set to the pool's count for reporting only.
-    pub fn with_pool(pool: TaskPool) -> Self {
-        SolverOpts {
-            threads: pool.threads(),
-            pool: Some(pool),
-            ..SolverOpts::default()
-        }
-    }
-
     /// The pool this configuration asks for: the injected [`SolverOpts::pool`]
-    /// if set, otherwise a freshly built one. Serial unless the effective
-    /// thread count exceeds 1.
+    /// if set, otherwise one built from `threads`. Serial unless the
+    /// effective thread count exceeds 1.
     pub fn pool(&self) -> TaskPool {
         self.pool
             .clone()
@@ -230,19 +222,17 @@ mod tests {
     }
 
     #[test]
-    fn injected_pool_is_reused_not_rebuilt() {
+    fn injected_pool_is_used_instead_of_threads() {
         let external = TaskPool::new(2);
-        let s = SolverOpts::with_pool(external.clone());
-        assert_eq!(s.threads, external.threads());
+        let s = SolverOpts {
+            pool: Some(external.clone()),
+            ..SolverOpts::default()
+        };
         assert_eq!(s.pool().threads(), external.threads());
-        if external.is_parallel() {
-            // A region run through the configuration's pool shows up in the
-            // injected pool's stats — proof it shares workers instead of
-            // spawning anew.
-            let before = external.stats().regions;
-            let v: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
-            let _ = s.pool().dot(&v, &v);
-            assert_eq!(external.stats().regions, before + 1);
-        }
+        // A region run through the configuration's pool shows up in the
+        // injected pool's stats: the clones share their counters.
+        s.pool().run_tasks(4, |_| {});
+        assert_eq!(external.stats().regions, 1);
+        assert_eq!(external.stats().chunks, 4);
     }
 }

@@ -53,7 +53,7 @@ pub use nested_dissection::spectral_nested_dissection;
 pub use rcm::{cuthill_mckee, reverse_cuthill_mckee};
 pub use refine::exchange_refine;
 pub use sloan::{sloan, SloanWeights};
-pub use spectral::{spectral_ordering, spectral_ordering_weighted};
+pub use spectral::spectral_ordering;
 pub use tracemin::tracemin_ordering;
 
 pub use se_eigen::SolverOpts;

@@ -71,45 +71,6 @@ pub(crate) fn fiedler_vector(
     Ok(fr.vector)
 }
 
-/// Value-weighted variant of the spectral ordering: uses the **weighted**
-/// Laplacian (edge weights `|a_uv|`) instead of the structural one, so
-/// strongly-coupled entries are kept close in the ordering. The matrix must
-/// be structurally symmetric.
-pub fn spectral_ordering_weighted(
-    a: &sparsemat::CsrMatrix,
-    opts: &se_eigen::lanczos::LanczosOptions,
-) -> Result<Permutation> {
-    let g = a.pattern().map_err(|e| {
-        crate::OrderError::Internal(format!("matrix not structurally symmetric: {e}"))
-    })?;
-    let comps = connected_components(&g);
-    let mut order = Vec::with_capacity(g.n());
-    for members in &comps.members {
-        if members.len() <= 2 {
-            order.extend(members.iter().copied());
-            continue;
-        }
-        // Extract the component's submatrix (values included).
-        let mut local = vec![usize::MAX; g.n()];
-        for (i, &v) in members.iter().enumerate() {
-            local[v] = i;
-        }
-        let mut coo = sparsemat::CooMatrix::new(members.len(), members.len());
-        for (r, c, v) in a.iter() {
-            if local[r] != usize::MAX && local[c] != usize::MAX {
-                coo.push(local[r], local[c], v)
-                    .expect("local indices in range");
-            }
-        }
-        let sub_a = coo.to_csr();
-        let sub_g = sub_a.pattern().expect("submatrix stays symmetric");
-        let fr = se_eigen::multilevel::fiedler_weighted(&sub_a, opts)?;
-        let local_order = order_by_vector(&sub_g, &fr.vector);
-        order.extend(local_order.into_iter().map(|l| members[l]));
-    }
-    Ok(Permutation::from_new_to_old(order).expect("component orders form a permutation"))
-}
-
 /// Step 3 of Algorithm 1 in isolation: sort `values` nondecreasingly and
 /// nonincreasingly, evaluate both envelopes, return the better visit order.
 /// Exposed so callers with a precomputed Fiedler vector can reuse it.
@@ -249,60 +210,6 @@ mod tests {
         let asc = Permutation::sorting(&vals);
         let desc = asc.reversed();
         assert!(order == asc.order() || order == desc.order());
-    }
-
-    #[test]
-    fn weighted_spectral_matches_structural_on_unit_weights() {
-        let g = grid(10, 6);
-        let a = g.to_csr_with(|v| g.degree(v) as f64, -1.0);
-        let w = spectral_ordering_weighted(&a, &Default::default()).unwrap();
-        let s = spectral_ordering(&g, &SolverOpts::default(), false).unwrap();
-        let e_w = envelope_stats(&g, &w).envelope_size;
-        let e_s = envelope_stats(&g, &s).envelope_size;
-        // Same eigenproblem up to solver path; envelope must agree closely.
-        assert!(
-            (e_w as f64 - e_s as f64).abs() <= 0.05 * e_s as f64,
-            "weighted {e_w} vs structural {e_s}"
-        );
-    }
-
-    #[test]
-    fn weighted_spectral_respects_weak_links() {
-        // Two cliques joined by a weak edge: the weighted ordering must
-        // keep each clique contiguous (the weak link is the natural split).
-        let k = 6;
-        let mut entries = Vec::new();
-        for i in 0..k {
-            for j in 0..k {
-                if i != j {
-                    entries.push((i, j, -1.0));
-                    entries.push((k + i, k + j, -1.0));
-                }
-            }
-            entries.push((i, i, 10.0));
-            entries.push((k + i, k + i, 10.0));
-        }
-        entries.push((0, k, -1e-4));
-        entries.push((k, 0, -1e-4));
-        let a = sparsemat::CsrMatrix::from_entries(2 * k, &entries).unwrap();
-        let p = spectral_ordering_weighted(&a, &Default::default()).unwrap();
-        // All of clique 1 before all of clique 2 (or vice versa).
-        let max_first: usize = (0..k).map(|v| p.old_to_new(v)).max().unwrap();
-        let min_second: usize = (k..2 * k).map(|v| p.old_to_new(v)).min().unwrap();
-        let max_second: usize = (k..2 * k).map(|v| p.old_to_new(v)).max().unwrap();
-        let min_first: usize = (0..k).map(|v| p.old_to_new(v)).min().unwrap();
-        assert!(
-            max_first < min_second || max_second < min_first,
-            "cliques interleaved"
-        );
-    }
-
-    #[test]
-    fn weighted_spectral_handles_disconnected() {
-        let g = SymmetricPattern::from_edges(8, &[(0, 1), (1, 2), (2, 3), (5, 6), (6, 7)]).unwrap();
-        let a = g.spd_matrix(1.0);
-        let p = spectral_ordering_weighted(&a, &Default::default()).unwrap();
-        assert_eq!(p.len(), 8);
     }
 
     #[test]

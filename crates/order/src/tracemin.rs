@@ -2,8 +2,8 @@
 //!
 //! Identical to [`crate::spectral`] except for step 2 of Algorithm 1: the
 //! Fiedler vector comes from `se-tracemin`'s block trace minimization (whose
-//! per-column inner solves run as the tasks of one region on the shared
-//! [`TaskPool`]) instead of the multilevel
+//! per-column inner solves run as the tasks of one [`TaskPool`] region)
+//! instead of the multilevel
 //! Lanczos/RQI pipeline. Step 3 — sorting the eigenvector both ways and
 //! keeping the smaller envelope — is shared code, so the two orderings are
 //! directly comparable: same graph, same sort, different eigensolver.

@@ -10,14 +10,13 @@
 use crate::cache::ShardedOrderingCache;
 use crate::membership::Transition;
 use crate::mesh::{Mesh, MeshTuning};
-use crate::metrics::{Gauges, MeshGauges, Metrics, PoolHealth};
+use crate::metrics::{Gauges, MeshGauges, Metrics};
 use crate::pool::{SubmitError, WorkerPool};
 use crate::proto::{
     ErrorResponse, MatrixFormat, MatrixSource, OrderRequest, OrderResponse, PermPayload,
 };
 use crate::server::Config;
 use se_faults::{lock_unpoisoned, sites, Budget, FaultPlane};
-use se_order::Algorithm;
 use se_trace::{SpanEvent, Tracer};
 use sparsemat::pattern::SymmetricPattern;
 use std::collections::{HashMap, HashSet};
@@ -91,23 +90,7 @@ pub struct Engine {
     /// scripting a rolling restart — distinguish "listening" from "warmed
     /// up": before this flips, a WARM exchange may still be in flight.
     mesh_warmed: AtomicBool,
-    /// Solver pools keyed by resolved thread count, reused across requests.
-    /// Building a [`sparsemat::par::TaskPool`] spawns and later joins OS
-    /// threads; doing that per request wasted milliseconds and — worse —
-    /// meant concurrent requests could never share workers. With the cache,
-    /// simultaneous TraceMin solves at the same thread count submit their
-    /// regions to one chunk-claiming pool and genuinely overlap (the
-    /// multilevel algorithms solve on the worker thread and never touch it). Bounded by
-    /// [`SOLVER_POOL_CACHE_CAP`]; drained (workers joined) on shutdown.
-    solver_pools: Mutex<Vec<(usize, sparsemat::par::TaskPool)>>,
 }
-
-/// Upper bound on distinct cached solver pools. Keys are thread counts
-/// clamped to the host's cores, so the map is naturally small; the cap keeps
-/// the worst case (many distinct counts on a many-core host) bounded, with
-/// oldest-first eviction (a dropped pool joins its workers once its last
-/// in-flight request finishes).
-const SOLVER_POOL_CACHE_CAP: usize = 8;
 
 impl Engine {
     /// Builds the engine from the server configuration and the already-bound
@@ -149,48 +132,7 @@ impl Engine {
             mesh,
             mesh_stop: Arc::new((Mutex::new(false), Condvar::new())),
             mesh_warmed: AtomicBool::new(false),
-            solver_pools: Mutex::new(Vec::new()),
         })
-    }
-
-    /// The cached solver pool for a clamped request thread count (`0` =
-    /// all cores), building and caching it on first use. Serial counts
-    /// bypass the cache — a serial pool owns no threads worth reusing.
-    fn solver_pool(&self, threads: usize) -> sparsemat::par::TaskPool {
-        let resolved = if threads == 0 {
-            sparsemat::par::available_threads()
-        } else {
-            threads
-        };
-        if resolved <= 1 {
-            return sparsemat::par::TaskPool::serial();
-        }
-        let mut pools = lock_unpoisoned(&self.solver_pools);
-        if let Some((_, p)) = pools.iter().find(|(k, _)| *k == resolved) {
-            return p.clone();
-        }
-        let p = sparsemat::par::TaskPool::new(resolved);
-        if pools.len() >= SOLVER_POOL_CACHE_CAP {
-            pools.remove(0);
-        }
-        pools.push((resolved, p.clone()));
-        p
-    }
-
-    /// Scheduler health summed over every cached solver pool.
-    fn solver_pool_health(&self) -> PoolHealth {
-        let pools = lock_unpoisoned(&self.solver_pools);
-        let mut health = PoolHealth {
-            cached: pools.len(),
-            ..PoolHealth::default()
-        };
-        for (_, p) in pools.iter() {
-            let s = p.stats();
-            health.steals += s.steals;
-            health.parks += s.parks;
-            health.parked_workers += p.parked_workers();
-        }
-        health
     }
 
     /// The peer mesh, when this node was configured with `Config::peers`.
@@ -250,10 +192,6 @@ impl Engine {
         if let Some(mesh) = &self.mesh {
             mesh.announce_leave();
         }
-        // Drain the solver pool cache: dropping the last clone of each
-        // TaskPool joins its workers. Any solve still holding a clone keeps
-        // its pool alive until it finishes — the workers join then.
-        lock_unpoisoned(&self.solver_pools).clear();
         // Mesh drain: with a spill directory configured, ship every spill
         // file to its key's owner on the ring *without* this node, so a
         // rolling restart loses no cached work. Runs after the pool drain
@@ -283,7 +221,6 @@ impl Engine {
             active_jobs,
             shards: self.cache.shard_stats(),
             persistent: self.cache.dir().is_some(),
-            solver_pool: Some(self.solver_pool_health()),
             mesh: self.mesh.as_ref().map(|m| MeshGauges {
                 peers: m.size(),
                 replicas: m.replicas(),
@@ -479,16 +416,11 @@ impl Engine {
             0 => 0,
             t => t.min(sparsemat::par::available_threads()),
         };
+        // Only TraceMin reads the count: each of its outer steps starts at
+        // most `threads − 1` helpers for its inner solves and joins them
+        // before the next. Every other algorithm solves on this worker
+        // thread.
         let mut solver = se_order::SolverOpts::with_threads(threads);
-        // TraceMin, the one pooled solver, runs on the shared
-        // per-thread-count pool instead of spawning workers for this one
-        // request; concurrent TraceMin solves at the same count overlap
-        // their regions on one pool. Every other algorithm solves on this
-        // worker thread, so a daemon that never serves TraceMin never
-        // builds a solver pool.
-        if req.alg == Algorithm::TraceMin {
-            solver.pool = Some(self.solver_pool(threads));
-        }
         // Every computed ordering runs under an enabled tracer: its span
         // tree feeds the per-stage histograms METRICS exposes and, when the
         // request asked, the response's trace field. An enabled tracer
@@ -1225,99 +1157,38 @@ fn load_pattern(source: &MatrixSource) -> Result<SymmetricPattern, ErrorResponse
 #[cfg(test)]
 mod tests {
     use super::*;
+    use se_order::Algorithm;
 
     fn test_engine() -> Arc<Engine> {
         let cfg = Config::default();
         Arc::new(Engine::new(&cfg, "127.0.0.1:0".parse().unwrap()).unwrap())
     }
 
+    /// A TraceMin miss builds its pool from the clamped request thread
+    /// count; the answer does not depend on it.
     #[test]
-    fn solver_pool_cache_reuses_per_thread_count() {
-        let e = test_engine();
-        // Serial counts bypass the cache entirely.
-        assert!(!e.solver_pool(1).is_parallel());
-        assert!(e.solver_pool(0).threads() >= 1);
-        let serial_cached = e.solver_pool_health().cached;
-        // `0` caches only when the host has more than one core.
-        assert_eq!(
-            serial_cached,
-            usize::from(sparsemat::par::available_threads() > 1)
+    fn tracemin_misses_are_bit_identical_across_thread_counts() {
+        let n = 60;
+        let mut mtx = format!(
+            "%%MatrixMarket matrix coordinate pattern symmetric\n{n} {n} {}\n",
+            n - 1
         );
-
-        // Multi-thread counts are cached and found again, one entry per
-        // distinct count.
-        let base = serial_cached;
-        let a = e.solver_pool(4);
-        assert_eq!(e.solver_pool_health().cached, base + 1);
-        let b = e.solver_pool(4);
-        assert_eq!(
-            e.solver_pool_health().cached,
-            base + 1,
-            "same count must hit"
-        );
-        assert_eq!(a.threads(), b.threads());
-        if a.is_parallel() {
-            // Regions run on `b` show up in `a`'s stats: one shared pool.
-            let before = a.stats().regions;
-            let v: Vec<f64> = (0..10_000).map(|i| i as f64).collect();
-            let _ = b.dot(&v, &v);
-            assert_eq!(a.stats().regions, before + 1);
+        for i in 1..n {
+            mtx.push_str(&format!("{} {i}\n", i + 1));
         }
-        let _ = e.solver_pool(3);
-        assert_eq!(e.solver_pool_health().cached, base + 2);
-    }
-
-    #[test]
-    fn only_tracemin_misses_build_a_solver_pool() {
-        let e = test_engine();
-        let path = |n: usize| {
-            let mut m = format!(
-                "%%MatrixMarket matrix coordinate pattern symmetric\n{n} {n} {}\n",
-                n - 1
-            );
-            for i in 1..n {
-                m.push_str(&format!("{} {i}\n", i + 1));
-            }
-            m
-        };
-        let miss = |alg, n| {
-            let mut req = OrderRequest::inline_mtx(alg, path(n));
-            req.threads = Some(2);
-            let resp = e
+        let perm = |threads| {
+            let mut req = OrderRequest::inline_mtx(Algorithm::TraceMin, mtx.clone());
+            req.threads = Some(threads);
+            // A fresh engine per count keeps every request a miss.
+            let resp = test_engine()
                 .execute_order(&req, &Budget::unlimited(), None)
                 .expect("order succeeds");
             assert!(!resp.cache_hit);
+            resp.perm.expect("perm requested").order().to_vec()
         };
-        miss(Algorithm::Spectral, 40);
-        miss(Algorithm::Rcm, 41);
-        assert_eq!(e.solver_pool_health().cached, 0);
-        // Two TraceMin misses share one pool (none on a one-core host,
-        // where the request's two threads clamp to a serial solve).
-        miss(Algorithm::TraceMin, 42);
-        miss(Algorithm::TraceMin, 43);
-        assert_eq!(
-            e.solver_pool_health().cached,
-            usize::from(sparsemat::par::available_threads() > 1)
-        );
-    }
-
-    #[test]
-    fn solver_pool_cache_is_bounded_and_cleared_on_shutdown() {
-        let e = test_engine();
-        for t in 0..SOLVER_POOL_CACHE_CAP + 3 {
-            let _ = e.solver_pool(t + 2);
+        let serial = perm(1);
+        for threads in [0, 2, 4] {
+            assert_eq!(perm(threads), serial, "{threads} threads");
         }
-        assert_eq!(e.solver_pool_health().cached, SOLVER_POOL_CACHE_CAP);
-        // Oldest entries were evicted: the first count misses (re-inserting
-        // it evicts again, keeping the cap).
-        let _ = e.solver_pool(2);
-        assert_eq!(e.solver_pool_health().cached, SOLVER_POOL_CACHE_CAP);
-
-        e.begin_shutdown();
-        assert_eq!(
-            e.solver_pool_health().cached,
-            0,
-            "shutdown must drop every cached pool"
-        );
     }
 }

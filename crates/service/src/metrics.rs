@@ -242,25 +242,8 @@ pub struct Gauges {
     pub shards: Vec<ShardStats>,
     /// Whether the cache spills to disk.
     pub persistent: bool,
-    /// Scheduler health of the engine's cached solver pools (`None`
-    /// outside an engine).
-    pub solver_pool: Option<PoolHealth>,
     /// The peer mesh (`None` unless peers are configured).
     pub mesh: Option<MeshGauges>,
-}
-
-/// Scheduler health summed over the engine's cached solver pools.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PoolHealth {
-    /// Pools alive in the per-thread-count cache.
-    pub cached: usize,
-    /// Chunks pool workers ran for regions another thread submitted
-    /// (cumulative).
-    pub steals: u64,
-    /// Worker idle transitions (cumulative).
-    pub parks: u64,
-    /// Workers parked right now.
-    pub parked_workers: usize,
 }
 
 /// The mesh's shape and liveness view.
@@ -317,7 +300,7 @@ enum Sample {
 /// to read it.
 pub struct Family {
     /// The STATS key. A dotted path nests it in an object
-    /// (`solver_pool.steals`); a per-shard family's path ends in
+    /// (`mesh.peers`); a per-shard family's path ends in
     /// `<array>.<field>`, its field in every element of the shard array.
     /// Empty: the family is not in STATS.
     pub stats: &'static str,
@@ -446,18 +429,6 @@ pub const FAMILIES: &[Family] = &[
     family!(2 Histogram "" => "se_stage_latency_microseconds" ["stage"]
         "Per-request solver time by pipeline stage (span subtree sums).",
         |m, _| Some(Sample::Histograms(m.stage_latency.rows()))),
-    family!(3 Gauge "solver_pool.cached" => "se_pool_cached" []
-        "Solver pools alive in the per-thread-count cache.",
-        |_, g| g.solver_pool.map(|p| Sample::Num(p.cached as u64))),
-    family!(2 Counter "solver_pool.steals" => "se_pool_steals_total" []
-        "Chunks solver-pool workers ran for regions another thread submitted.",
-        |_, g| g.solver_pool.map(|p| Sample::Num(p.steals))),
-    family!(2 Counter "solver_pool.parks" => "se_pool_parks_total" []
-        "Solver-pool worker idle transitions (condvar parks).",
-        |_, g| g.solver_pool.map(|p| Sample::Num(p.parks))),
-    family!(2 Gauge "solver_pool.parked_workers" => "se_pool_parked_workers" []
-        "Solver-pool workers currently parked.",
-        |_, g| g.solver_pool.map(|p| Sample::Num(p.parked_workers as u64))),
     family!(3 Gauge "mesh.peers" => "se_peer_mesh_size" []
         "Nodes on the consistent-hash ring (peers + this node).",
         |_, g| g.mesh.as_ref().map(|m| Sample::Num(m.peers as u64))),

@@ -50,9 +50,13 @@ pub struct Config {
     /// Default per-request wall-clock timeout (ms); requests may override.
     pub default_timeout_ms: u64,
     /// Default solver threads per ordering job (`0` = all cores); requests
-    /// may override with their `"threads"` field. Orderings are bit-identical
-    /// for every value, so this only affects wall-clock time — which is why
-    /// the cache key deliberately ignores it.
+    /// may override with their `"threads"` field, and the engine clamps
+    /// either to the core count. Only TraceMin reads it: each outer step
+    /// starts at most `threads − 1` helpers for its inner solves and joins
+    /// them before the next, so the daemon holds no solver threads between
+    /// jobs. Orderings are bit-identical for every value, so this only
+    /// affects wall-clock time — which is why the cache key deliberately
+    /// ignores it.
     pub solver_threads: usize,
     /// Emit one log line per completed ORDER (id, algorithm, n/nnz, cache
     /// hit/miss, total µs) on stderr.

@@ -503,8 +503,8 @@ fn populated_engine() -> Engine {
 }
 
 /// The STATS object and METRICS text of [`populated_engine`], byte for
-/// byte: every keyed family, histogram, shard gauge, and the solver-pool
-/// and mesh fragments.
+/// byte: every keyed family, histogram, shard gauge, and the mesh
+/// fragment.
 #[test]
 fn populated_engine_surfaces_are_pinned() {
     let engine = populated_engine();
@@ -512,7 +512,7 @@ fn populated_engine_surfaces_are_pinned() {
     assert_eq!(engine.metrics_text(), POPULATED_PROMETHEUS);
 }
 
-const POPULATED_STATS: &str = r#"{"requests":0,"orders":1,"batches":0,"cache_hits":1,"cache_misses":0,"queue_rejections":0,"timeouts":0,"errors":0,"connections":0,"busy_rejections":0,"cancelled":0,"rate_limited":0,"progress_frames":0,"reactor_wakeups":0,"open_connections":0,"inflight_requests":0,"peer_forwards":0,"peer_forward_failures":0,"peer_replications":0,"peer_replication_failures":0,"peer_entries_received":0,"hints_replayed":0,"hints_dropped":0,"antientropy_repairs":0,"peer_transitions":{"alive:suspect":2,"suspect:dead":1},"degraded_orders":{"deadline":1,"not_converged":2},"budget_aborts":{"lanczos":1},"queue_depth":0,"active_jobs":0,"cached_orderings":1,"cache":{"shard_count":2,"bytes":247,"persistent":false,"shards":[{"entries":1,"bytes":247,"hits":1,"misses":0},{"entries":0,"bytes":0,"hits":0,"misses":1}]},"latency_us_by_algorithm":{"RCM":{"count":2,"mean_us":1550,"p50_us":128,"p99_us":4096,"max_us":3000},"SPECTRAL":{"count":1,"mean_us":250000,"p50_us":262144,"p99_us":262144,"max_us":250000}},"solver_pool":{"cached":0,"steals":0,"parks":0,"parked_workers":0},"mesh":{"peers":2,"replicas":2,"self":"127.0.0.1:7000","members":[{"name":"127.0.0.1:7001","state":"alive"}],"hints_queued":0}}"#;
+const POPULATED_STATS: &str = r#"{"requests":0,"orders":1,"batches":0,"cache_hits":1,"cache_misses":0,"queue_rejections":0,"timeouts":0,"errors":0,"connections":0,"busy_rejections":0,"cancelled":0,"rate_limited":0,"progress_frames":0,"reactor_wakeups":0,"open_connections":0,"inflight_requests":0,"peer_forwards":0,"peer_forward_failures":0,"peer_replications":0,"peer_replication_failures":0,"peer_entries_received":0,"hints_replayed":0,"hints_dropped":0,"antientropy_repairs":0,"peer_transitions":{"alive:suspect":2,"suspect:dead":1},"degraded_orders":{"deadline":1,"not_converged":2},"budget_aborts":{"lanczos":1},"queue_depth":0,"active_jobs":0,"cached_orderings":1,"cache":{"shard_count":2,"bytes":247,"persistent":false,"shards":[{"entries":1,"bytes":247,"hits":1,"misses":0},{"entries":0,"bytes":0,"hits":0,"misses":1}]},"latency_us_by_algorithm":{"RCM":{"count":2,"mean_us":1550,"p50_us":128,"p99_us":4096,"max_us":3000},"SPECTRAL":{"count":1,"mean_us":250000,"p50_us":262144,"p99_us":262144,"max_us":250000}},"mesh":{"peers":2,"replicas":2,"self":"127.0.0.1:7000","members":[{"name":"127.0.0.1:7001","state":"alive"}],"hints_queued":0}}"#;
 
 const POPULATED_PROMETHEUS: &str = r#"# HELP se_requests_total Request lines received (any command).
 # TYPE se_requests_total counter
@@ -722,18 +722,6 @@ se_stage_latency_microseconds_bucket{stage="fiedler",le="536870912"} 1
 se_stage_latency_microseconds_bucket{stage="fiedler",le="+Inf"} 1
 se_stage_latency_microseconds_sum{stage="fiedler"} 1500
 se_stage_latency_microseconds_count{stage="fiedler"} 1
-# HELP se_pool_steals_total Chunks solver-pool workers ran for regions another thread submitted.
-# TYPE se_pool_steals_total counter
-se_pool_steals_total 0
-# HELP se_pool_parks_total Solver-pool worker idle transitions (condvar parks).
-# TYPE se_pool_parks_total counter
-se_pool_parks_total 0
-# HELP se_pool_parked_workers Solver-pool workers currently parked.
-# TYPE se_pool_parked_workers gauge
-se_pool_parked_workers 0
-# HELP se_pool_cached Solver pools alive in the per-thread-count cache.
-# TYPE se_pool_cached gauge
-se_pool_cached 0
 # HELP se_peer_mesh_size Nodes on the consistent-hash ring (peers + this node).
 # TYPE se_peer_mesh_size gauge
 se_peer_mesh_size 2

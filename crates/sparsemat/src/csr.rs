@@ -254,35 +254,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Dense `y = A x` on a [`crate::par::TaskPool`], the kernel behind the
-    /// eigensolver's hot loops.
-    ///
-    /// Rows are split into fixed-width chunks (independent of thread count)
-    /// claimed by whichever pool thread is free; each chunk owns a disjoint slice of
-    /// `y`, and every `y[r]` is accumulated serially over row `r`'s entries,
-    /// so the result is bit-identical to [`CsrMatrix::matvec`] at every
-    /// thread count. On a serial pool this *is* the sequential kernel.
-    pub fn matvec_pooled(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        pool: &crate::par::TaskPool,
-        chunk: usize,
-    ) {
-        assert_eq!(x.len(), self.ncols, "matvec: x length mismatch");
-        assert_eq!(y.len(), self.nrows, "matvec: y length mismatch");
-        pool.for_each_chunk_mut(y, chunk.max(1), |r0, yb| {
-            for (i, yr) in yb.iter_mut().enumerate() {
-                let r = r0 + i;
-                let mut acc = 0.0;
-                for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                    acc += self.values[k] * x[self.col_idx[k]];
-                }
-                *yr = acc;
-            }
-        });
-    }
-
     /// Allocating matvec convenience.
     pub fn matvec_alloc(&self, x: &[f64]) -> Vec<f64> {
         let mut y = vec![0.0; self.nrows];
@@ -458,34 +429,6 @@ mod tests {
         let a = example();
         let y = a.matvec_alloc(&[1.0, 1.0, 1.0]);
         assert_eq!(y, vec![1.0, 0.0, 1.0]);
-    }
-
-    #[test]
-    fn matvec_pooled_bit_identical_to_serial() {
-        // A banded matrix large enough that the pooled kernel goes parallel.
-        let n = 9000;
-        let mut entries = Vec::new();
-        for i in 0..n {
-            entries.push((i, i, 2.5 + (i % 7) as f64));
-            if i + 1 < n {
-                entries.push((i, i + 1, -1.0 - (i % 3) as f64 * 0.25));
-                entries.push((i + 1, i, -1.0 - (i % 3) as f64 * 0.25));
-            }
-        }
-        let a = CsrMatrix::from_entries(n, &entries).unwrap();
-        let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
-        let mut y_ref = vec![0.0; n];
-        a.matvec(&x, &mut y_ref);
-        for threads in [1, 2, 4, 8] {
-            let pool = crate::par::TaskPool::new(threads);
-            let mut y = vec![0.0; n];
-            a.matvec_pooled(&x, &mut y, &pool, 512);
-            let same = y
-                .iter()
-                .zip(&y_ref)
-                .all(|(p, q)| p.to_bits() == q.to_bits());
-            assert!(same, "pooled matvec differs at {threads} threads");
-        }
     }
 
     #[test]

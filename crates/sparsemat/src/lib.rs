@@ -29,6 +29,7 @@
 //! assert_eq!(stats.bandwidth, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod coo;

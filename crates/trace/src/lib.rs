@@ -17,7 +17,8 @@
 //!   struct costs nothing on the production path.
 //! * **No lock on the matvec path.** Span open/close and attribute writes
 //!   happen on the orchestrating thread only (a `Mutex` there is
-//!   uncontended and cold); nothing is counted inside a `TaskPool` region.
+//!   uncontended and cold); nothing is counted inside the tasks of a
+//!   `TaskPool::run_tasks` region, such as TraceMin's inner solves.
 //! * **Thread-count invariance.** Attributes count algorithmic work
 //!   (iterations, matvecs, vertex updates), never the schedule, so traced
 //!   totals are identical for 1, 2, … threads — the same invariant the

@@ -9,7 +9,7 @@
 //! projection onto the current subspace and then refines every basis column
 //! with an *independent* shifted-Laplacian MINRES solve — `s` coarse-grained
 //! jobs with irregular, data-dependent costs, run as the `s` tasks of one
-//! region on the injected chunk-claiming [`TaskPool`].
+//! [`TaskPool::run_tasks`] region.
 //!
 //! By the Courant–Fischer trace theorem, the minimum of `tr(XᵀLX)` over
 //! orthonormal `X ⊥ 1` is `λ₂ + ⋯ + λ_{s+1}`, attained on the span of the
@@ -23,19 +23,18 @@
 //! Results are **bit-identical at every thread count**. Three invariants
 //! deliver this:
 //!
-//! 1. every reduction goes through the pool's fixed-grid chunked forms
-//!    ([`TaskPool::dot`]/[`TaskPool::sum`]/[`TaskPool::norm`]), which are
-//!    bitwise equal to their serial counterparts;
-//! 2. each inner MINRES runs serially on the thread that claimed its task,
-//!    so a column's solution depends only on its right-hand side, never on
+//! 1. every reduction uses the fixed-grid chunked forms of
+//!    [`sparsemat::par`] ([`det_dot`], [`det_sum`]);
+//! 2. the Ritz step and Gram–Schmidt run on the calling thread, and each
+//!    inner MINRES runs serially on the thread that claimed its task, so a
+//!    column's solution depends only on its right-hand side, never on
 //!    scheduling;
 //! 3. columns map to region task indices by their fixed position `j`, and
 //!    each task writes only its own [`OnceLock`] slot — the blocking
 //!    region call orders every write before the (serial) Gram–Schmidt pass.
 //!
 //! Parallel speedup therefore comes purely from running the `s` column
-//! solves concurrently (plus pooled matvecs in the Ritz step), never from
-//! reassociating floating-point sums.
+//! solves concurrently, never from reassociating floating-point sums.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,7 +48,7 @@ use se_eigen::{
 use se_faults::{sites, Budget, FaultPlane};
 use se_prng::SmallRng;
 use se_trace::Tracer;
-use sparsemat::par::TaskPool;
+use sparsemat::par::{det_dot, det_sum, TaskPool};
 use sparsemat::SymmetricPattern;
 
 /// Default number of basis columns. Two would suffice for a simple Fiedler
@@ -92,8 +91,8 @@ const INNER_RTOL_FACTOR: f64 = 0.05;
 const SHIFT_REL: f64 = 1e-6;
 
 /// Options for [`tracemin_fiedler`]. Mirrors the shape of the other solver
-/// option structs in `se-eigen`: numeric knobs plus the shared pool, tracer,
-/// budget and fault plane.
+/// option structs in `se-eigen`: numeric knobs plus the pool, tracer, budget
+/// and fault plane.
 #[derive(Debug, Clone)]
 pub struct TraceminOptions {
     /// Basis columns `s`, clamped to `2..=8` and to `n − 1`
@@ -111,9 +110,9 @@ pub struct TraceminOptions {
     pub inner_rtol: f64,
     /// Start-basis seed ([`DEFAULT_SEED`]).
     pub seed: u64,
-    /// Pool for the Ritz-step matvecs/reductions and for running the
-    /// per-column inner solves as the tasks of one region. Serial by
-    /// default; results are bit-identical for every thread count.
+    /// Pool that runs the per-column inner solves as the tasks of one region
+    /// per outer iteration. Serial by default; results are bit-identical for
+    /// every thread count.
     pub pool: TaskPool,
     /// Span recorder: one `tracemin` root span plus a `tracemin_iter` span
     /// per outer iteration. Disabled by default.
@@ -185,12 +184,17 @@ pub fn sign_fix(v: &mut [f64]) {
 }
 
 /// Subtracts the mean from `col` — projection onto `1⊥`, the deflation of
-/// the Laplacian's constant null vector. Uses the deterministic pooled sum.
-fn deflate_constant(col: &mut [f64], pool: &TaskPool) {
-    let mean = pool.sum(col) / col.len() as f64;
+/// the Laplacian's constant null vector. Uses the deterministic chunked sum.
+fn deflate_constant(col: &mut [f64]) {
+    let mean = det_sum(col) / col.len() as f64;
     for x in col.iter_mut() {
         *x -= mean;
     }
+}
+
+/// Euclidean norm from the deterministic chunked dot product.
+fn norm(x: &[f64]) -> f64 {
+    det_dot(x, x).sqrt()
 }
 
 /// Fills `col` from the deterministic PRNG stream for `(seed, tag)`.
@@ -207,30 +211,25 @@ fn random_column(col: &mut [f64], seed: u64, tag: u64) {
 /// zero is reseeded deterministically from `(seed, outer_iter, column)`; if
 /// it collapses again the basis is genuinely rank-deficient and the solve
 /// reports [`EigenError::Numerical`].
-fn orthonormalize(
-    cols: &mut [Vec<f64>],
-    pool: &TaskPool,
-    seed: u64,
-    outer_iter: usize,
-) -> Result<()> {
+fn orthonormalize(cols: &mut [Vec<f64>], seed: u64, outer_iter: usize) -> Result<()> {
     let ncols = cols.len();
     for j in 0..ncols {
         for attempt in 0..2 {
             let (done, rest) = cols.split_at_mut(j);
             let col = &mut rest[0][..];
-            deflate_constant(col, pool);
-            let scale = pool.norm(col);
+            deflate_constant(col);
+            let scale = norm(col);
             let mut nrm = scale;
             // MGS against the already-orthonormal columns; repeat once if
             // cancellation was severe ("twice is enough").
             for _pass in 0..2 {
                 for prev in done.iter() {
-                    let c = pool.dot(prev, col);
+                    let c = det_dot(prev, col);
                     for (x, p) in col.iter_mut().zip(prev.iter()) {
                         *x -= c * p;
                     }
                 }
-                nrm = pool.norm(col);
+                nrm = norm(col);
                 if nrm > 0.5 * scale {
                     break;
                 }
@@ -308,7 +307,7 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
             col
         })
         .collect();
-    orthonormalize(&mut x, pool, opts.seed, 0)?;
+    orthonormalize(&mut x, opts.seed, 0)?;
 
     let mut inner_matvecs: u64 = 0;
 
@@ -333,14 +332,14 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
         let mut w: Vec<Vec<f64>> = Vec::with_capacity(s);
         for xj in &x {
             let mut wj = vec![0.0; n];
-            a_op.apply_pooled(xj, &mut wj, pool);
+            a_op.apply(xj, &mut wj);
             opts.budget.charge_matvecs(1);
             w.push(wj);
         }
         let mut h = vec![0.0; s * s];
         for i in 0..s {
             for j in i..s {
-                let v = pool.dot(&x[i], &w[j]);
+                let v = det_dot(&x[i], &w[j]);
                 h[i * s + j] = v;
                 h[j * s + i] = v;
             }
@@ -372,7 +371,7 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
         for ((r, wv), xv) in resid.iter_mut().zip(&w[0]).zip(&x[0]) {
             *r = wv - theta * xv;
         }
-        let res = pool.norm(&resid);
+        let res = norm(&resid);
         iter_span.attr("ritz_residual", res);
         iter_span.attr("ritz_value", theta - sigma);
 
@@ -384,7 +383,6 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
             span.attr("matvecs", inner_matvecs as f64);
             let stats1 = pool.stats();
             span.attr("pool_steals", (stats1.steals - stats0.steals) as f64);
-            span.attr("pool_parks", (stats1.parks - stats0.parks) as f64);
             return Ok(TraceminResult {
                 lambda2: theta - sigma,
                 vector,
@@ -450,7 +448,7 @@ pub fn tracemin_fiedler(g: &SymmetricPattern, opts: &TraceminOptions) -> Result<
         // The next basis is the orthonormalized solve results (inverse
         // iteration on the block).
         x = solved;
-        orthonormalize(&mut x, pool, opts.seed, k + 1)?;
+        orthonormalize(&mut x, opts.seed, k + 1)?;
     }
 
     span.attr("iterations", opts.max_outer as f64);

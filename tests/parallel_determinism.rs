@@ -7,11 +7,12 @@
 //! multilevel solver behind SPECTRAL, hybrid, refined and nd runs on the
 //! calling thread, so it holds there by construction (and
 //! `multilevel_solve_submits_no_region` pins that the pool stays idle).
-//! TraceMin-Fiedler does use the pool; it keeps the contract because every
-//! floating-point reduction uses a fixed chunk order independent of thread
-//! count (see `sparsemat::par`).
+//! TraceMin-Fiedler does run its inner solves on several threads; it keeps
+//! the contract because each inner solve runs serially on one thread and
+//! every floating-point reduction uses a fixed chunk order independent of
+//! thread count (see `sparsemat::par`).
 //!
-//! Every build spawns real worker threads for a thread count of 2 or more;
+//! Every build starts real helper threads for a thread count of 2 or more;
 //! each thread loop asserts that its pool is parallel, so the suite can
 //! never pass by comparing serial runs with serial runs.
 
@@ -29,7 +30,7 @@ fn stress_threads() -> Option<usize> {
     std::env::var("SE_STRESS_THREADS").ok()?.parse().ok()
 }
 
-/// A thread count of 2 or more must build a pool with real workers.
+/// A thread count of 2 or more must build a pool that starts helpers.
 fn assert_parallel(t: usize) {
     assert!(
         t < 2 || SolverOpts::with_threads(t).pool().is_parallel(),
@@ -88,9 +89,30 @@ fn fiedler_vector_is_bitwise_thread_count_invariant() {
 /// inline path of the pool.
 const OVERLAP_THREADS: [usize; 4] = [1, 2, 4, 8];
 
+/// One write-once slot per task, so tasks running on any thread can hand
+/// back their block without sharing a mutable buffer.
+struct OnceSlots(Vec<std::sync::OnceLock<Vec<f64>>>);
+
+impl OnceSlots {
+    fn new(n: usize) -> Self {
+        OnceSlots((0..n).map(|_| std::sync::OnceLock::new()).collect())
+    }
+
+    fn set(&self, i: usize, block: Vec<f64>) {
+        self.0[i].set(block).expect("each task runs once");
+    }
+
+    /// The blocks in task order, as one vector.
+    fn concat(self) -> Vec<f64> {
+        self.0
+            .into_iter()
+            .flat_map(|b| b.into_inner().expect("every task ran"))
+            .collect()
+    }
+}
+
 /// Runs `a` and `b` on two threads that start together, so the regions
-/// they submit to a shared pool are in flight at the same time — the
-/// engine's case of concurrent requests on one per-thread-count pool.
+/// they run on clones of one pool are in flight at the same time.
 fn overlapped<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
     A: FnOnce() -> RA + Send,
@@ -114,10 +136,10 @@ where
 
 /// Two independent regions in flight concurrently on one pool must produce
 /// the same bytes as running their bodies serially — for every thread
-/// count. Each region does the pipeline's actual reduction pattern: an
-/// elementwise transform plus a fixed-grid partial-sum array folded
-/// serially, so this asserts the bit-reproducibility contract under real
-/// region overlap, not just under a single blocking region.
+/// count. Each region does the pipeline's actual reduction pattern, one
+/// task per chunk: an elementwise transform plus a fixed-grid partial-sum
+/// array folded serially, so this asserts the bit-reproducibility contract
+/// under real region overlap, not just under a single blocking region.
 #[test]
 fn overlapping_regions_are_bit_identical() {
     use spectral_envelope_repro::prng::SplitMix64;
@@ -163,9 +185,14 @@ fn overlapping_regions_are_bit_identical() {
         assert_parallel(t);
         let pool = TaskPool::new(t);
         let region = |x: &[f64]| {
-            let (mut y, p) = (vec![0.0; N], slots());
-            pool.for_each_chunk_mut(&mut y, CHUNK, |lo, block| transform(x, lo, block, &p));
-            (y, p)
+            let (blocks, p) = (OnceSlots::new(nchunks), slots());
+            pool.run_tasks(nchunks, |c| {
+                let lo = c * CHUNK;
+                let mut block = vec![0.0; CHUNK.min(N - lo)];
+                transform(x, lo, &mut block, &p);
+                blocks.set(c, block);
+            });
+            (blocks.concat(), p)
         };
         let ((y1, p1), (y2, p2)) = overlapped(|| region(&x1), || region(&x2));
         for i in 0..N {
@@ -177,11 +204,10 @@ fn overlapping_regions_are_bit_identical() {
     }
 }
 
-/// The engine-style overlap: two whole solves running concurrently on one
-/// shared injected pool (as `spectral-orderd`'s per-thread-count pool cache
-/// arranges for concurrent requests) must each match the serial
-/// permutation exactly. TraceMin is the case whose regions really overlap;
-/// SPECTRAL shares the configuration but solves on its own thread.
+/// Two whole solves running concurrently on clones of one injected pool
+/// must each match the serial permutation exactly. TraceMin is the case
+/// whose regions really overlap; SPECTRAL shares the configuration but
+/// solves on its own thread.
 #[test]
 fn concurrent_solves_on_a_shared_pool_stay_bit_identical() {
     use spectral_envelope_repro::sparsemat::par::TaskPool;
@@ -194,7 +220,10 @@ fn concurrent_solves_on_a_shared_pool_stay_bit_identical() {
 
         let pool = TaskPool::new(4);
         let solve = |g| {
-            let solver = SolverOpts::with_pool(pool.clone());
+            let solver = SolverOpts {
+                pool: Some(pool.clone()),
+                ..SolverOpts::default()
+            };
             order_with(g, alg, &solver).unwrap()
         };
         let (pa, pb) = overlapped(|| solve(&ga), || solve(&gb));
@@ -228,7 +257,10 @@ fn multilevel_solve_submits_no_region() {
 
     let pool = TaskPool::new(2);
     assert!(pool.is_parallel(), "2 threads built a serial pool");
-    let pooled = SolverOpts::with_pool(pool.clone());
+    let pooled = SolverOpts {
+        pool: Some(pool.clone()),
+        ..SolverOpts::default()
+    };
     let before = pool.stats().regions;
 
     let serial = fiedler(&sub, &SolverOpts::default()).unwrap();
@@ -261,10 +293,10 @@ fn multilevel_solve_submits_no_region() {
     );
 }
 
-/// Wildly irregular seeded per-chunk costs (up to ~3 orders of magnitude
-/// apart), in two overlapping regions, mix which thread claims each chunk
-/// and reorder completion, yet the fixed chunk grid keeps results
-/// byte-identical across thread counts.
+/// Wildly irregular seeded per-task costs (up to ~3 orders of magnitude
+/// apart), in two overlapping regions, mix which thread claims each task
+/// and reorder completion, yet the fixed task→chunk assignment keeps
+/// results byte-identical across thread counts.
 #[test]
 fn seeded_irregular_chunk_costs_stay_deterministic() {
     use spectral_envelope_repro::prng::SplitMix64;
@@ -289,13 +321,12 @@ fn seeded_irregular_chunk_costs_stay_deterministic() {
         assert_parallel(t);
         let pool = TaskPool::new(t);
         let region = || {
-            let mut out = vec![0.0f64; N];
-            pool.for_each_chunk_mut(&mut out, CHUNK, |lo, block| {
-                for (i, o) in (lo..).zip(block) {
-                    *o = work(i);
-                }
+            let blocks = OnceSlots::new(N.div_ceil(CHUNK));
+            pool.run_tasks(N.div_ceil(CHUNK), |c| {
+                let lo = c * CHUNK;
+                blocks.set(c, (lo..(lo + CHUNK).min(N)).map(work).collect());
             });
-            out
+            blocks.concat()
         };
         let (out1, out2) = overlapped(region, region);
         for i in 0..N {
@@ -307,19 +338,22 @@ fn seeded_irregular_chunk_costs_stay_deterministic() {
 
 /// A panic in one region must not poison a concurrently outstanding
 /// sibling region or the pool itself: the sibling completes in full, the
-/// panic surfaces at the panicking region's call, and the pool still
-/// computes bit-correct reductions afterwards.
+/// panic surfaces at the panicking region's call after every other task of
+/// its region ran, and the pool still runs regions afterwards.
 #[test]
 fn panic_in_one_region_does_not_poison_the_other() {
-    use spectral_envelope_repro::sparsemat::par::{det_dot, TaskPool};
+    use spectral_envelope_repro::sparsemat::par::TaskPool;
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
-    const N: usize = 50_000;
+    const N: usize = 100;
     let pool = TaskPool::new(4);
-    let (good, caught) = overlapped(
+    let hits = |n: usize| (0..n).map(|_| AtomicUsize::new(0)).collect::<Vec<_>>();
+    let (good, bad) = (hits(N), hits(64));
+    let ((), caught) = overlapped(
         || {
-            let mut good = vec![0u8; N];
-            pool.for_each_chunk_mut(&mut good, 512, |_, block| block.fill(1));
-            good
+            pool.run_tasks(N, |i| {
+                good[i].fetch_add(1, Relaxed);
+            })
         },
         || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -327,19 +361,25 @@ fn panic_in_one_region_does_not_poison_the_other() {
                     if i == 33 {
                         panic!("injected region failure");
                     }
+                    bad[i].fetch_add(1, Relaxed);
                 });
             }))
         },
     );
     assert!(caught.is_err(), "the injected panic must surface");
     assert!(
-        good.iter().all(|&b| b == 1),
+        good.iter().all(|h| h.load(Relaxed) == 1),
         "sibling region must have completed in full"
     );
+    let ran = |i: usize| bad[i].load(Relaxed);
+    assert!((0..64).all(|i| ran(i) == usize::from(i != 33)));
 
-    // The pool survives: a post-panic reduction still matches serial bits.
-    let v: Vec<f64> = (0..N).map(|i| (i as f64).sin()).collect();
-    assert_eq!(pool.dot(&v, &v).to_bits(), det_dot(&v, &v).to_bits());
+    // The pool survives: a post-panic region runs every task once.
+    let after = hits(N);
+    pool.run_tasks(N, |i| {
+        after[i].fetch_add(1, Relaxed);
+    });
+    assert!(after.iter().all(|h| h.load(Relaxed) == 1));
 }
 
 #[test]

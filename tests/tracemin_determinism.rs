@@ -6,13 +6,16 @@
 //! every thread count**, because each per-column inner MINRES solve runs
 //! serially (a column's bits depend only on its right-hand side), the
 //! column→region-task assignment is fixed, and every reduction uses the
-//! pool's fixed chunk grid. On top of that, the eigensolver must agree with
+//! fixed chunk grid of `sparsemat::par`. On top of that, the eigensolver must agree with
 //! the multilevel Lanczos/RQI pipeline it complements: same eigenvalue, same
 //! sign-fixed direction, comparable envelope quality.
 //!
-//! Threads 2/4/8 (plus `SE_STRESS_THREADS`) run on real worker threads in
+//! Threads 2/4/8 (plus `SE_STRESS_THREADS`) run on real helper threads in
 //! every build; each thread loop asserts that its pool is parallel, so the
-//! suite can never pass by comparing serial runs with serial runs.
+//! suite can never pass by comparing serial runs with serial runs. The
+//! `*_tracemin_bits_are_pinned` cases pin the exact bits at 1 and 2
+//! threads, so a change that moves them at every thread count alike shows
+//! too.
 
 use spectral_envelope_repro::eigen::{LaplacianOp, SolverOpts, SymOp};
 use spectral_envelope_repro::graph::bfs::{connected_components, induced_subgraph};
@@ -30,12 +33,12 @@ const THREADS: [usize; 3] = [2, 4, 8];
 
 /// CI's `stress` job sets `SE_STRESS_THREADS` to push every thread-count
 /// loop far past the host's core count (heavy oversubscription = maximal
-/// steal/park traffic, which the results must not show).
+/// scheduling nondeterminism, which the results must not show).
 fn stress_threads() -> Option<usize> {
     std::env::var("SE_STRESS_THREADS").ok()?.parse().ok()
 }
 
-/// A thread count of 2 or more must build a pool with real workers.
+/// A thread count of 2 or more must build a pool that starts helpers.
 fn assert_parallel(t: usize) {
     assert!(
         t < 2 || SolverOpts::with_threads(t).pool().is_parallel(),
@@ -188,4 +191,73 @@ fn repeated_runs_are_reproducible() {
     let a = order_with(&s.pattern, Algorithm::TraceMin, &solver).unwrap();
     let b = order_with(&s.pattern, Algorithm::TraceMin, &solver).unwrap();
     assert_eq!(a.perm.order(), b.perm.order());
+}
+
+/// 64-bit FNV-1a over a stream of `u64` words, little-endian bytes (the
+/// hash `crates/eigen/tests/fiedler_bits.rs` pins the multilevel solve with).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// `(eigenpair digest, permutation digest)` of one stand-in at `t` threads:
+/// the bits of `λ₂` followed by every component of the TraceMin vector of
+/// the largest component, then every index of the TRACEMIN permutation.
+fn tracemin_digests(name: &str, t: usize) -> (u64, u64) {
+    let g = meshgen::standin(name).expect("known stand-in").pattern;
+    let opts = TraceminOptions {
+        pool: TaskPool::new(t),
+        ..TraceminOptions::default()
+    };
+    let r = tracemin_fiedler(&largest_component(&g), &opts)
+        .unwrap_or_else(|e| panic!("{name}: {t}-thread tracemin failed: {e}"));
+    let mut h = Fnv::new();
+    h.word(r.lambda2.to_bits());
+    for v in &r.vector {
+        h.word(v.to_bits());
+    }
+    let perm = order_with(&g, Algorithm::TraceMin, &SolverOpts::with_threads(t))
+        .unwrap_or_else(|e| panic!("{name}: {t}-thread tracemin ordering failed: {e}"));
+    let mut p = Fnv::new();
+    for &i in perm.perm.order() {
+        p.word(i as u64);
+    }
+    (h.0, p.0)
+}
+
+/// Asserts both digests of one stand-in at 1 and 2 threads, printing the
+/// pinned line to paste when they moved. A change that only reorganises
+/// TraceMin's arithmetic (a different schedule, a serial form of a pooled
+/// kernel) must leave them untouched.
+fn check_tracemin(name: &str, fiedler: u64, perm: u64) {
+    for t in [1, 2] {
+        let got = tracemin_digests(name, t);
+        assert_eq!(
+            got,
+            (fiedler, perm),
+            "{t} threads, digests moved: check_tracemin(\"{name}\", {:#018x}, {:#018x})",
+            got.0,
+            got.1
+        );
+    }
+}
+
+#[test]
+fn can1072_tracemin_bits_are_pinned() {
+    check_tracemin("CAN1072", 0x609d7bef06dc0c1f, 0xad165a3b079f4605);
+}
+
+#[test]
+fn pow9_tracemin_bits_are_pinned() {
+    check_tracemin("POW9", 0xcb4b0a7901478df0, 0xe427219658204b24);
 }
