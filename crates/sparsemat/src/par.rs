@@ -413,7 +413,9 @@ mod tests {
         assert!((1..=4).contains(&ids.len()), "{} threads", ids.len());
         let s = pool.stats();
         assert_eq!((s.regions, s.chunks, s.parks), (1, 4, 0));
-        assert!(s.steals <= 3, "the caller runs at least one task");
+        // The helpers may drain the counter before the caller claims, so
+        // they can run all four tasks.
+        assert!(s.steals <= s.chunks);
     }
 
     #[test]
