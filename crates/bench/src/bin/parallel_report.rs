@@ -16,22 +16,25 @@
 //! calling thread, so every thread count would measure the same serial
 //! solve.
 //!
-//! Honest by construction: the output is stamped with the host core count,
-//! the build profile and the git commit, since speedup is bounded by
-//! physical cores (on a 1-core container every thread count measures the
-//! same serial work plus thread start-up, and the steal tallies show how
-//! much work the helpers actually took).
+//! Each cell runs [`REPS`] times and reports the median wall time with the
+//! minimum and maximum beside it: on a shared host one run can be off by a
+//! third. The output is stamped with the host core count, the build
+//! profile and the git commit, since speedup is bounded by physical cores
+//! (on a 1-core host every thread count measures the same serial work plus
+//! thread start-up, and the steal tallies show how much work the helpers
+//! actually took).
 //!
 //! Run with `cargo run -p se-bench --release --bin parallel_report`.
 
+use se_bench::num;
 use se_order::{order_with, Algorithm, SolverOpts};
+use se_service::json::Json;
 use se_trace::{SpanNode, Tracer};
 use sparsemat::par::{available_threads, PoolStats, TaskPool};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 const MATRICES: [&str; 3] = ["BARTH4", "SHUTTLE", "SKIRT"];
-const REPS: usize = 2;
+const REPS: usize = 5;
 
 /// Sum an attribute over every span named `name` in the tree (a stand-in
 /// with several connected components runs one solve — one span — each).
@@ -57,7 +60,7 @@ fn main() {
         threads.push(cores);
     }
     println!("==== TraceMin-Fiedler: serial vs scoped inner-solve fan-out ====");
-    println!("host cores: {cores}\n");
+    println!("host cores: {cores}, median of {REPS} reps per cell\n");
 
     let mut blocks = Vec::new();
     for name in MATRICES {
@@ -70,13 +73,13 @@ fn main() {
             s.nnz()
         );
         println!(
-            "  {:>7} {:>12} {:>8} {:>7} {:>9} {:>8} {:>10}",
-            "threads", "best (µs)", "speedup", "outer", "inner-it", "steals", "identical"
+            "  {:>7} {:>12} {:>21} {:>8} {:>7} {:>9} {:>8}",
+            "threads", "median (µs)", "min–max (µs)", "speedup", "outer", "inner-it", "steals"
         );
 
         let mut rows = Vec::new();
         let mut serial_perm: Option<Vec<usize>> = None;
-        let mut serial_micros = 0u128;
+        let mut serial_micros = 0u64;
         for &t in &threads {
             let pool = TaskPool::new(t);
             let trace = Tracer::enabled();
@@ -85,104 +88,94 @@ fn main() {
                 pool: Some(pool.clone()),
                 ..SolverOpts::default()
             };
-            let mut best = u128::MAX;
-            let mut perm = Vec::new();
-            let mut tallies = PoolStats::default();
+            // (wall µs, the pool's tallies) per rep.
+            let mut reps: Vec<(u64, PoolStats)> = Vec::with_capacity(REPS);
             let (mut outer, mut inner) = (0u64, 0u64);
             for _ in 0..REPS {
                 let before = pool.stats();
                 let t0 = Instant::now();
                 let o = order_with(g, Algorithm::TraceMin, &solver).expect("ordering runs");
-                let micros = t0.elapsed().as_micros();
+                let micros = t0.elapsed().as_micros() as u64;
                 let after = pool.stats();
                 // The solver's own spans carry the iteration counters; they
                 // are deterministic, so any rep's values are THE values.
                 let root = trace.finish().expect("traced run");
                 outer = sum_attr(&root, "tracemin", "iterations") as u64;
                 inner = sum_attr(&root, "tracemin", "matvecs") as u64;
-                if micros < best {
-                    best = micros;
-                    tallies = PoolStats {
-                        regions: after.regions - before.regions,
-                        chunks: after.chunks - before.chunks,
-                        steals: after.steals - before.steals,
-                        ..PoolStats::default()
-                    };
+                let tallies = PoolStats {
+                    regions: after.regions - before.regions,
+                    chunks: after.chunks - before.chunks,
+                    steals: after.steals - before.steals,
+                    ..PoolStats::default()
+                };
+                reps.push((micros, tallies));
+                let perm = o.perm.order().to_vec();
+                match &serial_perm {
+                    None => serial_perm = Some(perm),
+                    Some(p) => assert!(
+                        *p == perm,
+                        "{name}: {t}-thread tracemin permutation diverged from serial"
+                    ),
                 }
-                perm = o.perm.order().to_vec();
             }
-            let identical = match &serial_perm {
-                None => {
-                    serial_perm = Some(perm);
-                    serial_micros = best;
-                    true
-                }
-                Some(p) => *p == perm,
-            };
-            assert!(
-                identical,
-                "{name}: {t}-thread tracemin permutation diverged from serial"
-            );
-            let speedup = serial_micros as f64 / best as f64;
+            reps.sort_by_key(|&(micros, _)| micros);
+            let (median, tallies) = reps[REPS / 2];
+            let (min, max) = (reps[0].0, reps[REPS - 1].0);
+            if t == 1 {
+                serial_micros = median;
+            }
+            let speedup = serial_micros as f64 / median as f64;
             println!(
-                "  {:>7} {:>12} {:>8.2} {:>7} {:>9} {:>8} {:>10}",
-                t, best, speedup, outer, inner, tallies.steals, identical
+                "  {:>7} {:>12} {:>21} {:>8.2} {:>7} {:>9} {:>8}",
+                t,
+                median,
+                format!("{min}–{max}"),
+                speedup,
+                outer,
+                inner,
+                tallies.steals
             );
-            rows.push(format!(
-                "{{\"threads\":{t},\"wall_micros\":{best},\"speedup\":{speedup:.3},\
-                 \"outer_iters\":{outer},\"inner_matvecs\":{inner},\
-                 \"regions\":{},\"chunks\":{},\"steals\":{},\
-                 \"identical\":{identical}}}",
-                tallies.regions, tallies.chunks, tallies.steals
-            ));
+            rows.push(Json::obj(vec![
+                ("threads", num(t as u64)),
+                ("wall_micros_median", num(median)),
+                ("wall_micros_min", num(min)),
+                ("wall_micros_max", num(max)),
+                ("speedup", Json::Num((speedup * 1e3).round() / 1e3)),
+                ("outer_iters", num(outer)),
+                ("inner_matvecs", num(inner)),
+                ("regions", num(tallies.regions)),
+                ("chunks", num(tallies.chunks)),
+                ("steals", num(tallies.steals)),
+                ("identical", Json::Bool(true)),
+            ]));
         }
-        blocks.push(format!(
-            "{{\"matrix\":\"{}\",\"n\":{},\"nnz\":{},\"runs\":[{}]}}",
-            s.name,
-            g.n(),
-            s.nnz(),
-            rows.join(",")
-        ));
+        blocks.push(Json::obj(vec![
+            ("matrix", Json::Str(s.name.into())),
+            ("n", num(g.n() as u64)),
+            ("nnz", num(s.nnz() as u64)),
+            ("runs", Json::Arr(rows)),
+        ]));
         println!();
     }
 
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\n  \"cores\": {cores},\n  \"profile\": \"{profile}\",\n  \
-         \"commit\": \"{}\",\n  \
-         \"note\": \"alg:tracemin per matrix and solver thread count. speedup is \
-         serial wall_micros / best wall_micros; bounded by physical cores — on a 1-core \
-         host all thread counts measure the same serial work, and `identical` shows \
-         results are bit-reproducible regardless. outer_iters/inner_matvecs are summed \
-         over connected components and must not vary with thread count. \
-         regions/chunks/steals are the pool's own counters for the best rep \
-         (regions = outer steps whose inner solves ran on several threads, chunks = \
-         inner solves they ran, steals = inner solves a helper thread ran, the \
-         solving thread ran the rest). the multilevel solver behind alg:spectral runs on \
-         the calling thread and has no sweep\",\n  \
-         \"tracemin\": [\n    {}\n  ]\n}}\n",
-        git_commit(),
-        blocks.join(",\n    ")
-    );
+    let mut fields = se_bench::stamp();
+    fields.push((
+        "note",
+        Json::Str(format!(
+            "alg:tracemin per matrix and solver thread count, {REPS} reps per cell. \
+             wall_micros_median/min/max are over the reps; speedup is the 1-thread median \
+             over this median, bounded by physical cores. identical: every rep at every \
+             thread count gave the serial permutation (asserted). outer_iters/inner_matvecs \
+             are summed over connected components and do not vary with thread count. \
+             regions/chunks/steals are the pool's counters for the median rep (regions = \
+             outer steps whose inner solves ran on several threads, chunks = inner solves \
+             they ran, steals = inner solves a helper thread ran; the solving thread ran the \
+             rest). The multilevel solver behind alg:spectral runs on the calling thread and \
+             has no sweep"
+        )),
+    ));
+    fields.push(("tracemin", Json::Arr(blocks)));
     let path = "BENCH_parallel.json";
-    std::fs::write(path, &out).expect("write BENCH_parallel.json");
+    se_bench::write_report(path, fields).expect("write BENCH_parallel.json");
     println!("wrote {path}");
-}
-
-/// The checked-out commit (`git rev-parse HEAD`); `unknown` outside a git
-/// checkout.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
 }

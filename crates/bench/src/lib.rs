@@ -2,174 +2,89 @@
 //!
 //! Binaries (run with `cargo run -p se-bench --release --bin <name>`):
 //!
-//! * `table_4_1` — Boeing–Harwell structural matrices (envelope, bandwidth,
-//!   run time, rank for SPECTRAL/GK/GPS/RCM),
-//! * `table_4_2` — Boeing–Harwell miscellaneous matrices,
-//! * `table_4_3` — NASA matrices,
-//! * `table_4_4` — envelope factorization times (SPECTRAL vs RCM),
+//! * `quality_report` — Tables 4.1–4.4, the stand-in sizes and the
+//!   Theorem 2.2 bounds: orders every stand-in at eight labellings, writes
+//!   the ledger `BENCH_quality.json` and rewrites EXPERIMENTS.md's
+//!   generated sections from it (see [`quality`]),
 //! * `figures_4_x` — spy plots of BARTH4 under all orderings (Figs 4.1–4.5),
-//! * `bounds_report` — Theorem 2.2 eigenvalue bounds vs achieved envelopes,
-//! * `size_report` — stand-in sizes vs the paper's matrices,
 //! * `parallel_report` — serial vs threaded TraceMin-Fiedler; verifies
-//!   bit-identical permutations and writes `BENCH_parallel.json`.
+//!   bit-identical permutations and writes `BENCH_parallel.json`,
+//! * `scaling_report`, `storage_report`, `compression_report`,
+//!   `ablation_report` — the studies beyond the paper's tables,
+//! * `selfcheck` — a one-minute health check of every subsystem.
 //!
-//! Each table binary prints, next to our measurements, the paper's reported
-//! numbers and the win/loss pattern, so shape-level agreement can be read
-//! off directly. Set `SE_MAX_N=<n>` to skip stand-ins larger than `n`
-//! (useful for quick smoke runs).
+//! Set `SE_MAX_N=<n>` to skip stand-ins larger than `n` (useful for quick
+//! smoke runs).
 
 #![forbid(unsafe_code)]
 
 pub mod harness;
 pub mod paper;
+pub mod quality;
 
-use meshgen::Standin;
-use spectral_env::report::{compare_orderings, group_digits, Comparison};
-use spectral_env::Algorithm;
+use se_service::json::Json;
 
 /// The environment variable capping matrix order in table runs.
 pub const MAX_N_ENV: &str = "SE_MAX_N";
-
-/// When set, `run_table` appends machine-readable CSV rows
-/// (`matrix,algorithm,n,nnz,envelope,bandwidth,seconds,rank`) to this path.
-pub const CSV_ENV: &str = "SE_CSV";
 
 /// Returns the `SE_MAX_N` cap, if set and parseable.
 pub fn max_n() -> Option<usize> {
     std::env::var(MAX_N_ENV).ok().and_then(|s| s.parse().ok())
 }
 
-/// Runs the four paper algorithms on a stand-in and renders a table block
-/// in the layout of Tables 4.1–4.3, with the paper's numbers alongside.
-pub fn run_standin_block(s: &Standin) -> Result<String, spectral_env::Error> {
-    let comparison = compare_orderings(&s.pattern, &Algorithm::paper_set())?;
-    Ok(format_block(s, &comparison))
+/// A whole number as a JSON number.
+pub fn num(v: u64) -> Json {
+    Json::Num(v as f64)
 }
 
-/// Formats one matrix block: measured envelope/bandwidth/time/rank plus the
-/// paper's reference values and ranks.
-pub fn format_block(s: &Standin, c: &Comparison) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{}  [{}]\n  stand-in: {} equations, {} nonzeros   (paper: {}, {})\n",
-        s.name,
-        s.class,
-        group_digits(c.n as u64),
-        group_digits(c.nnz as u64),
-        group_digits(s.paper_n as u64),
-        group_digits(s.paper_nnz as u64),
-    ));
-    out.push_str(&format!(
-        "  {:<9} {:>14} {:>9} {:>8} {:>4}   | {:>14} {:>9} {:>4}\n",
-        "Algorithm", "Envelope", "Bandw.", "Time(s)", "Rank", "paper Env", "paper Bw", "pRk"
-    ));
-    let paper = paper::reference(s.name);
-    for (i, row) in c.rows.iter().enumerate() {
-        let (p_env, p_bw, p_rank) = match &paper {
-            Some(p) => (
-                group_digits(p.envelope[i]),
-                group_digits(p.bandwidth[i]),
-                p.rank_by_envelope(i).to_string(),
-            ),
-            None => ("-".into(), "-".into(), "-".into()),
-        };
-        out.push_str(&format!(
-            "  {:<9} {:>14} {:>9} {:>8.2} {:>4}   | {:>14} {:>9} {:>4}\n",
-            row.algorithm.name(),
-            group_digits(row.stats.envelope_size),
-            group_digits(row.stats.bandwidth),
-            row.seconds,
-            row.rank,
-            p_env,
-            p_bw,
-            p_rank,
-        ));
-    }
-    // Shape summary: does SPECTRAL win here as (or unlike) in the paper?
-    if let Some(p) = &paper {
-        let we_win = c.rows[0].rank == 1;
-        let paper_wins = p.rank_by_envelope(0) == 1;
-        let spectral_vs_rcm =
-            c.rows[3].stats.envelope_size as f64 / c.rows[0].stats.envelope_size.max(1) as f64;
-        let paper_ratio = p.envelope[3] as f64 / p.envelope[0] as f64;
-        out.push_str(&format!(
-            "  shape: SPECTRAL best here: {we_win} (paper: {paper_wins}); RCM/SPECTRAL envelope ratio {spectral_vs_rcm:.2} (paper {paper_ratio:.2})\n",
-        ));
-    }
-    out
+/// The stamp every committed `BENCH_*.json` opens with: the host's core
+/// count, the build profile and the checked-out commit (`git rev-parse
+/// HEAD`, `unknown` outside a git checkout).
+pub fn stamp() -> Vec<(&'static str, Json)> {
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let commit = std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string());
+    vec![
+        ("cores", num(sparsemat::par::available_threads() as u64)),
+        ("profile", Json::Str(profile.into())),
+        ("commit", Json::Str(commit)),
+    ]
 }
 
-/// Runs every stand-in of a table, respecting `SE_MAX_N`, and prints blocks.
-pub fn run_table(table: meshgen::TableId, title: &str) {
-    println!("==== {title} ====");
-    println!("(algorithms: SPECTRAL, GK, GPS, RCM; rank 1 = smallest envelope)\n");
-    let cap = max_n();
-    for s in meshgen::all_standins(table) {
-        if let Some(cap) = cap {
-            if s.pattern.n() > cap {
-                println!(
-                    "{}: skipped (n = {} > SE_MAX_N = {cap})\n",
-                    s.name,
-                    s.pattern.n()
-                );
-                continue;
-            }
-        }
-        match compare_orderings(&s.pattern, &Algorithm::paper_set()) {
-            Ok(c) => {
-                println!("{}", format_block(&s, &c));
-                if let Ok(path) = std::env::var(CSV_ENV) {
-                    if let Err(e) = append_csv(&path, &s, &c) {
-                        eprintln!("(csv write failed: {e})");
-                    }
+/// Writes a report object to `path`, one field per line and one line per
+/// element of an array field, so a diff of the file shows which rows moved.
+pub fn write_report(path: &str, fields: Vec<(&str, Json)>) -> std::io::Result<()> {
+    let lines: Vec<String> = fields
+        .into_iter()
+        .map(|(key, value)| {
+            let value = match value {
+                Json::Arr(items) if !items.is_empty() => {
+                    let items: Vec<String> = items
+                        .iter()
+                        .map(|i| format!("    {}", i.to_string_compact()))
+                        .collect();
+                    format!("[\n{}\n  ]", items.join(",\n"))
                 }
-            }
-            Err(e) => println!("{}: FAILED — {e}\n", s.name),
-        }
-    }
-}
-
-/// Appends one CSV row per algorithm for a finished comparison. Writes a
-/// header if the file does not exist yet.
-pub fn append_csv(path: &str, s: &Standin, c: &Comparison) -> std::io::Result<()> {
-    use std::io::Write;
-    let exists = std::path::Path::new(path).exists();
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)?;
-    if !exists {
-        writeln!(f, "matrix,algorithm,n,nnz,envelope,bandwidth,seconds,rank")?;
-    }
-    for row in &c.rows {
-        writeln!(
-            f,
-            "{},{},{},{},{},{},{:.4},{}",
-            s.name,
-            row.algorithm.name(),
-            c.n,
-            c.nnz,
-            row.stats.envelope_size,
-            row.stats.bandwidth,
-            row.seconds,
-            row.rank
-        )?;
-    }
-    Ok(())
+                v => v.to_string_compact(),
+            };
+            format!("  {}: {value}", Json::Str(key.into()).to_string_compact())
+        })
+        .collect();
+    std::fs::write(path, format!("{{\n{}\n}}\n", lines.join(",\n")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn block_runs_on_a_small_standin() {
-        let s = meshgen::standin("POW9").unwrap();
-        let block = run_standin_block(&s).unwrap();
-        assert!(block.contains("POW9"));
-        assert!(block.contains("SPECTRAL"));
-        assert!(block.contains("paper Env"));
-    }
 
     #[test]
     fn max_n_parses() {
@@ -178,19 +93,22 @@ mod tests {
     }
 
     #[test]
-    fn csv_export_writes_rows() {
-        let s = meshgen::standin("POW9").unwrap();
-        let c = compare_orderings(&s.pattern, &Algorithm::paper_set()).unwrap();
-        let dir = std::env::temp_dir().join("se_bench_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("rows.csv");
-        let _ = std::fs::remove_file(&path);
-        append_csv(path.to_str().unwrap(), &s, &c).unwrap();
-        append_csv(path.to_str().unwrap(), &s, &c).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 1 + 2 * 4, "header + 8 rows");
-        assert!(lines[0].starts_with("matrix,algorithm"));
-        assert!(lines[1].starts_with("POW9,SPECTRAL"));
+    fn reports_parse_back_with_one_array_element_per_line() {
+        let path =
+            std::env::temp_dir().join(format!("se_bench_report_{}.json", std::process::id()));
+        let path = path.to_str().unwrap();
+        let rows = Json::Arr(vec![
+            Json::Num(1.0),
+            Json::obj(vec![("a", Json::Bool(true))]),
+        ]);
+        let mut fields = stamp();
+        fields.push(("rows", rows.clone()));
+        write_report(path, fields).unwrap();
+        let text = std::fs::read_to_string(path).unwrap();
+        let _ = std::fs::remove_file(path);
+        assert!(text.contains("\n    {\"a\":true}\n"), "{text}");
+        let back = se_service::json::parse(&text).unwrap();
+        assert_eq!(back.get("rows"), Some(&rows));
+        assert!(back.get("commit").and_then(Json::as_str).is_some());
     }
 }
