@@ -262,8 +262,8 @@ mod tests {
     fn small_standins_match_paper_sizes() {
         // Orders within 5%, nonzeros within 40% (structure class match, not
         // exact replication). Only the small/medium ones here to keep test
-        // time down; the large ones are checked by `size_report` in the
-        // bench harness.
+        // time down; every stand-in's sizes are listed against the paper's
+        // in the quality ledger (`quality_report` in the bench harness).
         for name in [
             "BCSSTK13", "CAN1072", "POW9", "BLKHOLE", "DWT2680", "SSTMODEL", "BARTH4",
         ] {
