@@ -1,28 +1,17 @@
 //! Parallel scaling report for TraceMin-Fiedler, the one solver that runs
-//! on more than one thread.
+//! on more than one thread: its per-column inner MINRES solves are the
+//! tasks of one region per outer step.
 //!
 //! Orders the largest stand-ins with `alg:"tracemin"` at 1/2/4/max solver
-//! threads (`max` = the host's core count, deduplicated against the fixed
-//! counts), verifies every run produces the **bit-identical** permutation,
-//! and writes machine-readable measurements to `BENCH_parallel.json`. Each
-//! run injects its own [`TaskPool`] so the pool's counters — regions run
-//! on several threads, tasks, tasks a helper ran — land in the report next
-//! to the timing they explain. TraceMin's per-column inner MINRES solves
-//! are the tasks of one region per outer iteration; the report records
-//! outer iterations, summed inner MINRES iterations, wall-µs and the pool
-//! tallies per thread count.
-//!
-//! The multilevel solver behind SPECTRAL has no sweep here: it runs on the
-//! calling thread, so every thread count would measure the same serial
-//! solve.
-//!
-//! Each cell runs [`REPS`] times and reports the median wall time with the
-//! minimum and maximum beside it: on a shared host one run can be off by a
-//! third. The output is stamped with the host core count, the build
-//! profile and the git commit, since speedup is bounded by physical cores
-//! (on a 1-core host every thread count measures the same serial work plus
-//! thread start-up, and the steal tallies show how much work the helpers
-//! actually took).
+//! threads (`max` = the host's core count, deduplicated), asserts that
+//! every run gives the serial permutation bit for bit, and writes
+//! `BENCH_parallel.json`, stamped with the host core count, build profile
+//! and commit (speedup is bounded by physical cores). Each cell runs
+//! [`REPS`] times and reports the median wall time with the minimum and
+//! maximum beside it, since one run on a shared host can be off by a third,
+//! plus outer/inner iterations and the median rep's [`TaskPool`] counters.
+//! The multilevel solver behind SPECTRAL runs on the calling thread and has
+//! no sweep.
 //!
 //! Run with `cargo run -p se-bench --release --bin parallel_report`.
 
@@ -30,7 +19,7 @@ use se_bench::num;
 use se_order::{order_with, Algorithm, SolverOpts};
 use se_service::json::Json;
 use se_trace::{SpanNode, Tracer};
-use sparsemat::par::{available_threads, PoolStats, TaskPool};
+use sparsemat::par::{available_threads, TaskPool};
 use std::time::Instant;
 
 const MATRICES: [&str; 3] = ["BARTH4", "SHUTTLE", "SKIRT"];
@@ -38,17 +27,13 @@ const REPS: usize = 5;
 
 /// Sum an attribute over every span named `name` in the tree (a stand-in
 /// with several connected components runs one solve — one span — each).
-fn sum_attr(node: &SpanNode, name: &str, attr: &str) -> f64 {
-    let own = if node.name == name {
-        node.attr(attr).unwrap_or(0.0)
-    } else {
-        0.0
-    };
+fn sum_attr(node: &SpanNode, name: &str, attr: &str) -> u64 {
+    let own = node.attr(attr).filter(|_| node.name == name).unwrap_or(0.0) as u64;
     own + node
         .children
         .iter()
         .map(|c| sum_attr(c, name, attr))
-        .sum::<f64>()
+        .sum::<u64>()
 }
 
 fn main() {
@@ -59,27 +44,13 @@ fn main() {
     if !threads.contains(&cores) {
         threads.push(cores);
     }
-    println!("==== TraceMin-Fiedler: serial vs scoped inner-solve fan-out ====");
-    println!("host cores: {cores}, median of {REPS} reps per cell\n");
-
+    println!("TraceMin-Fiedler on {cores} cores, median (min–max) of {REPS} reps per cell");
     let mut blocks = Vec::new();
     for name in MATRICES {
         let s = meshgen::standin(name).expect("known stand-in");
         let g = &s.pattern;
-        println!(
-            "--- {} · tracemin (n = {}, nnz = {}) ---",
-            s.name,
-            g.n(),
-            s.nnz()
-        );
-        println!(
-            "  {:>7} {:>12} {:>21} {:>8} {:>7} {:>9} {:>8}",
-            "threads", "median (µs)", "min–max (µs)", "speedup", "outer", "inner-it", "steals"
-        );
-
         let mut rows = Vec::new();
-        let mut serial_perm: Option<Vec<usize>> = None;
-        let mut serial_micros = 0u64;
+        let (mut serial_perm, mut serial_micros) = (None, None);
         for &t in &threads {
             let pool = TaskPool::new(t);
             let trace = Tracer::enabled();
@@ -88,9 +59,9 @@ fn main() {
                 pool: Some(pool.clone()),
                 ..SolverOpts::default()
             };
-            // (wall µs, the pool's tallies) per rep.
-            let mut reps: Vec<(u64, PoolStats)> = Vec::with_capacity(REPS);
-            let (mut outer, mut inner) = (0u64, 0u64);
+            // Per rep: wall µs and the pool's regions/chunks/steals.
+            let mut reps: Vec<(u64, [u64; 3])> = Vec::with_capacity(REPS);
+            let (mut outer, mut inner) = (0, 0);
             for _ in 0..REPS {
                 let before = pool.stats();
                 let t0 = Instant::now();
@@ -100,54 +71,41 @@ fn main() {
                 // The solver's own spans carry the iteration counters; they
                 // are deterministic, so any rep's values are THE values.
                 let root = trace.finish().expect("traced run");
-                outer = sum_attr(&root, "tracemin", "iterations") as u64;
-                inner = sum_attr(&root, "tracemin", "matvecs") as u64;
-                let tallies = PoolStats {
-                    regions: after.regions - before.regions,
-                    chunks: after.chunks - before.chunks,
-                    steals: after.steals - before.steals,
-                    ..PoolStats::default()
-                };
+                outer = sum_attr(&root, "tracemin", "iterations");
+                inner = sum_attr(&root, "tracemin", "matvecs");
+                let tallies = [
+                    after.regions - before.regions,
+                    after.chunks - before.chunks,
+                    after.steals - before.steals,
+                ];
                 reps.push((micros, tallies));
                 let perm = o.perm.order().to_vec();
-                match &serial_perm {
-                    None => serial_perm = Some(perm),
-                    Some(p) => assert!(
-                        *p == perm,
-                        "{name}: {t}-thread tracemin permutation diverged from serial"
-                    ),
-                }
+                let first = serial_perm.get_or_insert_with(|| perm.clone());
+                assert!(*first == perm, "{name}: {t}-thread permutation diverged");
             }
             reps.sort_by_key(|&(micros, _)| micros);
-            let (median, tallies) = reps[REPS / 2];
+            let (median, [regions, chunks, steals]) = reps[REPS / 2];
             let (min, max) = (reps[0].0, reps[REPS - 1].0);
-            if t == 1 {
-                serial_micros = median;
-            }
-            let speedup = serial_micros as f64 / median as f64;
+            let base = *serial_micros.get_or_insert(median);
+            let speedup = (1e3 * base as f64 / median as f64).round() / 1e3;
             println!(
-                "  {:>7} {:>12} {:>21} {:>8.2} {:>7} {:>9} {:>8}",
-                t,
-                median,
-                format!("{min}–{max}"),
-                speedup,
-                outer,
-                inner,
-                tallies.steals
+                "  {name} {t} threads: {median} µs ({min}–{max}), speedup {speedup:.2}, \
+                 {outer} outer / {inner} inner its, {steals} steals"
             );
-            rows.push(Json::obj(vec![
-                ("threads", num(t as u64)),
-                ("wall_micros_median", num(median)),
-                ("wall_micros_min", num(min)),
-                ("wall_micros_max", num(max)),
-                ("speedup", Json::Num((speedup * 1e3).round() / 1e3)),
-                ("outer_iters", num(outer)),
-                ("inner_matvecs", num(inner)),
-                ("regions", num(tallies.regions)),
-                ("chunks", num(tallies.chunks)),
-                ("steals", num(tallies.steals)),
-                ("identical", Json::Bool(true)),
-            ]));
+            let counts = [
+                ("threads", t as u64),
+                ("wall_micros_median", median),
+                ("wall_micros_min", min),
+                ("wall_micros_max", max),
+                ("outer_iters", outer),
+                ("inner_matvecs", inner),
+                ("regions", regions),
+                ("chunks", chunks),
+                ("steals", steals),
+            ];
+            let mut row: Vec<(&str, Json)> = counts.map(|(k, v)| (k, num(v))).to_vec();
+            row.insert(4, ("speedup", Json::Num(speedup)));
+            rows.push(Json::obj(row));
         }
         blocks.push(Json::obj(vec![
             ("matrix", Json::Str(s.name.into())),
@@ -155,27 +113,17 @@ fn main() {
             ("nnz", num(s.nnz() as u64)),
             ("runs", Json::Arr(rows)),
         ]));
-        println!();
     }
-
+    let note = format!(
+        "alg:tracemin per matrix and solver thread count, {REPS} reps per cell; every rep \
+         gave the serial permutation (asserted). wall_micros_median/min/max are over the \
+         reps, speedup is the 1-thread median over this median. outer_iters/inner_matvecs \
+         are summed over connected components. regions/chunks/steals are the pool's \
+         counters for the median rep: outer steps whose inner solves ran on several \
+         threads, the inner solves they ran, and those a helper thread ran"
+    );
     let mut fields = se_bench::stamp();
-    fields.push((
-        "note",
-        Json::Str(format!(
-            "alg:tracemin per matrix and solver thread count, {REPS} reps per cell. \
-             wall_micros_median/min/max are over the reps; speedup is the 1-thread median \
-             over this median, bounded by physical cores. identical: every rep at every \
-             thread count gave the serial permutation (asserted). outer_iters/inner_matvecs \
-             are summed over connected components and do not vary with thread count. \
-             regions/chunks/steals are the pool's counters for the median rep (regions = \
-             outer steps whose inner solves ran on several threads, chunks = inner solves \
-             they ran, steals = inner solves a helper thread ran; the solving thread ran the \
-             rest). The multilevel solver behind alg:spectral runs on the calling thread and \
-             has no sweep"
-        )),
-    ));
-    fields.push(("tracemin", Json::Arr(blocks)));
-    let path = "BENCH_parallel.json";
-    se_bench::write_report(path, fields).expect("write BENCH_parallel.json");
-    println!("wrote {path}");
+    fields.extend([("note", Json::Str(note)), ("tracemin", Json::Arr(blocks))]);
+    se_bench::write_report("BENCH_parallel.json", fields).expect("write BENCH_parallel.json");
+    println!("wrote BENCH_parallel.json");
 }

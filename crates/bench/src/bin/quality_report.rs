@@ -1,24 +1,19 @@
 //! Regenerates Tables 4.1–4.4, the stand-in sizes and the Theorem 2.2
-//! bounds as one ledger (see `se_bench::quality`).
-//!
-//! Orders every stand-in with SPECTRAL, GK, GPS and RCM at the generated
-//! labelling and at seven `meshgen::scramble` relabellings, factors the
-//! seed-0 SPECTRAL and RCM permutations of Table 4.4's matrices, and
-//! records the λ the multilevel solver returns at seed 0. Writes
-//! `BENCH_quality.json`, prints the rendered markdown and rewrites the
-//! generated sections of `EXPERIMENTS.md`. Run it from the repository
-//! root, after committing, so the stamp names the measured code:
+//! bounds as one ledger (see `se_bench::quality`): every stand-in × the
+//! paper's four orderings × eight labellings, Table 4.4's factorizations
+//! of the seed-0 SPECTRAL and RCM permutations, and the λ the multilevel
+//! solver returns at seed 0. Writes `BENCH_quality.json`, prints the
+//! rendered markdown and rewrites EXPERIMENTS.md's generated sections.
+//! Run it from the repository root, after committing so the stamp names
+//! the measured code; `SE_MAX_N=<n>` skips the stand-ins larger than `n`:
 //!
 //! ```sh
 //! cargo run -p se-bench --release --bin quality_report
 //! ```
-//!
-//! `SE_MAX_N=<n>` skips (and lists) the stand-ins larger than `n`.
 
-use meshgen::{Standin, TableId};
-use se_bench::num;
-use se_bench::paper;
+use meshgen::Standin;
 use se_bench::quality::{self, DOC, LEDGER, SEEDS};
+use se_bench::{num, paper};
 use se_eigen::{multilevel::fiedler, SolverOpts};
 use se_envelope::EnvelopeMatrix;
 use se_service::json::{self, Json};
@@ -33,8 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for name in meshgen::standins::ALL_NAMES {
         let s = meshgen::standin(name).expect("known stand-in");
         let mut entry = describe(&s);
-        if let Some(cap) = cap.filter(|&cap| s.pattern.n() > cap) {
-            eprintln!("{name}: skipped (n = {} > SE_MAX_N = {cap})", s.pattern.n());
+        if cap.is_some_and(|cap| s.pattern.n() > cap) {
+            eprintln!("{name}: skipped, n = {} is over SE_MAX_N", s.pattern.n());
             entry.push(("skipped", Json::Bool(true)));
             standins.push(Json::obj(entry));
             continue;
@@ -44,8 +39,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let t0 = Instant::now();
             let c = compare_orderings(&quality::labelled(&s, seed), &Algorithm::paper_set())?;
             for r in &c.rows {
-                best.0 = best.0.min(r.stats.envelope_size);
-                best.1 = best.1.min(r.stats.envelope_work);
+                best = (
+                    best.0.min(r.stats.envelope_size),
+                    best.1.min(r.stats.envelope_work),
+                );
             }
             rows.extend(quality::rows(name, seed, &c));
             if seed == 0 {
@@ -57,14 +54,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         standins.push(Json::obj(entry));
     }
     let mut fields = se_bench::stamp();
-    fields.push(("max_n", cap.map_or(Json::Null, |c| num(c as u64))));
-    fields.push(("standins", Json::Arr(standins)));
-    fields.push(("rows", Json::Arr(rows)));
-    fields.push(("factor", Json::Arr(factor)));
+    fields.extend([
+        ("max_n", cap.map_or(Json::Null, |c| num(c as u64))),
+        ("standins", Json::Arr(standins)),
+        ("rows", Json::Arr(rows)),
+        ("factor", Json::Arr(factor)),
+    ]);
     se_bench::write_report(LEDGER, fields)?;
     // Render what was written, so the document is the render of the file.
-    let ledger = json::parse(&std::fs::read_to_string(LEDGER)?)?;
-    let sections = quality::render(&ledger);
+    let sections = quality::render(&json::parse(&std::fs::read_to_string(LEDGER)?)?);
     for (name, body) in &sections {
         println!("## {name}\n\n{body}");
     }
@@ -76,94 +74,75 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
 /// The stand-in's sizes, class and the paper's reference row.
 fn describe(s: &Standin) -> Vec<(&'static str, Json)> {
-    let table = match s.table {
-        TableId::BhStructural => "4.1",
-        TableId::BhMisc => "4.2",
-        TableId::Nasa => "4.3",
-    };
     let p = paper::reference(s.name).expect("every stand-in has a paper row");
     let whole = |v: [u64; 4]| Json::Arr(v.map(num).to_vec());
+    let paper = Json::obj(vec![
+        ("envelope", whole(p.envelope)),
+        ("bandwidth", whole(p.bandwidth)),
+        ("seconds", Json::Arr(p.seconds.map(Json::Num).to_vec())),
+    ]);
     vec![
         ("matrix", Json::Str(s.name.into())),
-        ("table", Json::Str(table.into())),
+        ("table", Json::Str(format!("4.{}", s.table as u8 + 1))),
         ("n", num(s.pattern.n() as u64)),
         ("nnz", num(s.nnz() as u64)),
         ("paper_n", num(s.paper_n as u64)),
         ("paper_nnz", num(s.paper_nnz as u64)),
         ("class", Json::Str(s.class.into())),
-        (
-            "paper",
-            Json::obj(vec![
-                ("envelope", whole(p.envelope)),
-                ("bandwidth", whole(p.bandwidth)),
-                ("seconds", Json::Arr(p.seconds.map(Json::Num).to_vec())),
-            ]),
-        ),
+        ("paper", paper),
     ]
 }
 
 /// Table 4.4: envelope Cholesky of the SPD-shifted stand-in under the
-/// seed-0 SPECTRAL and RCM permutations, for the matrices the paper
-/// factored.
+/// seed-0 SPECTRAL and RCM permutations (rows 0 and 3 of the paper set),
+/// for the matrices the paper factored.
 fn factor_rows(s: &Standin, c: &Comparison) -> Vec<Json> {
     let Some(p) = paper::PAPER_FACTOR_ROWS.iter().find(|p| p.name == s.name) else {
         return Vec::new();
     };
     let a = s.pattern.spd_matrix(1.0);
-    [(Algorithm::Spectral, p.spectral), (Algorithm::Rcm, p.rcm)]
+    let factored = |(row, (paper_envelope, paper_seconds)): (usize, (u64, f64))| {
+        let row = &c.rows[row];
+        let mut env = EnvelopeMatrix::from_csr_permuted(&a, &row.perm).expect("symmetric");
+        let t0 = Instant::now();
+        let flops = env.factorize().expect("shifted Laplacian is SPD");
+        let seconds = t0.elapsed().as_secs_f64();
+        Json::obj(vec![
+            ("matrix", Json::Str(s.name.into())),
+            ("alg", Json::Str(row.algorithm.name().into())),
+            ("envelope", num(row.stats.envelope_size)),
+            ("ework", num(row.stats.envelope_work)),
+            ("flops", num(flops)),
+            ("seconds", Json::Num((seconds * 1e4).round() / 1e4)),
+            ("paper_envelope", num(paper_envelope)),
+            ("paper_seconds", Json::Num(paper_seconds)),
+        ])
+    };
+    [(0, p.spectral), (3, p.rcm)]
         .into_iter()
-        .map(|(alg, (paper_envelope, paper_seconds))| {
-            let row = c
-                .rows
-                .iter()
-                .find(|r| r.algorithm == alg)
-                .expect("paper set");
-            let mut env =
-                EnvelopeMatrix::from_csr_permuted(&a, &row.perm).expect("pattern is symmetric");
-            let t0 = Instant::now();
-            let flops = env.factorize().expect("shifted Laplacian is SPD");
-            let seconds = t0.elapsed().as_secs_f64();
-            Json::obj(vec![
-                ("matrix", Json::Str(s.name.into())),
-                ("alg", Json::Str(alg.name().into())),
-                ("envelope", num(row.stats.envelope_size)),
-                ("ework", num(row.stats.envelope_work)),
-                ("flops", num(flops)),
-                ("seconds", Json::Num((seconds * 1e4).round() / 1e4)),
-                ("paper_envelope", num(paper_envelope)),
-                ("paper_seconds", Json::Num(paper_seconds)),
-            ])
-        })
+        .map(factored)
         .collect()
 }
 
 /// Δ, the λ the multilevel solver returns at seed 0, the dense λ₂ where
 /// recorded, the best envelope and Ework of any row, and their ratios to
 /// the Theorem 2.2 lower bounds at the returned λ. The solver needs a
-/// connected graph; on one that is not, the λ and the bounds are absent.
+/// connected graph; on one that is not, the λ and the ratios are null.
 fn bounds(s: &Standin, (esize, ework): (u64, u64)) -> Vec<(&'static str, Json)> {
     let delta = s.pattern.max_degree();
     let lambda = fiedler(&s.pattern, &SolverOpts::default())
         .ok()
         .map(|f| f.lambda2);
+    let lb = lambda.map(|l| theorem_2_2_lower_bounds(l, s.pattern.n(), delta));
     let or_null = |v: Option<f64>| v.map_or(Json::Null, Json::Num);
-    let mut out = vec![
+    let ratio = |best: u64, bound: f64| (100.0 * best as f64 / bound).round() / 100.0;
+    vec![
         ("max_degree", num(delta as u64)),
         ("lambda_returned", or_null(lambda)),
         ("lambda2_dense", or_null(quality::dense_lambda2(s.name))),
         ("best_envelope", num(esize)),
         ("best_ework", num(ework)),
-    ];
-    if let Some(lambda) = lambda {
-        let (esize_lb, ework_lb) = theorem_2_2_lower_bounds(lambda, s.pattern.n(), delta);
-        let ratio =
-            |best: u64, bound: f64| Json::Num((100.0 * best as f64 / bound).round() / 100.0);
-        out.extend([
-            ("esize_bound", Json::Num(esize_lb.floor())),
-            ("esize_ratio", ratio(esize, esize_lb)),
-            ("ework_bound", Json::Num(ework_lb.floor())),
-            ("ework_ratio", ratio(ework, ework_lb)),
-        ]);
-    }
-    out
+        ("esize_ratio", or_null(lb.map(|(e, _)| ratio(esize, e)))),
+        ("ework_ratio", or_null(lb.map(|(_, w)| ratio(ework, w)))),
+    ]
 }

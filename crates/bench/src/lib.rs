@@ -1,20 +1,11 @@
 //! Benchmark harness regenerating every table and figure of the paper.
-//!
-//! Binaries (run with `cargo run -p se-bench --release --bin <name>`):
-//!
-//! * `quality_report` — Tables 4.1–4.4, the stand-in sizes and the
-//!   Theorem 2.2 bounds: orders every stand-in at eight labellings, writes
-//!   the ledger `BENCH_quality.json` and rewrites EXPERIMENTS.md's
-//!   generated sections from it (see [`quality`]),
-//! * `figures_4_x` — spy plots of BARTH4 under all orderings (Figs 4.1–4.5),
-//! * `parallel_report` — serial vs threaded TraceMin-Fiedler; verifies
-//!   bit-identical permutations and writes `BENCH_parallel.json`,
-//! * `scaling_report`, `storage_report`, `compression_report`,
-//!   `ablation_report` — the studies beyond the paper's tables,
-//! * `selfcheck` — a one-minute health check of every subsystem.
-//!
-//! Set `SE_MAX_N=<n>` to skip stand-ins larger than `n` (useful for quick
-//! smoke runs).
+//! Run a binary with `cargo run -p se-bench --release --bin <name>`:
+//! `quality_report` (Tables 4.1–4.4 and the Theorem 2.2 bounds as the ledger
+//! `BENCH_quality.json`, see [`quality`]), `figures_4_x` (Figs 4.1–4.5),
+//! `parallel_report` (TraceMin threads vs wall clock), the studies
+//! `scaling_report`, `storage_report`, `compression_report` and
+//! `ablation_report`, and `selfcheck`. Set `SE_MAX_N=<n>` to skip
+//! stand-ins larger than `n`.
 
 #![forbid(unsafe_code)]
 
@@ -41,11 +32,7 @@ pub fn num(v: u64) -> Json {
 /// count, the build profile and the checked-out commit (`git rev-parse
 /// HEAD`, `unknown` outside a git checkout).
 pub fn stamp() -> Vec<(&'static str, Json)> {
-    let profile = if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    };
+    let profile = ["release", "debug"][usize::from(cfg!(debug_assertions))];
     let commit = std::process::Command::new("git")
         .args(["rev-parse", "HEAD"])
         .output()
@@ -63,22 +50,17 @@ pub fn stamp() -> Vec<(&'static str, Json)> {
 /// Writes a report object to `path`, one field per line and one line per
 /// element of an array field, so a diff of the file shows which rows moved.
 pub fn write_report(path: &str, fields: Vec<(&str, Json)>) -> std::io::Result<()> {
-    let lines: Vec<String> = fields
-        .into_iter()
-        .map(|(key, value)| {
-            let value = match value {
-                Json::Arr(items) if !items.is_empty() => {
-                    let items: Vec<String> = items
-                        .iter()
-                        .map(|i| format!("    {}", i.to_string_compact()))
-                        .collect();
-                    format!("[\n{}\n  ]", items.join(",\n"))
-                }
-                v => v.to_string_compact(),
-            };
-            format!("  {}: {value}", Json::Str(key.into()).to_string_compact())
-        })
-        .collect();
+    let field = |(key, value): (&str, Json)| {
+        let value = match value {
+            Json::Arr(items) if !items.is_empty() => {
+                let items: Vec<String> = items.iter().map(Json::to_string_compact).collect();
+                format!("[\n    {}\n  ]", items.join(",\n    "))
+            }
+            v => v.to_string_compact(),
+        };
+        format!("  {}: {value}", Json::Str(key.into()).to_string_compact())
+    };
+    let lines: Vec<String> = fields.into_iter().map(field).collect();
     std::fs::write(path, format!("{{\n{}\n}}\n", lines.join(",\n")))
 }
 

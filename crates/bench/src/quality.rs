@@ -1,33 +1,22 @@
 //! The quality ledger behind Tables 4.1–4.4 and the Theorem 2.2 bounds.
 //!
-//! `quality_report` orders every stand-in with SPECTRAL, GK, GPS and RCM at
-//! [`SEEDS`] labellings and writes what it measured to [`LEDGER`]. Seed 0
-//! is the generated labelling; seeds 1–7 relabel it with
-//! [`meshgen::scramble`], the shuffle the solver's bit pins use. [`render`]
-//! turns the ledger into the markdown of [`DOC`]'s generated sections and
-//! [`splice`] puts it between their markers, so the document holds no hand
-//! copy of a figure. `tests/paper_claims.rs` checks the markdown against
-//! the ledger, and the small stand-ins' rows against a recomputation.
-//!
-//! The ledger is one JSON object: the stamp (`cores`, `profile`, `commit`),
-//! `max_n` (the `SE_MAX_N` cap, or null), and three arrays.
-//! * `standins`: the stand-in's table, n, nnz, the paper's n, nnz, class
-//!   and reference row, and `skipped` when n is over the cap. Otherwise
-//!   also Δ, `lambda_returned` (the λ `multilevel::fiedler` returned at
-//!   seed 0, which is not always λ₂), `lambda2_dense` where the dense λ₂
-//!   is known, the best envelope and Ework of any row, and their ratios to
-//!   the Theorem 2.2 lower bounds evaluated at `lambda_returned`.
-//! * `rows`: per stand-in × seed × algorithm, the envelope, bandwidth,
-//!   Ework, ordering seconds and rank by envelope within that stand-in and
-//!   seed.
-//! * `factor`: Table 4.4, envelope Cholesky of the SPD-shifted stand-in
-//!   under the seed-0 SPECTRAL and RCM permutations: flops and seconds.
+//! `quality_report` writes [`LEDGER`], one JSON object: the stamp, `max_n`
+//! (the `SE_MAX_N` cap or null) and three arrays. `standins` holds each
+//! stand-in's table, sizes, class and paper row, `skipped` when over the
+//! cap, and otherwise Δ, `lambda_returned` (the λ `multilevel::fiedler`
+//! returns at seed 0, not always λ₂), `lambda2_dense` where known, and the
+//! best envelope and Ework of any row with their ratios to the Theorem 2.2
+//! bounds at `lambda_returned`. `rows` holds, per stand-in × [`SEEDS`]
+//! labellings (seed 0 as generated, then [`meshgen::scramble`]) × algorithm,
+//! the envelope, bandwidth, Ework, seconds and rank. `factor` holds Table
+//! 4.4's flops and seconds. [`render`] turns it into [`DOC`]'s generated
+//! sections and [`splice`] writes them between their markers.
 
 use crate::num;
 use meshgen::Standin;
 use se_service::json::Json;
 use sparsemat::SymmetricPattern;
-use spectral_env::report::{group_digits, Comparison};
+use spectral_env::report::{group_digits as digits, Comparison, ComparisonRow};
 use std::fmt::Write as _;
 
 /// The ledger file, relative to the repository root.
@@ -56,360 +45,256 @@ pub const DENSE_LAMBDA2: [(&str, f64); 6] = [
 
 /// The dense λ₂ of stand-in `name`, if recorded.
 pub fn dense_lambda2(name: &str) -> Option<f64> {
-    DENSE_LAMBDA2
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, l)| l)
+    DENSE_LAMBDA2.iter().find(|e| e.0 == name).map(|e| e.1)
 }
 
 /// The stand-in's pattern relabelled by `scramble(n, seed)`, or as
 /// generated when `seed` is 0.
 pub fn labelled(s: &Standin, seed: u64) -> SymmetricPattern {
-    if seed == 0 {
-        return s.pattern.clone();
+    match seed {
+        0 => s.pattern.clone(),
+        _ => s
+            .pattern
+            .permute(&meshgen::scramble(s.pattern.n(), seed))
+            .expect("a permutation"),
     }
-    s.pattern
-        .permute(&meshgen::scramble(s.pattern.n(), seed))
-        .expect("scramble fits the pattern")
 }
 
 /// The ledger rows of one comparison, in its algorithm order.
 pub fn rows(name: &str, seed: u64, c: &Comparison) -> Vec<Json> {
-    c.rows
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("matrix", Json::Str(name.into())),
-                ("seed", num(seed)),
-                ("alg", Json::Str(r.algorithm.name().into())),
-                ("envelope", num(r.stats.envelope_size)),
-                ("bandwidth", num(r.stats.bandwidth)),
-                ("ework", num(r.stats.envelope_work)),
-                ("seconds", Json::Num((r.seconds * 1e4).round() / 1e4)),
-                ("rank", num(r.rank as u64)),
-            ])
-        })
-        .collect()
+    let row = |r: &ComparisonRow| {
+        Json::obj(vec![
+            ("matrix", Json::Str(name.into())),
+            ("seed", num(seed)),
+            ("alg", Json::Str(r.algorithm.name().into())),
+            ("envelope", num(r.stats.envelope_size)),
+            ("bandwidth", num(r.stats.bandwidth)),
+            ("ework", num(r.stats.envelope_work)),
+            ("seconds", Json::Num((r.seconds * 1e4).round() / 1e4)),
+            ("rank", num(r.rank as u64)),
+        ])
+    };
+    c.rows.iter().map(row).collect()
 }
 
-fn field<'a>(j: &'a Json, key: &str) -> &'a Json {
-    j.get(key)
-        .unwrap_or_else(|| panic!("ledger entry lacks `{key}`"))
+/// Field `key` of a ledger entry as a number; panics naming the key.
+pub fn real(j: &Json, key: &str) -> f64 {
+    j.get(key).and_then(Json::as_f64).expect(key)
 }
 
 /// Field `key` of a ledger entry as a whole number.
 pub fn int(j: &Json, key: &str) -> u64 {
-    field(j, key)
-        .as_u64()
-        .unwrap_or_else(|| panic!("ledger `{key}` is not a whole number"))
-}
-
-/// Field `key` of a ledger entry as a number.
-pub fn real(j: &Json, key: &str) -> f64 {
-    field(j, key)
-        .as_f64()
-        .unwrap_or_else(|| panic!("ledger `{key}` is not a number"))
+    j.get(key).and_then(Json::as_u64).expect(key)
 }
 
 /// Field `key` of a ledger entry as a string.
 pub fn text<'a>(j: &'a Json, key: &str) -> &'a str {
-    field(j, key)
-        .as_str()
-        .unwrap_or_else(|| panic!("ledger `{key}` is not a string"))
+    j.get(key).and_then(Json::as_str).expect(key)
 }
 
 /// Field `key` of a ledger entry as an array.
 pub fn list<'a>(j: &'a Json, key: &str) -> &'a [Json] {
-    field(j, key)
-        .as_arr()
-        .unwrap_or_else(|| panic!("ledger `{key}` is not an array"))
+    j.get(key).and_then(Json::as_arr).expect(key)
 }
 
-/// The four rows of `matrix` at `seed`, in [`ALGS`] order.
+/// The rows of `matrix` at `seed`, in [`ALGS`] order.
 pub fn seed_rows<'a>(rows: &'a [Json], matrix: &str, seed: u64) -> Vec<&'a Json> {
-    rows.iter()
-        .filter(|r| text(r, "matrix") == matrix && int(r, "seed") == seed)
-        .collect()
+    let own = |r: &&Json| text(r, "matrix") == matrix && int(r, "seed") == seed;
+    rows.iter().filter(own).collect()
+}
+
+/// Field `key` of each of `rows`.
+fn column(rows: &[&Json], key: &str) -> Vec<f64> {
+    rows.iter().map(|r| real(r, key)).collect()
+}
+
+/// Field `key` of a stand-in's paper row.
+fn paper(s: &Json, key: &str) -> Vec<f64> {
+    let row = s.get("paper").expect("paper");
+    list(row, key).iter().filter_map(Json::as_f64).collect()
 }
 
 /// Index of the first smallest value: the winner under the rank rule
-/// (ties go to the earlier algorithm).
-fn winner(values: impl Iterator<Item = u64>) -> usize {
-    let v: Vec<u64> = values.collect();
-    (0..v.len()).min_by_key(|&i| (v[i], i)).unwrap_or(0)
+/// (ties go to the algorithm listed first).
+fn winner(v: &[f64]) -> usize {
+    (0..v.len()).fold(0, |best, i| if v[i] < v[best] { i } else { best })
 }
 
-fn paper(s: &Json, key: &str) -> Vec<u64> {
-    list(field(s, "paper"), key)
-        .iter()
-        .map(|v| v.as_u64().expect("paper figure"))
-        .collect()
+fn whole(x: f64) -> String {
+    digits(x as u64)
 }
 
-fn slashed(v: impl Iterator<Item = String>) -> String {
-    v.collect::<Vec<_>>().join(" / ")
+fn slashed(v: &[f64], cell: fn(f64) -> String) -> String {
+    v.iter().map(|&x| cell(x)).collect::<Vec<_>>().join(" / ")
 }
 
-fn ratio(num: u64, den: u64) -> f64 {
-    num as f64 / den.max(1) as f64
+/// A markdown table: the header and rule lines, then one line per row.
+fn table(head: &str, rows: impl Iterator<Item = Vec<String>>) -> String {
+    let rows: Vec<String> = rows.map(|r| format!("| {} |\n", r.join(" | "))).collect();
+    format!("{head}\n{}", rows.concat())
 }
+
+const SIZES: &str = "| Matrix | Table | n | paper n | nnz | paper nnz | Δnnz | structure class |
+|---|---|---|---|---|---|---|---|";
+const RESULTS: &str = "| Matrix | SPECTRAL | GK | GPS | RCM | winner (paper) | RCM / SPECTRAL (paper) | SPECTRAL, seeds 0–7 | bandwidth S / GK / GPS / RCM (paper) | seconds S / GK / GPS / RCM |
+|---|---|---|---|---|---|---|---|---|---|";
+const FACTOR: &str = "| Matrix | ordering | envelope | Ework | flops | factor time (s) | paper envelope | paper time (s) |
+|---|---|---|---|---|---|---|---|";
+const BOUNDS: &str = "| Matrix | n | Δ | λ returned | dense λ₂ | best Esize | ratio to bound | best Ework | ratio to bound |
+|---|---|---|---|---|---|---|---|---|";
 
 /// The markdown of every generated section of [`DOC`], by marker name.
 pub fn render(ledger: &Json) -> Vec<(&'static str, String)> {
     let standins = list(ledger, "standins");
     let rows = list(ledger, "rows");
-    let mut out = vec![
+    vec![
         ("headline", headline(ledger, standins, rows)),
         ("sizes", sizes(standins)),
-    ];
-    for (section, table) in [
-        ("table_4_1", "4.1"),
-        ("table_4_2", "4.2"),
-        ("table_4_3", "4.3"),
-    ] {
-        out.push((section, results(standins, rows, table)));
-    }
-    out.push(("table_4_4", factor(list(ledger, "factor"))));
-    out.push(("bounds", bounds(standins)));
-    out
+        ("table_4_1", results(standins, rows, "4.1")),
+        ("table_4_2", results(standins, rows, "4.2")),
+        ("table_4_3", results(standins, rows, "4.3")),
+        ("table_4_4", factor(list(ledger, "factor"))),
+        ("bounds", bounds(standins)),
+    ]
+}
+
+fn measured(standins: &[Json]) -> impl Iterator<Item = &Json> {
+    standins.iter().filter(|s| s.get("skipped").is_none())
 }
 
 fn headline(ledger: &Json, standins: &[Json], rows: &[Json]) -> String {
+    let scope = match ledger.get("max_n").and_then(Json::as_u64) {
+        None => "every stand-in (no `SE_MAX_N` cap)".to_string(),
+        Some(cap) => format!("the stand-ins with n ≤ {} (`SE_MAX_N`)", digits(cap)),
+    };
+    let seed0: Vec<(&Json, Vec<&Json>)> = measured(standins)
+        .map(|s| (s, seed_rows(rows, text(s, "matrix"), 0)))
+        .collect();
+    let total = seed0.len();
+    let count =
+        |holds: &dyn Fn(&Json, &[&Json]) -> bool| seed0.iter().filter(|(s, r)| holds(s, r)).count();
+    // Whether entry `i` of `v` is a smallest one (ties count).
+    let least = |v: &[f64], i: usize| v[i] <= v[winner(v)];
+    let negated = |v: Vec<f64>| v.iter().map(|x| -x).collect::<Vec<_>>();
+    let wins = count(&|_, r| least(&column(r, "envelope"), 0));
+    let paper_wins = count(&|s, _| least(&paper(s, "envelope"), 0));
+    let agree = count(&|s, r| winner(&column(r, "envelope")) == winner(&paper(s, "envelope")));
+    let gps = count(&|_, r| least(&column(r, "bandwidth"), 2));
+    let wider = count(&|_, r| real(r[0], "bandwidth") > real(r[2], "bandwidth"));
+    let slowest = count(&|_, r| least(&negated(column(r, "seconds")), 0));
+    let fastest = count(&|_, r| least(&column(r, "seconds"), 3));
+    let spectral: Vec<&Json> = rows.iter().filter(|r| text(r, "alg") == ALGS[0]).collect();
+    let all_wins = spectral.iter().filter(|r| int(r, "rank") == 1).count();
     let commit = text(ledger, "commit");
-    let mut out = format!(
-        "Ledger `{LEDGER}`: {} build on {} cores, commit `{}`, ",
+    format!(
+        "Ledger `{LEDGER}`: {} build on {} cores, commit `{}`, {scope}.\n\n\
+         - **SPECTRAL rank 1 in {wins} of {total}** stand-ins at the generated labelling \
+         (paper: {paper_wins} of {total}), and in {all_wins} of {} stand-in × labelling \
+         pairs (seeds 0–{}).\n\
+         - The seed-0 winner is the paper's winner in {agree} of {total} rows.\n\
+         - GPS has the smallest bandwidth of the four in {gps} of {total} rows (ties \
+         count), and SPECTRAL's bandwidth exceeds GPS's in {wider} of {total}.\n\
+         - SPECTRAL takes the longest to order in {slowest} of {total} rows, and RCM the \
+         shortest in {fastest} of {total}.\n",
         text(ledger, "profile"),
         int(ledger, "cores"),
-        &commit[..commit.len().min(10)]
-    );
-    match field(ledger, "max_n").as_u64() {
-        Some(cap) => {
-            let skipped: Vec<&str> = standins
-                .iter()
-                .filter(|s| s.get("skipped").is_some())
-                .map(|s| text(s, "matrix"))
-                .collect();
-            let _ = writeln!(
-                out,
-                "stand-ins with n ≤ {} (`SE_MAX_N`); skipped: {}.\n",
-                group_digits(cap),
-                skipped.join(", ")
-            );
-        }
-        None => out.push_str("every stand-in (no `SE_MAX_N` cap).\n\n"),
-    }
-    let measured: Vec<&Json> = standins
-        .iter()
-        .filter(|s| s.get("skipped").is_none())
-        .collect();
-    let total = measured.len();
-    let [mut wins, mut paper_wins, mut agree, mut gps_bw, mut wider, mut slowest, mut fastest] =
-        [0usize; 7];
-    for s in &measured {
-        let r = seed_rows(rows, text(s, "matrix"), 0);
-        let won = winner(r.iter().map(|r| int(r, "envelope")));
-        let paper_won = winner(paper(s, "envelope").into_iter());
-        wins += usize::from(won == 0);
-        paper_wins += usize::from(paper_won == 0);
-        agree += usize::from(won == paper_won);
-        let bw: Vec<u64> = r.iter().map(|r| int(r, "bandwidth")).collect();
-        gps_bw += usize::from(bw.iter().all(|&b| bw[2] <= b));
-        wider += usize::from(bw[0] > bw[2]);
-        let secs: Vec<f64> = r.iter().map(|r| real(r, "seconds")).collect();
-        slowest += usize::from(secs.iter().all(|&t| secs[0] >= t));
-        fastest += usize::from(secs.iter().all(|&t| secs[3] <= t));
-    }
-    let all_wins = rows
-        .iter()
-        .filter(|r| text(r, "alg") == "SPECTRAL" && int(r, "rank") == 1)
-        .count();
-    let _ = writeln!(
-        out,
-        "- **SPECTRAL rank 1 in {wins} of {total}** stand-ins at the generated \
-         labelling (paper: {paper_wins} of {total}), and in {all_wins} of {} \
-         stand-in × labelling pairs (seeds 0–{}).",
-        rows.len() / ALGS.len(),
-        SEEDS - 1
-    );
-    let _ = writeln!(
-        out,
-        "- The seed-0 winner is the paper's winner in {agree} of {total} rows."
-    );
-    let _ = writeln!(
-        out,
-        "- GPS has the smallest bandwidth of the four in {gps_bw} of {total} rows \
-         (ties count), and SPECTRAL's bandwidth exceeds GPS's in {wider} of {total}."
-    );
-    let _ = writeln!(
-        out,
-        "- SPECTRAL takes the longest to order in {slowest} of {total} rows, and RCM \
-         the shortest in {fastest} of {total}."
-    );
-    out
+        &commit[..commit.len().min(10)],
+        spectral.len(),
+        SEEDS - 1,
+    )
 }
 
 fn sizes(standins: &[Json]) -> String {
-    let mut out = String::from(
-        "| Matrix | Table | n | paper n | nnz | paper nnz | Δnnz | structure class |\n\
-         |---|---|---|---|---|---|---|---|\n",
-    );
-    for s in standins {
-        let (nnz, paper_nnz) = (int(s, "nnz"), int(s, "paper_nnz"));
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {:+.1}% | {} |",
-            text(s, "matrix"),
-            text(s, "table"),
-            group_digits(int(s, "n")),
-            group_digits(int(s, "paper_n")),
-            group_digits(nnz),
-            group_digits(paper_nnz),
-            100.0 * (ratio(nnz, paper_nnz) - 1.0),
-            text(s, "class"),
-        );
-    }
-    out.push_str("\n(nnz is the paper's convention: lower triangle including the diagonal.)\n");
-    out
+    let row = |s: &Json| {
+        let [n, paper_n, nnz, paper_nnz] = ["n", "paper_n", "nnz", "paper_nnz"].map(|k| real(s, k));
+        let mut cells = vec![text(s, "matrix").into(), text(s, "table").into()];
+        cells.extend([n, paper_n, nnz, paper_nnz].map(whole));
+        cells.push(format!("{:+.1}%", 100.0 * (nnz / paper_nnz - 1.0)));
+        cells.push(text(s, "class").into());
+        cells
+    };
+    table(SIZES, standins.iter().map(row))
+        + "\n(nnz is the paper's convention: lower triangle including the diagonal.)\n"
 }
 
-fn results(standins: &[Json], rows: &[Json], table: &str) -> String {
-    let mut envelopes = String::from(
-        "| Matrix | SPECTRAL | GK | GPS | RCM | winner (paper) | RCM / SPECTRAL (paper) | SPECTRAL, seeds 0–7 |\n\
-         |---|---|---|---|---|---|---|---|\n",
-    );
-    let mut others = String::from(
-        "| Matrix | bandwidth S / GK / GPS / RCM | paper bandwidth | seconds S / GK / GPS / RCM |\n\
-         |---|---|---|---|\n",
-    );
-    for s in standins.iter().filter(|s| text(s, "table") == table) {
+fn results(standins: &[Json], rows: &[Json], id: &str) -> String {
+    let row = |s: &Json| {
         let name = text(s, "matrix");
         if s.get("skipped").is_some() {
-            let why = format!(
-                "skipped: n = {} is over `SE_MAX_N`",
-                group_digits(int(s, "n"))
-            );
-            let _ = writeln!(envelopes, "| {name} | {why} | | | | | | |");
-            let _ = writeln!(others, "| {name} | {why} | | |");
-            continue;
+            let n = whole(real(s, "n"));
+            return vec![name.into(), format!("skipped: n = {n} is over `SE_MAX_N`")];
         }
         let r = seed_rows(rows, name, 0);
-        let env: Vec<u64> = r.iter().map(|r| int(r, "envelope")).collect();
-        let paper_env = paper(s, "envelope");
-        let (won, paper_won) = (
-            winner(env.iter().copied()),
-            winner(paper_env.iter().copied()),
-        );
-        let cells = envelope_cells(&env, won);
-        let spectral: Vec<u64> = rows
+        let (env, paper_env) = (column(&r, "envelope"), paper(s, "envelope"));
+        let won = winner(&env);
+        let mut cells = vec![name.to_string()];
+        cells.extend(env.iter().enumerate().map(|(i, &e)| match i == won {
+            true => format!("**{}**", whole(e)),
+            false => whole(e),
+        }));
+        let seeds = rows
             .iter()
-            .filter(|r| text(r, "matrix") == name && text(r, "alg") == "SPECTRAL")
-            .map(|r| int(r, "envelope"))
-            .collect();
-        let _ = writeln!(
-            envelopes,
-            "| {name} | {cells} | {} ({}) | {:.2} ({:.2}) | {}–{} |",
-            ALGS[won],
-            ALGS[paper_won],
-            ratio(env[3], env[0]),
-            ratio(paper_env[3], paper_env[0]),
-            group_digits(*spectral.iter().min().expect("seed-0 row")),
-            group_digits(*spectral.iter().max().expect("seed-0 row")),
-        );
-        let _ = writeln!(
-            others,
-            "| {name} | {} | {} | {} |",
-            slashed(r.iter().map(|r| group_digits(int(r, "bandwidth")))),
-            slashed(paper(s, "bandwidth").into_iter().map(group_digits)),
-            slashed(r.iter().map(|r| format!("{:.4}", real(r, "seconds")))),
-        );
-    }
-    format!("{envelopes}\n{others}")
-}
-
-/// The envelope cells of one row, the winner in bold.
-fn envelope_cells(env: &[u64], won: usize) -> String {
-    let cells: Vec<String> = env
-        .iter()
-        .enumerate()
-        .map(|(i, &e)| match i == won {
-            true => format!("**{}**", group_digits(e)),
-            false => group_digits(e),
-        })
-        .collect();
-    cells.join(" | ")
+            .filter(|r| text(r, "matrix") == name && text(r, "alg") == ALGS[0]);
+        let spectral: Vec<f64> = seeds.map(|r| real(r, "envelope")).collect();
+        let lo = spectral.iter().copied().fold(f64::MAX, f64::min);
+        let hi = spectral.iter().copied().fold(f64::MIN, f64::max);
+        let bandwidth = slashed(&column(&r, "bandwidth"), whole);
+        let (ratio, paper_ratio) = (env[3] / env[0], paper_env[3] / paper_env[0]);
+        cells.extend([
+            format!("{} ({})", ALGS[won], ALGS[winner(&paper_env)]),
+            format!("{ratio:.2} ({paper_ratio:.2})"),
+            format!("{}–{}", whole(lo), whole(hi)),
+            format!("{bandwidth} ({})", slashed(&paper(s, "bandwidth"), whole)),
+            slashed(&column(&r, "seconds"), |t| format!("{t:.4}")),
+        ]);
+        cells
+    };
+    let own = standins.iter().filter(|s| text(s, "table") == id);
+    table(RESULTS, own.map(row))
 }
 
 fn factor(factor: &[Json]) -> String {
     if factor.is_empty() {
         return "(none measured: every Table 4.4 matrix is over `SE_MAX_N`)\n".to_string();
     }
-    let mut out = String::from(
-        "| Matrix | ordering | envelope | Ework | flops | factor time (s) | paper envelope | paper time (s) |\n\
-         |---|---|---|---|---|---|---|---|\n",
-    );
-    let mut ratios = String::new();
-    for f in factor {
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {:.3e} | {:.4} | {} | {} |",
-            text(f, "matrix"),
-            text(f, "alg"),
-            group_digits(int(f, "envelope")),
-            group_digits(int(f, "ework")),
-            real(f, "flops"),
-            real(f, "seconds"),
-            group_digits(int(f, "paper_envelope")),
-            real(f, "paper_seconds"),
-        );
-    }
+    let row = |f: &Json| {
+        let mut cells = vec![text(f, "matrix").to_string(), text(f, "alg").to_string()];
+        cells.extend(["envelope", "ework"].map(|k| whole(real(f, k))));
+        cells.push(format!("{:.3e}", real(f, "flops")));
+        cells.push(format!("{:.4}", real(f, "seconds")));
+        cells.push(whole(real(f, "paper_envelope")));
+        cells.push(real(f, "paper_seconds").to_string());
+        cells
+    };
+    let mut out = table(FACTOR, factor.iter().map(row)) + "\n";
     for pair in factor.chunks(2) {
-        let [s, r] = pair else { continue };
-        let over = |key: &str| real(r, key) / real(s, key);
-        let _ = writeln!(
-            ratios,
-            "- {}: RCM / SPECTRAL envelope {:.2}×, flops {:.2}×, factor time {:.2}× \
-             (paper: envelope {:.2}×, time {:.2}×).",
-            text(s, "matrix"),
-            over("envelope"),
-            over("flops"),
-            over("seconds"),
-            over("paper_envelope"),
-            over("paper_seconds"),
-        );
+        let over = |k: &str| format!("{:.2}×", real(&pair[1], k) / real(&pair[0], k));
+        let [env, flops, time] = ["envelope", "flops", "seconds"].map(over);
+        let [paper_env, paper_time] = ["paper_envelope", "paper_seconds"].map(over);
+        let name = text(&pair[0], "matrix");
+        let _ = writeln!(out, "- {name}: RCM / SPECTRAL envelope {env}, flops {flops}, factor time {time} (paper: envelope {paper_env}, time {paper_time}).");
     }
-    format!("{out}\n{ratios}")
+    out
 }
 
 fn bounds(standins: &[Json]) -> String {
-    let mut out = String::from(
-        "| Matrix | n | Δ | λ returned | dense λ₂ | best Esize | Esize bound | ratio | best Ework | Ework bound | ratio |\n\
-         |---|---|---|---|---|---|---|---|---|---|---|\n",
-    );
-    for s in standins.iter().filter(|s| s.get("skipped").is_none()) {
-        let lambda = |key: &str| s.get(key).and_then(Json::as_f64);
-        let shown = |v: Option<f64>| v.map_or("—".to_string(), |l| format!("{l:.6e}"));
-        let bound = |key: &str| match s.get(key).and_then(Json::as_f64) {
-            Some(b) if key.ends_with("ratio") => format!("{b:.1}"),
-            Some(b) => group_digits(b as u64),
-            None => "—".to_string(),
+    let row = |s: &Json| {
+        let shown = |key: &str, cell: fn(f64) -> String| {
+            s.get(key)
+                .and_then(Json::as_f64)
+                .map_or("—".to_string(), cell)
         };
-        let _ = writeln!(
-            out,
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} |",
-            text(s, "matrix"),
-            group_digits(int(s, "n")),
-            int(s, "max_degree"),
-            shown(lambda("lambda_returned")),
-            shown(lambda("lambda2_dense")),
-            group_digits(int(s, "best_envelope")),
-            bound("esize_bound"),
-            bound("esize_ratio"),
-            group_digits(int(s, "best_ework")),
-            bound("ework_bound"),
-            bound("ework_ratio"),
-        );
-    }
-    out
+        let [n, delta] = ["n", "max_degree"].map(|k| whole(real(s, k)));
+        let mut cells = vec![text(s, "matrix").to_string(), n, delta];
+        cells
+            .extend(["lambda_returned", "lambda2_dense"].map(|k| shown(k, |l| format!("{l:.6e}"))));
+        cells.push(whole(real(s, "best_envelope")));
+        cells.push(shown("esize_ratio", |r| format!("{r:.1}")));
+        cells.push(whole(real(s, "best_ework")));
+        cells.push(shown("ework_ratio", |r| format!("{r:.1}")));
+        cells
+    };
+    table(BOUNDS, measured(standins).map(row))
 }
 
 /// Replaces the body of each marked section of `doc` — the lines between
@@ -446,7 +331,7 @@ mod tests {
 
     #[test]
     fn winner_breaks_ties_toward_the_earlier_algorithm() {
-        assert_eq!(winner([5, 3, 3, 4].into_iter()), 1);
-        assert_eq!(winner([2, 3, 3, 2].into_iter()), 0);
+        assert_eq!(winner(&[5.0, 3.0, 3.0, 4.0]), 1);
+        assert_eq!(winner(&[2.0, 3.0, 3.0, 2.0]), 0);
     }
 }
