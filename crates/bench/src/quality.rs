@@ -17,6 +17,7 @@ use meshgen::Standin;
 use se_service::json::Json;
 use sparsemat::SymmetricPattern;
 use spectral_env::report::{group_digits as digits, Comparison, ComparisonRow};
+use spectral_env::Algorithm;
 use std::fmt::Write as _;
 
 /// The ledger file, relative to the repository root.
@@ -27,9 +28,6 @@ pub const DOC: &str = "EXPERIMENTS.md";
 
 /// Labellings per stand-in: seed 0 (as generated) and seeds 1–7.
 pub const SEEDS: u64 = 8;
-
-/// Algorithm names in the order of the paper's tables.
-pub const ALGS: [&str; 4] = ["SPECTRAL", "GK", "GPS", "RCM"];
 
 /// λ₂ of six small stand-ins' Laplacians from the dense eigensolver
 /// (`DenseSym::eigh`), to seven significant digits. λ₂ does not depend on
@@ -97,7 +95,7 @@ pub fn list<'a>(j: &'a Json, key: &str) -> &'a [Json] {
     j.get(key).and_then(Json::as_arr).expect(key)
 }
 
-/// The rows of `matrix` at `seed`, in [`ALGS`] order.
+/// The rows of `matrix` at `seed`, in `Algorithm::paper_set()` order.
 pub fn seed_rows<'a>(rows: &'a [Json], matrix: &str, seed: u64) -> Vec<&'a Json> {
     let own = |r: &&Json| text(r, "matrix") == matrix && int(r, "seed") == seed;
     rows.iter().filter(own).collect()
@@ -118,6 +116,11 @@ fn paper(s: &Json, key: &str) -> Vec<f64> {
 /// (ties go to the algorithm listed first).
 fn winner(v: &[f64]) -> usize {
     (0..v.len()).fold(0, |best, i| if v[i] < v[best] { i } else { best })
+}
+
+/// The name of entry `i` of the paper set (SPECTRAL, GK, GPS, RCM).
+fn name_of(i: usize) -> &'static str {
+    Algorithm::paper_set()[i].name()
 }
 
 fn whole(x: f64) -> String {
@@ -183,8 +186,8 @@ fn headline(ledger: &Json, standins: &[Json], rows: &[Json]) -> String {
     let wider = count(&|_, r| real(r[0], "bandwidth") > real(r[2], "bandwidth"));
     let slowest = count(&|_, r| least(&negated(column(r, "seconds")), 0));
     let fastest = count(&|_, r| least(&column(r, "seconds"), 3));
-    let spectral: Vec<&Json> = rows.iter().filter(|r| text(r, "alg") == ALGS[0]).collect();
-    let all_wins = spectral.iter().filter(|r| int(r, "rank") == 1).count();
+    let spectral_first = |r: &&Json| text(r, "alg") == name_of(0) && int(r, "rank") == 1;
+    let all_wins = rows.iter().filter(spectral_first).count();
     let commit = text(ledger, "commit");
     format!(
         "Ledger `{LEDGER}`: {} build on {} cores, commit `{}`, {scope}.\n\n\
@@ -199,7 +202,7 @@ fn headline(ledger: &Json, standins: &[Json], rows: &[Json]) -> String {
         text(ledger, "profile"),
         int(ledger, "cores"),
         &commit[..commit.len().min(10)],
-        spectral.len(),
+        rows.len() / 4,
         SEEDS - 1,
     )
 }
@@ -234,14 +237,14 @@ fn results(standins: &[Json], rows: &[Json], id: &str) -> String {
         }));
         let seeds = rows
             .iter()
-            .filter(|r| text(r, "matrix") == name && text(r, "alg") == ALGS[0]);
+            .filter(|r| text(r, "matrix") == name && text(r, "alg") == name_of(0));
         let spectral: Vec<f64> = seeds.map(|r| real(r, "envelope")).collect();
         let lo = spectral.iter().copied().fold(f64::MAX, f64::min);
         let hi = spectral.iter().copied().fold(f64::MIN, f64::max);
         let bandwidth = slashed(&column(&r, "bandwidth"), whole);
         let (ratio, paper_ratio) = (env[3] / env[0], paper_env[3] / paper_env[0]);
         cells.extend([
-            format!("{} ({})", ALGS[won], ALGS[winner(&paper_env)]),
+            format!("{} ({})", name_of(won), name_of(winner(&paper_env))),
             format!("{ratio:.2} ({paper_ratio:.2})"),
             format!("{}–{}", whole(lo), whole(hi)),
             format!("{bandwidth} ({})", slashed(&paper(s, "bandwidth"), whole)),
