@@ -4,7 +4,7 @@
 use meshgen::annulus_tri;
 use se_bench::harness::Runner;
 use se_envelope::EnvelopeMatrix;
-use spectral_env::{reorder_pattern, Algorithm};
+use se_order::{order, Algorithm};
 
 fn main() {
     let runner = Runner::new("envelope_cholesky");
@@ -16,7 +16,7 @@ fn main() {
         Algorithm::Gps,
         Algorithm::Gk,
     ] {
-        let ordering = reorder_pattern(&g, alg).expect("ordering succeeds");
+        let ordering = order(&g, alg).expect("ordering succeeds");
         let pa = a.permute_symmetric(&ordering.perm).expect("permutable");
         let name = format!("{}/env={}", alg.name(), ordering.stats.envelope_size);
         runner.bench(&name, || {

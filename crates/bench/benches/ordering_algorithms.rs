@@ -5,7 +5,7 @@
 
 use meshgen::annulus_tri;
 use se_bench::harness::Runner;
-use spectral_env::{reorder_pattern, Algorithm};
+use se_order::{order, Algorithm};
 
 fn main() {
     let runner = Runner::new("ordering");
@@ -20,7 +20,7 @@ fn main() {
             Algorithm::HybridSloanSpectral,
         ] {
             runner.bench(&format!("{}/{label}", alg.name()), || {
-                reorder_pattern(&g, alg).expect("ordering succeeds")
+                order(&g, alg).expect("ordering succeeds")
             });
         }
     }

@@ -4,13 +4,13 @@
 //! 2. smoothing passes after interpolation,
 //! 3. Galerkin (edge-weighted) vs unweighted coarse operator,
 //! 4. sorting both directions (Algorithm 1 step 3) vs ascending only,
-//! 5. local post-refinement: pure SPECTRAL vs SPECTRAL+exchange vs the
-//!    Fiedler–Sloan hybrid vs plain Sloan (the paper's §4 future work).
+//! 5. local post-refinement: pure SPECTRAL vs the Fiedler–Sloan hybrid vs
+//!    plain Sloan (the paper's §4 future work), with GK for scale.
 
 use se_eigen::multilevel::fiedler;
 use se_eigen::SolverOpts;
 use se_order::spectral::order_by_vector;
-use se_order::{exchange_refine, order, Algorithm};
+use se_order::{order, Algorithm};
 use sparsemat::envelope::envelope_size;
 use sparsemat::Permutation;
 use std::time::Instant;
@@ -115,7 +115,6 @@ fn main() {
     println!("  {:<12} {:>12} {:>10}", "variant", "envelope", "time (s)");
     for alg in [
         Algorithm::Spectral,
-        Algorithm::SpectralRefined,
         Algorithm::HybridSloanSpectral,
         Algorithm::Sloan,
         Algorithm::Gk,
@@ -129,12 +128,4 @@ fn main() {
             t0.elapsed().as_secs_f64()
         );
     }
-    // How much does exchange refinement alone buy?
-    let spec = order(&g, Algorithm::Spectral).expect("spectral runs");
-    let (refined, swaps) = exchange_refine(&g, &spec.perm, 10);
-    println!(
-        "\n  exchange refinement applied {swaps} swaps: {} -> {}",
-        spec.stats.envelope_size,
-        envelope_size(&g, &refined)
-    );
 }

@@ -7,10 +7,10 @@
 //! scrambling the synthetic mesh deterministically.
 
 use meshgen::scramble;
+use se_order::{order, Algorithm};
 use sparsemat::spy::SpyGrid;
 use sparsemat::Permutation;
 use spectral_env::report::group_digits;
-use spectral_env::{reorder_pattern, Algorithm};
 
 fn main() {
     let s = meshgen::standin("BARTH4").expect("BARTH4 standin exists");
@@ -36,7 +36,7 @@ fn main() {
             ("Figure 4.4", Algorithm::Rcm),
             ("Figure 4.5", Algorithm::Spectral),
         ] {
-            let o = reorder_pattern(&original, alg).expect("ordering succeeds");
+            let o = order(&original, alg).expect("ordering succeeds");
             v.push((fig, alg.name(), o.perm));
         }
         v

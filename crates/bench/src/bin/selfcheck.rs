@@ -8,8 +8,8 @@
 //! Exits nonzero on the first failed check.
 
 use se_envelope::{EnvelopeMatrix, IncompleteCholesky, PcgOptions};
+use se_order::{order, order_compressed_with, Algorithm, SolverOpts};
 use spectral_env::report::compare_orderings;
-use spectral_env::{reorder_pattern, Algorithm};
 
 fn check(name: &str, ok: bool, detail: String) -> bool {
     println!(
@@ -56,7 +56,7 @@ fn main() -> std::process::ExitCode {
 
     // 3. Envelope Cholesky: factor + solve.
     let a = mesh.spd_matrix(0.5);
-    let ordering = reorder_pattern(&mesh, Algorithm::Spectral).expect("ordering");
+    let ordering = order(&mesh, Algorithm::Spectral).expect("ordering");
     let mut env = EnvelopeMatrix::from_csr_permuted(&a, &ordering.perm).expect("symmetric");
     env.factorize().expect("SPD");
     let ones = vec![1.0; a.nrows()];
@@ -90,7 +90,7 @@ fn main() -> std::process::ExitCode {
     // 6. Compression on a multi-DOF pattern.
     let block = meshgen::block_expand(&meshgen::grid2d(10, 10), 4);
     let (o, ratio) =
-        spectral_env::reorder_pattern_compressed(&block, Algorithm::Rcm).expect("compress");
+        order_compressed_with(&block, Algorithm::Rcm, &SolverOpts::default()).expect("compress");
     all &= check(
         "supervariable compression",
         (ratio - 4.0).abs() < 1e-9 && o.perm.len() == block.n(),

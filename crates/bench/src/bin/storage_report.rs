@@ -9,8 +9,8 @@
 //! same orderings and under minimum degree.
 
 use se_envelope::symbolic::factor_size;
+use se_order::{order, Algorithm};
 use spectral_env::report::group_digits;
-use spectral_env::{reorder_pattern, Algorithm};
 
 fn main() {
     println!("==== Envelope vs general sparse storage (paper §1) ====\n");
@@ -34,7 +34,7 @@ fn main() {
             Algorithm::MinDegree,
             Algorithm::SpectralNd,
         ] {
-            let o = reorder_pattern(&s.pattern, alg).expect("ordering runs");
+            let o = order(&s.pattern, alg).expect("ordering runs");
             let env_storage = o.stats.envelope_size + n;
             let lnz = factor_size(&s.pattern, &o.perm);
             println!(

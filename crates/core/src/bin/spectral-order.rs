@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! spectral-order <matrix.{mtx,rsa,rua,graph}> [options]
-//!   --alg <spectral|rcm|gps|gk|sloan|hybrid|refined|mindeg|nd|cm>
+//!   --alg <spectral|tracemin|rcm|gps|gk|sloan|hybrid|mindeg|nd|identity>
 //!                      ordering (default spectral)
 //!   --threads <N>      solver threads for tracemin (0 = all cores; the
 //!                      other algorithms solve on one thread; results are
@@ -205,7 +205,7 @@ fn main() -> ExitCode {
     // the fallback is reported. A healthy run is bit-identical to the
     // direct path.
     let outcome = if compressed {
-        match spectral_env::reorder_pattern_compressed_degraded_with(&g, alg, &solver) {
+        match se_order::order_compressed_degraded_with(&g, alg, &solver) {
             Ok(o) => {
                 eprintln!(
                     "supervariable compression ratio: {:.2}",
@@ -219,7 +219,7 @@ fn main() -> ExitCode {
             }
         }
     } else {
-        match spectral_env::reorder_pattern_degraded_with(&g, alg, &solver) {
+        match se_order::order_degraded_with(&g, alg, &solver) {
             Ok(o) => o,
             Err(e) => {
                 eprintln!("{} ordering failed: {e}", alg.name());

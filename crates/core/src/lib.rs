@@ -55,7 +55,11 @@ pub use se_eigen::multilevel::{fiedler, FiedlerResult};
 pub use se_eigen::SolverOpts;
 pub use se_envelope::EnvelopeMatrix;
 pub use se_faults::{Budget, FaultPlane};
-pub use se_order::{Algorithm, LadderOutcome, OrderError, Ordering};
+// Pattern-level orderings (no values needed) come straight from se_order.
+pub use se_order::{
+    order, order_compressed_degraded_with, order_compressed_with, order_degraded_with, order_with,
+    Algorithm, LadderOutcome, OrderError, Ordering,
+};
 pub use se_trace::{SpanNode, Tracer};
 pub use sparsemat::{CooMatrix, CsrMatrix, Permutation, SymmetricPattern};
 
@@ -124,68 +128,6 @@ pub fn reorder_with(a: &CsrMatrix, alg: Algorithm, solver: &SolverOpts) -> Resul
     let ordering = se_order::order_with(&pattern, alg, solver)?;
     let matrix = a.permute_symmetric(&ordering.perm)?;
     Ok(Reordered { matrix, ordering })
-}
-
-/// Orders a bare sparsity pattern (no values needed).
-pub fn reorder_pattern(g: &SymmetricPattern, alg: Algorithm) -> Result<Ordering> {
-    Ok(se_order::order(g, alg)?)
-}
-
-/// [`reorder_pattern`] with an explicit solver configuration (see
-/// [`reorder_with`]).
-pub fn reorder_pattern_with(
-    g: &SymmetricPattern,
-    alg: Algorithm,
-    solver: &SolverOpts,
-) -> Result<Ordering> {
-    Ok(se_order::order_with(g, alg, solver)?)
-}
-
-/// Orders a pattern through **supervariable compression**: vertices with
-/// identical closed neighborhoods (multi-DOF nodes of structural matrices,
-/// like the BCSSTK* family) are merged, the quotient graph is ordered with
-/// `alg`, and the result expanded. Returns the ordering and the compression
-/// ratio (`n / n_supervariables`; 1.0 = nothing merged).
-///
-/// For a `d`-DOF model this runs the ordering on a graph `d×` smaller at
-/// (typically) indistinguishable envelope quality.
-pub fn reorder_pattern_compressed(g: &SymmetricPattern, alg: Algorithm) -> Result<(Ordering, f64)> {
-    reorder_pattern_compressed_with(g, alg, &SolverOpts::default())
-}
-
-/// [`reorder_pattern_compressed`] with an explicit solver configuration
-/// (see [`reorder_with`]).
-pub fn reorder_pattern_compressed_with(
-    g: &SymmetricPattern,
-    alg: Algorithm,
-    solver: &SolverOpts,
-) -> Result<(Ordering, f64)> {
-    Ok(se_order::order_compressed_with(g, alg, solver)?)
-}
-
-/// [`reorder_pattern_with`] through the **graceful-degradation ladder**:
-/// when the requested eigensolver-backed algorithm cannot finish
-/// (non-convergence, exhausted [`Budget`], injected fault), falls back to
-/// Lanczos-only and then to RCM instead of failing, and reports which rung
-/// ran and why in the returned [`LadderOutcome`]. With a healthy solve the
-/// result is bit-identical to [`reorder_pattern_with`].
-pub fn reorder_pattern_degraded_with(
-    g: &SymmetricPattern,
-    alg: Algorithm,
-    solver: &SolverOpts,
-) -> Result<LadderOutcome> {
-    Ok(se_order::order_degraded_with(g, alg, solver)?)
-}
-
-/// [`reorder_pattern_compressed_with`] through the graceful-degradation
-/// ladder (see [`reorder_pattern_degraded_with`]); the outcome carries the
-/// compression ratio.
-pub fn reorder_pattern_compressed_degraded_with(
-    g: &SymmetricPattern,
-    alg: Algorithm,
-    solver: &SolverOpts,
-) -> Result<LadderOutcome> {
-    Ok(se_order::order_compressed_degraded_with(g, alg, solver)?)
 }
 
 /// Computes the Fiedler vector of a matrix's adjacency graph with the
@@ -284,9 +226,10 @@ mod tests {
         // produce an envelope close to the direct ordering's.
         let base = meshgen::grid2d(12, 8);
         let g = meshgen::block_expand(&base, 5);
-        let (compressed, ratio) = reorder_pattern_compressed(&g, Algorithm::Rcm).unwrap();
+        let (compressed, ratio) =
+            order_compressed_with(&g, Algorithm::Rcm, &SolverOpts::default()).unwrap();
         assert!((ratio - 5.0).abs() < 1e-9, "ratio {ratio}");
-        let direct = reorder_pattern(&g, Algorithm::Rcm).unwrap();
+        let direct = order(&g, Algorithm::Rcm).unwrap();
         let (ec, ed) = (
             compressed.stats.envelope_size as f64,
             direct.stats.envelope_size as f64,
@@ -295,10 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn reorder_pattern_matches_reorder() {
+    fn pattern_order_matches_reorder() {
         let g = grid2d(8, 8);
         let a = g.spd_matrix(1.0);
-        let o1 = reorder_pattern(&g, Algorithm::Rcm).unwrap();
+        let o1 = order(&g, Algorithm::Rcm).unwrap();
         let o2 = reorder(&a, Algorithm::Rcm).unwrap();
         assert_eq!(o1.perm, o2.ordering.perm);
     }

@@ -18,8 +18,8 @@
 //! * [`multilevel`] — the Barnard–Simon multilevel Fiedler solver of §3
 //!   (contract → interpolate → refine).
 //!
-//! Every solver here runs on the calling thread, so SPECTRAL, hybrid,
-//! refined and nd solve on the thread that asked. [`SolverOpts::threads`]
+//! Every solver here runs on the calling thread, so SPECTRAL, hybrid and
+//! nd solve on the thread that asked. [`SolverOpts::threads`]
 //! and [`SolverOpts::pool`] size TraceMin-Fiedler (`se-tracemin`) only,
 //! which runs its inner solves on several threads at once. Reductions use
 //! the fixed-grid chunked forms of [`sparsemat::par`], so results are

@@ -74,8 +74,8 @@ pub const DEFAULT_MINRES_RTOL: f64 = 1e-10;
 /// field) construct, and what [`crate::multilevel::fiedler`] and the
 /// `se-order` orderings consume directly.
 ///
-/// The multilevel solver behind SPECTRAL, hybrid, refined and nd runs on the
-/// calling thread: `threads` and `pool` size TraceMin-Fiedler's inner-solve
+/// The multilevel solver behind SPECTRAL, hybrid and nd runs on the calling
+/// thread: `threads` and `pool` size TraceMin-Fiedler's inner-solve
 /// fan-out only. Results are **bit-identical for every `threads` value** —
 /// each inner solve runs serially on one thread, and every reduction uses a
 /// fixed chunk order (see [`sparsemat::par`]) — so the thread count is

@@ -40,7 +40,6 @@ pub mod king;
 pub mod min_degree;
 pub mod nested_dissection;
 pub mod rcm;
-pub mod refine;
 pub mod sloan;
 pub mod spectral;
 pub mod tracemin;
@@ -51,7 +50,6 @@ pub use hybrid::hybrid_sloan_spectral;
 pub use min_degree::min_degree_ordering;
 pub use nested_dissection::spectral_nested_dissection;
 pub use rcm::{cuthill_mckee, reverse_cuthill_mckee};
-pub use refine::exchange_refine;
 pub use sloan::{sloan, SloanWeights};
 pub use spectral::spectral_ordering;
 pub use tracemin::tracemin_ordering;
@@ -93,39 +91,39 @@ pub type Result<T> = std::result::Result<T, OrderError>;
 
 /// The ordering algorithms available through the uniform [`order`] entry
 /// point.
+///
+/// The discriminants are explicit because the service hashes `alg as u64`
+/// into its cache keys (in memory, in spill files and between mesh peers).
+/// A value is never reused, so an old key can never name a different
+/// algorithm: 1 (CM) and 8 (SPECTRAL+X) belonged to removed variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Leave the matrix as-is (baseline for "original ordering" rows).
-    Identity,
-    /// Cuthill–McKee (unreversed; an adjacency ordering).
-    CuthillMckee,
+    Identity = 0,
     /// Reverse Cuthill–McKee as in SPARSPAK.
-    Rcm,
+    Rcm = 2,
     /// Gibbs–Poole–Stockmeyer.
-    Gps,
+    Gps = 3,
     /// Gibbs–King.
-    Gk,
+    Gk = 4,
     /// The paper's spectral algorithm (multilevel Fiedler + sort).
-    Spectral,
+    Spectral = 5,
     /// Sloan's algorithm (extension).
-    Sloan,
+    Sloan = 6,
     /// Fiedler-guided Sloan hybrid (extension).
-    HybridSloanSpectral,
-    /// Spectral ordering polished by adjacent-exchange hill climbing
-    /// (the paper's §4 "local reordering strategy" idea, extension).
-    SpectralRefined,
+    HybridSloanSpectral = 7,
     /// Minimum-degree fill-reducing ordering — the *general sparse*
     /// comparator of §1 (not an envelope method; used by the storage
     /// comparison study).
-    MinDegree,
+    MinDegree = 9,
     /// Spectral nested dissection (Pothen–Simon–Liou) — the fill-reducing
     /// sibling of the spectral envelope algorithm (§1's lineage; not an
     /// envelope method).
-    SpectralNd,
+    SpectralNd = 10,
     /// Spectral ordering with the TraceMin-Fiedler block eigensolver
     /// (Manguoglu) instead of the multilevel Lanczos/RQI pipeline — same
     /// Algorithm 1 sort, different (embarrassingly parallel) solver.
-    TraceMin,
+    TraceMin = 11,
 }
 
 impl Algorithm {
@@ -133,14 +131,12 @@ impl Algorithm {
     pub fn name(&self) -> &'static str {
         match self {
             Algorithm::Identity => "ORIGINAL",
-            Algorithm::CuthillMckee => "CM",
             Algorithm::Rcm => "RCM",
             Algorithm::Gps => "GPS",
             Algorithm::Gk => "GK",
             Algorithm::Spectral => "SPECTRAL",
             Algorithm::Sloan => "SLOAN",
             Algorithm::HybridSloanSpectral => "HYBRID",
-            Algorithm::SpectralRefined => "SPECTRAL+X",
             Algorithm::MinDegree => "MINDEG",
             Algorithm::SpectralNd => "SPECTRAL-ND",
             Algorithm::TraceMin => "TRACEMIN",
@@ -176,8 +172,7 @@ pub fn order(g: &SymmetricPattern, alg: Algorithm) -> Result<Ordering> {
 }
 
 /// [`order`] with an explicit solver configuration. `solver` reaches every
-/// eigensolver-backed algorithm (SPECTRAL, HYBRID, SPECTRAL+X, SPECTRAL-ND,
-/// TRACEMIN); the combinatorial ones (RCM, GPS, GK, …) ignore it. The
+/// eigensolver-backed algorithm (SPECTRAL, HYBRID, SPECTRAL-ND, TRACEMIN); the combinatorial ones (RCM, GPS, GK, …) ignore it. The
 /// multilevel algorithms solve on the calling thread; `solver.threads` sizes
 /// TRACEMIN's pool only — results are bit-identical for every thread count.
 pub fn order_with(g: &SymmetricPattern, alg: Algorithm, solver: &SolverOpts) -> Result<Ordering> {
@@ -220,17 +215,12 @@ fn dispatch_forced(
 ) -> Result<Permutation> {
     let perm = match alg {
         Algorithm::Identity => Permutation::identity(g.n()),
-        Algorithm::CuthillMckee => cuthill_mckee(g),
         Algorithm::Rcm => reverse_cuthill_mckee(g),
         Algorithm::Gps => gibbs_poole_stockmeyer(g),
         Algorithm::Gk => gibbs_king(g),
         Algorithm::Spectral => spectral_ordering(g, solver, force_lanczos)?,
         Algorithm::Sloan => sloan(g, &SloanWeights::default()),
         Algorithm::HybridSloanSpectral => hybrid_sloan_spectral(g, solver, force_lanczos)?,
-        Algorithm::SpectralRefined => {
-            let base = spectral_ordering(g, solver, force_lanczos)?;
-            exchange_refine(g, &base, 10).0
-        }
         Algorithm::MinDegree => min_degree_ordering(g),
         Algorithm::SpectralNd => spectral_nested_dissection(g, solver, force_lanczos)?,
         Algorithm::TraceMin => tracemin::tracemin_ordering(g, solver, force_lanczos)?,
@@ -292,11 +282,6 @@ fn order_compressed_forced(
     ))
 }
 
-/// [`order_compressed_with`] with the default solver configuration.
-pub fn order_compressed(g: &SymmetricPattern, alg: Algorithm) -> Result<(Ordering, f64)> {
-    order_compressed_with(g, alg, &SolverOpts::default())
-}
-
 /// Result of the graceful-degradation ladder
 /// ([`order_degraded_with`] / [`order_compressed_degraded_with`]).
 #[derive(Debug, Clone)]
@@ -324,7 +309,6 @@ fn uses_eigensolver(alg: Algorithm) -> bool {
     matches!(
         alg,
         Algorithm::Spectral
-            | Algorithm::SpectralRefined
             | Algorithm::HybridSloanSpectral
             | Algorithm::SpectralNd
             | Algorithm::TraceMin
@@ -466,14 +450,12 @@ mod tests {
         let g = path(30);
         for alg in [
             Algorithm::Identity,
-            Algorithm::CuthillMckee,
             Algorithm::Rcm,
             Algorithm::Gps,
             Algorithm::Gk,
             Algorithm::Spectral,
             Algorithm::Sloan,
             Algorithm::HybridSloanSpectral,
-            Algorithm::SpectralRefined,
         ] {
             let o = order(&g, alg).unwrap_or_else(|e| panic!("{alg:?} failed: {e}"));
             assert_eq!(o.perm.len(), 30);
@@ -570,7 +552,6 @@ mod tests {
         for alg in [
             Algorithm::Spectral,
             Algorithm::HybridSloanSpectral,
-            Algorithm::SpectralRefined,
             Algorithm::SpectralNd,
         ] {
             for compressed in [false, true] {

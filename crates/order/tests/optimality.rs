@@ -125,7 +125,6 @@ fn every_heuristic_is_lower_bounded_by_brute_force() {
             Algorithm::Spectral,
             Algorithm::Sloan,
             Algorithm::HybridSloanSpectral,
-            Algorithm::SpectralRefined,
         ] {
             let o = order(&g, alg).unwrap();
             assert!(
@@ -139,7 +138,7 @@ fn every_heuristic_is_lower_bounded_by_brute_force() {
 
 #[test]
 fn best_heuristic_is_near_optimal_on_tiny_graphs() {
-    // The *best of the seven heuristics* should be within 35% of optimal on
+    // The *best of the six heuristics* should be within 35% of optimal on
     // every tiny instance (usually it is exactly optimal).
     for (name, g) in tiny_graphs() {
         let opt = brute_force_min_envelope(&g);
@@ -150,7 +149,6 @@ fn best_heuristic_is_near_optimal_on_tiny_graphs() {
             Algorithm::Spectral,
             Algorithm::Sloan,
             Algorithm::HybridSloanSpectral,
-            Algorithm::SpectralRefined,
         ]
         .iter()
         .map(|&alg| order(&g, alg).unwrap().stats.envelope_size)

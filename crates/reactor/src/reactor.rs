@@ -84,11 +84,6 @@ impl ConnCtx<'_> {
         self.wq.push(bytes);
     }
 
-    /// Bytes queued but not yet accepted by the socket.
-    pub fn queued_bytes(&self) -> usize {
-        self.wq.bytes()
-    }
-
     /// Arms (or clears) the user deadline; [`Handler::on_deadline`] fires
     /// once when it elapses.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {

@@ -97,12 +97,10 @@ pub const ALGORITHMS: &[(&str, Algorithm)] = &[
     ("spectral", Algorithm::Spectral),
     ("tracemin", Algorithm::TraceMin),
     ("rcm", Algorithm::Rcm),
-    ("cm", Algorithm::CuthillMckee),
     ("gps", Algorithm::Gps),
     ("gk", Algorithm::Gk),
     ("sloan", Algorithm::Sloan),
     ("hybrid", Algorithm::HybridSloanSpectral),
-    ("refined", Algorithm::SpectralRefined),
     ("mindeg", Algorithm::MinDegree),
     ("nd", Algorithm::SpectralNd),
     ("identity", Algorithm::Identity),
@@ -120,7 +118,7 @@ pub fn parse_algorithm(s: &str) -> Option<Algorithm> {
 
 /// The wire/CLI name of `alg` — the reverse of [`parse_algorithm`]. Distinct
 /// from [`Algorithm::name`] (the paper's uppercase table labels, which are
-/// not all parseable wire names, e.g. `SPECTRAL+X`).
+/// not all parseable wire names, e.g. `SPECTRAL-ND`).
 pub fn algorithm_wire_name(alg: Algorithm) -> &'static str {
     ALGORITHMS
         .iter()
@@ -699,12 +697,6 @@ fn order_body_to_json(r: &OrderResponse, mode: FrameMode, frames: &mut Vec<Frame
         }
     }
     Json::obj(pairs)
-}
-
-/// Serializes an [`OrderResponse`] body in NDJSON mode (the CLI's `--json`
-/// output and the default wire form).
-pub fn order_response_to_json(r: &OrderResponse) -> Json {
-    order_body_to_json(r, FrameMode::Ndjson, &mut Vec::new())
 }
 
 fn order_response_from_json(v: &Json) -> Result<OrderResponse, ProtoError> {
@@ -1892,12 +1884,10 @@ mod tests {
             ("spectral", Algorithm::Spectral),
             ("tracemin", Algorithm::TraceMin),
             ("rcm", Algorithm::Rcm),
-            ("cm", Algorithm::CuthillMckee),
             ("gps", Algorithm::Gps),
             ("gk", Algorithm::Gk),
             ("sloan", Algorithm::Sloan),
             ("hybrid", Algorithm::HybridSloanSpectral),
-            ("refined", Algorithm::SpectralRefined),
             ("mindeg", Algorithm::MinDegree),
             ("nd", Algorithm::SpectralNd),
         ] {
@@ -1910,7 +1900,7 @@ mod tests {
     fn every_algorithm_roundtrips_through_the_wire_name() {
         // encode → decode must be the identity for every table row; this
         // also pins the encode path to the table (Algorithm::name() produces
-        // labels like SPECTRAL+X that do not parse).
+        // labels like SPECTRAL-ND that do not parse).
         for &(name, alg) in ALGORITHMS {
             assert_eq!(parse_algorithm(algorithm_wire_name(alg)), Some(alg));
             assert_eq!(algorithm_wire_name(alg), name);
@@ -1930,6 +1920,23 @@ mod tests {
         assert!(msg.contains("unknown algorithm 'bogus'"), "{msg}");
         for &(name, _) in ALGORITHMS {
             assert!(msg.contains(name), "missing {name} in: {msg}");
+        }
+        // A removed name is never aliased to another ordering: it gets the
+        // same error, and the listed vocabulary omits it.
+        for removed in ["cm", "refined"] {
+            let line = format!(r#"{{"cmd":"ORDER","alg":"{removed}","path":"x.mtx"}}"#);
+            let msg = decode_request(&line).unwrap_err().to_string();
+            assert!(
+                msg.contains(&format!("unknown algorithm '{removed}'")),
+                "{msg}"
+            );
+            let listed = msg.split_once("expected one of").map_or("", |(_, l)| l);
+            assert!(
+                !listed
+                    .split(|c: char| !c.is_ascii_alphanumeric())
+                    .any(|w| w == removed),
+                "{removed} still listed in: {msg}"
+            );
         }
     }
 }

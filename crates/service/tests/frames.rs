@@ -270,7 +270,12 @@ fn compressed_orders_report_ratio_and_cache_separately() {
     assert!(!compressed.cache_hit);
     let ratio = compressed.compression_ratio.expect("ratio must be present");
     assert!((ratio - 3.0).abs() < 1e-9, "ratio {ratio}");
-    let (expect, expect_ratio) = se_order::order_compressed(&g, se_order::Algorithm::Rcm).unwrap();
+    let (expect, expect_ratio) = se_order::order_compressed_with(
+        &g,
+        se_order::Algorithm::Rcm,
+        &se_order::SolverOpts::default(),
+    )
+    .unwrap();
     assert_eq!(
         compressed.perm.as_ref().unwrap().order(),
         expect.perm.order()

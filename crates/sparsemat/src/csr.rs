@@ -335,11 +335,6 @@ impl CsrMatrix {
         Ok(coo.to_csr())
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.values.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Converts to a dense row-major `Vec<Vec<f64>>` (testing/small matrices).
     pub fn to_dense(&self) -> Vec<Vec<f64>> {
         let mut dense = vec![vec![0.0; self.ncols]; self.nrows];

@@ -17,7 +17,6 @@ pub struct SpyGrid {
     size: usize,
     /// Row-major counts: `counts[r * size + c]` nonzeros mapped to pixel.
     counts: Vec<u32>,
-    n: usize,
     nnz_plotted: usize,
 }
 
@@ -57,7 +56,6 @@ impl SpyGrid {
         Ok(SpyGrid {
             size,
             counts,
-            n,
             nnz_plotted: nnz,
         })
     }
@@ -65,11 +63,6 @@ impl SpyGrid {
     /// Grid side length in pixels.
     pub fn size(&self) -> usize {
         self.size
-    }
-
-    /// Matrix order that was rasterised.
-    pub fn matrix_order(&self) -> usize {
-        self.n
     }
 
     /// Number of plotted entries (`2·edges + n`, the figures' `nz =` label).

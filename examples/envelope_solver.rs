@@ -6,8 +6,8 @@
 //! Run: `cargo run --release --example envelope_solver`
 
 use spectral_envelope_repro::envelope::EnvelopeMatrix;
-use spectral_envelope_repro::order::Algorithm;
-use spectral_envelope_repro::spectral_env::{reorder_factor_solve, reorder_pattern};
+use spectral_envelope_repro::order::{order, Algorithm};
+use spectral_envelope_repro::spectral_env::reorder_factor_solve;
 use std::time::Instant;
 
 fn main() {
@@ -33,7 +33,7 @@ fn main() {
         Algorithm::Gps,
         Algorithm::Rcm,
     ] {
-        let ordering = reorder_pattern(&g, alg).expect("ordering runs");
+        let ordering = order(&g, alg).expect("ordering runs");
         let mut env =
             EnvelopeMatrix::from_csr_permuted(&a, &ordering.perm).expect("symmetric matrix");
         let t0 = Instant::now();

@@ -7,8 +7,7 @@
 //! Run: `cargo run --release --example fem_analysis`
 
 use spectral_envelope_repro::envelope::EnvelopeMatrix;
-use spectral_envelope_repro::order::Algorithm;
-use spectral_envelope_repro::spectral_env::reorder_pattern;
+use spectral_envelope_repro::order::{order, Algorithm};
 use std::time::Instant;
 
 fn main() {
@@ -44,7 +43,7 @@ fn main() {
         Algorithm::Gk,
         Algorithm::Rcm,
     ] {
-        let ordering = reorder_pattern(&g, alg).expect("ordering runs");
+        let ordering = order(&g, alg).expect("ordering runs");
         let mut env = EnvelopeMatrix::from_csr_permuted(&a, &ordering.perm).expect("symmetric");
         let t0 = Instant::now();
         let flops = env.factorize().expect("K + σM is SPD");

@@ -10,8 +10,7 @@
 //! Run: `cargo run --release --example preconditioning`
 
 use spectral_envelope_repro::envelope::{pcg, IncompleteCholesky, PcgOptions};
-use spectral_envelope_repro::order::Algorithm;
-use spectral_envelope_repro::spectral_env::reorder_pattern;
+use spectral_envelope_repro::order::{order, Algorithm};
 
 fn main() {
     // An ill-conditioned diffusion-like system on a graded airfoil mesh,
@@ -56,7 +55,7 @@ fn main() {
         Algorithm::Spectral,
         Algorithm::HybridSloanSpectral,
     ] {
-        let ordering = reorder_pattern(&g, alg).expect("ordering runs");
+        let ordering = order(&g, alg).expect("ordering runs");
         let pa = a
             .permute_symmetric(&ordering.perm)
             .expect("permutation matches");

@@ -5,10 +5,9 @@
 
 use se_bench::quality::{self, int, list, text};
 use spectral_envelope_repro::envelope::EnvelopeMatrix;
-use spectral_envelope_repro::order::Algorithm;
+use spectral_envelope_repro::order::{cuthill_mckee, order, Algorithm};
 use spectral_envelope_repro::service::json::{self, Json};
 use spectral_envelope_repro::sparsemat::envelope::theorem_2_2_lower_bounds;
-use spectral_envelope_repro::spectral_env::reorder_pattern;
 use spectral_envelope_repro::spectral_env::report::compare_orderings;
 
 fn repo_file(name: &str) -> String {
@@ -166,7 +165,7 @@ fn factorization_work_tracks_envelope_quadratically() {
     let a = g.spd_matrix(1.0);
     let mut results: Vec<(u64, u64)> = Vec::new(); // (envelope, flops)
     for alg in [Algorithm::Spectral, Algorithm::Rcm] {
-        let o = reorder_pattern(&g, alg).unwrap();
+        let o = order(&g, alg).unwrap();
         let mut env = EnvelopeMatrix::from_csr_permuted(&a, &o.perm).unwrap();
         let flops = env.factorize().unwrap();
         results.push((o.stats.envelope_size, flops));
@@ -225,7 +224,7 @@ fn run_time_ordering_matches_paper() {
 #[test]
 fn spectral_order_is_nearly_adjacency() {
     let g = meshgen::annulus_tri(16, 40, 0xA6);
-    let o = reorder_pattern(&g, Algorithm::Spectral).unwrap();
+    let o = order(&g, Algorithm::Spectral).unwrap();
     let pos = o.perm.positions();
     let mut adjacent = 0usize;
     for k in 1..g.n() {
@@ -252,7 +251,7 @@ fn envelope_orderings_improve_ic_pcg() {
         rtol: 1e-8,
     };
     let iters = |alg: Algorithm| -> usize {
-        let o = reorder_pattern(&g, alg).unwrap();
+        let o = order(&g, alg).unwrap();
         let pa = a.permute_symmetric(&o.perm).unwrap();
         let pb = o.perm.apply(&b).unwrap();
         let ic = IncompleteCholesky::robust(&pa).unwrap();
@@ -274,6 +273,5 @@ fn envelope_orderings_improve_ic_pcg() {
 fn cm_is_adjacency_ordering_but_rcm_is_not_necessarily() {
     use spectral_envelope_repro::sparsemat::envelope::is_adjacency_ordering;
     let g = meshgen::annulus_tri(12, 30, 0xA7);
-    let cm = reorder_pattern(&g, Algorithm::CuthillMckee).unwrap();
-    assert!(is_adjacency_ordering(&g, &cm.perm));
+    assert!(is_adjacency_ordering(&g, &cuthill_mckee(&g)));
 }

@@ -4,8 +4,8 @@
 //!
 //! This is the contract that lets `spectral-orderd` ignore the thread count
 //! in its cache key and lets benchmark runs be compared bit-for-bit. The
-//! multilevel solver behind SPECTRAL, hybrid, refined and nd runs on the
-//! calling thread, so it holds there by construction (and
+//! multilevel solver behind SPECTRAL, hybrid and nd runs on the calling
+//! thread, so it holds there by construction (and
 //! `multilevel_solve_submits_no_region` pins that the pool stays idle).
 //! TraceMin-Fiedler does run its inner solves on several threads; it keeps
 //! the contract because each inner solve runs serially on one thread and

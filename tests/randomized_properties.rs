@@ -8,12 +8,11 @@
 
 use se_prng::SmallRng;
 use spectral_envelope_repro::envelope::EnvelopeMatrix;
-use spectral_envelope_repro::order::Algorithm;
+use spectral_envelope_repro::order::{order, Algorithm};
 use spectral_envelope_repro::sparsemat::envelope::{
     bandwidth, envelope_size, envelope_stats, frontwidths, p_sum, row_widths,
 };
 use spectral_envelope_repro::sparsemat::{Permutation, SymmetricPattern};
-use spectral_envelope_repro::spectral_env::reorder_pattern;
 
 /// A random graph on 2..=40 vertices with random edges, made connected by
 /// threading a random spanning path through all vertices.
@@ -47,14 +46,13 @@ fn orderings_are_valid_permutations() {
         let g = any_graph(&mut rng);
         for alg in [
             Algorithm::Rcm,
-            Algorithm::CuthillMckee,
             Algorithm::Gps,
             Algorithm::Gk,
             Algorithm::Sloan,
             Algorithm::Spectral,
             Algorithm::HybridSloanSpectral,
         ] {
-            let o = reorder_pattern(&g, alg).unwrap();
+            let o = order(&g, alg).unwrap();
             let mut seen = vec![false; g.n()];
             for k in 0..g.n() {
                 let v = o.perm.new_to_old(k);
@@ -212,7 +210,7 @@ fn components_stay_contiguous() {
         let g = any_graph(&mut rng);
         let comps = connected_components(&g);
         for alg in Algorithm::paper_set() {
-            let o = reorder_pattern(&g, alg).unwrap();
+            let o = order(&g, alg).unwrap();
             // Vertices of each component occupy a contiguous position range.
             for members in &comps.members {
                 let mut positions: Vec<usize> =

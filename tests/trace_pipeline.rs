@@ -4,8 +4,9 @@
 //! counters are invariant under the solver thread count (they describe the
 //! algorithm, not the schedule).
 
+use se_order::{order_with, Algorithm, SolverOpts};
 use se_trace::SpanNode;
-use spectral_env::{reorder_pattern_with, Algorithm, SolverOpts, Tracer};
+use spectral_env::Tracer;
 
 /// A mesh big enough that the multilevel path runs (coarsen levels,
 /// Lanczos on the coarsest graph, RQI refinement per level).
@@ -26,7 +27,7 @@ fn span_tree_shape_is_stable_for_a_fixed_input() {
     let shapes: Vec<String> = (0..2)
         .map(|_| {
             let (opts, tracer) = traced_opts(1);
-            reorder_pattern_with(&g, Algorithm::Spectral, &opts).expect("ordering");
+            order_with(&g, Algorithm::Spectral, &opts).expect("ordering");
             tracer.finish().expect("a recorded root span").shape()
         })
         .collect();
@@ -58,7 +59,7 @@ fn span_tree_shape_is_stable_for_a_fixed_input() {
 fn stage_totals_are_bounded_by_the_root() {
     let g = mesh();
     let (opts, tracer) = traced_opts(1);
-    reorder_pattern_with(&g, Algorithm::Spectral, &opts).expect("ordering");
+    order_with(&g, Algorithm::Spectral, &opts).expect("ordering");
     let root = tracer.finish().expect("root span");
     // Every aggregated stage is a subtree of the root, so its total wall
     // time cannot exceed the root's (modulo clock granularity).
@@ -89,7 +90,7 @@ fn spans_named<'a>(node: &'a SpanNode, name: &str, out: &mut Vec<&'a SpanNode>) 
 fn rqi_spans_count_one_matvec_per_outer_and_inner_iteration() {
     let g = mesh();
     let (opts, tracer) = traced_opts(1);
-    reorder_pattern_with(&g, Algorithm::Spectral, &opts).expect("ordering");
+    order_with(&g, Algorithm::Spectral, &opts).expect("ordering");
     let root = tracer.finish().expect("root span");
     let mut rqi = Vec::new();
     spans_named(&root, "rqi", &mut rqi);
@@ -110,10 +111,10 @@ fn rqi_spans_count_one_matvec_per_outer_and_inner_iteration() {
 #[test]
 fn disabled_tracer_leaves_results_bit_identical() {
     let g = mesh();
-    let plain = reorder_pattern_with(&g, Algorithm::Spectral, &SolverOpts::with_threads(1))
+    let plain = order_with(&g, Algorithm::Spectral, &SolverOpts::with_threads(1))
         .expect("untraced ordering");
     let (opts, tracer) = traced_opts(1);
-    let traced = reorder_pattern_with(&g, Algorithm::Spectral, &opts).expect("traced ordering");
+    let traced = order_with(&g, Algorithm::Spectral, &opts).expect("traced ordering");
     assert_eq!(
         plain.perm.order(),
         traced.perm.order(),
@@ -136,7 +137,7 @@ fn counters_are_thread_count_invariant() {
         let mut baseline: Option<(Vec<usize>, String, f64, f64, f64)> = None;
         for threads in [1usize, 2, 4] {
             let (opts, tracer) = traced_opts(threads);
-            let ordering = reorder_pattern_with(&g, alg, &opts).expect("ordering");
+            let ordering = order_with(&g, alg, &opts).expect("ordering");
             let root = tracer.finish().expect("root span");
             let perm = ordering.perm.order().to_vec();
             let shape = root.shape();
